@@ -121,9 +121,7 @@ def solve_control(
     if sol.status == -1 or not np.all(np.isfinite(sol.y)):
         # integration failure this close to divergence is itself blow-up
         # evidence only when the state already exploded; otherwise report it
-        if len(sol.y[0]) and sol.y[0][-1] > blowup_threshold:
-            pass
-        else:
+        if not (len(sol.y[0]) and sol.y[0][-1] > blowup_threshold):
             raise RuntimeError("control integration failed: %s" % (sol.message,))
 
     times = list(sol.t)

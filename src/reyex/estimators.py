@@ -9,24 +9,39 @@ Three variants are supported:
   intermediate(M) D_m = ||sum_{j<=M} R^j u_j||_m + sum_{j>M} R^j ||u_j||_m,
                   eps_m as in the rough variant.
 
-Sampling shares work across Reynolds parameters: the cross Gram tables
-<u_j, u_l>_m on the time grid depend only on the expansion, so one
-EstimatorTables instance serves every R probed during a bisection.
+Every estimator is assembled from cross Gram tables <f_i(t), f_j(t)>_m of
+the coefficients u_j (or of the residual tails) on a time grid.  The tables
+depend only on the expansion, so one EstimatorTables instance serves every R
+probed during a bisection.  They are built in two steps:
+
+  exact build   each Gram G_ij^m is a real-coefficient TimePoly, summed
+                exactly over one representative per orbit class of the
+                symmetry group (fields.gram_poly_orbits);
+  sampling      all Grams of one table kind are evaluated together
+                (timepoly.sample_real_polys): at each t > 0, e^{-t} and every
+                basis value t^a e^{-bt} are computed once and each value is
+                one dot product against them.  t = 0 is exact, so Grams of
+                fields that vanish there are exact zeros.
+
+Floating point enters only in the sampling.  The bits each value loses to
+cancellation are measured there, and a value that would keep fewer than
+timepoly.GUARD_BITS is evaluated again at a higher precision;
+EstimatorTables.stats records the loss and the cost.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field as dc_field
 
 import mpmath
 from scipy.interpolate import PchipInterpolator
 
-from .fields import canonical_key, sobolev_norm, wave_norm_sq
+from .fields import canonical_key, gram_poly_orbits
 from .symmetry import _mat_vec
 from .expansion import residual_tail
-from .rationals import mpq
-from .timepoly import DEFAULT_EVAL_PRECISION
+from .timepoly import DEFAULT_EVAL_PRECISION, sample_real_polys
 
 __all__ = [
     "ConstantsTable",
@@ -35,11 +50,6 @@ __all__ = [
     "EstimatorSet",
     "default_grid",
     "parse_variant",
-    "growth_rough",
-    "growth_intermediate",
-    "error_rough",
-    "error_tautological",
-    "error_tame",
     "build_estimator_set",
     "export_csv",
 ]
@@ -145,99 +155,6 @@ def variant_label(variant):
     return kind if M is None else "%s:%d" % (kind, M)
 
 
-# -- exact single-time operations -----------------------------------------------
-
-
-def _as_mpq(R):
-    return mpq(R) if not isinstance(R, float) else mpq(*R.as_integer_ratio())
-
-
-def _norm_at(field, m, t, precision):
-    return sobolev_norm(field, m, t, precision)
-
-
-def growth_rough(exp, R, m, t, precision=DEFAULT_EVAL_PRECISION):
-    """sum_{j=0}^{N} R^j ||u_j(t)||_m."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    with mpmath.workprec(precision):
-        Rf = mpmath.mpf(R)
-        total = mpmath.mpf(0)
-        for j, u in enumerate(exp.coeffs):
-            total += Rf**j * _norm_at(u, m, t, precision)
-        return total
-
-
-def growth_intermediate(exp, R, m, M, t, precision=DEFAULT_EVAL_PRECISION):
-    """||sum_{j<=M} R^j u_j(t)||_m + sum_{j>M} R^j ||u_j(t)||_m."""
-    if not 0 <= M <= exp.N:
-        raise ValueError("need 0 <= M <= N")
-    Rq = _as_mpq(R)
-    head = None
-    power = mpq(1)
-    for j in range(M + 1):
-        term = exp.coeffs[j].scale_rational(power)
-        head = term if head is None else head + term
-        power = power * Rq
-    with mpmath.workprec(precision):
-        Rf = mpmath.mpf(R)
-        total = _norm_at(head, m, t, precision)
-        for j in range(M + 1, exp.N + 1):
-            total += Rf**j * _norm_at(exp.coeffs[j], m, t, precision)
-        return total
-
-
-def error_rough(exp, R, m, t, constants, precision=DEFAULT_EVAL_PRECISION):
-    """K_m sum_{j=N+1}^{2N+1} R^j sum_l ||u_l(t)||_m ||u_{j-l-1}(t)||_{m+1}."""
-    K = constants.K_of(m)
-    N = exp.N
-    with mpmath.workprec(precision):
-        Rf = mpmath.mpf(R)
-        norms_m = [_norm_at(u, m, t, precision) for u in exp.coeffs]
-        norms_m1 = [_norm_at(u, m + 1, t, precision) for u in exp.coeffs]
-        total = mpmath.mpf(0)
-        for j in range(N + 1, 2 * N + 2):
-            inner = mpmath.mpf(0)
-            for l in range(j - N - 1, N + 1):
-                inner += norms_m[l] * norms_m1[j - l - 1]
-            total += Rf**j * inner
-        return mpmath.mpf(K) * total
-
-
-def error_tame(exp, R, p, n, t, constants, precision=DEFAULT_EVAL_PRECISION):
-    """(1/2) K_pn sum_j R^j sum_l (||u_l||_p ||u_{j-l-1}||_{n+1}
-    + ||u_l||_n ||u_{j-l-1}||_{p+1})."""
-    K = constants.K_pn_of(p, n)
-    N = exp.N
-    with mpmath.workprec(precision):
-        Rf = mpmath.mpf(R)
-        norms = {
-            m: [_norm_at(u, m, t, precision) for u in exp.coeffs]
-            for m in {p, n, p + 1, n + 1}
-        }
-        total = mpmath.mpf(0)
-        for j in range(N + 1, 2 * N + 2):
-            inner = mpmath.mpf(0)
-            for l in range(j - N - 1, N + 1):
-                r = j - l - 1
-                inner += norms[p][l] * norms[n + 1][r] + norms[n][l] * norms[p + 1][r]
-            total += Rf**j * inner
-        return mpmath.mpf(K) / 2 * total
-
-
-def error_tautological(exp, R, m, t, precision=DEFAULT_EVAL_PRECISION):
-    """Exact m-norm of the residual sum_{j=N+1}^{2N+1} R^j tail_j at time t."""
-    tails = residual_tail(exp)
-    Rq = _as_mpq(R)
-    power = Rq ** (exp.N + 1)
-    res = None
-    for tail in tails:
-        term = tail.scale_rational(power)
-        res = term if res is None else res + term
-        power = power * Rq
-    return _norm_at(res, m, t, precision)
-
-
 # -- shared sampling tables -------------------------------------------------------
 
 
@@ -267,113 +184,21 @@ def _orbit_classes(keys, matrices):
     return classes
 
 
-def _compile_vec(vec):
-    """Pre-convert a TimePoly 3-vector to mpf term lists for fast grid reuse."""
-    out = []
-    for p in vec:
-        terms = []
-        for (a, b), c in p.terms.items():
-            re = mpmath.mpf(c.re.numerator) / mpmath.mpf(c.re.denominator)
-            im = mpmath.mpf(c.im.numerator) / mpmath.mpf(c.im.denominator)
-            terms.append((a, b, re, im))
-        out.append(terms)
-    return out
-
-
-def _eval_compiled(compiled, tpow, xpow):
-    vals = []
-    for terms in compiled:
-        re = mpmath.mpf(0)
-        im = mpmath.mpf(0)
-        for a, b, cre, cim in terms:
-            w = tpow[a] * xpow[b]
-            re += cre * w
-            im += cim * w
-        vals.append((re, im))
-    return vals
-
-
-def _power_cache(base, exponents):
-    cache = {}
-    for e in exponents:
-        if e not in cache:
-            cache[e] = base**e
-    return cache
-
-
-def sample_gram_tables(fields, orders, grid, precision, matrices=None):
-    """Cross Gram tables <f_i(t), f_j(t)>_m on the grid, full lattice,
-    without the (2 pi)^3 volume factor.
-
-    Returns dict[(i, j, m)] -> list of mpf over the grid, for i <= j.  With
-    matrices given, only one representative per orbit class is evaluated.
-    """
-    with mpmath.workprec(precision):
-        support = set()
-        for f in fields:
-            support |= set(f.coeffs)
-        if matrices:
-            classes = _orbit_classes(support, matrices)
-        else:
-            classes = [(k, 1) for k in sorted(support)]
-
-        nf = len(fields)
-        pairs = [(i, j) for i in range(nf) for j in range(i, nf)]
-        tables = {(i, j, m): [mpmath.mpf(0)] * len(grid) for i, j in pairs for m in orders}
-
-        exps_a = set()
-        exps_b = set()
-        compiled = []
-        for rep, size in classes:
-            per_field = []
-            for f in fields:
-                vec = f.coeffs.get(rep)
-                if vec is None:
-                    per_field.append(None)
-                    continue
-                cv = _compile_vec(vec)
-                for terms in cv:
-                    for a, b, _, _ in terms:
-                        exps_a.add(a)
-                        exps_b.add(b)
-                per_field.append(cv)
-            compiled.append(per_field)
-
-        for ig, t in enumerate(grid):
-            tt = mpmath.mpf(t)
-            x = mpmath.e ** (-tt)
-            tpow = _power_cache(tt, exps_a)
-            xpow = _power_cache(x, exps_b)
-            for (rep, size), per_field in zip(classes, compiled):
-                ksq = wave_norm_sq(rep)
-                weights = {m: mpmath.mpf(size * ksq**m if m >= 0 else size) for m in orders}
-                if any(m < 0 for m in orders):
-                    for m in orders:
-                        if m < 0:
-                            weights[m] = mpmath.mpf(size) / mpmath.mpf(ksq ** (-m))
-                vals = [
-                    _eval_compiled(cv, tpow, xpow) if cv is not None else None
-                    for cv in per_field
-                ]
-                for i, j in pairs:
-                    vi, vj = vals[i], vals[j]
-                    if vi is None or vj is None:
-                        continue
-                    dot = mpmath.mpf(0)
-                    for (ar, ai), (br, bi) in zip(vi, vj):
-                        dot += ar * br + ai * bi
-                    dot += dot  # conj pair at -k doubles the real part
-                    for m in orders:
-                        tables[(i, j, m)][ig] += weights[m] * dot
-        return tables
-
-
 class EstimatorTables:
     """Sampled Gram tables for one expansion on one grid.
 
-    Building the tables costs the grid evaluation once; assembling the per-R
+    coeff_tables() and tail_tables() build the exact Gram polynomials of
+    their fields and sample them on the grid at the given precision, once
+    each; they return dict[(i, j, m)] -> list of mpf over the grid.  Values
+    at t = 0 are exact, and values that lose too many bits to cancellation
+    are evaluated again at a higher precision.  Assembling the per-R
     estimator values afterwards is cheap arithmetic, so bisections reuse one
     instance across all probed Reynolds parameters.
+
+    stats maps each table kind built so far ("coeff", "tail") to its
+    build_s and eval_s (seconds for the exact build and the sampling), terms
+    (Gram terms over all tables), max_bits_lost, reevaluated (values
+    evaluated again) and max_precision (the highest precision used).
     """
 
     def __init__(self, exp, n, grid=None, precision=DEFAULT_EVAL_PRECISION):
@@ -389,24 +214,48 @@ class EstimatorTables:
         self._matrices = list(sym.reduced_plus) if sym is not None else None
         self._coeff_tables = None
         self._tail_tables = None
+        self.stats = {}
 
     def coeff_tables(self):
         """Cross Grams <u_i, u_j>_m for m in {n, n+1}."""
         if self._coeff_tables is None:
-            self._coeff_tables = sample_gram_tables(
-                self.exp.coeffs, (self.n, self.n + 1), self.grid, self.precision,
-                self._matrices,
+            self._coeff_tables = self._gram_tables(
+                "coeff", self.exp.coeffs, (self.n, self.n + 1)
             )
         return self._coeff_tables
 
     def tail_tables(self):
         """Cross Grams <tail_i, tail_j>_n for the residual orders."""
         if self._tail_tables is None:
-            tails = residual_tail(self.exp)
-            self._tail_tables = sample_gram_tables(
-                tails, (self.n,), self.grid, self.precision, self._matrices
-            )
+            self._tail_tables = self._gram_tables("tail", residual_tail(self.exp), (self.n,))
         return self._tail_tables
+
+    def _gram_tables(self, kind, fields, orders):
+        """Exact Gram polynomials of every pair i <= j at every order, sampled
+        on the grid; dict[(i, j, m)] -> list of mpf.  Records the cost and
+        the precision lost in self.stats[kind]."""
+        start = time.perf_counter()
+        support = set().union(*(f.coeffs for f in fields))
+        if self._matrices:
+            classes = _orbit_classes(support, self._matrices)
+        else:
+            classes = [(k, 1) for k in sorted(support)]
+        keys = [
+            (i, j, m)
+            for i in range(len(fields))
+            for j in range(i, len(fields))
+            for m in orders
+        ]
+        polys = [gram_poly_orbits(fields[i], fields[j], m, classes) for i, j, m in keys]
+        built = time.perf_counter()
+        values, report = sample_real_polys(polys, self.grid, self.precision)
+        self.stats[kind] = {
+            "build_s": built - start,
+            "eval_s": time.perf_counter() - built,
+            "terms": sum(p.num_terms() for p in polys),
+            **report,
+        }
+        return dict(zip(keys, values))
 
     # -- per-R assembly; everything below returns lists of mpf over the grid --
 
@@ -610,10 +459,9 @@ def _check_invariants(est, exp):
         for v in vals:
             if not math.isfinite(v) or v < 0:
                 raise ValueError("estimator sample %s = %s is invalid" % (name, v))
+    # the tables are exact at t = 0, where u_j = 0 for every j >= 1
     if exp.N >= 1 and est.eps_n[0] != 0.0:
-        if est.eps_n[0] > 1e-30 * max(est.eps_n):
-            raise ValueError("eps_n(0) = %s should vanish for N >= 1" % (est.eps_n[0],))
-        est.eps_n[0] = 0.0
+        raise ValueError("eps_n(0) = %s should vanish for N >= 1" % (est.eps_n[0],))
 
 
 def export_csv(est, path):

@@ -139,7 +139,6 @@ def _orbits_full(keys, elements):
                     orbit.add(nxt)
                     orbit.add(_neg(nxt))
                     frontier.extend((nxt, _neg(nxt)))
-        orbit &= keys | {x for x in orbit if x in keys}
         orbit = {x for x in orbit if x in keys}
         orbits.append(orbit)
         assigned |= orbit

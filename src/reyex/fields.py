@@ -425,13 +425,33 @@ def _weight(ksq, order):
     return mpq(1, ksq ** (-order))
 
 
-def _mode_gram(vvec, wvec):
-    """conj(v_k).w_k + v_k.conj(w_k): the real full-lattice contribution of
-    the canonical pair {k, -k}, as a real-coefficient TimePoly."""
-    p = TP_ZERO
-    for a, b in zip(vvec, wvec):
-        p = p + a.conj() * b
-    return p + p.conj()
+def _add_mode_gram(acc, vvec, wvec, weight):
+    """Add weight * (conj(v_k).w_k + v_k.conj(w_k)) into acc, a map of
+    exponent pairs to rationals.  This is the real full-lattice contribution
+    of the canonical pair {k, -k}: twice the real part of conj(v_k).w_k, so
+    only Re(conj(c) d) = c.re d.re + c.im d.im is ever formed."""
+    weight = 2 * weight
+    for p, q in zip(vvec, wvec):
+        qterms = q.terms.items()
+        for (a1, b1), c in p.terms.items():
+            cre = c.re * weight
+            cim = c.im * weight
+            for (a2, b2), d in qterms:
+                if cre and d.re:
+                    x = cre * d.re
+                    if cim and d.im:
+                        x += cim * d.im
+                elif cim and d.im:
+                    x = cim * d.im
+                else:
+                    continue
+                key = (a1 + a2, b1 + b2)
+                prev = acc.get(key)
+                acc[key] = x if prev is None else prev + x
+
+
+def _real_poly(acc):
+    return TimePoly({key: GaussianRational(x) for key, x in acc.items()})
 
 
 def gram_poly(v, w, order):
@@ -440,16 +460,10 @@ def gram_poly(v, w, order):
     The (2 pi)^3 normalization of the Sobolev inner product is irrational and
     is applied only at numeric evaluation time (see sobolev_norm).
     """
-    out = TP_ZERO
-    if len(v.coeffs) <= len(w.coeffs):
-        keys = v.coeffs.keys() & w.coeffs.keys()
-    else:
-        keys = w.coeffs.keys() & v.coeffs.keys()
-    for k in keys:
-        p = _mode_gram(v.coeffs[k], w.coeffs[k])
-        if not p.is_zero():
-            out = out + p.scale_rational(_weight(wave_norm_sq(k), order))
-    return out
+    acc = {}
+    for k in v.coeffs.keys() & w.coeffs.keys():
+        _add_mode_gram(acc, v.coeffs[k], w.coeffs[k], _weight(wave_norm_sq(k), order))
+    return _real_poly(acc)
 
 
 def gram_poly_orbits(v, w, order, orbit_classes):
@@ -460,16 +474,14 @@ def gram_poly_orbits(v, w, order, orbit_classes):
     canonical support; contributions are constant on classes when the fields
     are equivariant under the symmetry group that produced the classes.
     """
-    out = TP_ZERO
+    acc = {}
     for rep, size in orbit_classes:
         vvec = v.coeffs.get(rep)
         wvec = w.coeffs.get(rep)
         if vvec is None or wvec is None:
             continue
-        p = _mode_gram(vvec, wvec)
-        if not p.is_zero():
-            out = out + p.scale_rational(_weight(wave_norm_sq(rep), order) * size)
-    return out
+        _add_mode_gram(acc, vvec, wvec, _weight(wave_norm_sq(rep), order) * size)
+    return _real_poly(acc)
 
 
 def norm_sq_poly(v, order):

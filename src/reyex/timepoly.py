@@ -19,7 +19,7 @@ import mpmath
 
 from .rationals import GR_ZERO, GaussianRational, mpq
 
-__all__ = ["TimePoly", "tp_basis", "TP_ZERO", "TP_ONE"]
+__all__ = ["TimePoly", "tp_basis", "TP_ZERO", "TP_ONE", "sample_real_polys"]
 
 DEFAULT_EVAL_PRECISION = 256
 
@@ -256,6 +256,116 @@ class TimePoly:
 
 def _to_mpf(q):
     return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
+
+
+# -- batch sampling on a time grid -------------------------------------------------
+
+# Bits a sampled value must keep: 53 for the float64 it ends up as, plus a
+# 32-bit margin for the arithmetic done on it afterwards.
+GUARD_BITS = 85
+# Re-evaluations allowed per value.  Each round adds the bits the previous one
+# measured as lost, so only a value that is an exact zero at some t > 0 can
+# use them all up.
+GUARD_ROUNDS = 4
+
+
+def _basis_values(keys, t):
+    """B_{a,b}(t) for every key, at the current precision: e^{-t} and each
+    power once."""
+    tt = mpmath.mpf(t)
+    x = mpmath.exp(-tt)
+    tpow = {}
+    xpow = {}
+    out = []
+    for a, b in keys:
+        ta = tpow.get(a)
+        if ta is None:
+            ta = tpow[a] = tt**a
+        xb = xpow.get(b)
+        if xb is None:
+            xb = xpow[b] = x**b
+        out.append(ta * xb)
+    return out
+
+
+def _dot_and_loss(coeffs, abs_coeffs, basis, prec):
+    """The value sum c B and the bits it lost to cancellation, measured as
+    mag(sum |c| B) - mag(sum c B), exact to within one bit.  B > 0 for t > 0,
+    so sum |c| B bounds every partial sum and sets the scale of the rounding
+    error."""
+    value = mpmath.fdot(coeffs, basis)
+    if not value:
+        return value, prec if abs_coeffs else 0
+    return value, max(mpmath.mag(mpmath.fdot(abs_coeffs, basis)) - mpmath.mag(value), 0)
+
+
+def _compile(poly):
+    coeffs = []
+    for c in poly.terms.values():
+        if c.im:
+            raise ValueError("sample_real_polys needs real coefficients")
+        coeffs.append(_to_mpf(c.re))
+    return coeffs, [abs(c) for c in coeffs]
+
+
+def _reevaluate(poly, t, prec, lost, keep):
+    """Evaluate poly at t again, adding the bits measured as lost to the
+    precision, until keep bits survive or GUARD_ROUNDS run out.  Returns
+    (value, precision used, bits lost at that precision)."""
+    for _ in range(GUARD_ROUNDS):
+        prec += lost
+        with mpmath.workprec(prec):
+            value, lost = _dot_and_loss(*_compile(poly), _basis_values(poly.terms, t), prec)
+        if prec - lost >= keep:
+            break
+    return value, prec, lost
+
+
+def sample_real_polys(polys, grid, precision=DEFAULT_EVAL_PRECISION):
+    """Values of real-coefficient polys on a time grid.
+
+    Returns (values, report): values[i] is the list of mpf values of polys[i]
+    over the grid.  At each t > 0, e^{-t} and every basis value
+    B_{a,b}(t) = t^a e^{-bt} the batch uses are computed once and each value
+    is one mpmath.fdot against them.  t = 0 is exact: B_{a,b}(0) = [a == 0],
+    so the value is the rational sum of the a = 0 coefficients, rounded once.
+
+    The bits each value loses to cancellation are measured in the same pass.
+    Where fewer than GUARD_BITS would survive (or the precision, if lower),
+    the value is evaluated again at precision + the bits lost.  report holds
+    max_bits_lost, reevaluated (the number of values re-evaluated) and
+    max_precision (the highest precision used).
+    """
+    if precision < 53:
+        raise ValueError("precision must be at least 53 bits")
+    keep = min(GUARD_BITS, precision)
+    keys = sorted({key for p in polys for key in p.terms})
+    slot = {key: i for i, key in enumerate(keys)}
+    picks = [[slot[key] for key in p.terms] for p in polys]
+    max_lost = reevaluated = 0
+    max_prec = precision
+    values = [[] for _ in polys]
+    with mpmath.workprec(precision):
+        compiled = [_compile(p) for p in polys]
+        for t in grid:
+            if t == 0:
+                for p, out in zip(polys, values):
+                    at_zero = sum((c.re for (a, _), c in p.terms.items() if a == 0), mpq(0))
+                    out.append(_to_mpf(at_zero))
+                continue
+            basis = _basis_values(keys, t)
+            for p, pick, (coeffs, abs_coeffs), out in zip(polys, picks, compiled, values):
+                at_t = [basis[i] for i in pick]
+                value, lost = _dot_and_loss(coeffs, abs_coeffs, at_t, precision)
+                max_lost = max(max_lost, lost)
+                if precision - lost < keep:
+                    value, prec, lost = _reevaluate(p, t, precision, lost, keep)
+                    reevaluated += 1
+                    max_lost = max(max_lost, lost)
+                    max_prec = max(max_prec, prec)
+                out.append(value)
+    report = {"max_bits_lost": max_lost, "reevaluated": reevaluated, "max_precision": max_prec}
+    return values, report
 
 
 def _tp(terms):

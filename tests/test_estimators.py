@@ -3,7 +3,7 @@ import math
 import mpmath
 import pytest
 
-from reyex.data import datum_bnw
+from reyex.data import datum_bnw, datum_km
 from reyex.expansion import expand, residual_tail
 from reyex.estimators import (
     ConstantsTable,
@@ -11,15 +11,20 @@ from reyex.estimators import (
     MissingConstantError,
     build_estimator_set,
     default_grid,
-    error_rough,
-    error_tame,
-    error_tautological,
     export_csv,
-    growth_intermediate,
-    growth_rough,
     parse_variant,
 )
 from reyex.fields import sobolev_norm
+
+from oracles import (
+    error_rough,
+    error_tame,
+    error_tautological,
+    gram_at_zero,
+    growth_intermediate,
+    growth_rough,
+    sample_gram_tables,
+)
 
 
 @pytest.fixture(scope="module")
@@ -154,12 +159,90 @@ def test_sampled_tables_match_exact_operations(bnw3, tables3):
         )
 
 
+@pytest.fixture(scope="module")
+def bnw3_plain():
+    exp = expand(datum_bnw().field, 3, use_symmetry=False, datum_id="bnw")
+    residual_tail(exp)
+    return exp
+
+
+@pytest.fixture(scope="module")
+def km2():
+    return expand(datum_km().field, 2, datum_id="km")
+
+
+@pytest.mark.parametrize(
+    "which, kind",
+    [
+        ("bnw3", "coeff"),
+        ("bnw3", "tail"),
+        ("bnw3_plain", "coeff"),
+        ("bnw3_plain", "tail"),
+        ("km2", "coeff"),
+    ],
+)
+def test_exact_gram_tables_match_per_mode_oracle(request, which, kind):
+    exp = request.getfixturevalue(which)
+    if which == "km2":
+        assert len(exp.symmetry.reduced_plus) == 48
+    grid = default_grid(80)
+    tables = EstimatorTables(exp, 3, grid=grid)
+    if kind == "coeff":
+        got, fields, orders = tables.coeff_tables(), exp.coeffs, (3, 4)
+    else:
+        got, fields, orders = tables.tail_tables(), exp.tails, (3,)
+    matrices = list(exp.symmetry.reduced_plus) if exp.symmetry is not None else None
+    ref = sample_gram_tables(fields, orders, grid, 512, matrices)
+    assert got.keys() == ref.keys()
+    for (i, j, m), vals in got.items():
+        at_zero = gram_at_zero(fields[i], fields[j], m)
+        with mpmath.workprec(256):
+            assert vals[0] == mpmath.mpf(at_zero.numerator) / at_zero.denominator
+        for a, b in zip(vals[1:], ref[(i, j, m)][1:]):
+            assert abs(a - b) <= 1e-40 * abs(b)
+
+
+def test_tail_tables_vanish_exactly_at_time_zero(tables3):
+    # u_j(0) = 0 for j >= 1, so every residual tail is 0 at t = 0
+    assert all(vals[0] == 0 for vals in tables3.tail_tables().values())
+
+
+def test_table_stats(bnw3):
+    tables = EstimatorTables(bnw3, 3, grid=default_grid(40))
+    assert tables.stats == {}
+    tables.coeff_tables()
+    assert set(tables.stats) == {"coeff"}
+    tables.tail_tables()
+    for kind in ("coeff", "tail"):
+        st = tables.stats[kind]
+        assert set(st) == {
+            "build_s", "eval_s", "terms", "max_bits_lost", "reevaluated", "max_precision"
+        }
+        assert st["build_s"] >= 0 and st["eval_s"] >= 0
+        assert st["terms"] > 0
+        assert 0 < st["max_bits_lost"] < 256 - 85
+        assert st["reevaluated"] == 0
+        assert st["max_precision"] == 256
+    # the tail Grams cancel more than the coefficient Grams near t = 0
+    assert tables.stats["tail"]["max_bits_lost"] > tables.stats["coeff"]["max_bits_lost"]
+
+
 def test_estimator_set_invariants(bnw3, tables3):
     est = build_estimator_set(bnw3, 0.3, 3, "rough", tables=tables3)
     assert est.eps_n[0] == 0.0
     assert est.D_n[0] >= float(datum_bnw().sobolev(3)) * (1 - 1e-12)
     for vals in (est.D_n, est.D_n1, est.eps_n):
         assert all(math.isfinite(v) and v >= 0 for v in vals)
+
+
+def test_nonzero_eps_at_time_zero_is_rejected(bnw3, tables3):
+    from reyex.estimators import _check_invariants
+
+    est = build_estimator_set(bnw3, 0.3, 3, "tautological", tables=tables3)
+    assert est.eps_n[0] == 0.0
+    est.eps_n[0] = 1e-300
+    with pytest.raises(ValueError):
+        _check_invariants(est, bnw3)
 
 
 def test_growth_variants_dominate_the_exact_norm(bnw3, tables3):

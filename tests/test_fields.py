@@ -203,6 +203,29 @@ def test_gram_poly_symmetry_and_orbit_version():
     assert norm_sq_poly(w, 3) == g1
 
 
+def test_gram_poly_matches_timepoly_products():
+    # generic complex amplitudes, so both real and imaginary parts meet
+    modes = {
+        (1, 0, 0): leray_project((1, 0, 0), const_vec((0, 0), (2, -3), (Fraction(1, 2), 5))),
+        (0, 1, 1): leray_project((0, 1, 1), const_vec((1, 1), (-2, 7), (3, Fraction(-1, 3)))),
+        (1, 2, 0): leray_project((1, 2, 0), const_vec((4, -1), (1, 2), (0, 1))),
+    }
+    v = heat_apply(static_field(modes))
+    w = v + heat_duhamel(bilinear_P(v, v))
+    for order in (-1, 0, 3):
+        ref = TP_ZERO
+        for k in v.coeffs.keys() & w.coeffs.keys():
+            p = TP_ZERO
+            for a, b in zip(v.coeffs[k], w.coeffs[k]):
+                p = p + a.conj() * b
+            ksq = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
+            weight = mpq(ksq**order) if order >= 0 else mpq(1, ksq)
+            ref = ref + (p + p.conj()).scale_rational(weight)
+        assert gram_poly(v, w, order) == ref
+        assert gram_poly(w, v, order) == ref
+        assert gram_poly_orbits(v, w, order, [(k, 1) for k in w.support()]) == ref
+
+
 def test_payload_round_trip_and_tamper_detection(tmp_path):
     v = datum_bnw().field
     w = heat_duhamel(bilinear_P(heat_apply(v), heat_apply(v)))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reyex.rationals import GaussianRational, mpq
-from reyex.timepoly import TP_ONE, TP_ZERO, TimePoly, tp_basis
+from reyex.timepoly import GUARD_BITS, TP_ONE, TP_ZERO, TimePoly, sample_real_polys, tp_basis
 
 small_q = st.fractions(min_value=-50, max_value=50, max_denominator=20).map(
     lambda f: mpq(f.numerator, f.denominator)
@@ -128,3 +128,50 @@ def test_convolution_is_linear():
     p = tp_basis(1, 3)
     q = tp_basis(0, 7, GaussianRational(0, 2))
     assert (p + q).heat_convolve(5) == p.heat_convolve(5) + q.heat_convolve(5)
+
+
+real_polys = st.dictionaries(
+    exponent_pairs, small_q.map(GaussianRational), max_size=6
+).map(TimePoly)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(real_polys, min_size=1, max_size=4))
+def test_sample_real_polys_matches_evaluate(batch):
+    grid = [0.0, 1e-3, 0.37, 2.0, 11.5]
+    values, report = sample_real_polys(batch, grid, 256)
+    for p, vals in zip(batch, values):
+        # t = 0 is exact: the rational sum of the a = 0 coefficients, rounded once
+        at_zero = sum((c.re for (a, _), c in p.terms.items() if a == 0), mpq(0))
+        with mpmath.workprec(256):
+            assert vals[0] == mpmath.mpf(at_zero.numerator) / at_zero.denominator
+        with mpmath.workprec(512):
+            for t, v in zip(grid[1:], vals[1:]):
+                ref = p.evaluate(t, 512).real
+                scale = sum(abs(c.re) for c in p.terms.values())
+                assert abs(v - ref) <= mpmath.mpf(2) ** -200 * (1 + scale)
+    assert report["max_precision"] >= 256
+
+
+def test_sample_real_polys_rejects_complex_coefficients():
+    with pytest.raises(ValueError):
+        sample_real_polys([tp_basis(0, 1, GaussianRational(1, 1))], [0.0, 1.0])
+
+
+def test_precision_guard_reevaluates_cancelling_values():
+    # (1 - e^{-t} - t e^{-t})^10 ~ t^20 / 1024 near 0: its 66 terms of size
+    # up to ~10^4 cancel to ~1e-63 at t = 1e-3, about 219 bits
+    base = TP_ONE - tp_basis(0, 1) - tp_basis(1, 1)
+    p = TP_ONE
+    for _ in range(10):
+        p = p * base
+    grid = [0.0, 1e-3, 0.5, 3.0]
+    values, report = sample_real_polys([p], grid, 256)
+    assert report["reevaluated"] >= 1
+    assert report["max_bits_lost"] > 256 - GUARD_BITS
+    assert report["max_precision"] > 256
+    assert values[0][0] == 0
+    for t, v in zip(grid[1:], values[0][1:]):
+        ref = p.evaluate(t, 1024).real
+        assert float(v) == pytest.approx(float(ref), rel=1e-15)
+    assert float(values[0][1]) == pytest.approx(1e-60 / 1024, rel=0.05)
