@@ -38,8 +38,8 @@ from dataclasses import dataclass, field as dc_field
 import mpmath
 from scipy.interpolate import PchipInterpolator
 
-from .fields import canonical_key, gram_poly_orbits
-from .symmetry import _mat_vec
+from .fields import gram_poly_orbits
+from .symmetry import negation_closure, orbit_partition
 from .expansion import residual_tail
 from .timepoly import DEFAULT_EVAL_PRECISION, sample_real_polys
 
@@ -155,35 +155,6 @@ def variant_label(variant):
     return kind if M is None else "%s:%d" % (kind, M)
 
 
-# -- shared sampling tables -------------------------------------------------------
-
-
-def _orbit_classes(keys, matrices):
-    """Partition canonical keys into classes under k -> canonical(S k).
-
-    Returns (rep, size) pairs; each class is closed for every field sharing
-    the symmetry, so Gram sums may be evaluated at reps and weighted.
-    """
-    keys = set(keys)
-    classes = []
-    assigned = set()
-    for k in sorted(keys):
-        if k in assigned:
-            continue
-        orbit = {k}
-        frontier = [k]
-        while frontier:
-            cur = frontier.pop()
-            for S in matrices:
-                nxt = canonical_key(_mat_vec(S, cur))
-                if nxt in keys and nxt not in orbit:
-                    orbit.add(nxt)
-                    frontier.append(nxt)
-        classes.append((k, len(orbit)))
-        assigned |= orbit
-    return classes
-
-
 class EstimatorTables:
     """Sampled Gram tables for one expansion on one grid.
 
@@ -211,7 +182,7 @@ class EstimatorTables:
             raise ValueError("grid must be strictly increasing and start at 0")
         self.precision = precision
         sym = exp.symmetry
-        self._matrices = list(sym.reduced_plus) if sym is not None else None
+        self._matrices = None if sym is None else list(negation_closure(sym.reduced_plus))
         self._coeff_tables = None
         self._tail_tables = None
         self.stats = {}
@@ -237,7 +208,11 @@ class EstimatorTables:
         start = time.perf_counter()
         support = set().union(*(f.coeffs for f in fields))
         if self._matrices:
-            classes = _orbit_classes(support, self._matrices)
+            # the support holds canonical keys only, so each class is the
+            # canonical half of an orbit under +-S
+            classes = [
+                (rep, len(members)) for rep, members in orbit_partition(support, self._matrices)
+            ]
         else:
             classes = [(k, 1) for k in sorted(support)]
         keys = [

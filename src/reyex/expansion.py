@@ -29,8 +29,8 @@ from .fields import (
 from .symmetry import (
     GroupElement,
     SymmetryData,
-    _mat_vec,
     find_symmetries,
+    negation_closure,
     orbit_partition,
     propagate_coefficient,
 )
@@ -98,10 +98,6 @@ class Expansion:
         return len(orbit_partition(full, mats))
 
 
-def _neg(k):
-    return (-k[0], -k[1], -k[2])
-
-
 def _zero_vec(vec):
     return vec[0].is_zero() and vec[1].is_zero() and vec[2].is_zero()
 
@@ -111,64 +107,37 @@ def _term_count(field):
 
 
 def _candidate_support(full_a, full_b):
+    """Canonical wave vectors of the convolution of two full supports."""
     out = set()
     for h in full_a:
         for h2 in full_b:
             k = (h[0] + h2[0], h[1] + h2[1], h[2] + h2[2])
-            if k != (0, 0, 0):
+            if is_canonical(k):
                 out.add(k)
     return out
 
 
-def _orbits_full(keys, elements):
-    """Orbits of a full-lattice key set under the group matrices plus
-    negation (reality supplies -k for free)."""
-    orbits = []
-    assigned = set()
-    mats = [g.S for g, _ in elements]
-    for k in sorted(keys):
-        if k in assigned:
-            continue
-        orbit = {k, _neg(k)}
-        frontier = [k, _neg(k)]
-        while frontier:
-            cur = frontier.pop()
-            for S in mats:
-                nxt = _mat_vec(S, cur)
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    orbit.add(_neg(nxt))
-                    frontier.extend((nxt, _neg(nxt)))
-        orbit = {x for x in orbit if x in keys}
-        orbits.append(orbit)
-        assigned |= orbit
-    return orbits
+def _propagation_routes(sym):
+    """Map each matrix M of the reduced group closed under negation to
+    (g, sigma, conj): g = (S, a) is the group element with sign sigma for
+    M = S, and conj is set when M = -S, which is g followed by conjugation."""
+    table = sym.transform_table()
+    return {
+        M: (GroupElement(S, table[S][0]), table[S][1], conj)
+        for M, (S, conj) in negation_closure(table).items()
+    }
 
 
-def _materialize_orbit(rep, rep_vec, orbit, elements, j):
-    """Spread the representative coefficient over its orbit.
-
-    Returns a map of canonical wave vectors to coefficient 3-vectors.
-    BFS from the representative; each step is either a group propagation or
-    a conjugation (k -> -k).
-    """
-    known = {rep: rep_vec}
-    queue = [rep]
-    while queue:
-        cur = queue.pop()
-        vec = known[cur]
-        nk = _neg(cur)
-        if nk in orbit and nk not in known:
-            known[nk] = (vec[0].conj(), vec[1].conj(), vec[2].conj())
-            queue.append(nk)
-        for g, sigma in elements:
-            k2, vec2 = propagate_coefficient(vec, cur, g, sigma, j)
-            if k2 in orbit and k2 not in known:
-                known[k2] = vec2
-                queue.append(k2)
-    if len(known) != len(orbit):
-        raise RuntimeError("orbit not reachable from representative %s" % (rep,))
-    return {k: v for k, v in known.items() if is_canonical(k)}
+def _materialize_orbit(rep, rep_vec, members, routes, j):
+    """Spread the representative coefficient over the canonical members of
+    its orbit: one propagation through the group matrix S that carries rep
+    to each member, conjugated when the member is reached through -S."""
+    coeffs = {}
+    for k, M in members.items():
+        g, sigma, conj = routes[M]
+        _, vec = propagate_coefficient(rep_vec, rep, g, sigma, j)
+        coeffs[k] = (vec[0].conj(), vec[1].conj(), vec[2].conj()) if conj else vec
+    return coeffs
 
 
 def _duhamel_vec(k, vec):
@@ -192,15 +161,14 @@ def _sum_convolutions(fulls, pairs, k):
     return acc
 
 
-def _bilinear_order_field(fulls, pairs, elements, j, heat=True):
+def _bilinear_order_field(fulls, pairs, routes, j, heat=True):
     """The field sum_{(l,m) in pairs} P(u_l, u_m), optionally Duhamel'd,
     computed at orbit representatives only and propagated."""
     cand = set()
     for l, m in pairs:
         cand |= _candidate_support(fulls[l], fulls[m])
     coeffs = {}
-    for orbit in _orbits_full(cand, elements):
-        rep = min(k for k in orbit if is_canonical(k))
+    for rep, members in orbit_partition(cand, list(routes)):
         raw = _sum_convolutions(fulls, pairs, rep)
         if raw is None:
             continue
@@ -209,7 +177,7 @@ def _bilinear_order_field(fulls, pairs, elements, j, heat=True):
             continue
         if heat:
             vec = _duhamel_vec(rep, vec)
-        coeffs.update(_materialize_orbit(rep, vec, orbit, elements, j))
+        coeffs.update(_materialize_orbit(rep, vec, members, routes, j))
     return TimeField(coeffs, validate=False)
 
 
@@ -255,16 +223,14 @@ def expand(
     exp = Expansion(datum_id=datum_id, N=N, coeffs=coeffs, symmetry=sym, meta=meta)
     meta.append(exp.order_stats(0))
 
-    elements = None
+    routes = _propagation_routes(sym) if sym is not None else None
     fulls = [u0.full_coeffs()] if sym is not None else None
-    if sym is not None:
-        elements = [(GroupElement(S, a), s) for S, (a, s) in sym.transform_table().items()]
 
     for j in range(1, N + 1):
         t0 = time.monotonic()
         pairs = [(l, j - 1 - l) for l in range(j)]
         if sym is not None:
-            uj = _bilinear_order_field(fulls, pairs, elements, j, heat=True)
+            uj = _bilinear_order_field(fulls, pairs, routes, j, heat=True)
             fulls.append(uj.full_coeffs())
         else:
             uj = _bilinear_order_field_plain(coeffs, pairs, heat=True)
@@ -299,13 +265,11 @@ def residual_tail(exp):
     N = exp.N
     tails = []
     if exp.symmetry is not None:
-        elements = [
-            (GroupElement(S, a), s) for S, (a, s) in exp.symmetry.transform_table().items()
-        ]
+        routes = _propagation_routes(exp.symmetry)
         fulls = [u.full_coeffs() for u in exp.coeffs]
         for j in range(N + 1, 2 * N + 2):
             pairs = [(l, j - 1 - l) for l in range(j - N - 1, N + 1)]
-            tails.append(-_bilinear_order_field(fulls, pairs, elements, j, heat=False))
+            tails.append(-_bilinear_order_field(fulls, pairs, routes, j, heat=False))
     else:
         for j in range(N + 1, 2 * N + 2):
             pairs = [(l, j - 1 - l) for l in range(j - N - 1, N + 1)]

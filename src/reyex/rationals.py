@@ -11,7 +11,7 @@ from __future__ import annotations
 
 try:
     from gmpy2 import mpq
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is an optional extra ('.[gmpy2]')
     from fractions import Fraction as mpq
 
 __all__ = [

@@ -26,6 +26,7 @@ __all__ = [
     "inverse",
     "push_forward",
     "find_symmetries",
+    "negation_closure",
     "orbit_partition",
     "propagate_coefficient",
 ]
@@ -211,32 +212,45 @@ def find_symmetries(u, lattice="half"):
     )
 
 
-def orbit_partition(keys, matrices):
-    """Partition keys into orbits under k -> S k.
+def negation_closure(matrices):
+    """The matrices and their negations, as a map M -> (S, conj) with M = S
+    when conj is False and M = -S when it is True.
 
-    Orbits are restricted to the given key set; with the symmetric supports
-    produced by the recursion the set is closed under the action, so the
-    restriction is vacuous there.
+    A real field has v_{-k} = conj(v_k), so -S acts on its canonical half
+    like S followed by complex conjugation; the closure of a group under
+    negation is again a group.
+    """
+    out = {S: (S, False) for S in matrices}
+    for S in matrices:
+        out.setdefault(tuple(tuple(-x for x in row) for row in S), (S, True))
+    return out
+
+
+def orbit_partition(keys, matrices):
+    """Partition keys into orbits under k -> S k, with a transversal.
+
+    matrices must form a group, so the orbit of a key is the set of its
+    images.  Returns (rep, members) pairs in increasing order of rep, the
+    smallest key of its orbit; members maps every key of the orbit to the
+    first matrix in matrices that carries rep to it.  Orbits are restricted
+    to the given key set: for canonical keys under a group closed under
+    negation, each orbit is the canonical half of the full one.
     """
     if not matrices:
         raise ValueError("need at least one matrix")
     keys = set(keys)
     orbits = []
     assigned = set()
-    for k in sorted(keys):
-        if k in assigned:
+    for rep in sorted(keys):
+        if rep in assigned:
             continue
-        orbit = {k}
-        frontier = [k]
-        while frontier:
-            cur = frontier.pop()
-            for S in matrices:
-                nxt = _mat_vec(S, cur)
-                if nxt in keys and nxt not in orbit:
-                    orbit.add(nxt)
-                    frontier.append(nxt)
-        orbits.append(orbit)
-        assigned |= orbit
+        members = {}
+        for S in matrices:
+            k = _mat_vec(S, rep)
+            if k in keys and k not in members:
+                members[k] = S
+        orbits.append((rep, members))
+        assigned.update(members)
     return orbits
 
 

@@ -1,16 +1,16 @@
 """Reference implementations that the estimator tests compare against.
 
 The single-time estimators evaluate norms mode by mode at one time, and
-sample_gram_tables samples cross Gram tables by evaluating every orbit-class
-coefficient on every grid point.  Both are slow and independent of the
-exact Gram route that EstimatorTables takes.
+sample_gram_tables samples cross Gram tables by evaluating every mode of the
+full support on every grid point.  Both are slow and independent of the
+exact Gram route that EstimatorTables takes and of the orbit classes it sums
+over.
 """
 
 import mpmath
 
-from reyex.estimators import _orbit_classes
 from reyex.expansion import residual_tail
-from reyex.fields import sobolev_norm, wave_norm_sq
+from reyex.fields import norm_sq_poly, sobolev_norm, wave_norm_sq
 from reyex.rationals import mpq
 from reyex.timepoly import DEFAULT_EVAL_PRECISION
 
@@ -92,8 +92,9 @@ def error_tame(exp, R, p, n, t, constants, precision=DEFAULT_EVAL_PRECISION):
         return mpmath.mpf(K) / 2 * total
 
 
-def error_tautological(exp, R, m, t, precision=DEFAULT_EVAL_PRECISION):
-    """Exact m-norm of the residual sum_{j=N+1}^{2N+1} R^j tail_j at time t."""
+def error_tautological(exp, R, m, times, precision=DEFAULT_EVAL_PRECISION):
+    """Exact m-norm of the residual sum_{j=N+1}^{2N+1} R^j tail_j at each
+    time in times; the residual and its norm polynomial are built once."""
     tails = residual_tail(exp)
     Rq = _as_mpq(R)
     power = Rq ** (exp.N + 1)
@@ -102,7 +103,13 @@ def error_tautological(exp, R, m, t, precision=DEFAULT_EVAL_PRECISION):
         term = tail.scale_rational(power)
         res = term if res is None else res + term
         power = power * Rq
-    return _norm_at(res, m, t, precision)
+    poly = norm_sq_poly(res, m)
+    with mpmath.workprec(precision):
+        vol = (2 * mpmath.pi) ** 3
+        return [
+            mpmath.sqrt(vol * max(poly.evaluate(t, precision).real, mpmath.mpf(0)))
+            for t in times
+        ]
 
 
 # -- per-mode grid sampling ------------------------------------------------------
@@ -142,21 +149,15 @@ def _power_cache(base, exponents):
     return cache
 
 
-def sample_gram_tables(fields, orders, grid, precision, matrices=None):
+def sample_gram_tables(fields, orders, grid, precision):
     """Cross Gram tables <f_i(t), f_j(t)>_m on the grid, full lattice,
     without the (2 pi)^3 volume factor.
 
-    Returns dict[(i, j, m)] -> list of mpf over the grid, for i <= j.  With
-    matrices given, only one representative per orbit class is evaluated.
+    Returns dict[(i, j, m)] -> list of mpf over the grid, for i <= j.  Every
+    canonical mode of the support is evaluated.
     """
     with mpmath.workprec(precision):
-        support = set()
-        for f in fields:
-            support |= set(f.coeffs)
-        if matrices:
-            classes = _orbit_classes(support, matrices)
-        else:
-            classes = [(k, 1) for k in sorted(support)]
+        support = sorted(set().union(*(f.coeffs for f in fields)))
 
         nf = len(fields)
         pairs = [(i, j) for i in range(nf) for j in range(i, nf)]
@@ -165,10 +166,10 @@ def sample_gram_tables(fields, orders, grid, precision, matrices=None):
         exps_a = set()
         exps_b = set()
         compiled = []
-        for rep, size in classes:
+        for k in support:
             per_field = []
             for f in fields:
-                vec = f.coeffs.get(rep)
+                vec = f.coeffs.get(k)
                 if vec is None:
                     per_field.append(None)
                     continue
@@ -185,13 +186,9 @@ def sample_gram_tables(fields, orders, grid, precision, matrices=None):
             x = mpmath.e ** (-tt)
             tpow = _power_cache(tt, exps_a)
             xpow = _power_cache(x, exps_b)
-            for (rep, size), per_field in zip(classes, compiled):
-                ksq = wave_norm_sq(rep)
-                weights = {m: mpmath.mpf(size * ksq**m if m >= 0 else size) for m in orders}
-                if any(m < 0 for m in orders):
-                    for m in orders:
-                        if m < 0:
-                            weights[m] = mpmath.mpf(size) / mpmath.mpf(ksq ** (-m))
+            for k, per_field in zip(support, compiled):
+                ksq = wave_norm_sq(k)
+                weights = {m: mpmath.mpf(ksq) ** m for m in orders}
                 vals = [
                     _eval_compiled(cv, tpow, xpow) if cv is not None else None
                     for cv in per_field

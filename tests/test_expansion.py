@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from reyex.data import datum_bnw, datum_tg
+import reyex.expansion
+from reyex.data import datum_bnw, datum_km, datum_tg
 from reyex.expansion import (
     CacheError,
     Expansion,
@@ -59,6 +60,21 @@ def test_pruned_and_plain_agree_symbolically():
             assert a == b
         for a, b in zip(residual_tail(pruned), residual_tail(plain)):
             assert a == b
+
+
+def test_pruned_expansion_propagates_each_stored_mode_once(monkeypatch):
+    calls = []
+    propagate = reyex.expansion.propagate_coefficient
+
+    def counted(coeff, k, g, sigma, j):
+        calls.append(j)
+        return propagate(coeff, k, g, sigma, j)
+
+    monkeypatch.setattr(reyex.expansion, "propagate_coefficient", counted)
+    exp = expand(datum_km().field, 2, datum_id="km")
+    for j in (1, 2):
+        assert calls.count(j) == len(exp.coeffs[j].coeffs)
+    assert len(calls) == 276
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

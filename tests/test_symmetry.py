@@ -12,6 +12,7 @@ from reyex.symmetry import (
     find_symmetries,
     identity_element,
     inverse,
+    negation_closure,
     octahedral_matrices,
     orbit_partition,
     push_forward,
@@ -173,15 +174,28 @@ def test_expansion_coefficients_inherit_the_symmetries():
 def test_orbit_partition_covers_and_is_disjoint():
     keys = {(x, y, z) for x in range(-2, 3) for y in range(-2, 3) for z in range(-2, 3)}
     keys.discard((0, 0, 0))
-    orbits = orbit_partition(keys, octahedral_matrices())
+    mats = octahedral_matrices()
+    orbits = orbit_partition(keys, mats)
     seen = set()
-    for orb in orbits:
-        assert not (orb & seen)
-        seen |= orb
+    for rep, members in orbits:
+        assert rep == min(members)
+        assert not (members.keys() & seen)
+        seen |= members.keys()
+        # each member's matrix carries the representative onto it
+        for k, S in members.items():
+            assert S in mats
+            assert tuple(sum(S[i][m] * rep[m] for m in range(3)) for i in range(3)) == k
     assert seen == keys
-    # (1,0,0)-type orbit has the 6 signed unit vectors
-    unit = next(o for o in orbits if (1, 0, 0) in o)
-    assert len(unit) == 6
+    for k, size in (((1, 0, 0), 6), ((1, 1, 0), 12), ((1, 1, 1), 8), ((2, 1, 0), 24)):
+        (members,) = [m for _, m in orbits if k in m]
+        assert len(members) == size
+    # closed under -S, a smaller group's orbits are closed under k -> -k
+    bnw = find_symmetries(datum_bnw().field).reduced_plus
+    assert neg_mat(identity_element().S) not in bnw
+    closure = negation_closure(bnw)
+    assert len(closure) == 2 * len(bnw)
+    for _, members in orbit_partition(keys, list(closure)):
+        assert {(-x, -y, -z) for x, y, z in members} == members.keys()
 
 
 def test_quarter_lattice_search_widens_the_group():
