@@ -25,9 +25,8 @@ from dataclasses import dataclass, field as dc_field
 import mpmath
 import numpy as np
 from scipy.integrate import quad, solve_ivp
-from scipy.interpolate import PchipInterpolator
 
-from .estimators import EstimatorTables, build_estimator_set
+from .estimators import EstimatorTables, build_estimator_set, pchip_scalar
 from .fields import wave_norm_sq
 
 __all__ = [
@@ -259,10 +258,10 @@ def solve_higher_order(est_p, traj_n, constants, times=None):
     for a, b in zip(times, times[1:]):
         inc, _ = quad(a_rate, a, b, limit=200)
         A.append(A[-1] + inc)
-    A_f = PchipInterpolator(times, A, extrapolate=False)
+    A_f = pchip_scalar(times, A)
 
     def inner(s):
-        return math.exp(s - R * float(A_f(s))) * est_p.eps_n_f(s)
+        return math.exp(s - R * A_f(s)) * est_p.eps_n_f(s)
 
     I = [0.0]
     for a, b in zip(times, times[1:]):

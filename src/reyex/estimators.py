@@ -20,8 +20,9 @@ probed during a bisection.  They are built in two steps:
   sampling      all Grams of one table kind are evaluated together
                 (timepoly.sample_real_polys): at each t > 0, e^{-t} and every
                 basis value t^a e^{-bt} are computed once and each value is
-                one dot product against them.  t = 0 is exact, so Grams of
-                fields that vanish there are exact zeros.
+                one exact integer dot product of mantissas against them,
+                rounded once.  t = 0 is exact, so Grams of fields that
+                vanish there are exact zeros.
 
 Floating point enters only in the sampling.  The bits each value loses to
 cancellation are measured there, and a value that would keep fewer than
@@ -33,9 +34,19 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 
 import mpmath
+from mpmath.libmp import (
+    fzero,
+    mpf_add,
+    mpf_mul,
+    mpf_pow_int,
+    mpf_shift,
+    mpf_sqrt,
+    round_nearest,
+)
 from scipy.interpolate import PchipInterpolator
 
 from .fields import gram_poly_orbits
@@ -215,13 +226,11 @@ class EstimatorTables:
             ]
         else:
             classes = [(k, 1) for k in sorted(support)]
-        keys = [
-            (i, j, m)
-            for i in range(len(fields))
-            for j in range(i, len(fields))
-            for m in orders
+        pairs = [(i, j) for i in range(len(fields)) for j in range(i, len(fields))]
+        keys = [(i, j, m) for i, j in pairs for m in orders]
+        polys = [
+            poly for i, j in pairs for poly in gram_poly_orbits(fields[i], fields[j], orders, classes)
         ]
-        polys = [gram_poly_orbits(fields[i], fields[j], m, classes) for i, j, m in keys]
         built = time.perf_counter()
         values, report = sample_real_polys(polys, self.grid, self.precision)
         self.stats[kind] = {
@@ -233,13 +242,42 @@ class EstimatorTables:
         return dict(zip(keys, values))
 
     # -- per-R assembly; everything below returns lists of mpf over the grid --
+    # The arithmetic is mpmath's own, done on the raw libmp values of the
+    # tables at self.precision with rounding to nearest, as the mpf operators
+    # do it.
 
     def _vol(self):
-        return (2 * mpmath.pi) ** 3
+        with mpmath.workprec(self.precision):
+            return ((2 * mpmath.pi) ** 3)._mpf_
 
-    def _sqrt_clamped(self, x):
-        # tiny negatives are cancellation noise from exact zeros
-        return mpmath.sqrt(x) if x > 0 else mpmath.mpf(0)
+    def _powers(self, R, exponents):
+        with mpmath.workprec(self.precision):
+            Rf = mpmath.mpf(R)._mpf_
+        return [mpf_pow_int(Rf, e, self.precision, round_nearest) for e in exponents]
+
+    def _norm(self, vol, x):
+        """sqrt(vol * x), with tiny negatives (cancellation noise from exact
+        zeros) clamped to 0."""
+        y = mpf_mul(vol, x, self.precision, round_nearest)
+        return mpf_sqrt(y, self.precision, round_nearest) if y[1] and not y[0] else fzero
+
+    def _quadratic_form(self, tables, powers, m):
+        """sqrt(vol * sum_{i,j} P_i P_j G_ij^m) over the grid for the powers
+        P_i, from the tables of i <= j; clamped like _norm."""
+        prec = self.precision
+        weighted = []
+        for i in range(len(powers)):
+            for j in range(i, len(powers)):
+                w = mpf_mul(powers[i], powers[j], prec, round_nearest)
+                weighted.append((w if i == j else mpf_shift(w, 1), tables[(i, j, m)]))
+        vol = self._vol()
+        out = []
+        for ig in range(len(self.grid)):
+            acc = fzero
+            for w, col in weighted:
+                acc = mpf_add(acc, mpf_mul(w, col[ig]._mpf_, prec, round_nearest), prec, round_nearest)
+            out.append(self._norm(vol, acc))
+        return out
 
     def growth_samples(self, R, m, variant):
         kind, M = parse_variant(variant)
@@ -253,23 +291,16 @@ class EstimatorTables:
 
     def _growth_intermediate_samples(self, R, m, M):
         tables = self.coeff_tables()
-        N = self.exp.N
-        with mpmath.workprec(self.precision):
-            Rf = mpmath.mpf(R)
-            vol = self._vol()
-            Rpow = [Rf**j for j in range(N + 1)]
-            out = []
-            for ig in range(len(self.grid)):
-                head = mpmath.mpf(0)
-                for i in range(M + 1):
-                    for j in range(i, M + 1):
-                        term = Rpow[i] * Rpow[j] * tables[(i, j, m)][ig]
-                        head += term if i == j else 2 * term
-                total = self._sqrt_clamped(vol * head)
-                for j in range(M + 1, N + 1):
-                    total += Rpow[j] * self._sqrt_clamped(vol * tables[(j, j, m)][ig])
-                out.append(total)
-            return out
+        prec = self.precision
+        Rpow = self._powers(R, range(self.exp.N + 1))
+        out = self._quadratic_form(tables, Rpow[: M + 1], m)
+        vol = self._vol()
+        for j in range(M + 1, self.exp.N + 1):
+            col = tables[(j, j, m)]
+            for ig, total in enumerate(out):
+                term = mpf_mul(Rpow[j], self._norm(vol, col[ig]._mpf_), prec, round_nearest)
+                out[ig] = mpf_add(total, term, prec, round_nearest)
+        return [mpmath.mp.make_mpf(v) for v in out]
 
     def error_samples(self, R, variant, constants):
         kind, _ = parse_variant(variant)
@@ -278,52 +309,67 @@ class EstimatorTables:
         return self._error_rough_samples(R, constants)
 
     def _error_tautological_samples(self, R):
-        tables = self.tail_tables()
         N = self.exp.N
-        nt = N + 1
-        with mpmath.workprec(self.precision):
-            Rf = mpmath.mpf(R)
-            vol = self._vol()
-            Rpow = [Rf ** (N + 1 + i) for i in range(nt)]
-            out = []
-            for ig in range(len(self.grid)):
-                acc = mpmath.mpf(0)
-                for i in range(nt):
-                    for j in range(i, nt):
-                        term = Rpow[i] * Rpow[j] * tables[(i, j, self.n)][ig]
-                        acc += term if i == j else 2 * term
-                out.append(self._sqrt_clamped(vol * acc))
-            return out
+        Rpow = self._powers(R, range(N + 1, 2 * N + 2))
+        out = self._quadratic_form(self.tail_tables(), Rpow, self.n)
+        return [mpmath.mp.make_mpf(v) for v in out]
 
     def _error_rough_samples(self, R, constants):
         K = constants.K_of(self.n)
         tables = self.coeff_tables()
         N = self.exp.N
-        with mpmath.workprec(self.precision):
-            Rf = mpmath.mpf(R)
-            vol = self._vol()
-            Kf = mpmath.mpf(K)
-            out = []
-            for ig in range(len(self.grid)):
-                norms_n = [
-                    self._sqrt_clamped(vol * tables[(j, j, self.n)][ig])
-                    for j in range(N + 1)
-                ]
-                norms_n1 = [
-                    self._sqrt_clamped(vol * tables[(j, j, self.n + 1)][ig])
-                    for j in range(N + 1)
-                ]
-                total = mpmath.mpf(0)
-                for j in range(N + 1, 2 * N + 2):
-                    inner = mpmath.mpf(0)
-                    for l in range(j - N - 1, N + 1):
-                        inner += norms_n[l] * norms_n1[j - l - 1]
-                    total += Rf**j * inner
-                out.append(Kf * total)
-            return out
+        prec = self.precision
+        with mpmath.workprec(prec):
+            Kf = mpmath.mpf(K)._mpf_
+        Rpow = self._powers(R, range(2 * N + 2))
+        vol = self._vol()
+        cols_n = [tables[(j, j, self.n)] for j in range(N + 1)]
+        cols_n1 = [tables[(j, j, self.n + 1)] for j in range(N + 1)]
+        out = []
+        for ig in range(len(self.grid)):
+            norms_n = [self._norm(vol, col[ig]._mpf_) for col in cols_n]
+            norms_n1 = [self._norm(vol, col[ig]._mpf_) for col in cols_n1]
+            total = fzero
+            for j in range(N + 1, 2 * N + 2):
+                inner = fzero
+                for l in range(j - N - 1, N + 1):
+                    inner = mpf_add(
+                        inner, mpf_mul(norms_n[l], norms_n1[j - l - 1], prec, round_nearest),
+                        prec, round_nearest,
+                    )
+                total = mpf_add(total, mpf_mul(Rpow[j], inner, prec, round_nearest), prec, round_nearest)
+            out.append(mpmath.mp.make_mpf(mpf_mul(Kf, total, prec, round_nearest)))
+        return out
 
 
 # -- the per-R estimator set -----------------------------------------------------
+
+
+def pchip_scalar(x, y):
+    """The PchipInterpolator of (x, y), without extrapolation, as a function
+    of one float.
+
+    scipy fits the coefficients; the evaluation is scipy's own arithmetic
+    done in Python, so the values are bit-identical to the interpolator's at
+    a fraction of its per-call cost: the interval is half-open,
+    x[i] <= t < x[i+1], except the last, which is closed, and the cubic is
+    c3 + c2 s + c1 s^2 + c0 s^3 with s = t - x[i] and the powers s, s s,
+    (s s) s.  Outside [x[0], x[-1]] the value is nan.
+    """
+    pp = PchipInterpolator(x, y, extrapolate=False)
+    xs = pp.x.tolist()
+    c0, c1, c2, c3 = pp.c.tolist()
+    lo, hi, last = xs[0], xs[-1], len(xs) - 2
+
+    def f(t):
+        if not lo <= t <= hi:
+            return math.nan
+        i = min(bisect_right(xs, t) - 1, last)
+        s = t - xs[i]
+        ss = s * s
+        return c3[i] + c2[i] * s + c1[i] * ss + c0[i] * (ss * s)
+
+    return f
 
 
 def _clamped_pchip(grid, values):
@@ -335,8 +381,7 @@ def _clamped_pchip(grid, values):
     floor far below any meaningful estimator value.
     """
     floor = 1e-300
-    logs = [math.log(max(v, floor)) for v in values]
-    interp = PchipInterpolator(grid, logs, extrapolate=False)
+    log_f = pchip_scalar(grid, [math.log(max(v, floor)) for v in values])
     top = grid[-1]
     first = max(values[0], 0.0)
     last = max(values[-1], 0.0)
@@ -346,7 +391,7 @@ def _clamped_pchip(grid, values):
             return first
         if t >= top:
             return last
-        v = math.exp(float(interp(t)))
+        v = math.exp(log_f(t))
         return 0.0 if v <= 1e-290 else v
 
     return f

@@ -460,28 +460,39 @@ def gram_poly(v, w, order):
     The (2 pi)^3 normalization of the Sobolev inner product is irrational and
     is applied only at numeric evaluation time (see sobolev_norm).
     """
-    acc = {}
-    for k in v.coeffs.keys() & w.coeffs.keys():
-        _add_mode_gram(acc, v.coeffs[k], w.coeffs[k], _weight(wave_norm_sq(k), order))
-    return _real_poly(acc)
+    common = v.coeffs.keys() & w.coeffs.keys()
+    return gram_poly_orbits(v, w, (order,), [(k, 1) for k in common])[0]
 
 
-def gram_poly_orbits(v, w, order, orbit_classes):
-    """Gram sum exploiting symmetry: evaluate one canonical representative
-    per orbit class and weight by the class size.
+def gram_poly_orbits(v, w, orders, orbit_classes):
+    """Gram sums at several Sobolev orders exploiting symmetry: evaluate one
+    canonical representative per orbit class and weight by the class size.
+    Returns one poly per order.
 
     orbit_classes is an iterable of (representative, size) pairs covering the
     canonical support; contributions are constant on classes when the fields
-    are equivariant under the symmetry group that produced the classes.
+    are equivariant under the symmetry group that produced the classes.  The
+    orders differ only in the |k|^{2 order} weight, so the mode products are
+    formed once, summed per shell |k|^2, and each shell sum is weighted per
+    order.
     """
-    acc = {}
+    shells = {}
     for rep, size in orbit_classes:
         vvec = v.coeffs.get(rep)
         wvec = w.coeffs.get(rep)
         if vvec is None or wvec is None:
             continue
-        _add_mode_gram(acc, vvec, wvec, _weight(wave_norm_sq(rep), order) * size)
-    return _real_poly(acc)
+        _add_mode_gram(shells.setdefault(wave_norm_sq(rep), {}), vvec, wvec, mpq(size))
+    out = []
+    for order in orders:
+        acc = {}
+        for ksq, shell in shells.items():
+            weight = _weight(ksq, order)
+            for key, x in shell.items():
+                prev = acc.get(key)
+                acc[key] = weight * x if prev is None else prev + weight * x
+        out.append(_real_poly(acc))
+    return out
 
 
 def norm_sq_poly(v, order):

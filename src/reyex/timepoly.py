@@ -16,6 +16,17 @@ from __future__ import annotations
 from math import factorial
 
 import mpmath
+from mpmath.libmp import (
+    fone,
+    from_float,
+    from_man_exp,
+    from_rational,
+    mpf_exp,
+    mpf_mul,
+    mpf_neg,
+    mpf_pow_int,
+    round_nearest,
+)
 
 from .rationals import GR_ZERO, GaussianRational, mpq
 
@@ -255,7 +266,12 @@ class TimePoly:
 
 
 def _to_mpf(q):
-    return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
+    """The rational q rounded once to the current precision."""
+    return mpmath.mp.make_mpf(_round(q, mpmath.mp.prec))
+
+
+def _round(q, prec):
+    return from_rational(q.numerator, q.denominator, prec, round_nearest)
 
 
 # -- batch sampling on a time grid -------------------------------------------------
@@ -267,55 +283,86 @@ GUARD_BITS = 85
 # measured as lost, so only a value that is an exact zero at some t > 0 can
 # use them all up.
 GUARD_ROUNDS = 4
+# Extra bits carried while forming the powers of e^{-t} and t.  x^b built from
+# e^{-t} by successive products has a relative error below (b + products)
+# units of the carried precision, so 32 bits keep it under 2^-8 units of the
+# target precision while b + products < 2^24, far beyond any expansion.
+POWER_GUARD = 32
 
 
-def _basis_values(keys, t):
-    """B_{a,b}(t) for every key, at the current precision: e^{-t} and each
-    power once."""
-    tt = mpmath.mpf(t)
-    x = mpmath.exp(-tt)
-    tpow = {}
-    xpow = {}
-    out = []
-    for a, b in keys:
-        ta = tpow.get(a)
-        if ta is None:
-            ta = tpow[a] = tt**a
-        xb = xpow.get(b)
-        if xb is None:
-            xb = xpow[b] = x**b
-        out.append(ta * xb)
-    return out
+def _basis(keys, t, prec):
+    """B_{a,b}(t) = t^a e^{-bt} for every key, each rounded to prec bits, as
+    integers over one shared power of two: returns (mantissas, exponent).
+
+    e^{-t} is computed once; the powers of e^{-t} and of t are built by
+    successive products over the sorted distinct exponents, each gap power
+    computed once."""
+    wp = prec + POWER_GUARD
+    tt = from_float(t)
+
+    def powers(base, exps):
+        out = {}
+        gaps = {}
+        cur, prev = fone, 0
+        for e in sorted(exps):
+            g = e - prev
+            step = gaps.get(g)
+            if step is None:
+                step = gaps[g] = mpf_pow_int(base, g, wp, round_nearest)
+            cur = out[e] = mpf_mul(cur, step, wp, round_nearest)
+            prev = e
+        return out
+
+    tpow = powers(tt, {a for a, _ in keys})
+    xpow = powers(mpf_exp(mpf_neg(tt), wp, round_nearest), {b for _, b in keys})
+    rounded = [mpf_mul(tpow[a], xpow[b], prec, round_nearest) for a, b in keys]
+    low = min((e for _, _, e, _ in rounded), default=0)
+    return [man << (e - low) for _, man, e, _ in rounded], low
 
 
-def _dot_and_loss(coeffs, abs_coeffs, basis, prec):
-    """The value sum c B and the bits it lost to cancellation, measured as
-    mag(sum |c| B) - mag(sum c B), exact to within one bit.  B > 0 for t > 0,
-    so sum |c| B bounds every partial sum and sets the scale of the rounding
-    error."""
-    value = mpmath.fdot(coeffs, basis)
-    if not value:
-        return value, prec if abs_coeffs else 0
-    return value, max(mpmath.mag(mpmath.fdot(abs_coeffs, basis)) - mpmath.mag(value), 0)
-
-
-def _compile(poly):
-    coeffs = []
+def _coefficients(poly, prec, slots):
+    """The coefficients of poly rounded once to prec bits and split by sign,
+    as integers over one shared power of two: returns (positive, negative,
+    exponent), lists of (basis slot, mantissa) with the magnitudes of the
+    negative ones; slots[i] is the basis slot of the i-th term."""
+    rounded = []
     for c in poly.terms.values():
         if c.im:
             raise ValueError("sample_real_polys needs real coefficients")
-        coeffs.append(_to_mpf(c.re))
-    return coeffs, [abs(c) for c in coeffs]
+        rounded.append(_round(c.re, prec))
+    low = min((e for _, _, e, _ in rounded), default=0)
+    pos, neg = [], []
+    for slot, (sign, man, e, _) in zip(slots, rounded):
+        (neg if sign else pos).append((slot, man << (e - low)))
+    return pos, neg, low
+
+
+def _dot(coeffs, basis, prec):
+    """The value sum c B rounded once to prec bits, as a libmp tuple, and the
+    bits it lost to cancellation, mag(sum |c| B) - mag(sum c B), exact to
+    within one bit.  Both sums are exact integer sums of mantissa products.
+    B > 0 for t > 0, so sum |c| B bounds every partial sum and sets the scale
+    of the rounding error."""
+    pos, neg, cexp = coeffs
+    mans, bexp = basis
+    p = sum(c * mans[slot] for slot, c in pos)
+    n = sum(c * mans[slot] for slot, c in neg)
+    value = from_man_exp(p - n, cexp + bexp, prec, round_nearest)
+    if p == n:
+        return value, prec if pos or neg else 0
+    total = from_man_exp(p + n, cexp + bexp, prec, round_nearest)
+    return value, max(total[2] + total[3] - value[2] - value[3], 0)
 
 
 def _reevaluate(poly, t, prec, lost, keep):
     """Evaluate poly at t again, adding the bits measured as lost to the
     precision, until keep bits survive or GUARD_ROUNDS run out.  Returns
     (value, precision used, bits lost at that precision)."""
+    keys = list(poly.terms)
     for _ in range(GUARD_ROUNDS):
         prec += lost
-        with mpmath.workprec(prec):
-            value, lost = _dot_and_loss(*_compile(poly), _basis_values(poly.terms, t), prec)
+        coeffs = _coefficients(poly, prec, range(len(keys)))
+        value, lost = _dot(coeffs, _basis(keys, t, prec), prec)
         if prec - lost >= keep:
             break
     return value, prec, lost
@@ -326,9 +373,10 @@ def sample_real_polys(polys, grid, precision=DEFAULT_EVAL_PRECISION):
 
     Returns (values, report): values[i] is the list of mpf values of polys[i]
     over the grid.  At each t > 0, e^{-t} and every basis value
-    B_{a,b}(t) = t^a e^{-bt} the batch uses are computed once and each value
-    is one mpmath.fdot against them.  t = 0 is exact: B_{a,b}(0) = [a == 0],
-    so the value is the rational sum of the a = 0 coefficients, rounded once.
+    B_{a,b}(t) = t^a e^{-bt} the batch uses are computed once, and each value
+    is the exact sum of its rounded coefficients times the rounded basis
+    values, rounded once.  t = 0 is exact: B_{a,b}(0) = [a == 0], so the
+    value is the rational sum of the a = 0 coefficients, rounded once.
 
     The bits each value loses to cancellation are measured in the same pass.
     Where fewer than GUARD_BITS would survive (or the precision, if lower),
@@ -341,29 +389,27 @@ def sample_real_polys(polys, grid, precision=DEFAULT_EVAL_PRECISION):
     keep = min(GUARD_BITS, precision)
     keys = sorted({key for p in polys for key in p.terms})
     slot = {key: i for i, key in enumerate(keys)}
-    picks = [[slot[key] for key in p.terms] for p in polys]
+    coeffs = [_coefficients(p, precision, [slot[key] for key in p.terms]) for p in polys]
     max_lost = reevaluated = 0
     max_prec = precision
+    make_mpf = mpmath.mp.make_mpf
     values = [[] for _ in polys]
-    with mpmath.workprec(precision):
-        compiled = [_compile(p) for p in polys]
-        for t in grid:
-            if t == 0:
-                for p, out in zip(polys, values):
-                    at_zero = sum((c.re for (a, _), c in p.terms.items() if a == 0), mpq(0))
-                    out.append(_to_mpf(at_zero))
-                continue
-            basis = _basis_values(keys, t)
-            for p, pick, (coeffs, abs_coeffs), out in zip(polys, picks, compiled, values):
-                at_t = [basis[i] for i in pick]
-                value, lost = _dot_and_loss(coeffs, abs_coeffs, at_t, precision)
+    for t in grid:
+        if t == 0:
+            for p, out in zip(polys, values):
+                at_zero = sum((c.re for (a, _), c in p.terms.items() if a == 0), mpq(0))
+                out.append(make_mpf(_round(at_zero, precision)))
+            continue
+        basis = _basis(keys, t, precision)
+        for p, c, out in zip(polys, coeffs, values):
+            value, lost = _dot(c, basis, precision)
+            max_lost = max(max_lost, lost)
+            if precision - lost < keep:
+                value, prec, lost = _reevaluate(p, t, precision, lost, keep)
+                reevaluated += 1
                 max_lost = max(max_lost, lost)
-                if precision - lost < keep:
-                    value, prec, lost = _reevaluate(p, t, precision, lost, keep)
-                    reevaluated += 1
-                    max_lost = max(max_lost, lost)
-                    max_prec = max(max_prec, prec)
-                out.append(value)
+                max_prec = max(max_prec, prec)
+            out.append(make_mpf(value))
     report = {"max_bits_lost": max_lost, "reevaluated": reevaluated, "max_precision": max_prec}
     return values, report
 

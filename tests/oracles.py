@@ -4,7 +4,9 @@ The single-time estimators evaluate norms mode by mode at one time, and
 sample_gram_tables samples cross Gram tables by evaluating every mode of the
 full support on every grid point.  Both are slow and independent of the
 exact Gram route that EstimatorTables takes and of the orbit classes it sums
-over.
+over.  The assembly_* loops assemble the per-R estimator samples from
+sampled tables with mpf operators, the arithmetic EstimatorTables must
+reproduce to the bit.
 """
 
 import mpmath
@@ -224,3 +226,73 @@ def gram_at_zero(v, w, order):
         weight = mpq(ksq**order) if order >= 0 else mpq(1, ksq ** (-order))
         total += 2 * weight * dot
     return total
+
+
+# -- per-R assembly from sampled tables, with mpf operators ----------------------
+
+
+def _sqrt_clamped(x):
+    return mpmath.sqrt(x) if x > 0 else mpmath.mpf(0)
+
+
+def assembly_growth(tables, R, m, M):
+    """||sum_{j<=M} R^j u_j||_m + sum_{j>M} R^j ||u_j||_m over the grid."""
+    coeff = tables.coeff_tables()
+    N = tables.exp.N
+    with mpmath.workprec(tables.precision):
+        Rf = mpmath.mpf(R)
+        vol = (2 * mpmath.pi) ** 3
+        Rpow = [Rf**j for j in range(N + 1)]
+        out = []
+        for ig in range(len(tables.grid)):
+            head = mpmath.mpf(0)
+            for i in range(M + 1):
+                for j in range(i, M + 1):
+                    term = Rpow[i] * Rpow[j] * coeff[(i, j, m)][ig]
+                    head += term if i == j else 2 * term
+            total = _sqrt_clamped(vol * head)
+            for j in range(M + 1, N + 1):
+                total += Rpow[j] * _sqrt_clamped(vol * coeff[(j, j, m)][ig])
+            out.append(total)
+        return out
+
+
+def assembly_error_tautological(tables, R):
+    """||sum_i R^{N+1+i} tail_i||_n over the grid."""
+    tail = tables.tail_tables()
+    N = tables.exp.N
+    with mpmath.workprec(tables.precision):
+        Rf = mpmath.mpf(R)
+        vol = (2 * mpmath.pi) ** 3
+        Rpow = [Rf ** (N + 1 + i) for i in range(N + 1)]
+        out = []
+        for ig in range(len(tables.grid)):
+            acc = mpmath.mpf(0)
+            for i in range(N + 1):
+                for j in range(i, N + 1):
+                    term = Rpow[i] * Rpow[j] * tail[(i, j, tables.n)][ig]
+                    acc += term if i == j else 2 * term
+            out.append(_sqrt_clamped(vol * acc))
+        return out
+
+
+def assembly_error_rough(tables, R, constants):
+    """K_n sum_{j=N+1}^{2N+1} R^j sum_l ||u_l||_n ||u_{j-l-1}||_{n+1} over the grid."""
+    coeff = tables.coeff_tables()
+    N, n = tables.exp.N, tables.n
+    with mpmath.workprec(tables.precision):
+        Rf = mpmath.mpf(R)
+        vol = (2 * mpmath.pi) ** 3
+        Kf = mpmath.mpf(constants.K_of(n))
+        out = []
+        for ig in range(len(tables.grid)):
+            norms_n = [_sqrt_clamped(vol * coeff[(j, j, n)][ig]) for j in range(N + 1)]
+            norms_n1 = [_sqrt_clamped(vol * coeff[(j, j, n + 1)][ig]) for j in range(N + 1)]
+            total = mpmath.mpf(0)
+            for j in range(N + 1, 2 * N + 2):
+                inner = mpmath.mpf(0)
+                for l in range(j - N - 1, N + 1):
+                    inner += norms_n[l] * norms_n1[j - l - 1]
+                total += Rf**j * inner
+            out.append(Kf * total)
+        return out

@@ -1,7 +1,10 @@
 import math
+import random
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from reyex.data import datum_bnw, datum_km
 from reyex.expansion import expand, residual_tail
@@ -13,10 +16,15 @@ from reyex.estimators import (
     default_grid,
     export_csv,
     parse_variant,
+    pchip_scalar,
+    _clamped_pchip,
 )
 from reyex.fields import sobolev_norm
 
 from oracles import (
+    assembly_error_rough,
+    assembly_error_tautological,
+    assembly_growth,
     error_rough,
     error_tame,
     error_tautological,
@@ -201,6 +209,21 @@ def test_exact_gram_tables_match_per_mode_oracle(request, which, kind):
             assert abs(a - b) <= 1e-40 * abs(b)
 
 
+@pytest.mark.parametrize("R", [0.0, 0.05, 0.1666, 0.3, 1.7])
+def test_assembly_matches_mpf_reference_to_the_bit(tables3, R):
+    c = ConstantsTable()
+    N = tables3.exp.N
+    for m in (3, 4):
+        for variant, M in (("rough", -1), ("intermediate:1", 1), ("intermediate:2", 2),
+                           ("tautological", N)):
+            got = tables3.growth_samples(R, m, variant)
+            assert [v._mpf_ for v in got] == [v._mpf_ for v in assembly_growth(tables3, R, m, M)]
+    got = tables3.error_samples(R, "tautological", c)
+    assert [v._mpf_ for v in got] == [v._mpf_ for v in assembly_error_tautological(tables3, R)]
+    got = tables3.error_samples(R, "rough", c)
+    assert [v._mpf_ for v in got] == [v._mpf_ for v in assembly_error_rough(tables3, R, c)]
+
+
 def test_tail_tables_vanish_exactly_at_time_zero(tables3):
     # u_j(0) = 0 for j >= 1, so every residual tail is 0 at t = 0
     assert all(vals[0] == 0 for vals in tables3.tail_tables().values())
@@ -298,3 +321,56 @@ def test_csv_export(bnw3, tables3, tmp_path):
     assert "variant=rough" in lines[0]
     assert lines[1] == "t,D_3,D_4,eps_3"
     assert len(lines) == 2 + len(est.grid)
+
+
+def _clamped_pchip_reference(grid, values):
+    # the interpolant evaluated by scipy itself
+    logs = [math.log(max(v, 1e-300)) for v in values]
+    interp = PchipInterpolator(grid, logs, extrapolate=False)
+
+    def f(t):
+        if t <= 0:
+            return max(values[0], 0.0)
+        if t >= grid[-1]:
+            return max(values[-1], 0.0)
+        v = math.exp(float(interp(t)))
+        return 0.0 if v <= 1e-290 else v
+
+    return f, interp
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(1e-4, 3.0),
+            st.one_of(st.just(0.0), st.floats(1e-200, 1e4)),
+        ),
+        min_size=3,
+        max_size=60,
+    ),
+    st.floats(0.0, 1e8),
+    st.integers(0, 2**32),
+)
+def test_pchip_evaluators_are_bit_identical_to_scipy(steps, first, seed):
+    grid = [0.0]
+    for step, _ in steps:
+        grid.append(grid[-1] + step)
+    values = [first] + [v for _, v in steps]
+    got = _clamped_pchip(grid, values)
+    ref, interp = _clamped_pchip_reference(grid, values)
+    logs = [math.log(max(v, 1e-300)) for v in values]
+    scalar = pchip_scalar(grid, logs)
+    rng = random.Random(seed)
+    top = grid[-1]
+    times = (
+        grid
+        + [0.5 * (a + b) for a, b in zip(grid, grid[1:])]
+        + [rng.uniform(0.0, top) for _ in range(2000)]
+        + [top, -1.0, -1e-300, 0.0, top * (1 + 1e-12), top + 1.0]
+    )
+    for t in times:
+        assert got(t) == ref(t)
+        want = float(interp(t))
+        have = scalar(t)
+        assert have == want or (math.isnan(have) and math.isnan(want))

@@ -197,7 +197,7 @@ def test_gram_poly_symmetry_and_orbit_version():
     w = bilinear_P(v, v)
     g1 = gram_poly(w, w, 3)
     classes = [(k, 1) for k in w.support()]
-    g2 = gram_poly_orbits(w, w, 3, classes)
+    (g2,) = gram_poly_orbits(w, w, (3,), classes)
     assert g1 == g2
     # norm_sq_poly is the self-Gram
     assert norm_sq_poly(w, 3) == g1
@@ -212,7 +212,9 @@ def test_gram_poly_matches_timepoly_products():
     }
     v = heat_apply(static_field(modes))
     w = v + heat_duhamel(bilinear_P(v, v))
-    for order in (-1, 0, 3):
+    orders = (-1, 0, 3)
+    refs = []
+    for order in orders:
         ref = TP_ZERO
         for k in v.coeffs.keys() & w.coeffs.keys():
             p = TP_ZERO
@@ -223,7 +225,9 @@ def test_gram_poly_matches_timepoly_products():
             ref = ref + (p + p.conj()).scale_rational(weight)
         assert gram_poly(v, w, order) == ref
         assert gram_poly(w, v, order) == ref
-        assert gram_poly_orbits(v, w, order, [(k, 1) for k in w.support()]) == ref
+        refs.append(ref)
+    # all orders from one pass over the mode products
+    assert gram_poly_orbits(v, w, orders, [(k, 1) for k in w.support()]) == refs
 
 
 def test_payload_round_trip_and_tamper_detection(tmp_path):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -175,3 +177,50 @@ def test_precision_guard_reevaluates_cancelling_values():
         ref = p.evaluate(t, 1024).real
         assert float(v) == pytest.approx(float(ref), rel=1e-15)
     assert float(values[0][1]) == pytest.approx(1e-60 / 1024, rel=0.05)
+
+
+def _rounded(p, q, prec):
+    """p / q > 0 rounded to nearest, ties to even, at prec bits, by integer
+    arithmetic alone."""
+    x = Fraction(p, q)
+    e = p.bit_length() - q.bit_length()
+    if x < Fraction(2) ** e:
+        e -= 1
+    man = round(x * Fraction(2) ** (prec - 1 - e))
+    return mpmath.mpf((man, e - prec + 1))
+
+
+def test_wide_rationals_are_rounded_once():
+    # numerator and denominator both wider than the 256-bit precision
+    num, den = 3**260 + 1, 7**150
+    assert num.bit_length() > 400 and den.bit_length() > 400
+    p = tp_basis(0, 5, GaussianRational(mpq(num, den)))
+    values, _ = sample_real_polys([p], [0.0, 1.0], 256)
+    with mpmath.workprec(256):
+        expected = _rounded(num, den, 256)
+        # rounding numerator, denominator and quotient apart lands elsewhere
+        assert mpmath.mpf(num) / mpmath.mpf(den) != expected
+        assert values[0][0] == expected
+    assert p.evaluate(0, 256).real == expected
+
+
+km_scale_polys = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 330)), small_q.map(GaussianRational),
+    min_size=1, max_size=8,
+).map(TimePoly)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(km_scale_polys, min_size=1, max_size=4))
+def test_sample_real_polys_is_accurate_at_large_exponents(batch):
+    # e^{-330 t} at t = 20 is about 2^-9500: every basis value is a long
+    # product of powers of e^{-t}, so this checks the relative accuracy of
+    # the successive-power basis, not just its absolute size
+    grid = [0.0, 1e-3, 0.5, 7.0, 20.0]
+    values, report = sample_real_polys(batch, grid, 256)
+    bound = mpmath.mpf(2) ** -(256 - report["max_bits_lost"] - 8)
+    for p, vals in zip(batch, values):
+        for t, v in zip(grid[1:], vals[1:]):
+            ref = p.evaluate(t, 1024).real
+            with mpmath.workprec(1024):
+                assert abs(v - ref) <= bound * abs(ref)
