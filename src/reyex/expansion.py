@@ -18,7 +18,9 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 from .fields import (
+    IntegerForm,
     TimeField,
+    add_convolutions,
     bilinear_P,
     convolution_coefficient,
     heat_apply,
@@ -34,7 +36,6 @@ from .symmetry import (
     orbit_partition,
     propagate_coefficient,
 )
-from .timepoly import TP_ZERO
 
 __all__ = [
     "Expansion",
@@ -102,8 +103,12 @@ def _zero_vec(vec):
     return vec[0].is_zero() and vec[1].is_zero() and vec[2].is_zero()
 
 
+def _vec_terms(vec):
+    return vec[0].num_terms() + vec[1].num_terms() + vec[2].num_terms()
+
+
 def _term_count(field):
-    return sum(p.num_terms() for vec in field.coeffs.values() for p in vec)
+    return sum(_vec_terms(vec) for vec in field.coeffs.values())
 
 
 def _candidate_support(full_a, full_b):
@@ -146,27 +151,23 @@ def _duhamel_vec(k, vec):
 
 
 def _sum_convolutions(fulls, pairs, k):
-    """sum over (l, m) in pairs of the raw convolution of u_l, u_m at k."""
-    acc = None
+    """sum over (l, m) in pairs of the raw convolution of u_l, u_m at k;
+    fulls holds the IntegerForm of each u_l."""
+    raws = []
     for l, m in pairs:
         raw = convolution_coefficient(fulls[l], fulls[m], k)
-        if raw is None:
-            continue
-        if acc is None:
-            acc = list(raw)
-        else:
-            acc[0] = acc[0] + raw[0]
-            acc[1] = acc[1] + raw[1]
-            acc[2] = acc[2] + raw[2]
-    return acc
+        if raw is not None:
+            raws.append(raw)
+    return add_convolutions(raws)
 
 
-def _bilinear_order_field(fulls, pairs, routes, j, heat=True):
+def _bilinear_order_field(fulls, pairs, routes, j, heat=True, count=None):
     """The field sum_{(l,m) in pairs} P(u_l, u_m), optionally Duhamel'd,
-    computed at orbit representatives only and propagated."""
+    computed at orbit representatives only and propagated.  count, if
+    given, is called with the terms of each orbit as it is added."""
     cand = set()
     for l, m in pairs:
-        cand |= _candidate_support(fulls[l], fulls[m])
+        cand |= _candidate_support(fulls[l].modes, fulls[m].modes)
     coeffs = {}
     for rep, members in orbit_partition(cand, list(routes)):
         raw = _sum_convolutions(fulls, pairs, rep)
@@ -177,20 +178,29 @@ def _bilinear_order_field(fulls, pairs, routes, j, heat=True):
             continue
         if heat:
             vec = _duhamel_vec(rep, vec)
-        coeffs.update(_materialize_orbit(rep, vec, members, routes, j))
+        orbit = _materialize_orbit(rep, vec, members, routes, j)
+        coeffs.update(orbit)
+        if count is not None:
+            count(sum(_vec_terms(v) for v in orbit.values()))
     return TimeField(coeffs, validate=False)
 
 
-def _bilinear_order_field_plain(coeff_fields, pairs, heat=True):
+def _bilinear_order_field_plain(coeff_fields, pairs, heat=True, count=None):
+    """The same field by full pair convolution; count, if given, is called
+    with the terms of each output mode as it is added."""
     total = None
     for l, m in pairs:
         p = bilinear_P(coeff_fields[l], coeff_fields[m])
         total = p if total is None else total + p
-    if total is None:
-        total = TimeField({}, validate=False)
-    if heat:
-        total = total.map_coeffs(lambda k, vec: _duhamel_vec(k, vec))
-    return total
+    coeffs = {}
+    if total is not None:
+        for k, vec in total.coeffs.items():
+            if heat:
+                vec = _duhamel_vec(k, vec)
+            coeffs[k] = vec
+            if count is not None:
+                count(_vec_terms(vec))
+    return TimeField(coeffs, validate=False)
 
 
 def expand(
@@ -207,6 +217,10 @@ def expand(
     datum is a TimeField with constant coefficients.  With use_symmetry the
     datum's symmetry group is discovered (or taken from the symmetry
     argument) and the recursion only convolves orbit representatives.
+
+    The running term count is checked against term_ceiling as each orbit
+    (pruned) or output mode (plain) of an order is added; past it,
+    ResourceLimitError is raised with the completed orders as .partial.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -220,36 +234,37 @@ def expand(
     coeffs = [u0]
     meta = []
     total_terms = _term_count(u0)
-    exp = Expansion(datum_id=datum_id, N=N, coeffs=coeffs, symmetry=sym, meta=meta)
+    exp = Expansion(datum_id=datum_id, N=0, coeffs=coeffs, symmetry=sym, meta=meta)
     meta.append(exp.order_stats(0))
 
     routes = _propagation_routes(sym) if sym is not None else None
-    fulls = [u0.full_coeffs()] if sym is not None else None
+    fulls = [IntegerForm(u0)] if sym is not None else None
+
+    def count(terms):
+        nonlocal total_terms
+        total_terms += terms
+        if total_terms > term_ceiling:
+            raise ResourceLimitError(
+                "term ceiling exceeded at order %d (%d terms > %d)"
+                % (exp.N + 1, total_terms, term_ceiling),
+                partial=exp,
+            )
 
     for j in range(1, N + 1):
         t0 = time.monotonic()
         pairs = [(l, j - 1 - l) for l in range(j)]
         if sym is not None:
-            uj = _bilinear_order_field(fulls, pairs, routes, j, heat=True)
-            fulls.append(uj.full_coeffs())
+            uj = _bilinear_order_field(fulls, pairs, routes, j, heat=True, count=count)
+            fulls.append(IntegerForm(uj))
         else:
-            uj = _bilinear_order_field_plain(coeffs, pairs, heat=True)
+            uj = _bilinear_order_field_plain(coeffs, pairs, heat=True, count=count)
         coeffs.append(uj)
-        total_terms += _term_count(uj)
         exp.N = j
         stats = exp.order_stats(j)
         stats["wall_seconds"] = round(time.monotonic() - t0, 3)
         meta.append(stats)
         if progress is not None:
             progress(stats)
-        if total_terms > term_ceiling:
-            exp.N = j
-            raise ResourceLimitError(
-                "term ceiling exceeded at order %d (%d terms > %d)"
-                % (j, total_terms, term_ceiling),
-                partial=exp,
-            )
-    exp.N = N
     return exp
 
 
@@ -266,7 +281,7 @@ def residual_tail(exp):
     tails = []
     if exp.symmetry is not None:
         routes = _propagation_routes(exp.symmetry)
-        fulls = [u.full_coeffs() for u in exp.coeffs]
+        fulls = [IntegerForm(u) for u in exp.coeffs]
         for j in range(N + 1, 2 * N + 2):
             pairs = [(l, j - 1 - l) for l in range(j - N - 1, N + 1)]
             tails.append(-_bilinear_order_field(fulls, pairs, routes, j, heat=False))

@@ -8,10 +8,12 @@ coefficient at -k is materialized as the componentwise conjugate on demand.
 
 from __future__ import annotations
 
+from math import lcm
+
 import mpmath
 
-from .rationals import GaussianRational, mpq
-from .timepoly import TP_ZERO, DEFAULT_EVAL_PRECISION, TimePoly
+from .rationals import GaussianRational, _gr, mpq
+from .timepoly import TP_ZERO, DEFAULT_EVAL_PRECISION, TimePoly, _tp
 
 __all__ = [
     "canonical_key",
@@ -20,8 +22,10 @@ __all__ = [
     "leray_project",
     "TimeField",
     "static_field",
+    "IntegerForm",
     "bilinear_P",
     "convolution_coefficient",
+    "add_convolutions",
     "project_mode",
     "heat_apply",
     "heat_duhamel",
@@ -55,6 +59,7 @@ def _neg(k):
 
 
 _ZERO3 = (TP_ZERO, TP_ZERO, TP_ZERO)
+_ZERO_Q = mpq(0)
 
 
 def leray_project(k, vec):
@@ -123,16 +128,14 @@ class TimeField:
     # -- invariants -------------------------------------------------------
 
     def validate(self):
-        for k, vec in self.coeffs.items():
+        for k in self.coeffs:
             if k == (0, 0, 0):
                 raise ValueError("zero-mean violation: coefficient at k = 0")
             if not is_canonical(k):
                 raise ValueError("non-canonical storage key %s" % (k,))
-            dot = TP_ZERO
-            for ki, vi in zip(k, vec):
-                if ki:
-                    dot = dot + vi.scale_rational(mpq(ki))
-            if not dot.is_zero():
+        _, rows = _numerators(self.coeffs.values())
+        for k, row in zip(self.coeffs, rows):
+            if _dot(row, k):
                 raise ValueError("incompressibility violation at k = %s" % (k,))
         return self
 
@@ -191,7 +194,18 @@ class TimeField:
         return TimeField(out, validate=False)
 
     def __sub__(self, other):
-        return self + (-other)
+        out = dict(self.coeffs)
+        for k, vec in other.coeffs.items():
+            prev = out.get(k)
+            if prev is None:
+                out[k] = (-vec[0], -vec[1], -vec[2])
+            else:
+                s = (prev[0] - vec[0], prev[1] - vec[1], prev[2] - vec[2])
+                if s[0].is_zero() and s[1].is_zero() and s[2].is_zero():
+                    del out[k]
+                else:
+                    out[k] = s
+        return TimeField(out, validate=False)
 
     def __neg__(self):
         return TimeField(
@@ -280,62 +294,205 @@ def static_field(modes):
     return TimeField.from_full(full)
 
 
+# -- integer numerators over a common denominator ---------------------------------
+#
+# The quadratic kernels (the bilinear term and the Gram sums) run on integers:
+# every coefficient of the fields they read is written as an integer numerator
+# over one denominator shared by the field, so a product or a sum inside a
+# kernel loop is an int operation and each output part becomes one rational,
+# normalized once.  An exponent pair (a, b) is packed into the int
+# a << _KEY_SHIFT | b, so adding packed keys adds the exponents.
+
+_KEY_SHIFT = 32
+_KEY_MASK = (1 << _KEY_SHIFT) - 1
+# b stays below this, so the sum of two packed keys cannot carry into a
+_MAX_EXP = 1 << (_KEY_SHIFT - 1)
+
+
+def _unpack(key):
+    return key >> _KEY_SHIFT, key & _KEY_MASK
+
+
+def _numerators(vecs):
+    """The 3-vectors of TimePoly in vecs as integer numerators over one
+    common denominator: returns (den, rows), den the lcm of every coefficient
+    denominator and rows[i] the i-th vector as three tuples of
+    (packed key, re, im)."""
+    vecs = list(vecs)
+    dens = set()
+    for vec in vecs:
+        for p in vec:
+            for c in p.terms.values():
+                dens.add(c.re.denominator)
+                dens.add(c.im.denominator)
+    den = lcm(*dens)
+    mult = {d: den // d for d in dens}
+    rows = []
+    for vec in vecs:
+        row = []
+        for p in vec:
+            comp = []
+            for (a, b), c in p.terms.items():
+                if b >= _MAX_EXP:
+                    raise ValueError("exponent b = %d is too large to pack" % (b,))
+                re, im = c.re, c.im
+                comp.append(
+                    (
+                        a << _KEY_SHIFT | b,
+                        re.numerator * mult[re.denominator],
+                        im.numerator * mult[im.denominator],
+                    )
+                )
+            row.append(tuple(comp))
+        rows.append(tuple(row))
+    return den, rows
+
+
+class IntegerForm:
+    """A field over the full lattice as integer numerators over one common
+    denominator: modes maps every wave vector of both signs to three tuples
+    of (packed key, re, im), with the -k entries conjugated; den is the lcm
+    of the field's coefficient denominators.  The input of the bilinear
+    kernels."""
+
+    __slots__ = ("den", "modes")
+
+    def __init__(self, field):
+        self.den, rows = _numerators(field.coeffs.values())
+        modes = {}
+        for k, row in zip(field.coeffs, rows):
+            modes[k] = row
+            modes[_neg(k)] = tuple(tuple((key, re, -im) for key, re, im in comp) for comp in row)
+        self.modes = modes
+
+
+def _dot(row, k):
+    """k . v for a row of numerators, as a list of (packed key, re, im) with
+    the vanishing terms dropped."""
+    acc = {}
+    for ki, comp in zip(k, row):
+        if not ki:
+            continue
+        for key, re, im in comp:
+            prev = acc.get(key)
+            if prev is None:
+                acc[key] = [ki * re, ki * im]
+            else:
+                prev[0] += ki * re
+                prev[1] += ki * im
+    return [(key, re, im) for key, (re, im) in acc.items() if re or im]
+
+
+def _add_products(acc, s, wrow):
+    """Add the products s * w_i into the accumulators acc[i], maps of packed
+    key to [re, im]."""
+    for out, comp in zip(acc, wrow):
+        for k1, sre, sim in s:
+            for k2, wre, wim in comp:
+                key = k1 + k2
+                re = sre * wre - sim * wim
+                im = sre * wim + sim * wre
+                prev = out.get(key)
+                if prev is None:
+                    out[key] = [re, im]
+                else:
+                    prev[0] += re
+                    prev[1] += im
+
+
 # -- the Navier-Stokes bilinear map ---------------------------------------------
 
-
-def _dot_poly(vec, k):
-    out = TP_ZERO
-    for ki, vi in zip(k, vec):
-        if ki:
-            out = out + vi.scale_rational(mpq(ki))
-    return out
+_ZERO_PAIR = (0, 0)
 
 
-def project_mode(k, acc):
-    """Apply -i and the Leray projection to an accumulated convolution sum."""
-    vec = tuple(p.mul_minus_i() for p in acc)
-    return leray_project(k, vec)
+def _ratio(num, den):
+    return mpq(num, den) if num else _ZERO_Q
+
+
+def project_mode(k, raw):
+    """Apply -i and the Leray projection to an accumulated convolution sum.
+
+    raw is (den, acc) as convolution_coefficient returns it.  The projection
+    is formed in integers as |k|^2 v - k (k.v) over den |k|^2, and each
+    nonzero part becomes one rational."""
+    den, acc = raw
+    k0, k1, k2 = k
+    ksq = k0 * k0 + k1 * k1 + k2 * k2
+    den *= ksq
+    a0, a1, a2 = acc
+    out = ({}, {}, {})
+    for key in a0.keys() | a1.keys() | a2.keys():
+        r0, i0 = a0.get(key, _ZERO_PAIR)
+        r1, i1 = a1.get(key, _ZERO_PAIR)
+        r2, i2 = a2.get(key, _ZERO_PAIR)
+        dre = k0 * r0 + k1 * r1 + k2 * r2
+        dim = k0 * i0 + k1 * i1 + k2 * i2
+        ab = _unpack(key)
+        for terms, ki, re, im in ((out[0], k0, r0, i0), (out[1], k1, r1, i1), (out[2], k2, r2, i2)):
+            re = ksq * re - ki * dre
+            im = ksq * im - ki * dim
+            if re or im:
+                # -i (re + i im) = im - i re
+                terms[ab] = _gr(_ratio(im, den), _ratio(-re, den))
+    return (_tp(out[0]), _tp(out[1]), _tp(out[2]))
 
 
 def convolution_coefficient(fv, fw, k):
     """Raw sum_h [v_h.(k-h)] w_{k-h} at a single wave vector k.
 
-    fv, fw are full (both-signs) coefficient dicts; the -i factor and the
+    fv, fw are the IntegerForm of the two fields.  The -i factor and the
     Leray projection are NOT applied here, so per-k contributions from
-    several bilinear terms can be accumulated first.  Returns None when the
-    sum vanishes identically.
+    several bilinear terms can be accumulated first.  Returns (den, acc):
+    acc holds per component a map of packed exponent key to the integer
+    [re, im] numerators over den = fv.den * fw.den.  Returns None when no
+    pair of modes contributes.
     """
-    acc0 = acc1 = acc2 = TP_ZERO
+    vmodes, wmodes = fv.modes, fw.modes
+    acc = ({}, {}, {})
     hit = False
-    if len(fv) <= len(fw):
-        for h, vh in fv.items():
+    if len(vmodes) <= len(wmodes):
+        for h, vh in vmodes.items():
             h2 = (k[0] - h[0], k[1] - h[1], k[2] - h[2])
-            wh2 = fw.get(h2)
+            wh2 = wmodes.get(h2)
             if wh2 is None:
                 continue
-            s = _dot_poly(vh, h2)
-            if s.is_zero():
-                continue
-            hit = True
-            acc0 = acc0 + s * wh2[0]
-            acc1 = acc1 + s * wh2[1]
-            acc2 = acc2 + s * wh2[2]
+            s = _dot(vh, h2)
+            if s:
+                hit = True
+                _add_products(acc, s, wh2)
     else:
-        for h2, wh2 in fw.items():
+        for h2, wh2 in wmodes.items():
             h = (k[0] - h2[0], k[1] - h2[1], k[2] - h2[2])
-            vh = fv.get(h)
+            vh = vmodes.get(h)
             if vh is None:
                 continue
-            s = _dot_poly(vh, h2)
-            if s.is_zero():
-                continue
-            hit = True
-            acc0 = acc0 + s * wh2[0]
-            acc1 = acc1 + s * wh2[1]
-            acc2 = acc2 + s * wh2[2]
+            s = _dot(vh, h2)
+            if s:
+                hit = True
+                _add_products(acc, s, wh2)
     if not hit:
         return None
-    return (acc0, acc1, acc2)
+    return fv.den * fw.den, acc
+
+
+def add_convolutions(raws):
+    """The sum of raw convolution sums, as convolution_coefficient returns
+    them, over the lcm of their denominators; None for an empty list."""
+    if len(raws) <= 1:
+        return raws[0] if raws else None
+    den = lcm(*(d for d, _ in raws))
+    acc = ({}, {}, {})
+    for d, comps in raws:
+        f = den // d
+        for out, comp in zip(acc, comps):
+            for key, (re, im) in comp.items():
+                prev = out.get(key)
+                if prev is None:
+                    out[key] = [f * re, f * im]
+                else:
+                    prev[0] += f * re
+                    prev[1] += f * im
+    return den, acc
 
 
 def bilinear_P(v, w, targets=None):
@@ -346,35 +503,31 @@ def bilinear_P(v, w, targets=None):
     vectors only those output coefficients are computed, which is what the
     symmetry-pruned recursion uses.
     """
-    fv = v.full_coeffs()
-    fw = w.full_coeffs()
-    if not fv or not fw:
+    fv = IntegerForm(v)
+    fw = fv if w is v else IntegerForm(w)
+    if not fv.modes or not fw.modes:
         return TimeField({}, validate=False)
 
+    den = fv.den * fw.den
     out = {}
     if targets is None:
-        acc = {}
-        for h, vh in fv.items():
-            for h2, wh2 in fw.items():
+        accs = {}
+        for h, vh in fv.modes.items():
+            for h2, wh2 in fw.modes.items():
                 k = (h[0] + h2[0], h[1] + h2[1], h[2] + h2[2])
                 if not is_canonical(k):
                     # skips k = 0 (mean mode dropped) and the redundant half
                     continue
-                s = _dot_poly(vh, h2)
-                if s.is_zero():
+                s = _dot(vh, h2)
+                if not s:
                     continue
-                prev = acc.get(k)
-                if prev is None:
-                    acc[k] = [s * wh2[0], s * wh2[1], s * wh2[2]]
-                else:
-                    prev[0] = prev[0] + s * wh2[0]
-                    prev[1] = prev[1] + s * wh2[1]
-                    prev[2] = prev[2] + s * wh2[2]
-        for k, vec in acc.items():
-            proj = project_mode(k, vec)
-            if not (proj[0].is_zero() and proj[1].is_zero() and proj[2].is_zero()):
-                out[k] = proj
+                acc = accs.get(k)
+                if acc is None:
+                    acc = accs[k] = ({}, {}, {})
+                _add_products(acc, s, wh2)
+        raws = ((k, (den, acc)) for k, acc in accs.items())
     else:
+        raws = []
         seen = set()
         for kt in targets:
             k = canonical_key(kt)
@@ -382,11 +535,12 @@ def bilinear_P(v, w, targets=None):
                 continue
             seen.add(k)
             raw = convolution_coefficient(fv, fw, k)
-            if raw is None:
-                continue
-            proj = project_mode(k, raw)
-            if not (proj[0].is_zero() and proj[1].is_zero() and proj[2].is_zero()):
-                out[k] = proj
+            if raw is not None:
+                raws.append((k, raw))
+    for k, raw in raws:
+        proj = project_mode(k, raw)
+        if not (proj[0].is_zero() and proj[1].is_zero() and proj[2].is_zero()):
+            out[k] = proj
     return TimeField(out, validate=False)
 
 
@@ -417,43 +571,6 @@ def heat_duhamel(v):
 # -- Sobolev inner products ----------------------------------------------------------
 
 
-def _weight(ksq, order):
-    # |k|^{2 order} as an exact rational; order may be negative (used only
-    # for the physical-Reynolds conversion at order -1).
-    if order >= 0:
-        return mpq(ksq ** order)
-    return mpq(1, ksq ** (-order))
-
-
-def _add_mode_gram(acc, vvec, wvec, weight):
-    """Add weight * (conj(v_k).w_k + v_k.conj(w_k)) into acc, a map of
-    exponent pairs to rationals.  This is the real full-lattice contribution
-    of the canonical pair {k, -k}: twice the real part of conj(v_k).w_k, so
-    only Re(conj(c) d) = c.re d.re + c.im d.im is ever formed."""
-    weight = 2 * weight
-    for p, q in zip(vvec, wvec):
-        qterms = q.terms.items()
-        for (a1, b1), c in p.terms.items():
-            cre = c.re * weight
-            cim = c.im * weight
-            for (a2, b2), d in qterms:
-                if cre and d.re:
-                    x = cre * d.re
-                    if cim and d.im:
-                        x += cim * d.im
-                elif cim and d.im:
-                    x = cim * d.im
-                else:
-                    continue
-                key = (a1 + a2, b1 + b2)
-                prev = acc.get(key)
-                acc[key] = x if prev is None else prev + x
-
-
-def _real_poly(acc):
-    return TimePoly({key: GaussianRational(x) for key, x in acc.items()})
-
-
 def gram_poly(v, w, order):
     """sum_k |k|^{2 order} conj(v_k).w_k over the full lattice, symbolic.
 
@@ -472,26 +589,45 @@ def gram_poly_orbits(v, w, orders, orbit_classes):
     orbit_classes is an iterable of (representative, size) pairs covering the
     canonical support; contributions are constant on classes when the fields
     are equivariant under the symmetry group that produced the classes.  The
-    orders differ only in the |k|^{2 order} weight, so the mode products are
-    formed once, summed per shell |k|^2, and each shell sum is weighted per
-    order.
+    canonical pair {k, -k} contributes twice the real part of conj(v_k).w_k,
+    so only Re(conj(c) d) = c.re d.re + c.im d.im is ever formed, in integer
+    numerators over the product of the two fields' denominators.  The orders
+    differ only in the |k|^{2 order} weight, so the mode products are summed
+    once per shell |k|^2, and each shell sum is weighted per order.
     """
+    classes = [(rep, size) for rep, size in orbit_classes if rep in v.coeffs and rep in w.coeffs]
+    vden, vrows = _numerators(v.coeffs[rep] for rep, _ in classes)
+    wden, wrows = _numerators(w.coeffs[rep] for rep, _ in classes)
     shells = {}
-    for rep, size in orbit_classes:
-        vvec = v.coeffs.get(rep)
-        wvec = w.coeffs.get(rep)
-        if vvec is None or wvec is None:
-            continue
-        _add_mode_gram(shells.setdefault(wave_norm_sq(rep), {}), vvec, wvec, mpq(size))
+    for (rep, size), vrow, wrow in zip(classes, vrows, wrows):
+        shell = shells.setdefault(wave_norm_sq(rep), {})
+        for vcomp, wcomp in zip(vrow, wrow):
+            for k1, cre, cim in vcomp:
+                cre *= size
+                cim *= size
+                for k2, dre, dim in wcomp:
+                    x = cre * dre + cim * dim
+                    if x:
+                        key = k1 + k2
+                        shell[key] = shell.get(key, 0) + x
     out = []
     for order in orders:
+        # |k|^{2 order} = weights[ksq] / scale, in integers for order < 0 too
+        if order >= 0:
+            scale = 1
+            weights = {ksq: ksq**order for ksq in shells}
+        else:
+            scale = lcm(*(ksq ** (-order) for ksq in shells))
+            weights = {ksq: scale // ksq ** (-order) for ksq in shells}
         acc = {}
         for ksq, shell in shells.items():
-            weight = _weight(ksq, order)
+            weight = weights[ksq]
             for key, x in shell.items():
-                prev = acc.get(key)
-                acc[key] = weight * x if prev is None else prev + weight * x
-        out.append(_real_poly(acc))
+                acc[key] = acc.get(key, 0) + weight * x
+        den = vden * wden * scale
+        out.append(
+            _tp({_unpack(key): _gr(mpq(2 * x, den), _ZERO_Q) for key, x in acc.items() if x})
+        )
     return out
 
 

@@ -121,7 +121,7 @@ class GaussianRational:
 
     @classmethod
     def from_strings(cls, re_s, im_s):
-        return cls(rational_from_string(re_s), rational_from_string(im_s))
+        return _gr(rational_from_string(re_s), rational_from_string(im_s))
 
 
 def _gr(re, im):

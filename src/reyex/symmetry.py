@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .fields import TimeField
-from .rationals import GaussianRational
 
 __all__ = [
     "GroupElement",
@@ -63,17 +62,22 @@ def _transpose(S):
 
 _IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
-# e^{-i (pi/2) n} for n mod 4
-_PHASES = (
-    GaussianRational(1, 0),
-    GaussianRational(0, -1),
-    GaussianRational(-1, 0),
-    GaussianRational(0, 1),
-)
-
 
 def _phase(a, k):
-    return _PHASES[(a[0] * k[0] + a[1] * k[1] + a[2] * k[2]) % 4]
+    """n mod 4 for the phase e^{-i (pi/2) n} = e^{-i a.k}."""
+    return (a[0] * k[0] + a[1] * k[1] + a[2] * k[2]) % 4
+
+
+def _apply_phase(vec, n):
+    """e^{-i (pi/2) n} vec for a 3-vector of TimePoly: the phases 1, -i, -1,
+    i are a copy, a rotation or a negation, never a product."""
+    if n == 0:
+        return vec
+    if n == 1:
+        return tuple(p.mul_minus_i() for p in vec)
+    if n == 2:
+        return tuple(-p for p in vec)
+    return tuple(p.mul_i() for p in vec)
 
 
 def octahedral_matrices():
@@ -131,11 +135,7 @@ def push_forward(g, v):
     full = {}
     for k0, vec in v.coeffs.items():
         k = _mat_vec(S, k0)
-        out = _transform_vec(S, vec)
-        ph = _phase(a, k)
-        if ph.re != 1 or ph.im != 0:
-            out = tuple(p.scale(ph) for p in out)
-        full[k] = out
+        full[k] = _apply_phase(_transform_vec(S, vec), _phase(a, k))
     return TimeField.from_full(full)
 
 
@@ -260,10 +260,7 @@ def propagate_coefficient(coeff, k, g, sigma, j):
 
     Returns the pair (Sk, coefficient)."""
     Sk = _mat_vec(g.S, k)
-    out = _transform_vec(g.S, coeff)
-    ph = _phase(g.a, Sk)
+    n = _phase(g.a, Sk)
     if sigma == -1 and (j + 1) % 2 == 1:
-        ph = -ph
-    if ph.re != 1 or ph.im != 0:
-        out = tuple(p.scale(ph) for p in out)
-    return Sk, out
+        n = (n + 2) % 4
+    return Sk, _apply_phase(_transform_vec(g.S, coeff), n)

@@ -96,7 +96,20 @@ class TimePoly:
         return _tp(out)
 
     def __sub__(self, other):
-        return self + (-other)
+        if not other.terms:
+            return self
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            prev = out.get(key)
+            if prev is None:
+                out[key] = -c
+            else:
+                s = prev - c
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+        return _tp(out)
 
     def __neg__(self):
         return _tp({key: -c for key, c in self.terms.items()})
@@ -140,6 +153,9 @@ class TimePoly:
 
     def conj(self):
         return _tp({key: c.conj() for key, c in self.terms.items()})
+
+    def mul_i(self):
+        return _tp({key: c.mul_i() for key, c in self.terms.items()})
 
     def mul_minus_i(self):
         return _tp({key: c.mul_minus_i() for key, c in self.terms.items()})

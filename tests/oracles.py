@@ -1,4 +1,4 @@
-"""Reference implementations that the estimator tests compare against.
+"""Reference implementations that the tests compare against.
 
 The single-time estimators evaluate norms mode by mode at one time, and
 sample_gram_tables samples cross Gram tables by evaluating every mode of the
@@ -6,15 +6,25 @@ full support on every grid point.  Both are slow and independent of the
 exact Gram route that EstimatorTables takes and of the orbit classes it sums
 over.  The assembly_* loops assemble the per-R estimator samples from
 sampled tables with mpf operators, the arithmetic EstimatorTables must
-reproduce to the bit.
+reproduce to the bit.  The *_products routines form the bilinear term and
+the Gram sums as TimePoly products and sums of rationals, the reference for
+the integer kernels of reyex.fields.
 """
 
 import mpmath
 
 from reyex.expansion import residual_tail
-from reyex.fields import norm_sq_poly, sobolev_norm, wave_norm_sq
-from reyex.rationals import mpq
-from reyex.timepoly import DEFAULT_EVAL_PRECISION
+from reyex.fields import (
+    TimeField,
+    canonical_key,
+    is_canonical,
+    leray_project,
+    norm_sq_poly,
+    sobolev_norm,
+    wave_norm_sq,
+)
+from reyex.rationals import GaussianRational, mpq
+from reyex.timepoly import DEFAULT_EVAL_PRECISION, TP_ZERO, TimePoly
 
 
 def _as_mpq(R):
@@ -296,3 +306,141 @@ def assembly_error_rough(tables, R, constants):
                 total += Rf**j * inner
             out.append(Kf * total)
         return out
+
+
+# -- the bilinear term and the Gram sums by TimePoly products --------------------
+
+
+def _dot_poly(vec, k):
+    out = TP_ZERO
+    for ki, vi in zip(k, vec):
+        if ki:
+            out = out + vi.scale_rational(mpq(ki))
+    return out
+
+
+def _nonzero(vec):
+    return not (vec[0].is_zero() and vec[1].is_zero() and vec[2].is_zero())
+
+
+def project_products(k, acc):
+    """-i and the Leray projection of a TimePoly 3-vector."""
+    return leray_project(k, tuple(p.mul_minus_i() for p in acc))
+
+
+def convolution_products(fv, fw, k):
+    """Raw sum_h [v_h.(k-h)] w_{k-h} at k as TimePoly sums; fv, fw are
+    full_coeffs() maps.  None when no pair contributes."""
+    acc0 = acc1 = acc2 = TP_ZERO
+    hit = False
+    for h, vh in fv.items():
+        h2 = (k[0] - h[0], k[1] - h[1], k[2] - h[2])
+        wh2 = fw.get(h2)
+        if wh2 is None:
+            continue
+        s = _dot_poly(vh, h2)
+        if s.is_zero():
+            continue
+        hit = True
+        acc0 = acc0 + s * wh2[0]
+        acc1 = acc1 + s * wh2[1]
+        acc2 = acc2 + s * wh2[2]
+    return (acc0, acc1, acc2) if hit else None
+
+
+def bilinear_P_products(v, w, targets=None):
+    """P(v, w) by TimePoly products: a pair loop over the two supports, or
+    one convolution per target."""
+    fv = v.full_coeffs()
+    fw = w.full_coeffs()
+    out = {}
+    if targets is None:
+        acc = {}
+        for h, vh in fv.items():
+            for h2, wh2 in fw.items():
+                k = (h[0] + h2[0], h[1] + h2[1], h[2] + h2[2])
+                if not is_canonical(k):
+                    continue
+                s = _dot_poly(vh, h2)
+                if s.is_zero():
+                    continue
+                prev = acc.get(k)
+                if prev is None:
+                    acc[k] = [s * wh2[0], s * wh2[1], s * wh2[2]]
+                else:
+                    prev[0] = prev[0] + s * wh2[0]
+                    prev[1] = prev[1] + s * wh2[1]
+                    prev[2] = prev[2] + s * wh2[2]
+        raws = acc.items()
+    else:
+        raws = []
+        for k in {canonical_key(kt) for kt in targets} - {(0, 0, 0)}:
+            raw = convolution_products(fv, fw, k)
+            if raw is not None:
+                raws.append((k, raw))
+    for k, raw in raws:
+        proj = project_products(k, raw)
+        if _nonzero(proj):
+            out[k] = proj
+    return TimeField(out, validate=False)
+
+
+def pruned_sum_products(fields, pairs, k):
+    """-i P_k of the sum over (l, m) in pairs of the raw convolution of
+    fields l and m at k, as the pruned recursion forms it; None when it
+    vanishes."""
+    fulls = [f.full_coeffs() for f in fields]
+    acc = None
+    for l, m in pairs:
+        raw = convolution_products(fulls[l], fulls[m], k)
+        if raw is not None:
+            acc = raw if acc is None else tuple(a + r for a, r in zip(acc, raw))
+    if acc is None:
+        return None
+    vec = project_products(k, acc)
+    return vec if _nonzero(vec) else None
+
+
+def _add_mode_gram(acc, vvec, wvec, weight):
+    """Add weight * 2 Re(conj(v_k).w_k) into acc, a map of exponent pairs to
+    rationals."""
+    weight = 2 * weight
+    for p, q in zip(vvec, wvec):
+        qterms = q.terms.items()
+        for (a1, b1), c in p.terms.items():
+            cre = c.re * weight
+            cim = c.im * weight
+            for (a2, b2), d in qterms:
+                if cre and d.re:
+                    x = cre * d.re
+                    if cim and d.im:
+                        x += cim * d.im
+                elif cim and d.im:
+                    x = cim * d.im
+                else:
+                    continue
+                key = (a1 + a2, b1 + b2)
+                prev = acc.get(key)
+                acc[key] = x if prev is None else prev + x
+
+
+def gram_poly_orbits_products(v, w, orders, orbit_classes):
+    """The Gram polys of fields.gram_poly_orbits by rational products: mode
+    products summed per shell |k|^2, each shell weighted per order."""
+    shells = {}
+    for rep, size in orbit_classes:
+        vvec = v.coeffs.get(rep)
+        wvec = w.coeffs.get(rep)
+        if vvec is None or wvec is None:
+            continue
+        _add_mode_gram(shells.setdefault(wave_norm_sq(rep), {}), vvec, wvec, mpq(size))
+    out = []
+    for order in orders:
+        acc = {}
+        for ksq, shell in shells.items():
+            weight = mpq(ksq**order) if order >= 0 else mpq(1, ksq ** (-order))
+            for key, x in shell.items():
+                prev = acc.get(key)
+                acc[key] = weight * x if prev is None else prev + weight * x
+        out.append(TimePoly({key: GaussianRational(x) for key, x in acc.items()}))
+    return out

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -114,12 +115,49 @@ def test_initial_condition_of_higher_orders():
                 assert abs(v) < 1e-60
 
 
-def test_term_ceiling_raises_with_partial_result():
+def test_term_ceiling_raises_with_partial_result(monkeypatch):
+    """The ceiling is checked as an order's modes are added: with room for
+    orders 0..2 only, the raise comes before order 3 is finished, and
+    .partial holds orders 0..2, equal to an unbounded run's."""
     with pytest.raises(ResourceLimitError) as err:
         expand(datum_bnw().field, 4, datum_id="bnw", term_ceiling=100)
     partial = err.value.partial
     assert isinstance(partial, Expansion)
     assert partial.N >= 1
+
+    # modes built, counted per path: one propagation per stored mode of a
+    # pruned order, one Duhamel integral per output mode of a plain one
+    built = []
+    propagate = reyex.expansion.propagate_coefficient
+    duhamel = reyex.expansion._duhamel_vec
+
+    def counted_propagate(coeff, k, g, sigma, j):
+        built.append(j)
+        return propagate(coeff, k, g, sigma, j)
+
+    def counted_duhamel(k, vec):
+        built.append(None)
+        return duhamel(k, vec)
+
+    monkeypatch.setattr(reyex.expansion, "propagate_coefficient", counted_propagate)
+    monkeypatch.setattr(reyex.expansion, "_duhamel_vec", counted_duhamel)
+    for use_symmetry in (True, False):
+        full = expand(datum_bnw().field, 3, use_symmetry=use_symmetry, datum_id="bnw")
+        ceiling = sum(s["terms"] for s in full.meta[:3])
+        built.clear()
+        with pytest.raises(ResourceLimitError) as err:
+            expand(datum_bnw().field, 3, use_symmetry=use_symmetry, datum_id="bnw",
+                   term_ceiling=ceiling)
+        partial = err.value.partial
+        assert partial.N == 2
+        assert len(partial.coeffs) == 3 and len(partial.meta) == 3
+        for a, b in zip(partial.coeffs, full.coeffs):
+            assert a == b
+        if use_symmetry:
+            modes_built = built.count(3)
+        else:
+            modes_built = len(built) - sum(len(u.coeffs) for u in full.coeffs[1:3])
+        assert 0 < modes_built < len(full.coeffs[3].coeffs)
 
 
 def test_meta_statistics_are_recorded():
@@ -157,6 +195,26 @@ def test_cache_rejects_tampering(tmp_path):
     with open(target, "w") as fh:
         json.dump(payload, fh)
     with pytest.raises(CacheError):
+        cache_load(path)
+
+
+def test_cache_rejects_divergent_mode(tmp_path):
+    exp = expand(datum_bnw().field, 2, datum_id="bnw")
+    path = str(tmp_path / "cache")
+    cache_store(exp, path)
+    target = os.path.join(path, "u_002.json")
+    with open(target) as fh:
+        payload = json.load(fh)
+    # double one component of one mode: still real and zero-mean, but no
+    # longer orthogonal to its wave vector
+    mode = next(m for m in payload["modes"] if all(m["k"]) and m["components"][0])
+    comp = mode["components"][0]
+    for i, rec in enumerate(comp):
+        a, b, re, im = rec.split()
+        comp[i] = " ".join([a, b, str(2 * Fraction(re)), str(2 * Fraction(im))])
+    with open(target, "w") as fh:
+        json.dump(payload, fh)
+    with pytest.raises(CacheError, match="incompressibility"):
         cache_load(path)
 
 

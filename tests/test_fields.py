@@ -3,9 +3,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import bilinear_P_products, gram_poly_orbits_products, pruned_sum_products
 from reyex.data import datum_bnw
+from reyex.expansion import _sum_convolutions
 from reyex.fields import (
+    IntegerForm,
     TimeField,
     bilinear_P,
     canonical_key,
@@ -16,6 +20,7 @@ from reyex.fields import (
     is_canonical,
     leray_project,
     norm_sq_poly,
+    project_mode,
     sobolev_norm,
     static_field,
 )
@@ -251,3 +256,82 @@ def test_coeff_magnitude_marked_mode():
     with mpmath.workprec(256):
         expected = (2 * mpmath.pi) ** mpmath.mpf("1.5") * mpmath.sqrt(2)
     assert abs(val - expected) < 1e-40
+
+
+def test_field_subtraction_matches_adding_the_negation():
+    v = heat_apply(datum_bnw().field)
+    w = v + heat_duhamel(bilinear_P(v, v))
+    assert w - v == w + (-v)
+    assert v - w == v + (-w)
+    assert (w - w).is_zero()
+    assert all(any(not p.is_zero() for p in vec) for vec in (w - v).coeffs.values())
+
+
+# -- the integer kernels against the TimePoly-product oracles -----------------------
+
+# Wide denominators (3^40, a Mersenne prime, 7^15 11^9) shared by many
+# coefficients, small numerators and few exponent pairs, so that products
+# land on the same terms and cancel exactly.
+_DENS = (1, 6, 3**40, 2**61 - 1, 7**15 * 11**9)
+_wide_q = st.builds(
+    lambda n, d: mpq(n, d), st.integers(-3, 3), st.sampled_from(_DENS)
+)
+_terms = st.dictionaries(
+    st.tuples(st.integers(0, 1), st.integers(0, 3)),
+    st.builds(GaussianRational, _wide_q, _wide_q),
+    max_size=2,
+).map(TimePoly)
+_keys = st.tuples(*[st.integers(-2, 2)] * 3).filter(lambda k: is_canonical(k))
+
+
+def _projected(modes):
+    coeffs = {k: leray_project(k, vec) for k, vec in modes.items()}
+    return TimeField(coeffs)
+
+
+_fields = st.dictionaries(_keys, st.tuples(_terms, _terms, _terms), max_size=4).map(_projected)
+
+
+def _assert_canonical_field(f):
+    for vec in f.coeffs.values():
+        assert any(not p.is_zero() for p in vec)
+        for p in vec:
+            assert all(p.terms.values())
+
+
+def _pruned_sum(fulls, pairs, k):
+    raw = _sum_convolutions(fulls, pairs, k)
+    vec = None if raw is None else project_mode(k, raw)
+    return None if vec is None or all(p.is_zero() for p in vec) else vec
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fields, _fields)
+def test_integer_kernels_match_timepoly_products(v, w):
+    for a, b in ((v, w), (w, v), (v, v)):
+        full = bilinear_P(a, b)
+        assert full == bilinear_P_products(a, b)
+        _assert_canonical_field(full)
+        targets = sorted(full.support())[:3] + [(0, 0, 0), (0, 0, 1), (-1, 1, 0), (-2, 0, 1)]
+        part = bilinear_P(a, b, targets=targets)
+        assert part == bilinear_P_products(a, b, targets)
+        _assert_canonical_field(part)
+    # the pruned sum over several pairs; with -v beside v the first two
+    # pairs cancel exactly, and w brings other denominators into the sum
+    fields = [v, w, -v]
+    pairs = [(0, 0), (0, 2), (1, 2), (2, 1), (1, 1)]
+    fulls = [IntegerForm(f) for f in fields]
+    support = set().union(*(fl.modes for fl in fulls))
+    targets = {canonical_key(tuple(x + y for x, y in zip(h, g))) for h in support for g in support}
+    for k in targets - {(0, 0, 0)}:
+        vec = _pruned_sum(fulls, pairs, k)
+        assert vec == pruned_sum_products(fields, pairs, k)
+        if vec is not None:
+            assert all(c for p in vec for c in p.terms.values())
+        assert _pruned_sum(fulls, pairs[:2], k) is None
+    classes = [(k, 1 + i % 3) for i, k in enumerate(sorted(v.coeffs.keys() | w.coeffs.keys()))]
+    orders = (-1, 0, 3)
+    grams = gram_poly_orbits(v, w, orders, classes)
+    assert grams == gram_poly_orbits_products(v, w, orders, classes)
+    for p in grams:
+        assert all(c for c in p.terms.values())

@@ -75,6 +75,26 @@ def test_ring_axioms(p, q, r):
     assert p - p == TP_ZERO
 
 
+@given(polys, polys, st.integers(-2, 2))
+@settings(max_examples=80)
+def test_subtraction_matches_adding_the_negation(p, q, n):
+    # q + n p overlaps p term by term, so some differences cancel to zero
+    q = q + p.scale_rational(mpq(n))
+    for a, b in ((p, q), (q, p), (p, p), (p, TP_ZERO), (TP_ZERO, p)):
+        d = a - b
+        assert d == a + (-b)
+        assert all(d.terms.values())
+    assert (p - p).terms == {}
+
+
+@given(polys)
+@settings(max_examples=50)
+def test_quarter_turns_equal_products_with_the_phase(p):
+    assert p.mul_i() == p.scale(GaussianRational(0, 1))
+    assert p.mul_minus_i() == p.scale(GaussianRational(0, -1))
+    assert -p == p.scale(GaussianRational(-1, 0))
+
+
 @given(polys, polys)
 @settings(max_examples=50)
 def test_derivative_is_a_derivation(p, q):
