@@ -17,6 +17,7 @@ import click
 import mpmath
 
 from .control import (
+    DEFAULT_BLOWUP_THRESHOLD,
     BracketError,
     classical_bounds,
     export_trajectory_csv,
@@ -26,6 +27,8 @@ from .control import (
 )
 from .data import get_datum, physical_reynolds
 from .estimators import (
+    DEFAULT_G3,
+    DEFAULT_K3,
     ConstantsTable,
     EstimatorTables,
     MissingConstantError,
@@ -35,7 +38,14 @@ from .estimators import (
     parse_variant,
     variant_label,
 )
-from .expansion import CacheError, ResourceLimitError, cache_load, cache_store, expand
+from .expansion import (
+    DEFAULT_TERM_CEILING,
+    CacheError,
+    ResourceLimitError,
+    cache_load,
+    cache_store,
+    expand,
+)
 from .symmetry import find_symmetries
 from .timepoly import DEFAULT_EVAL_PRECISION
 
@@ -79,8 +89,8 @@ def _load_constants(path):
         return out
 
     return ConstantsTable(
-        K=intkeys(raw.get("K", {"3": 0.323})),
-        G=intkeys(raw.get("G", {"3": 0.438})),
+        K=intkeys(raw.get("K", {"3": DEFAULT_K3})),
+        G=intkeys(raw.get("G", {"3": DEFAULT_G3})),
         K_pn=pairkeys(raw.get("K_pn", {})),
         G_pn=pairkeys(raw.get("G_pn", {})),
     )
@@ -150,7 +160,7 @@ def cmd_norms(selector, orders, precision):
 @click.option("--symmetry/--no-symmetry", default=True, show_default=True)
 @click.option("--tails/--no-tails", default=False, show_default=True,
               help="Also compute the residual tail coefficients.")
-@click.option("--term-ceiling", default=10_000_000, show_default=True)
+@click.option("--term-ceiling", default=DEFAULT_TERM_CEILING, show_default=True)
 @click.option("--cache", required=True, help="Cache directory to write.")
 @click.pass_context
 def cmd_expand(ctx, selector, N, symmetry, tails, term_ceiling, cache):
@@ -239,7 +249,7 @@ def cmd_estimate(ctx, cache, constants_path, n, variant, grid_points, t_max, pre
 @main.command("control")
 @_common_estimator_args
 @click.option("--R", "R", required=True, type=float)
-@click.option("--blowup-threshold", default=1e6, show_default=True)
+@click.option("--blowup-threshold", default=DEFAULT_BLOWUP_THRESHOLD, show_default=True)
 @click.option("--output-prefix", required=True,
               help="Writes PREFIX.trajectory.csv and PREFIX.verdict.json.")
 @click.pass_context

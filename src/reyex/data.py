@@ -16,7 +16,7 @@ import mpmath
 
 from .fields import TimeField, norm_sq_poly, sobolev_norm, static_field
 from .rationals import GaussianRational, mpq
-from .timepoly import DEFAULT_EVAL_PRECISION
+from .timepoly import DEFAULT_EVAL_PRECISION, _to_mpf
 
 __all__ = [
     "DatumDescriptor",
@@ -83,10 +83,6 @@ def _constant_value(poly):
     if c.im:
         raise ValueError("norm square must be real")
     return c.re
-
-
-def _to_mpf(q):
-    return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
 
 
 def _gr(re, im=0):

@@ -192,8 +192,7 @@ class EstimatorTables:
         ):
             raise ValueError("grid must be strictly increasing and start at 0")
         self.precision = precision
-        sym = exp.symmetry
-        self._matrices = None if sym is None else list(negation_closure(sym.reduced_plus))
+        self._matrices = list(negation_closure(exp.group.reduced_plus))
         self._coeff_tables = None
         self._tail_tables = None
         self.stats = {}
@@ -218,14 +217,11 @@ class EstimatorTables:
         the precision lost in self.stats[kind]."""
         start = time.perf_counter()
         support = set().union(*(f.coeffs for f in fields))
-        if self._matrices:
-            # the support holds canonical keys only, so each class is the
-            # canonical half of an orbit under +-S
-            classes = [
-                (rep, len(members)) for rep, members in orbit_partition(support, self._matrices)
-            ]
-        else:
-            classes = [(k, 1) for k in sorted(support)]
+        # the support holds canonical keys only, so each class is the
+        # canonical half of an orbit under +-S
+        classes = [
+            (rep, len(members)) for rep, members in orbit_partition(support, self._matrices)
+        ]
         pairs = [(i, j) for i in range(len(fields)) for j in range(i, len(fields))]
         keys = [(i, j, m) for i, j in pairs for m in orders]
         polys = [

@@ -2,11 +2,12 @@
 
 u_0(t) = e^{t Delta} u_*,  u_j(t) = sum_{l=0}^{j-1} Duhamel(P(u_l, u_{j-l-1})),
 
-computed either plainly (pair convolution over full supports) or with
-symmetry pruning: only one representative wave vector per orbit of the
-reduced symmetry group (extended by complex conjugation) is convolved, and
-the rest of the orbit is materialized through the coefficient-propagation
-identity.  Both paths produce symbolically identical coefficients.
+computed with symmetry pruning: only one representative wave vector per
+orbit of the reduced symmetry group (extended by complex conjugation) is
+convolved, and the rest of the orbit is materialized through the
+coefficient-propagation identity.  An unpruned expansion runs the same route
+under the trivial group, where every canonical mode is its own orbit and is
+propagated by the identity.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from .fields import (
     IntegerForm,
     TimeField,
     add_convolutions,
-    bilinear_P,
+    bilinear_P,  # not called here; bench/tracing.py wraps it by this name
     convolution_coefficient,
+    duhamel_mode,
     heat_apply,
     is_canonical,
     project_mode,
-    wave_norm_sq,
 )
 from .symmetry import (
     GroupElement,
@@ -85,6 +86,12 @@ class Expansion:
             "degree_t": max((p.degree_t() for p in polys), default=-1),
             "degree_exp": max((p.degree_exp() for p in polys), default=-1),
         }
+
+    @property
+    def group(self):
+        """The symmetry the coefficients are computed under: the trivial
+        group for an unpruned expansion."""
+        return self.symmetry or SymmetryData.trivial()
 
     def _orbit_count(self, u):
         if self.symmetry is None:
@@ -145,11 +152,6 @@ def _materialize_orbit(rep, rep_vec, members, routes, j):
     return coeffs
 
 
-def _duhamel_vec(k, vec):
-    ksq = wave_norm_sq(k)
-    return tuple(p.heat_convolve(ksq) for p in vec)
-
-
 def _sum_convolutions(fulls, pairs, k):
     """sum over (l, m) in pairs of the raw convolution of u_l, u_m at k;
     fulls holds the IntegerForm of each u_l."""
@@ -161,9 +163,11 @@ def _sum_convolutions(fulls, pairs, k):
     return add_convolutions(raws)
 
 
-def _bilinear_order_field(fulls, pairs, routes, j, heat=True, count=None):
-    """The field sum_{(l,m) in pairs} P(u_l, u_m), optionally Duhamel'd,
-    computed at orbit representatives only and propagated.  count, if
+def _bilinear_order_field(fulls, pairs, routes, j, tail=False, count=None):
+    """The field sum_{(l,m) in pairs} P(u_l, u_m), computed at orbit
+    representatives only and propagated.  Each representative is Duhamel'd
+    for a coefficient u_j, or negated for a residual tail; propagation is
+    linear, so that is the same as negating the whole field.  count, if
     given, is called with the terms of each orbit as it is added."""
     cand = set()
     for l, m in pairs:
@@ -173,33 +177,19 @@ def _bilinear_order_field(fulls, pairs, routes, j, heat=True, count=None):
         raw = _sum_convolutions(fulls, pairs, rep)
         if raw is None:
             continue
+        if tail:
+            # -acc/den = acc/(-den): each rational normalizes the sign
+            den, acc = raw
+            raw = (-den, acc)
         vec = project_mode(rep, raw)
         if _zero_vec(vec):
             continue
-        if heat:
-            vec = _duhamel_vec(rep, vec)
+        if not tail:
+            vec = duhamel_mode(rep, vec)
         orbit = _materialize_orbit(rep, vec, members, routes, j)
         coeffs.update(orbit)
         if count is not None:
             count(sum(_vec_terms(v) for v in orbit.values()))
-    return TimeField(coeffs, validate=False)
-
-
-def _bilinear_order_field_plain(coeff_fields, pairs, heat=True, count=None):
-    """The same field by full pair convolution; count, if given, is called
-    with the terms of each output mode as it is added."""
-    total = None
-    for l, m in pairs:
-        p = bilinear_P(coeff_fields[l], coeff_fields[m])
-        total = p if total is None else total + p
-    coeffs = {}
-    if total is not None:
-        for k, vec in total.coeffs.items():
-            if heat:
-                vec = _duhamel_vec(k, vec)
-            coeffs[k] = vec
-            if count is not None:
-                count(_vec_terms(vec))
     return TimeField(coeffs, validate=False)
 
 
@@ -216,11 +206,13 @@ def expand(
 
     datum is a TimeField with constant coefficients.  With use_symmetry the
     datum's symmetry group is discovered (or taken from the symmetry
-    argument) and the recursion only convolves orbit representatives.
+    argument) and the recursion only convolves orbit representatives;
+    without it, the recursion runs under the trivial group and .symmetry is
+    None.
 
     The running term count is checked against term_ceiling as each orbit
-    (pruned) or output mode (plain) of an order is added; past it,
-    ResourceLimitError is raised with the completed orders as .partial.
+    of an order is added; past it, ResourceLimitError is raised with the
+    completed orders as .partial.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -237,8 +229,8 @@ def expand(
     exp = Expansion(datum_id=datum_id, N=0, coeffs=coeffs, symmetry=sym, meta=meta)
     meta.append(exp.order_stats(0))
 
-    routes = _propagation_routes(sym) if sym is not None else None
-    fulls = [IntegerForm(u0)] if sym is not None else None
+    routes = _propagation_routes(exp.group)
+    fulls = [IntegerForm(u0)]
 
     def count(terms):
         nonlocal total_terms
@@ -253,11 +245,8 @@ def expand(
     for j in range(1, N + 1):
         t0 = time.monotonic()
         pairs = [(l, j - 1 - l) for l in range(j)]
-        if sym is not None:
-            uj = _bilinear_order_field(fulls, pairs, routes, j, heat=True, count=count)
-            fulls.append(IntegerForm(uj))
-        else:
-            uj = _bilinear_order_field_plain(coeffs, pairs, heat=True, count=count)
+        uj = _bilinear_order_field(fulls, pairs, routes, j, count=count)
+        fulls.append(IntegerForm(uj))
         coeffs.append(uj)
         exp.N = j
         stats = exp.order_stats(j)
@@ -278,17 +267,12 @@ def residual_tail(exp):
     if exp.tails is not None:
         return exp.tails
     N = exp.N
+    routes = _propagation_routes(exp.group)
+    fulls = [IntegerForm(u) for u in exp.coeffs]
     tails = []
-    if exp.symmetry is not None:
-        routes = _propagation_routes(exp.symmetry)
-        fulls = [IntegerForm(u) for u in exp.coeffs]
-        for j in range(N + 1, 2 * N + 2):
-            pairs = [(l, j - 1 - l) for l in range(j - N - 1, N + 1)]
-            tails.append(-_bilinear_order_field(fulls, pairs, routes, j, heat=False))
-    else:
-        for j in range(N + 1, 2 * N + 2):
-            pairs = [(l, j - 1 - l) for l in range(j - N - 1, N + 1)]
-            tails.append(-_bilinear_order_field_plain(exp.coeffs, pairs, heat=False))
+    for j in range(N + 1, 2 * N + 2):
+        pairs = [(l, j - 1 - l) for l in range(j - N - 1, N + 1)]
+        tails.append(_bilinear_order_field(fulls, pairs, routes, j, tail=True))
     exp.tails = tails
     return tails
 

@@ -29,6 +29,7 @@ __all__ = [
     "project_mode",
     "heat_apply",
     "heat_duhamel",
+    "duhamel_mode",
     "gram_poly",
     "gram_poly_orbits",
     "norm_sq_poly",
@@ -495,13 +496,13 @@ def add_convolutions(raws):
     return den, acc
 
 
-def bilinear_P(v, w, targets=None):
-    """P(v, w)_k = -i P_k sum_h [v_h . (k-h)] w_{k-h}, exact.
+def bilinear_P(v, w):
+    """P(v, w)_k = -i P_k sum_h [v_h . (k-h)] w_{k-h}, exact, over the full
+    (canonical) output support, by a pair loop over the two supports.
 
-    With targets=None the full (canonical) output support is computed by a
-    pair loop over the two supports.  With an explicit iterable of wave
-    vectors only those output coefficients are computed, which is what the
-    symmetry-pruned recursion uses.
+    The expansion computes the same sums per target wave vector
+    (convolution_coefficient, project_mode); this loop shares no convolution
+    code with it, which makes it the reference for the residual identity.
     """
     fv = IntegerForm(v)
     fw = fv if w is v else IntegerForm(w)
@@ -509,36 +510,23 @@ def bilinear_P(v, w, targets=None):
         return TimeField({}, validate=False)
 
     den = fv.den * fw.den
-    out = {}
-    if targets is None:
-        accs = {}
-        for h, vh in fv.modes.items():
-            for h2, wh2 in fw.modes.items():
-                k = (h[0] + h2[0], h[1] + h2[1], h[2] + h2[2])
-                if not is_canonical(k):
-                    # skips k = 0 (mean mode dropped) and the redundant half
-                    continue
-                s = _dot(vh, h2)
-                if not s:
-                    continue
-                acc = accs.get(k)
-                if acc is None:
-                    acc = accs[k] = ({}, {}, {})
-                _add_products(acc, s, wh2)
-        raws = ((k, (den, acc)) for k, acc in accs.items())
-    else:
-        raws = []
-        seen = set()
-        for kt in targets:
-            k = canonical_key(kt)
-            if k in seen or k == (0, 0, 0):
+    accs = {}
+    for h, vh in fv.modes.items():
+        for h2, wh2 in fw.modes.items():
+            k = (h[0] + h2[0], h[1] + h2[1], h[2] + h2[2])
+            if not is_canonical(k):
+                # skips k = 0 (mean mode dropped) and the redundant half
                 continue
-            seen.add(k)
-            raw = convolution_coefficient(fv, fw, k)
-            if raw is not None:
-                raws.append((k, raw))
-    for k, raw in raws:
-        proj = project_mode(k, raw)
+            s = _dot(vh, h2)
+            if not s:
+                continue
+            acc = accs.get(k)
+            if acc is None:
+                acc = accs[k] = ({}, {}, {})
+            _add_products(acc, s, wh2)
+    out = {}
+    for k, acc in accs.items():
+        proj = project_mode(k, (den, acc))
         if not (proj[0].is_zero() and proj[1].is_zero() and proj[2].is_zero()):
             out[k] = proj
     return TimeField(out, validate=False)
@@ -558,14 +546,16 @@ def heat_apply(v):
     return v.map_coeffs(fn)
 
 
+def duhamel_mode(k, vec):
+    """The Duhamel integral of the coefficient vec at wave vector k:
+    termwise heat-kernel convolution with e^{-|k|^2 t}."""
+    ksq = wave_norm_sq(k)
+    return (vec[0].heat_convolve(ksq), vec[1].heat_convolve(ksq), vec[2].heat_convolve(ksq))
+
+
 def heat_duhamel(v):
-    """int_0^t e^{(t-s) Delta} v(s) ds, termwise heat-kernel convolution."""
-
-    def fn(k, vec):
-        ksq = wave_norm_sq(k)
-        return tuple(p.heat_convolve(ksq) for p in vec)
-
-    return v.map_coeffs(fn)
+    """int_0^t e^{(t-s) Delta} v(s) ds, mode by mode."""
+    return v.map_coeffs(duhamel_mode)
 
 
 # -- Sobolev inner products ----------------------------------------------------------

@@ -37,7 +37,6 @@ def rational_from_string(s):
 
 
 def rational_to_string(q):
-    q = mpq(q)
     if q.denominator == 1:
         return str(q.numerator)
     return "%d/%d" % (q.numerator, q.denominator)
@@ -72,8 +71,13 @@ class GaussianRational:
     def __sub__(self, other):
         return _gr(self.re - other.re, self.im - other.im)
 
+    # Negation, conjugation and quarter turns pass a zero part through
+    # unchanged: shipped coefficients are purely real or purely imaginary,
+    # and a zero test is cheaper than negating a rational.
+
     def __neg__(self):
-        return _gr(-self.re, -self.im)
+        re, im = self.re, self.im
+        return _gr(-re if re else re, -im if im else im)
 
     def __mul__(self, other):
         # Zero-part shortcuts matter: for the shipped data every expansion
@@ -104,14 +108,17 @@ class GaussianRational:
         return _gr(self.re * q, self.im * q)
 
     def conj(self):
-        return _gr(self.re, -self.im)
+        im = self.im
+        return _gr(self.re, -im if im else im)
 
     def mul_i(self):
         """Multiply by the imaginary unit."""
-        return _gr(-self.im, self.re)
+        im = self.im
+        return _gr(-im if im else im, self.re)
 
     def mul_minus_i(self):
-        return _gr(self.im, -self.re)
+        re = self.re
+        return _gr(self.im, -re if re else re)
 
     def abs_sq(self):
         return self.re * self.re + self.im * self.im

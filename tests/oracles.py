@@ -8,7 +8,9 @@ over.  The assembly_* loops assemble the per-R estimator samples from
 sampled tables with mpf operators, the arithmetic EstimatorTables must
 reproduce to the bit.  The *_products routines form the bilinear term and
 the Gram sums as TimePoly products and sums of rationals, the reference for
-the integer kernels of reyex.fields.
+the integer kernels of reyex.fields.  assert_residual_identity checks an
+expansion and its tails against bilinear_P's pair loop, which shares no
+convolution code with the expansion.
 """
 
 import mpmath
@@ -16,6 +18,7 @@ import mpmath
 from reyex.expansion import residual_tail
 from reyex.fields import (
     TimeField,
+    bilinear_P,
     canonical_key,
     is_canonical,
     leray_project,
@@ -25,6 +28,30 @@ from reyex.fields import (
 )
 from reyex.rationals import GaussianRational, mpq
 from reyex.timepoly import DEFAULT_EVAL_PRECISION, TP_ZERO, TimePoly
+
+
+def assert_residual_identity(exp):
+    """Orders R^1..R^N of the residual of exp vanish symbolically and the
+    remaining orders R^{N+1}..R^{2N+1} equal its tail coefficients."""
+    N, u = exp.N, exp.coeffs
+
+    def bilinear_sum(j, ls):
+        total = None
+        for l in ls:
+            p = bilinear_P(u[l], u[j - 1 - l])
+            total = p if total is None else total + p
+        return total
+
+    # order zero solves the free heat equation
+    assert (u[0].derivative() - u[0].laplacian()).is_zero()
+    # per-order interior identity: du_j/dt - Lap u_j = sum_l P(u_l, u_{j-1-l})
+    for j in range(1, N + 1):
+        lhs = u[j].derivative() - u[j].laplacian()
+        assert (lhs - bilinear_sum(j, range(j))).is_zero(), j
+    # tails carry exactly the orders above N
+    tails = residual_tail(exp)
+    for idx, j in enumerate(range(N + 1, 2 * N + 2)):
+        assert tails[idx] == -bilinear_sum(j, range(j - N - 1, N + 1)), j
 
 
 def _as_mpq(R):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import assert_residual_identity
 
 import reyex.expansion
 from reyex.data import datum_bnw, datum_km, datum_tg
@@ -16,7 +17,7 @@ from reyex.expansion import (
     expand,
     residual_tail,
 )
-from reyex.fields import bilinear_P, heat_apply, leray_project, static_field
+from reyex.fields import heat_apply, leray_project, static_field
 from reyex.rationals import GaussianRational, mpq
 
 
@@ -54,6 +55,8 @@ def test_order_zero_is_the_heat_flow():
 
 
 def test_pruned_and_plain_agree_symbolically():
+    """Pruned and plain runs share one route, so the pruned expansion and its
+    tails are also checked against bilinear_P's pair loop."""
     for d, N in ((datum_bnw(), 3), (datum_tg(), 3)):
         pruned = expand(d.field, N, datum_id=d.name)
         plain = expand(d.field, N, use_symmetry=False, datum_id=d.name)
@@ -61,6 +64,7 @@ def test_pruned_and_plain_agree_symbolically():
             assert a == b
         for a, b in zip(residual_tail(pruned), residual_tail(plain)):
             assert a == b
+        assert_residual_identity(pruned)
 
 
 def test_pruned_expansion_propagates_each_stored_mode_once(monkeypatch):
@@ -84,26 +88,7 @@ def test_residual_identity_random_data(seed, N):
     """Orders R^1..R^N of the residual vanish symbolically and the remaining
     orders R^{N+1}..R^{2N+1} equal the tail coefficients."""
     u_star = random_two_mode_datum(seed)
-    exp = expand(u_star, N, use_symmetry=False)
-    u = exp.coeffs
-    # per-order interior identity: du_j/dt - Lap u_j = sum_l P(u_l, u_{j-1-l})
-    for j in range(1, N + 1):
-        lhs = u[j].derivative() - u[j].laplacian()
-        rhs = None
-        for l in range(j):
-            p = bilinear_P(u[l], u[j - 1 - l])
-            rhs = p if rhs is None else rhs + p
-        assert (lhs - rhs).is_zero(), j
-    # order zero solves the free heat equation
-    assert (u[0].derivative() - u[0].laplacian()).is_zero()
-    # tails carry exactly the orders above N
-    tails = residual_tail(exp)
-    for idx, j in enumerate(range(N + 1, 2 * N + 2)):
-        expected = None
-        for l in range(j - N - 1, N + 1):
-            p = bilinear_P(u[l], u[j - 1 - l])
-            expected = p if expected is None else expected + p
-        assert tails[idx] == -expected
+    assert_residual_identity(expand(u_star, N, use_symmetry=False))
 
 
 def test_initial_condition_of_higher_orders():
@@ -125,22 +110,16 @@ def test_term_ceiling_raises_with_partial_result(monkeypatch):
     assert isinstance(partial, Expansion)
     assert partial.N >= 1
 
-    # modes built, counted per path: one propagation per stored mode of a
-    # pruned order, one Duhamel integral per output mode of a plain one
+    # modes built: one propagation per stored mode of an order, pruned or
+    # plain
     built = []
     propagate = reyex.expansion.propagate_coefficient
-    duhamel = reyex.expansion._duhamel_vec
 
     def counted_propagate(coeff, k, g, sigma, j):
         built.append(j)
         return propagate(coeff, k, g, sigma, j)
 
-    def counted_duhamel(k, vec):
-        built.append(None)
-        return duhamel(k, vec)
-
     monkeypatch.setattr(reyex.expansion, "propagate_coefficient", counted_propagate)
-    monkeypatch.setattr(reyex.expansion, "_duhamel_vec", counted_duhamel)
     for use_symmetry in (True, False):
         full = expand(datum_bnw().field, 3, use_symmetry=use_symmetry, datum_id="bnw")
         ceiling = sum(s["terms"] for s in full.meta[:3])
@@ -153,10 +132,7 @@ def test_term_ceiling_raises_with_partial_result(monkeypatch):
         assert len(partial.coeffs) == 3 and len(partial.meta) == 3
         for a, b in zip(partial.coeffs, full.coeffs):
             assert a == b
-        if use_symmetry:
-            modes_built = built.count(3)
-        else:
-            modes_built = len(built) - sum(len(u.coeffs) for u in full.coeffs[1:3])
+        modes_built = built.count(3)
         assert 0 < modes_built < len(full.coeffs[3].coeffs)
 
 
