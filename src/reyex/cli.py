@@ -19,9 +19,9 @@ import mpmath
 from .control import (
     DEFAULT_BLOWUP_THRESHOLD,
     BracketError,
+    _verdict_record,
     classical_bounds,
     export_trajectory_csv,
-    export_verdict_json,
     find_critical_R,
     solve_control,
 )
@@ -35,7 +35,6 @@ from .estimators import (
     build_estimator_set,
     default_grid,
     export_csv,
-    parse_variant,
     variant_label,
 )
 from .expansion import (
@@ -45,6 +44,7 @@ from .expansion import (
     cache_load,
     cache_store,
     expand,
+    residual_tail,
 )
 from .symmetry import find_symmetries
 from .timepoly import DEFAULT_EVAL_PRECISION
@@ -109,8 +109,19 @@ def _load_cache(path):
         raise click.UsageError("cannot load cache %s: %s" % (path, exc))
 
 
-def _grid_from(points, t_max):
-    return default_grid(num=points, t_max=t_max)
+def _datum(selector):
+    try:
+        return get_datum(selector)
+    except (ValueError, OSError) as exc:
+        raise click.UsageError(str(exc))
+
+
+def _variant_option(ctx, param, value):
+    """Normalizes --variant to its label; an unknown variant is a usage error."""
+    try:
+        return variant_label(value)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc))
 
 
 @click.group()
@@ -134,10 +145,10 @@ def main(ctx, cache_root):
 @click.option("--precision", default=DEFAULT_EVAL_PRECISION, show_default=True)
 def cmd_norms(selector, orders, precision):
     """Print datum norms, scales, classical bounds and marked-mode size."""
+    datum = _datum(selector)
     try:
-        datum = get_datum(selector)
         order_list = [int(x) for x in orders.split(",") if x.strip()]
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc))
     click.echo("datum: %s" % datum.name)
     for m in order_list:
@@ -165,10 +176,7 @@ def cmd_norms(selector, orders, precision):
 @click.pass_context
 def cmd_expand(ctx, selector, N, symmetry, tails, term_ceiling, cache):
     """Compute the expansion u_0..u_N and store it as a cache directory."""
-    try:
-        datum = get_datum(selector)
-    except (ValueError, OSError) as exc:
-        raise click.UsageError(str(exc))
+    datum = _datum(selector)
     if N < 0:
         raise click.UsageError("--order must be >= 0")
     path = _cache_dir(cache, ctx.obj["cache_root"])
@@ -198,8 +206,6 @@ def cmd_expand(ctx, selector, N, symmetry, tails, term_ceiling, cache):
             progress=progress,
         )
         if tails:
-            from .expansion import residual_tail
-
             residual_tail(exp)
     except ResourceLimitError as exc:
         click.echo("error: %s" % exc, err=True)
@@ -215,10 +221,11 @@ def _common_estimator_args(f):
     f = click.option("--precision", default=DEFAULT_EVAL_PRECISION, show_default=True)(f)
     f = click.option("--t-max", default=20.0, show_default=True)(f)
     f = click.option("--grid-points", default=400, show_default=True)(f)
-    f = click.option("--variant", default="rough", show_default=True,
+    f = click.option("--variant", default="rough", show_default=True, callback=_variant_option,
                      help="tautological | rough | intermediate:M")(f)
     f = click.option("--n", "n", default=3, show_default=True, help="Sobolev order")(f)
     f = click.option("--constants", "constants_path", default=None,
+                     type=click.Path(exists=True, dir_okay=False),
                      help="JSON constants table")(f)
     f = click.option("--cache", required=True, help="Expansion cache directory.")(f)
     return f
@@ -234,9 +241,8 @@ def cmd_estimate(ctx, cache, constants_path, n, variant, grid_points, t_max, pre
     path = _cache_dir(cache, ctx.obj["cache_root"])
     exp = _load_cache(path)
     try:
-        parse_variant(variant)
         constants = _load_constants(constants_path)
-        grid = _grid_from(grid_points, t_max)
+        grid = default_grid(num=grid_points, t_max=t_max)
         est = build_estimator_set(
             exp, R, n, variant, grid=grid, precision=precision, constants=constants
         )
@@ -260,13 +266,13 @@ def cmd_control(ctx, cache, constants_path, n, variant, grid_points, t_max, prec
     exp = _load_cache(path)
     cfg = {
         "command": "control", "cache": path, "R": R, "n": n,
-        "variant": variant_label(variant), "grid_points": grid_points,
+        "variant": variant, "grid_points": grid_points,
         "t_max": t_max, "precision": precision, "blowup_threshold": blowup_threshold,
         "constants": constants_path,
     }
     try:
         constants = _load_constants(constants_path)
-        grid = _grid_from(grid_points, t_max)
+        grid = default_grid(num=grid_points, t_max=t_max)
         est = build_estimator_set(
             exp, R, n, variant, grid=grid, precision=precision, constants=constants
         )
@@ -277,11 +283,7 @@ def cmd_control(ctx, cache, constants_path, n, variant, grid_points, t_max, prec
         click.echo("numerical failure: %s" % exc, err=True)
         sys.exit(EXIT_NUMERICAL)
     export_trajectory_csv(traj, output_prefix + ".trajectory.csv")
-    record = {
-        "R": traj.R, "n": traj.n, "N": exp.N, "variant": traj.variant,
-        "verdict": traj.verdict, "T_c": traj.T_c, "diagnostics": traj.diagnostics,
-    }
-    _write_json(output_prefix + ".verdict.json", record, cfg)
+    _write_json(output_prefix + ".verdict.json", _verdict_record(traj, exp.N), cfg)
     click.echo("verdict: %s%s" % (traj.verdict, "" if traj.T_c is None else " T_c=%s" % _fmt(traj.T_c)))
 
 
@@ -299,8 +301,9 @@ def cmd_critical(ctx, cache, constants_path, n, variant, grid_points, t_max, pre
     """Bisect the critical Reynolds parameter between --lo and --hi."""
     path = _cache_dir(cache, ctx.obj["cache_root"])
     exp = _load_cache(path)
+    datum = None if selector is None else _datum(selector)
     cfg = {
-        "command": "critical", "cache": path, "n": n, "variant": variant_label(variant),
+        "command": "critical", "cache": path, "n": n, "variant": variant,
         "lo": lo, "hi": hi, "tol_r": tol_r, "grid_points": grid_points,
         "t_max": t_max, "precision": precision, "constants": constants_path,
         "datum": selector,
@@ -308,7 +311,7 @@ def cmd_critical(ctx, cache, constants_path, n, variant, grid_points, t_max, pre
     probe_log = []
     try:
         constants = _load_constants(constants_path)
-        grid = _grid_from(grid_points, t_max)
+        grid = default_grid(num=grid_points, t_max=t_max)
         r_lo, r_hi = find_critical_R(
             exp, n, variant, lo, hi, tol_R=tol_r, constants=constants,
             grid=grid, precision=precision, probe_log=probe_log,
@@ -325,11 +328,10 @@ def cmd_critical(ctx, cache, constants_path, n, variant, grid_points, t_max, pre
         "R_hi": r_hi,
         "N": exp.N,
         "n": n,
-        "variant": variant_label(variant),
+        "variant": variant,
         "probes": [{"R": r, "verdict": v, "T_c": tc} for r, v, tc in probe_log],
     }
-    if selector is not None:
-        datum = get_datum(selector)
+    if datum is not None:
         record["Rey_lo"] = float(physical_reynolds(datum, r_lo, precision))
         record["Rey_hi"] = float(physical_reynolds(datum, r_hi, precision))
     _write_json(output, record, cfg)
@@ -343,10 +345,7 @@ def cmd_critical(ctx, cache, constants_path, n, variant, grid_points, t_max, pre
 @click.pass_context
 def cmd_report(ctx, run_dir, selector, precision):
     """Summarize a run directory and emit the plot-panel CSVs."""
-    try:
-        datum = get_datum(selector)
-    except (ValueError, OSError) as exc:
-        raise click.UsageError(str(exc))
+    datum = _datum(selector)
     cache_path = os.path.join(run_dir, "cache")
     verdicts = sorted(
         f for f in (os.listdir(run_dir) if os.path.isdir(run_dir) else [])
@@ -405,10 +404,7 @@ def cmd_report(ctx, run_dir, selector, precision):
               type=click.Choice(["half", "quarter"]))
 def cmd_symmetry(selector, lattice):
     """Print the symmetry group sizes of a datum."""
-    try:
-        datum = get_datum(selector)
-    except (ValueError, OSError) as exc:
-        raise click.UsageError(str(exc))
+    datum = _datum(selector)
     sym = find_symmetries(datum.field, lattice=lattice)
     click.echo("|H+| = %d, |H-| = %d" % (len(sym.plus), len(sym.minus)))
     click.echo("reduced: |S+| = %d, |S-| = %d, coincide: %s"

@@ -26,8 +26,9 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from .estimators import EstimatorTables, build_estimator_set, pchip_scalar
+from .estimators import ConstantsTable, EstimatorTables, build_estimator_set, pchip_scalar
 from .fields import wave_norm_sq
+from .timepoly import DEFAULT_EVAL_PRECISION
 
 __all__ = [
     "ControlTrajectory",
@@ -194,8 +195,6 @@ def find_critical_R(
     R_hi.  An Inconclusive probe stops the refinement and the last certified
     bracket is returned (the tool must not overclaim near the transition).
     """
-    from .estimators import ConstantsTable
-
     if constants is None:
         constants = ConstantsTable()
     if not lo < hi:
@@ -287,9 +286,6 @@ def classical_bounds(datum, constants=None, precision=None):
     bound 1/(G_3 ||u||_3)) with their physical-Reynolds conversions
     Re = rey_factor * R.
     """
-    from .estimators import ConstantsTable
-    from .timepoly import DEFAULT_EVAL_PRECISION
-
     if constants is None:
         constants = ConstantsTable()
     if precision is None:
@@ -321,8 +317,8 @@ def export_trajectory_csv(traj, path):
             writer.writerow(["%.17g" % t, "%.17g" % v])
 
 
-def export_verdict_json(traj, path, N=None):
-    record = {
+def _verdict_record(traj, N):
+    return {
         "R": traj.R,
         "n": traj.n,
         "N": N,
@@ -331,6 +327,10 @@ def export_verdict_json(traj, path, N=None):
         "T_c": traj.T_c,
         "diagnostics": traj.diagnostics,
     }
+
+
+def export_verdict_json(traj, path, N=None):
+    record = _verdict_record(traj, N)
     with open(path, "w") as fh:
         json.dump(record, fh, indent=1)
     return record

@@ -24,6 +24,11 @@ probed during a bisection.  They are built in two steps:
                 rounded once.  t = 0 is exact, so Grams of fields that
                 vanish there are exact zeros.
 
+The per-R assembly forms what does not depend on R once per instance, on
+first read: the norm columns ||u_j||_m = sqrt((2 pi)^3 G_jj^m) for
+m in {n, n+1} and the rough columns sum_l ||u_l||_n ||u_{j-l-1}||_{n+1}.
+Each probe then adds weighted columns at every grid point in one loop.
+
 Floating point enters only in the sampling.  The bits each value loses to
 cancellation are measured there, and a value that would keep fewer than
 timepoly.GUARD_BITS is evaluated again at a higher precision;
@@ -36,6 +41,7 @@ import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import mpmath
 from mpmath.libmp import (
@@ -173,9 +179,8 @@ class EstimatorTables:
     their fields and sample them on the grid at the given precision, once
     each; they return dict[(i, j, m)] -> list of mpf over the grid.  Values
     at t = 0 are exact, and values that lose too many bits to cancellation
-    are evaluated again at a higher precision.  Assembling the per-R
-    estimator values afterwards is cheap arithmetic, so bisections reuse one
-    instance across all probed Reynolds parameters.
+    are evaluated again at a higher precision.  Each probed R then costs one
+    weighted sum of columns per grid point, so bisections reuse one instance.
 
     stats maps each table kind built so far ("coeff", "tail") to its
     build_s and eval_s (seconds for the exact build and the sampling), terms
@@ -192,6 +197,8 @@ class EstimatorTables:
         ):
             raise ValueError("grid must be strictly increasing and start at 0")
         self.precision = precision
+        with mpmath.workprec(precision):
+            self._vol = ((2 * mpmath.pi) ** 3)._mpf_
         self._matrices = list(negation_closure(exp.group.reduced_plus))
         self._coeff_tables = None
         self._tail_tables = None
@@ -237,25 +244,58 @@ class EstimatorTables:
         }
         return dict(zip(keys, values))
 
-    # -- per-R assembly; everything below returns lists of mpf over the grid --
+    # -- per-R assembly --------------------------------------------------------
     # The arithmetic is mpmath's own, done on the raw libmp values of the
     # tables at self.precision with rounding to nearest, as the mpf operators
-    # do it.
+    # do it.  Columns that do not depend on R are cached properties.
 
-    def _vol(self):
-        with mpmath.workprec(self.precision):
-            return ((2 * mpmath.pi) ** 3)._mpf_
+    @cached_property
+    def _norm_columns(self):
+        """||u_j||_m = sqrt(vol G_jj^m) over the grid by m in {n, n+1}, j = 0..N."""
+        tables = self.coeff_tables()
+        return {
+            m: [[self._norm(x._mpf_) for x in tables[(j, j, m)]] for j in range(self.exp.N + 1)]
+            for m in (self.n, self.n + 1)
+        }
+
+    @cached_property
+    def _rough_columns(self):
+        """c_j = sum_l ||u_l||_n ||u_{j-l-1}||_{n+1} over the grid, j = N+1..2N+1."""
+        N, prec, rnd = self.exp.N, self.precision, round_nearest
+        a, b = self._norm_columns[self.n], self._norm_columns[self.n + 1]
+        out = []
+        for j in range(N + 1, 2 * N + 2):
+            factors = [(a[l], b[j - l - 1]) for l in range(j - N - 1, N + 1)]
+            col = []
+            for ig in range(len(self.grid)):
+                inner = fzero
+                for x, y in factors:
+                    inner = mpf_add(inner, mpf_mul(x[ig], y[ig], prec, rnd), prec, rnd)
+                col.append(inner)
+            out.append(col)
+        return out
 
     def _powers(self, R, exponents):
         with mpmath.workprec(self.precision):
             Rf = mpmath.mpf(R)._mpf_
         return [mpf_pow_int(Rf, e, self.precision, round_nearest) for e in exponents]
 
-    def _norm(self, vol, x):
+    def _norm(self, x):
         """sqrt(vol * x), with tiny negatives (cancellation noise from exact
         zeros) clamped to 0."""
-        y = mpf_mul(vol, x, self.precision, round_nearest)
+        y = mpf_mul(self._vol, x, self.precision, round_nearest)
         return mpf_sqrt(y, self.precision, round_nearest) if y[1] and not y[0] else fzero
+
+    def _accumulate(self, weighted, start=None):
+        """start (or 0) plus w * col[ig] for each (w, col), in order, at each ig."""
+        prec = self.precision
+        out = []
+        for ig in range(len(self.grid)):
+            acc = fzero if start is None else start[ig]
+            for w, col in weighted:
+                acc = mpf_add(acc, mpf_mul(w, col[ig], prec, round_nearest), prec, round_nearest)
+            out.append(acc)
+        return out
 
     def _quadratic_form(self, tables, powers, m):
         """sqrt(vol * sum_{i,j} P_i P_j G_ij^m) over the grid for the powers
@@ -265,77 +305,33 @@ class EstimatorTables:
         for i in range(len(powers)):
             for j in range(i, len(powers)):
                 w = mpf_mul(powers[i], powers[j], prec, round_nearest)
-                weighted.append((w if i == j else mpf_shift(w, 1), tables[(i, j, m)]))
-        vol = self._vol()
-        out = []
-        for ig in range(len(self.grid)):
-            acc = fzero
-            for w, col in weighted:
-                acc = mpf_add(acc, mpf_mul(w, col[ig]._mpf_, prec, round_nearest), prec, round_nearest)
-            out.append(self._norm(vol, acc))
-        return out
+                col = [v._mpf_ for v in tables[(i, j, m)]]
+                weighted.append((w if i == j else mpf_shift(w, 1), col))
+        return [self._norm(x) for x in self._accumulate(weighted)]
 
     def growth_samples(self, R, m, variant):
         kind, M = parse_variant(variant)
-        if kind == "rough":
-            return self._growth_intermediate_samples(R, m, -1)
-        if kind == "tautological":
-            return self._growth_intermediate_samples(R, m, self.exp.N)
-        if M > self.exp.N:
+        N = self.exp.N
+        M = {"rough": -1, "tautological": N}.get(kind, M)
+        if M > N:
             raise ValueError("intermediate order M exceeds N")
-        return self._growth_intermediate_samples(R, m, M)
-
-    def _growth_intermediate_samples(self, R, m, M):
-        tables = self.coeff_tables()
-        prec = self.precision
-        Rpow = self._powers(R, range(self.exp.N + 1))
-        out = self._quadratic_form(tables, Rpow[: M + 1], m)
-        vol = self._vol()
-        for j in range(M + 1, self.exp.N + 1):
-            col = tables[(j, j, m)]
-            for ig, total in enumerate(out):
-                term = mpf_mul(Rpow[j], self._norm(vol, col[ig]._mpf_), prec, round_nearest)
-                out[ig] = mpf_add(total, term, prec, round_nearest)
-        return [mpmath.mp.make_mpf(v) for v in out]
+        Rpow = self._powers(R, range(N + 1))
+        head = self._quadratic_form(self.coeff_tables(), Rpow[: M + 1], m)
+        tail = [(Rpow[j], self._norm_columns[m][j]) for j in range(M + 1, N + 1)]
+        return [mpmath.mp.make_mpf(v) for v in self._accumulate(tail, head)]
 
     def error_samples(self, R, variant, constants):
         kind, _ = parse_variant(variant)
-        if kind == "tautological":
-            return self._error_tautological_samples(R)
-        return self._error_rough_samples(R, constants)
-
-    def _error_tautological_samples(self, R):
         N = self.exp.N
         Rpow = self._powers(R, range(N + 1, 2 * N + 2))
-        out = self._quadratic_form(self.tail_tables(), Rpow, self.n)
+        if kind == "tautological":
+            out = self._quadratic_form(self.tail_tables(), Rpow, self.n)
+        else:
+            with mpmath.workprec(self.precision):
+                Kf = mpmath.mpf(constants.K_of(self.n))._mpf_
+            total = self._accumulate(list(zip(Rpow, self._rough_columns)))
+            out = [mpf_mul(Kf, v, self.precision, round_nearest) for v in total]
         return [mpmath.mp.make_mpf(v) for v in out]
-
-    def _error_rough_samples(self, R, constants):
-        K = constants.K_of(self.n)
-        tables = self.coeff_tables()
-        N = self.exp.N
-        prec = self.precision
-        with mpmath.workprec(prec):
-            Kf = mpmath.mpf(K)._mpf_
-        Rpow = self._powers(R, range(2 * N + 2))
-        vol = self._vol()
-        cols_n = [tables[(j, j, self.n)] for j in range(N + 1)]
-        cols_n1 = [tables[(j, j, self.n + 1)] for j in range(N + 1)]
-        out = []
-        for ig in range(len(self.grid)):
-            norms_n = [self._norm(vol, col[ig]._mpf_) for col in cols_n]
-            norms_n1 = [self._norm(vol, col[ig]._mpf_) for col in cols_n1]
-            total = fzero
-            for j in range(N + 1, 2 * N + 2):
-                inner = fzero
-                for l in range(j - N - 1, N + 1):
-                    inner = mpf_add(
-                        inner, mpf_mul(norms_n[l], norms_n1[j - l - 1], prec, round_nearest),
-                        prec, round_nearest,
-                    )
-                total = mpf_add(total, mpf_mul(Rpow[j], inner, prec, round_nearest), prec, round_nearest)
-            out.append(mpmath.mp.make_mpf(mpf_mul(Kf, total, prec, round_nearest)))
-        return out
 
 
 # -- the per-R estimator set -----------------------------------------------------
@@ -438,7 +434,7 @@ def build_estimator_set(
     residual tails.  Pass a prebuilt EstimatorTables to share sampling work
     across R values.
     """
-    kind, M = parse_variant(variant)
+    variant = variant_label(variant)
     if constants is None:
         constants = ConstantsTable()
     if tables is None:
@@ -458,7 +454,7 @@ def build_estimator_set(
     est = EstimatorSet(
         R=float(R),
         n=n,
-        variant=variant_label(variant),
+        variant=variant,
         N=exp.N,
         grid=list(tables.grid),
         D_n=lower(D_n),

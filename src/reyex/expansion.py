@@ -230,7 +230,8 @@ def expand(
     meta.append(exp.order_stats(0))
 
     routes = _propagation_routes(exp.group)
-    fulls = [IntegerForm(u0)]
+    # the forms of u_0..u_{N-1}; the recursion never reads u_N's
+    fulls = []
 
     def count(terms):
         nonlocal total_terms
@@ -244,9 +245,9 @@ def expand(
 
     for j in range(1, N + 1):
         t0 = time.monotonic()
+        fulls.append(IntegerForm(coeffs[-1]))
         pairs = [(l, j - 1 - l) for l in range(j)]
         uj = _bilinear_order_field(fulls, pairs, routes, j, count=count)
-        fulls.append(IntegerForm(uj))
         coeffs.append(uj)
         exp.N = j
         stats = exp.order_stats(j)

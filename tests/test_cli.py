@@ -99,6 +99,33 @@ def test_estimate_bad_variant(runner, rundir, tmp_path):
     assert res.exit_code == 2
 
 
+PROBE_ARGS = {
+    "estimate": ["--R", "0.25", "--output"],
+    "control": ["--R", "0.25", "--output-prefix"],
+    "critical": ["--lo", "0.01", "--hi", "3.0", "--tol-r", "0.5", "--output"],
+}
+
+
+@pytest.mark.parametrize("command", ["control", "critical"])
+def test_bad_variant_is_a_usage_error(runner, rundir, tmp_path, command):
+    res = runner.invoke(main, [
+        command, "--cache", str(rundir / "cache"), "--variant", "bogus",
+        "--grid-points", "40", *PROBE_ARGS[command], str(tmp_path / "out"),
+    ])
+    assert res.exit_code == 2, res.output
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["estimate", "control", "critical"])
+def test_missing_constants_file_is_a_usage_error(runner, rundir, tmp_path, command):
+    res = runner.invoke(main, [
+        command, "--cache", str(rundir / "cache"), "--grid-points", "40",
+        "--constants", str(tmp_path / "nope.json"), *PROBE_ARGS[command], str(tmp_path / "out"),
+    ])
+    assert res.exit_code == 2, res.output
+    assert not list(tmp_path.iterdir())
+
+
 def test_estimate_missing_cache(runner, tmp_path):
     res = runner.invoke(main, [
         "estimate", "--cache", str(tmp_path / "nope"), "--R", "0.1",
@@ -150,6 +177,17 @@ def test_critical_bracket_json(runner, rundir, tmp_path):
     probes = {p["R"]: p["verdict"] for p in rec["probes"]}
     assert probes[rec["R_lo"]] == "GlobalDecay"
     assert probes[rec["R_hi"]] == "BlowUp"
+
+
+def test_critical_bad_datum_is_a_usage_error(runner, rundir, tmp_path):
+    out = tmp_path / "bracket.json"
+    res = runner.invoke(main, [
+        "critical", "--cache", str(rundir / "cache"), "--lo", "0.01", "--hi", "3.0",
+        "--tol-r", "0.5", "--grid-points", "80", "--datum", "nope",
+        "--output", str(out),
+    ])
+    assert res.exit_code == 2, res.output
+    assert not out.exists()
 
 
 def test_critical_bad_bracket(runner, rundir, tmp_path):

@@ -224,6 +224,26 @@ def test_assembly_matches_mpf_reference_to_the_bit(tables3, R):
     assert [v._mpf_ for v in got] == [v._mpf_ for v in assembly_error_rough(tables3, R, c)]
 
 
+def test_second_rough_probe_takes_no_square_root(bnw3, monkeypatch):
+    # the norm columns do not depend on R, so only the first probe forms them
+    import reyex.estimators
+
+    calls = []
+    sqrt = reyex.estimators.mpf_sqrt
+
+    def counting_sqrt(*args):
+        calls.append(args)
+        return sqrt(*args)
+
+    monkeypatch.setattr(reyex.estimators, "mpf_sqrt", counting_sqrt)
+    tables = EstimatorTables(bnw3, 3, grid=default_grid(40))
+    build_estimator_set(bnw3, 0.1, 3, "rough", tables=tables)
+    assert calls
+    calls.clear()
+    build_estimator_set(bnw3, 0.3, 3, "rough", tables=tables)
+    assert calls == []
+
+
 def test_tail_tables_vanish_exactly_at_time_zero(tables3):
     # u_j(0) = 0 for j >= 1, so every residual tail is 0 at t = 0
     assert all(vals[0] == 0 for vals in tables3.tail_tables().values())
