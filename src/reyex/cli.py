@@ -12,13 +12,13 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import click
 import mpmath
 
 from .control import (
     DEFAULT_BLOWUP_THRESHOLD,
-    BracketError,
     _verdict_record,
     classical_bounds,
     export_trajectory_csv,
@@ -27,8 +27,6 @@ from .control import (
 )
 from .data import get_datum, physical_reynolds
 from .estimators import (
-    DEFAULT_G3,
-    DEFAULT_K3,
     ConstantsTable,
     EstimatorTables,
     MissingConstantError,
@@ -88,12 +86,9 @@ def _load_constants(path):
             out[(int(p), int(n))] = float(v)
         return out
 
-    return ConstantsTable(
-        K=intkeys(raw.get("K", {"3": DEFAULT_K3})),
-        G=intkeys(raw.get("G", {"3": DEFAULT_G3})),
-        K_pn=pairkeys(raw.get("K_pn", {})),
-        G_pn=pairkeys(raw.get("G_pn", {})),
-    )
+    # only the sections the file holds, so the table's defaults fill the rest
+    parsers = {"K": intkeys, "G": intkeys, "K_pn": pairkeys, "G_pn": pairkeys}
+    return ConstantsTable(**{key: parse(raw[key]) for key, parse in parsers.items() if key in raw})
 
 
 def _cache_dir(cache, cache_root):
@@ -231,6 +226,30 @@ def _common_estimator_args(f):
     return f
 
 
+@contextmanager
+def _probe_errors():
+    """Usage errors of a probing command exit 2 (a BracketError is a
+    ValueError), a failed control integration exits 4."""
+    try:
+        yield
+    except (MissingConstantError, ValueError) as exc:
+        raise click.UsageError(str(exc))
+    except RuntimeError as exc:
+        click.echo("numerical failure: %s" % exc, err=True)
+        sys.exit(EXIT_NUMERICAL)
+
+
+def _probe_setup(ctx, cache, constants_path, n, grid_points, t_max, precision):
+    """The cache path, expansion, constants and EstimatorTables of a probing
+    command; the tables hold its grid and precision."""
+    path = _cache_dir(cache, ctx.obj["cache_root"])
+    exp = _load_cache(path)
+    with _probe_errors():
+        constants = _load_constants(constants_path)
+        tables = EstimatorTables(exp, n, default_grid(grid_points, t_max), precision)
+    return path, exp, constants, tables
+
+
 @main.command("estimate")
 @_common_estimator_args
 @click.option("--R", "R", required=True, type=float)
@@ -238,16 +257,11 @@ def _common_estimator_args(f):
 @click.pass_context
 def cmd_estimate(ctx, cache, constants_path, n, variant, grid_points, t_max, precision, R, output):
     """Sample the estimators D_n, D_{n+1}, eps_n on the grid and export CSV."""
-    path = _cache_dir(cache, ctx.obj["cache_root"])
-    exp = _load_cache(path)
-    try:
-        constants = _load_constants(constants_path)
-        grid = default_grid(num=grid_points, t_max=t_max)
-        est = build_estimator_set(
-            exp, R, n, variant, grid=grid, precision=precision, constants=constants
-        )
-    except (ValueError, MissingConstantError) as exc:
-        raise click.UsageError(str(exc))
+    _, exp, constants, tables = _probe_setup(
+        ctx, cache, constants_path, n, grid_points, t_max, precision
+    )
+    with _probe_errors():
+        est = build_estimator_set(exp, R, n, variant, constants=constants, tables=tables)
     export_csv(est, output)
     click.echo("estimator table written to %s" % output)
 
@@ -262,26 +276,18 @@ def cmd_estimate(ctx, cache, constants_path, n, variant, grid_points, t_max, pre
 def cmd_control(ctx, cache, constants_path, n, variant, grid_points, t_max, precision, R,
                 blowup_threshold, output_prefix):
     """Integrate the control problem for one Reynolds parameter."""
-    path = _cache_dir(cache, ctx.obj["cache_root"])
-    exp = _load_cache(path)
+    path, exp, constants, tables = _probe_setup(
+        ctx, cache, constants_path, n, grid_points, t_max, precision
+    )
     cfg = {
         "command": "control", "cache": path, "R": R, "n": n,
         "variant": variant, "grid_points": grid_points,
         "t_max": t_max, "precision": precision, "blowup_threshold": blowup_threshold,
         "constants": constants_path,
     }
-    try:
-        constants = _load_constants(constants_path)
-        grid = default_grid(num=grid_points, t_max=t_max)
-        est = build_estimator_set(
-            exp, R, n, variant, grid=grid, precision=precision, constants=constants
-        )
+    with _probe_errors():
+        est = build_estimator_set(exp, R, n, variant, constants=constants, tables=tables)
         traj = solve_control(est, constants, blowup_threshold=blowup_threshold)
-    except (MissingConstantError, ValueError) as exc:
-        raise click.UsageError(str(exc))
-    except RuntimeError as exc:
-        click.echo("numerical failure: %s" % exc, err=True)
-        sys.exit(EXIT_NUMERICAL)
     export_trajectory_csv(traj, output_prefix + ".trajectory.csv")
     _write_json(output_prefix + ".verdict.json", _verdict_record(traj, exp.N), cfg)
     click.echo("verdict: %s%s" % (traj.verdict, "" if traj.T_c is None else " T_c=%s" % _fmt(traj.T_c)))
@@ -299,8 +305,9 @@ def cmd_control(ctx, cache, constants_path, n, variant, grid_points, t_max, prec
 def cmd_critical(ctx, cache, constants_path, n, variant, grid_points, t_max, precision,
                  lo, hi, tol_r, selector, output):
     """Bisect the critical Reynolds parameter between --lo and --hi."""
-    path = _cache_dir(cache, ctx.obj["cache_root"])
-    exp = _load_cache(path)
+    path, exp, constants, tables = _probe_setup(
+        ctx, cache, constants_path, n, grid_points, t_max, precision
+    )
     datum = None if selector is None else _datum(selector)
     cfg = {
         "command": "critical", "cache": path, "n": n, "variant": variant,
@@ -309,20 +316,11 @@ def cmd_critical(ctx, cache, constants_path, n, variant, grid_points, t_max, pre
         "datum": selector,
     }
     probe_log = []
-    try:
-        constants = _load_constants(constants_path)
-        grid = default_grid(num=grid_points, t_max=t_max)
+    with _probe_errors():
         r_lo, r_hi = find_critical_R(
             exp, n, variant, lo, hi, tol_R=tol_r, constants=constants,
-            grid=grid, precision=precision, probe_log=probe_log,
+            tables=tables, probe_log=probe_log,
         )
-    except BracketError as exc:
-        raise click.UsageError(str(exc))
-    except (MissingConstantError, ValueError) as exc:
-        raise click.UsageError(str(exc))
-    except RuntimeError as exc:
-        click.echo("numerical failure: %s" % exc, err=True)
-        sys.exit(EXIT_NUMERICAL)
     record = {
         "R_lo": r_lo,
         "R_hi": r_hi,

@@ -78,7 +78,6 @@ class ControlTrajectory:
 def solve_control(
     est,
     constants,
-    t_max=None,
     blowup_threshold=DEFAULT_BLOWUP_THRESHOLD,
     rtol=DEFAULT_RTOL,
     atol=DEFAULT_ATOL,
@@ -91,11 +90,7 @@ def solve_control(
     """
     G = constants.G_of(est.n)
     K = constants.K_of(est.n)
-    R = est.R
-    if t_max is None:
-        t_max = est.t_max
-    if t_max > est.t_max:
-        raise ValueError("t_max beyond the sampled estimator range")
+    R, t_max = est.R, est.t_max
     Dn, Dn1, eps = est.D_n_f, est.D_n1_f, est.eps_n_f
 
     def rhs(t, y):
@@ -184,8 +179,6 @@ def find_critical_R(
     hi,
     tol_R=0.01,
     constants=None,
-    grid=None,
-    precision=None,
     tables=None,
     probe_log=None,
 ):
@@ -194,14 +187,16 @@ def find_critical_R(
     Returns (R_lo, R_hi) with a verified GlobalDecay at R_lo and BlowUp at
     R_hi.  An Inconclusive probe stops the refinement and the last certified
     bracket is returned (the tool must not overclaim near the transition).
+    tables, an EstimatorTables of exp at order n, fixes the grid and the
+    precision of every probe; without it, tables on the default grid and
+    precision are built.
     """
     if constants is None:
         constants = ConstantsTable()
     if not lo < hi:
         raise BracketError("need lo < hi, got [%s, %s]" % (lo, hi))
     if tables is None:
-        kwargs = {} if precision is None else {"precision": precision}
-        tables = EstimatorTables(exp, n, grid=grid, **kwargs)
+        tables = EstimatorTables(exp, n)
 
     def probe(R):
         est = build_estimator_set(exp, R, n, variant, constants=constants, tables=tables)
@@ -279,7 +274,7 @@ def coefficient_bound(traj, k, t):
     return traj.value(t) / ksq ** (traj.n / 2.0)
 
 
-def classical_bounds(datum, constants=None, precision=None):
+def classical_bounds(datum, constants=None, precision=DEFAULT_EVAL_PRECISION):
     """Closed-form global-existence thresholds for a static datum.
 
     Returns both R-thresholds (enstrophy-type 0.407/||u||_1 and the order-3
@@ -288,8 +283,6 @@ def classical_bounds(datum, constants=None, precision=None):
     """
     if constants is None:
         constants = ConstantsTable()
-    if precision is None:
-        precision = DEFAULT_EVAL_PRECISION
     G3 = constants.G_of(3)
     with mpmath.workprec(precision):
         n1 = datum.sobolev(1, precision)

@@ -129,23 +129,28 @@ class ConstantsTable:
             raise MissingConstantError("G_{%s,%s} not configured" % (p, n))
 
 
-def default_grid(num=400, t_max=20.0, t_split=0.5, t_first=1e-3):
-    """Time grid starting at 0: geometric on (0, t_split], uniform after.
+GRID_SPLIT = 0.5
+GRID_FIRST_STEP = 1e-3
+
+
+def default_grid(num=400, t_max=20.0):
+    """Time grid starting at 0: geometric on (0, GRID_SPLIT] from
+    GRID_FIRST_STEP, uniform after.
 
     The estimators vary fastest near t = 0 and decay exponentially later, so
-    half of the budget goes below t_split.
+    half of the budget goes below GRID_SPLIT.
     """
     if num < 4:
         raise ValueError("grid needs at least 4 points")
-    if not 0 < t_first < t_split < t_max:
-        raise ValueError("need 0 < t_first < t_split < t_max")
+    if not t_max > GRID_SPLIT:
+        raise ValueError("t_max must exceed %g" % GRID_SPLIT)
     n_geo = (num - 1) // 2
     n_lin = num - 1 - n_geo
-    ratio = (t_split / t_first) ** (1.0 / (n_geo - 1))
-    geo = [t_first * ratio**i for i in range(n_geo)]
-    geo[-1] = t_split
-    step = (t_max - t_split) / n_lin
-    lin = [t_split + step * (i + 1) for i in range(n_lin)]
+    ratio = (GRID_SPLIT / GRID_FIRST_STEP) ** (1.0 / (n_geo - 1))
+    geo = [GRID_FIRST_STEP * ratio**i for i in range(n_geo)]
+    geo[-1] = GRID_SPLIT
+    step = (t_max - GRID_SPLIT) / n_lin
+    lin = [GRID_SPLIT + step * (i + 1) for i in range(n_lin)]
     lin[-1] = t_max
     return [0.0] + geo + lin
 
@@ -156,15 +161,18 @@ def parse_variant(variant):
         kind, M = variant
         if kind != "intermediate":
             raise ValueError("tuple variants must be ('intermediate', M)")
-        return ("intermediate", int(M))
-    if variant in ("tautological", "rough"):
+    elif variant in ("tautological", "rough"):
         return (variant, None)
-    if isinstance(variant, str) and variant.startswith("intermediate"):
+    elif isinstance(variant, str) and variant.startswith("intermediate"):
         _, _, M = variant.partition(":")
         if not M:
             raise ValueError("intermediate variant needs an order, e.g. 'intermediate:5'")
-        return ("intermediate", int(M))
-    raise ValueError("unknown estimator variant %r" % (variant,))
+    else:
+        raise ValueError("unknown estimator variant %r" % (variant,))
+    M = int(M)
+    if M < 0:
+        raise ValueError("intermediate order M must be nonnegative, got %d" % M)
+    return ("intermediate", M)
 
 
 def variant_label(variant):
@@ -174,6 +182,9 @@ def variant_label(variant):
 
 class EstimatorTables:
     """Sampled Gram tables for one expansion on one grid.
+
+    The grid and the precision given here are the only probe configuration:
+    every estimator set built on these tables uses both.
 
     coeff_tables() and tail_tables() build the exact Gram polynomials of
     their fields and sample them on the grid at the given precision, once
@@ -416,29 +427,23 @@ class EstimatorSet:
         return self.grid[-1]
 
 
-def build_estimator_set(
-    exp,
-    R,
-    n,
-    variant="tautological",
-    grid=None,
-    precision=DEFAULT_EVAL_PRECISION,
-    constants=None,
-    tables=None,
-):
+def build_estimator_set(exp, R, n, variant="tautological", constants=None, tables=None):
     """Sample D_n, D_{n+1} and eps_n on the grid and wrap them as clamped
     monotone-cubic interpolants.
 
     The rough and intermediate variants use the rough error formula (the
     constant K_n must be configured); the tautological variant needs the
-    residual tails.  Pass a prebuilt EstimatorTables to share sampling work
-    across R values.
+    residual tails.  tables, an EstimatorTables of exp at order n, fixes the
+    grid and the precision and shares the sampling across R values; without
+    it, tables on the default grid and precision are built.
     """
     variant = variant_label(variant)
     if constants is None:
         constants = ConstantsTable()
     if tables is None:
-        tables = EstimatorTables(exp, n, grid=grid, precision=precision)
+        tables = EstimatorTables(exp, n)
+    elif tables.exp is not exp:
+        raise ValueError("tables were built on another expansion")
     elif tables.n != n:
         raise ValueError("tables were built for order %d, not %d" % (tables.n, n))
     if R < 0:

@@ -302,87 +302,79 @@ def _symmetry_from_payload(payload):
             out.append(GroupElement(S, tuple(row[3])))
         return frozenset(out)
 
-    plus = dec(payload["plus"])
-    minus = dec(payload["minus"])
-    return SymmetryData(
-        plus=plus,
-        minus=minus,
-        reduced_plus=frozenset(g.S for g in plus),
-        reduced_minus=frozenset(g.S for g in minus),
-    )
+    return SymmetryData(plus=dec(payload["plus"]), minus=dec(payload["minus"]))
 
 
-def _field_digest(field):
-    payload = json.dumps(field.to_payload(), sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()
+def _read_field(path, name, digests):
+    """Read and validate one field file, then check its bytes against the
+    manifest's digest."""
+    fpath = os.path.join(path, name)
+    try:
+        with open(fpath, "rb") as fh:
+            blob = fh.read()
+        field = TimeField.from_payload(json.loads(blob))
+    except (OSError, ValueError) as exc:
+        raise CacheError("invalid cache file %s: %s" % (fpath, exc)) from exc
+    if hashlib.sha256(blob).hexdigest() != digests.get(name):
+        raise CacheError("%s does not match its manifest digest" % (fpath,))
+    return field
+
+
+def _field_names(N, tails):
+    """The coefficient file names of an order-N cache, then its tail file
+    names if it has tails."""
+    names = ["u_%03d.json" % j for j in range(N + 1)]
+    if tails:
+        names += ["tail_%03d.json" % j for j in range(N + 1, 2 * N + 2)]
+    return names
 
 
 def cache_store(exp, path):
-    """Write an expansion to a cache directory; exact textual round trip."""
+    """Write an expansion to a cache directory; exact textual round trip.
+    The manifest records the sha256 of every coefficient and tail file."""
     os.makedirs(path, exist_ok=True)
+    fields = exp.coeffs + (exp.tails or [])
+    digests = {}
+    for j, (name, field) in enumerate(zip(_field_names(exp.N, exp.tails is not None), fields)):
+        text = json.dumps(field.to_payload(name=exp.datum_id, j=j))
+        with open(os.path.join(path, name), "w") as fh:
+            fh.write(text)
+        digests[name] = hashlib.sha256(text.encode()).hexdigest()
     manifest = {
         "format": CACHE_FORMAT,
         "datum_id": exp.datum_id,
         "N": exp.N,
         "symmetry": _symmetry_payload(exp.symmetry),
         "orders": exp.meta,
-        "datum_hash": _field_digest(exp.coeffs[0]),
         "has_tails": exp.tails is not None,
+        "digests": digests,
     }
-    for j, u in enumerate(exp.coeffs):
-        with open(os.path.join(path, "u_%03d.json" % j), "w") as fh:
-            json.dump(u.to_payload(name=exp.datum_id, j=j), fh)
-    if exp.tails is not None:
-        for i, tail in enumerate(exp.tails):
-            j = exp.N + 1 + i
-            with open(os.path.join(path, "tail_%03d.json" % j), "w") as fh:
-                json.dump(tail.to_payload(name=exp.datum_id, j=j), fh)
     with open(os.path.join(path, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=1)
     return manifest
 
 
 def cache_load(path):
-    """Load an expansion cache; re-validates every field invariant."""
+    """Load an expansion cache; re-validates every field invariant and
+    checks every field file against its manifest digest."""
     manifest_path = os.path.join(path, "manifest.json")
-    if not os.path.exists(manifest_path):
-        raise CacheError("no manifest.json in %s" % (path,))
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    try:
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise CacheError("unreadable manifest %s: %s" % (manifest_path, exc)) from exc
     if manifest.get("format") != CACHE_FORMAT:
         raise CacheError("unsupported cache format %r" % (manifest.get("format"),))
-    N = manifest["N"]
-    coeffs = []
-    for j in range(N + 1):
-        fpath = os.path.join(path, "u_%03d.json" % j)
-        try:
-            with open(fpath) as fh:
-                payload = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CacheError("unreadable cache file %s: %s" % (fpath, exc)) from exc
-        try:
-            coeffs.append(TimeField.from_payload(payload))
-        except ValueError as exc:
-            raise CacheError("invalid field in %s: %s" % (fpath, exc)) from exc
-    tails = None
-    if manifest.get("has_tails"):
-        tails = []
-        for j in range(N + 1, 2 * N + 2):
-            fpath = os.path.join(path, "tail_%03d.json" % j)
-            try:
-                with open(fpath) as fh:
-                    payload = json.load(fh)
-                tails.append(TimeField.from_payload(payload))
-            except (OSError, json.JSONDecodeError, ValueError) as exc:
-                raise CacheError("invalid tail in %s: %s" % (fpath, exc)) from exc
-    exp = Expansion(
+    digests = manifest.get("digests")
+    if not isinstance(digests, dict):
+        raise CacheError("manifest in %s has no file digests; re-run `reyex expand`" % (path,))
+    N, has_tails = manifest["N"], manifest.get("has_tails")
+    fields = [_read_field(path, name, digests) for name in _field_names(N, has_tails)]
+    return Expansion(
         datum_id=manifest.get("datum_id", ""),
         N=N,
-        coeffs=coeffs,
+        coeffs=fields[: N + 1],
         symmetry=_symmetry_from_payload(manifest.get("symmetry")),
         meta=manifest.get("orders", []),
-        tails=tails,
+        tails=fields[N + 1 :] if has_tails else None,
     )
-    if _field_digest(exp.coeffs[0]) != manifest.get("datum_hash"):
-        raise CacheError("datum hash mismatch; cache does not match its manifest")
-    return exp

@@ -142,12 +142,18 @@ def push_forward(g, v):
 @dataclass(frozen=True)
 class SymmetryData:
     """Symmetry group H+ and pseudo-symmetry set H- of a datum, with the
-    reduced (matrix-only) projections."""
+    reduced (matrix-only) projections derived from them."""
 
     plus: frozenset
     minus: frozenset
-    reduced_plus: frozenset
-    reduced_minus: frozenset
+
+    @property
+    def reduced_plus(self):
+        return frozenset(g.S for g in self.plus)
+
+    @property
+    def reduced_minus(self):
+        return frozenset(g.S for g in self.minus)
 
     @property
     def reduced_union(self):
@@ -165,13 +171,7 @@ class SymmetryData:
 
     @classmethod
     def trivial(cls):
-        e = identity_element()
-        return cls(
-            plus=frozenset([e]),
-            minus=frozenset(),
-            reduced_plus=frozenset([e.S]),
-            reduced_minus=frozenset(),
-        )
+        return cls(plus=frozenset([identity_element()]), minus=frozenset())
 
 
 _HALF_LATTICE = tuple(itertools.product((0, 2), repeat=3))
@@ -204,12 +204,7 @@ def find_symmetries(u, lattice="half"):
                 plus.append(g)
             elif pf == neg_u:
                 minus.append(g)
-    return SymmetryData(
-        plus=frozenset(plus),
-        minus=frozenset(minus),
-        reduced_plus=frozenset(g.S for g in plus),
-        reduced_minus=frozenset(g.S for g in minus),
-    )
+    return SymmetryData(plus=frozenset(plus), minus=frozenset(minus))
 
 
 def negation_closure(matrices):

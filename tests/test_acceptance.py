@@ -246,8 +246,8 @@ def test_criterion_10_production_scale():
             if not os.path.isdir(path):
                 continue
             exp = cache_load(path)
-            out = find_critical_R(exp, 3, "tautological", lo, hi,
-                                  tol_R=hi - lo, grid=default_grid())
+            out = find_critical_R(exp, 3, "tautological", lo, hi, tol_R=hi - lo,
+                                  tables=EstimatorTables(exp, 3, grid=default_grid()))
             assert out == (lo, hi), name
         _passline(10, "production brackets from supplied cache", t0, 86400)
     else:

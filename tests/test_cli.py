@@ -126,6 +126,45 @@ def test_missing_constants_file_is_a_usage_error(runner, rundir, tmp_path, comma
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["estimate", "control", "critical"])
+def test_negative_intermediate_order_is_a_usage_error(runner, rundir, tmp_path, command):
+    res = runner.invoke(main, [
+        command, "--cache", str(rundir / "cache"), "--variant", "intermediate:-1",
+        "--grid-points", "40", *PROBE_ARGS[command], str(tmp_path / "out"),
+    ])
+    assert res.exit_code == 2, res.output
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("bad", [
+    ["--t-max", "0.4"], ["--grid-points", "3"], ["--grid-points", "40", "--precision", "40"],
+])
+@pytest.mark.parametrize("command", ["estimate", "control", "critical"])
+def test_bad_grid_or_precision_is_a_usage_error(runner, rundir, tmp_path, command, bad):
+    res = runner.invoke(main, [
+        command, "--cache", str(rundir / "cache"), *bad,
+        *PROBE_ARGS[command], str(tmp_path / "out"),
+    ])
+    assert res.exit_code == 2, res.output
+    assert not list(tmp_path.iterdir())
+
+
+def test_constants_file_without_K_or_G_keeps_the_defaults(runner, rundir, tmp_path):
+    sections = {"K": {"3": 0.323}, "G": {"3": 0.438}, "K_pn": {"4,3": 0.5}}
+    outs = []
+    for name, raw in (("full", sections), ("bare", {"K_pn": sections["K_pn"]})):
+        cpath = tmp_path / (name + ".json")
+        cpath.write_text(json.dumps(raw))
+        prefix = str(tmp_path / name)
+        res = runner.invoke(main, [
+            "control", "--cache", str(rundir / "cache"), "--R", "0.25",
+            "--grid-points", "40", "--constants", str(cpath), "--output-prefix", prefix,
+        ])
+        assert res.exit_code == 0, res.output
+        outs.append((tmp_path / (name + ".trajectory.csv")).read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_estimate_missing_cache(runner, tmp_path):
     res = runner.invoke(main, [
         "estimate", "--cache", str(tmp_path / "nope"), "--R", "0.1",

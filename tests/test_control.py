@@ -15,7 +15,13 @@ from reyex.control import (
     solve_higher_order,
 )
 from reyex.data import datum_bnw, datum_km, datum_tg
-from reyex.estimators import ConstantsTable, EstimatorSet, build_estimator_set, default_grid
+from reyex.estimators import (
+    ConstantsTable,
+    EstimatorSet,
+    EstimatorTables,
+    build_estimator_set,
+    default_grid,
+)
 from reyex.expansion import expand
 
 
@@ -78,20 +84,25 @@ def bnw2():
     return expand(datum_bnw().field, 2, datum_id="bnw")
 
 
-def test_real_expansion_verdicts(bnw2):
+@pytest.fixture(scope="module")
+def tables2(bnw2):
+    return EstimatorTables(bnw2, 3, grid=GRID)
+
+
+def test_real_expansion_verdicts(bnw2, tables2):
     c = ConstantsTable()
-    lo = build_estimator_set(bnw2, 0.01, 3, "rough", grid=GRID, constants=c)
-    hi = build_estimator_set(bnw2, 3.0, 3, "rough", grid=GRID, constants=c)
+    lo = build_estimator_set(bnw2, 0.01, 3, "rough", constants=c, tables=tables2)
+    hi = build_estimator_set(bnw2, 3.0, 3, "rough", constants=c, tables=tables2)
     assert solve_control(lo, c).verdict == "GlobalDecay"
     traj = solve_control(hi, c)
     assert traj.verdict == "BlowUp"
     assert traj.T_c < 1.0
 
 
-def test_bisection_brackets_the_transition(bnw2):
+def test_bisection_brackets_the_transition(bnw2, tables2):
     log = []
     lo, hi = find_critical_R(bnw2, 3, "rough", 0.01, 3.0, tol_R=0.05,
-                             grid=GRID, probe_log=log)
+                             tables=tables2, probe_log=log)
     assert hi - lo <= 0.05
     assert 0.01 <= lo < hi <= 3.0
     verdicts = {r: v for r, v, _ in log}
@@ -99,15 +110,15 @@ def test_bisection_brackets_the_transition(bnw2):
     assert verdicts[hi] == "BlowUp"
 
 
-def test_bisection_rejects_bad_bracket(bnw2):
+def test_bisection_rejects_bad_bracket(bnw2, tables2):
     with pytest.raises(BracketError):
-        find_critical_R(bnw2, 3, "rough", 2.0, 3.0, tol_R=0.05, grid=GRID)
+        find_critical_R(bnw2, 3, "rough", 2.0, 3.0, tol_R=0.05, tables=tables2)
     with pytest.raises(BracketError):
-        find_critical_R(bnw2, 3, "rough", 1.0, 1.0, tol_R=0.05, grid=GRID)
+        find_critical_R(bnw2, 3, "rough", 1.0, 1.0, tol_R=0.05, tables=tables2)
 
 
-def test_bisection_wide_tolerance_returns_input_bracket(bnw2):
-    lo, hi = find_critical_R(bnw2, 3, "rough", 0.01, 3.0, tol_R=10.0, grid=GRID)
+def test_bisection_wide_tolerance_returns_input_bracket(bnw2, tables2):
+    lo, hi = find_critical_R(bnw2, 3, "rough", 0.01, 3.0, tol_R=10.0, tables=tables2)
     assert (lo, hi) == (0.01, 3.0)
 
 

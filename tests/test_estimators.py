@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.interpolate import PchipInterpolator
 
-from reyex.data import datum_bnw, datum_km
+from reyex.data import datum_bnw, datum_km, datum_tg
 from reyex.expansion import expand, residual_tail
 from reyex.estimators import (
     ConstantsTable,
@@ -80,6 +80,9 @@ def test_parse_variant():
     assert parse_variant(("intermediate", 2)) == ("intermediate", 2)
     with pytest.raises(ValueError):
         parse_variant("fancy")
+    for bad in ("intermediate:-1", "intermediate:-3", ("intermediate", -1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            parse_variant(bad)
 
 
 def test_growth_at_time_zero_is_the_datum_norm(bnw3):
@@ -311,7 +314,8 @@ def test_growth_variants_dominate_the_exact_norm(bnw3, tables3):
 def test_interpolant_reproduces_heat_decay_off_grid():
     d = datum_bnw()
     exp = expand(d.field, 0, datum_id="bnw")
-    est = build_estimator_set(exp, 0.0, 3, "rough", grid=default_grid(400))
+    tables = EstimatorTables(exp, 3, grid=default_grid(400))
+    est = build_estimator_set(exp, 0.0, 3, "rough", tables=tables)
     # single |k|^2 = 2 shell: ||u_0(t)||_3 = e^{-2t} ||u_*||_3
     base = float(d.sobolev(3))
     for t in (0.0731, 0.492, 3.17, 11.9):
@@ -330,6 +334,12 @@ def test_interpolant_never_negative(bnw3, tables3):
 def test_intermediate_requires_M_within_N(bnw3, tables3):
     with pytest.raises(ValueError):
         build_estimator_set(bnw3, 0.1, 3, "intermediate:7", tables=tables3)
+
+
+def test_tables_of_another_expansion_are_refused(bnw3, tables3):
+    other = expand(datum_tg().field, 1, datum_id="tg")
+    with pytest.raises(ValueError, match="another expansion"):
+        build_estimator_set(other, 0.1, 3, "rough", tables=tables3)
 
 
 def test_csv_export(bnw3, tables3, tmp_path):

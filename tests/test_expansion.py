@@ -194,6 +194,40 @@ def test_cache_rejects_divergent_mode(tmp_path):
         cache_load(path)
 
 
+def test_cache_rejects_divergence_free_tampering(tmp_path):
+    exp = expand(datum_bnw().field, 2, datum_id="bnw")
+    path = str(tmp_path / "cache")
+    cache_store(exp, path)
+    target = os.path.join(path, "u_002.json")
+    with open(target) as fh:
+        payload = json.load(fh)
+    # double every component of one mode: the field stays real, zero-mean
+    # and divergence-free, so only the digest can tell
+    mode = next(m for m in payload["modes"] if any(m["components"]))
+    for comp in mode["components"]:
+        for i, rec in enumerate(comp):
+            a, b, re, im = rec.split()
+            comp[i] = " ".join([a, b, str(2 * Fraction(re)), str(2 * Fraction(im))])
+    with open(target, "w") as fh:
+        json.dump(payload, fh)
+    with pytest.raises(CacheError, match="digest"):
+        cache_load(path)
+
+
+def test_cache_without_digests_is_refused(tmp_path):
+    exp = expand(datum_bnw().field, 0, datum_id="bnw")
+    path = str(tmp_path / "cache")
+    cache_store(exp, path)
+    mpath = os.path.join(path, "manifest.json")
+    with open(mpath) as fh:
+        manifest = json.load(fh)
+    del manifest["digests"]
+    with open(mpath, "w") as fh:
+        json.dump(manifest, fh)
+    with pytest.raises(CacheError, match="reyex expand"):
+        cache_load(path)
+
+
 def test_cache_rejects_unknown_format(tmp_path):
     exp = expand(datum_bnw().field, 0, datum_id="bnw")
     path = str(tmp_path / "cache")
@@ -211,3 +245,9 @@ def test_cache_rejects_unknown_format(tmp_path):
 def test_cache_missing_manifest(tmp_path):
     with pytest.raises(CacheError):
         cache_load(str(tmp_path / "nowhere"))
+
+
+def test_cache_rejects_corrupt_manifest(tmp_path):
+    (tmp_path / "manifest.json").write_text("{not json")
+    with pytest.raises(CacheError, match="unreadable manifest"):
+        cache_load(str(tmp_path))
