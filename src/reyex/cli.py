@@ -321,12 +321,17 @@ def cmd_critical(ctx, cache, constants_path, n, variant, grid_points, t_max, pre
             exp, n, variant, lo, hi, tol_R=tol_r, constants=constants,
             tables=tables, probe_log=probe_log,
         )
+    # the bisection stops early only at an Inconclusive probe, its last
+    last_R, last_verdict, _ = probe_log[-1]
+    stopped_at = last_R if last_verdict == "Inconclusive" else None
     record = {
         "R_lo": r_lo,
         "R_hi": r_hi,
         "N": exp.N,
         "n": n,
         "variant": variant,
+        "tol_met": r_hi - r_lo <= tol_r,
+        "stopped_at": stopped_at,
         "probes": [{"R": r, "verdict": v, "T_c": tc} for r, v, tc in probe_log],
     }
     if datum is not None:
@@ -334,6 +339,11 @@ def cmd_critical(ctx, cache, constants_path, n, variant, grid_points, t_max, pre
         record["Rey_hi"] = float(physical_reynolds(datum, r_hi, precision))
     _write_json(output, record, cfg)
     click.echo("bracket: (%s, %s)" % (_fmt(r_lo), _fmt(r_hi)))
+    if not record["tol_met"]:
+        click.echo(
+            "tolerance not met: width %s > --tol-r %s; stopped at the Inconclusive probe R = %s"
+            % (_fmt(r_hi - r_lo), _fmt(tol_r), _fmt(stopped_at))
+        )
 
 
 @main.command("report")

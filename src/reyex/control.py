@@ -11,6 +11,13 @@ order-N approximant is controlled mode by mode:
 finite time yields no conclusion beyond that time, and the critical Reynolds
 parameter is bracketed by bisection on the verdict.
 
+The problem is integrated by the Dormand-Prince RK5(4) pair with its quartic
+dense output (Dormand & Prince 1980; Hairer, Norsett & Wanner, Solving
+Ordinary Differential Equations I, II.4-5), in a loop on Python floats that
+takes the steps scipy's solve_ivp(method="RK45") takes: the same tableau,
+initial step, step-size control and terminal event at the blow-up
+threshold, located by Brent's method on the step's dense output.
+
 Verdicts are computer indications, not certified proofs: the integration is
 floating point over interpolated estimator tables.
 """
@@ -20,11 +27,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dc_field
 
 import mpmath
-import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from .estimators import ConstantsTable, EstimatorTables, build_estimator_set, pchip_scalar
 from .fields import wave_norm_sq
@@ -47,9 +54,192 @@ DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-14
 DECAY_FLOOR_FACTOR = 1e-6
 
+EPS = sys.float_info.epsilon
+
+# The Dormand-Prince tableau as scipy's RK45 holds it: the stage times C,
+# the stage weights A, the fifth-order weights B, the error weights E (fifth
+# minus fourth order, over the seven stages, the last being the derivative
+# at the step's end) and the dense-output matrix P.  The second stage has
+# zero weight in B, E and P.
+C2, C3, C4, C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+A21 = 1 / 5
+A31, A32 = 3 / 40, 9 / 40
+A41, A42, A43 = 44 / 45, -56 / 15, 32 / 9
+A51, A52, A53, A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+A61, A62, A63, A64, A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+B1, B3, B4, B5, B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+E1, E3, E4, E5, E6, E7 = (
+    -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40,
+)
+P = (  # rows for stages 1, 3, 4, 5, 6, 7
+    (1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+SAFETY = 0.9  # factor on the asymptotically optimal step
+MIN_FACTOR = 0.2  # the most a rejected step shrinks the next
+MAX_FACTOR = 10.0  # the most an accepted step grows the next
+ERROR_EXPONENT = -1 / 5  # the error estimate is of order 4
+
 
 class BracketError(ValueError):
     """The bisection endpoints do not straddle the critical parameter."""
+
+
+class _QuarticDense:
+    """The continuous solution: on each accepted step the quartic
+    y_old + h (Q_0 x + Q_1 x^2 + Q_2 x^3 + Q_3 x^4), x = (t - t_old) / h,
+    with Q = K P formed from the step's stages K at each evaluation.  Step i
+    serves t in (t_i, t_{i+1}], the first step also t_0."""
+
+    def __init__(self):
+        self.starts = []
+        self.steps = []  # (h, y_old, stages)
+
+    def append(self, t_old, h, y_old, stages):
+        self.starts.append(t_old)
+        self.steps.append((h, y_old, stages))
+
+    def step_value(self, i, t):
+        h, y_old, stages = self.steps[i]
+        Q = [sum(k * row[j] for k, row in zip(stages, P)) for j in range(4)]
+        x = (t - self.starts[i]) / h
+        x2 = x * x
+        x3 = x2 * x
+        return y_old + h * (Q[0] * x + Q[1] * x2 + Q[2] * x3 + Q[3] * (x3 * x))
+
+    def __call__(self, t):
+        i = min(max(bisect_left(self.starts, t) - 1, 0), len(self.steps) - 1)
+        return self.step_value(i, t)
+
+
+def _brentq(f, a, b, xtol=4 * EPS, rtol=4 * EPS, maxiter=100):
+    """A root of f in [a, b], where f changes sign: Brent's method as scipy's
+    brentq runs it, stopping when the bracket is below xtol + rtol |x|."""
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    xblk = fblk = spre = scur = 0.0
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise RuntimeError("no sign change in [%r, %r]" % (a, b))
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError("Brent's method did not converge in %d iterations" % (maxiter,))
+
+
+def _initial_step(rhs, t, y, f, t_bound, rtol, atol):
+    """The first step size (Hairer, Norsett & Wanner II.4), as scipy's
+    select_initial_step chooses it for an error estimate of order 4."""
+    interval = t_bound - t
+    scale = atol + abs(y) * rtol
+    d0, d1 = abs(y / scale), abs(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = rhs(t + h0, y + h0 * f)
+    d2 = abs((f1 - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval)
+
+
+def _dormand_prince(rhs, t_bound, threshold, rtol, atol):
+    """Integrate y' = rhs(t, y), y(0) = 0, over [0, t_bound] with a
+    terminal event where y crosses threshold upwards.
+
+    Returns (times, values, T_c, failed, dense, diagnostics): the accepted
+    step ends (the last one moved to T_c when the event fired), the
+    solution there, the event time or None, whether the step size fell
+    below 10 ulp(t), the dense output, and the counts of rejected
+    steps and right-hand-side evaluations.
+    """
+    t = y = 0.0
+    f = rhs(t, y)
+    h_abs = _initial_step(rhs, t, y, f, t_bound, rtol, atol)
+    evals, rejected = 2, 0
+    times, values, dense = [t], [y], _QuarticDense()
+    T_c, failed = None, False
+    while t < t_bound:
+        min_step = 10 * math.ulp(t)
+        h_abs = max(h_abs, min_step)
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                failed = True
+                break
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            k1 = f
+            k2 = rhs(t + C2 * h, y + (A21 * k1) * h)
+            k3 = rhs(t + C3 * h, y + (A31 * k1 + A32 * k2) * h)
+            k4 = rhs(t + C4 * h, y + (A41 * k1 + A42 * k2 + A43 * k3) * h)
+            k5 = rhs(t + C5 * h, y + (A51 * k1 + A52 * k2 + A53 * k3 + A54 * k4) * h)
+            k6 = rhs(t + h, y + (A61 * k1 + A62 * k2 + A63 * k3 + A64 * k4 + A65 * k5) * h)
+            y_new = y + h * (B1 * k1 + B3 * k3 + B4 * k4 + B5 * k5 + B6 * k6)
+            k7 = rhs(t + h, y_new)
+            evals += 6
+            scale = atol + max(abs(y), abs(y_new)) * rtol
+            error = (E1 * k1 + E3 * k3 + E4 * k4 + E5 * k5 + E6 * k6 + E7 * k7) * h
+            error_norm = abs(error / scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = MAX_FACTOR
+                else:
+                    factor = min(MAX_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
+                if step_rejected:
+                    factor = min(1.0, factor)
+                h_abs = h * factor
+                break
+            h_abs = h * max(MIN_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
+            step_rejected = True
+            rejected += 1
+        if failed:
+            break
+        dense.append(t, h, y, (k1, k3, k4, k5, k6, k7))
+        if y <= threshold <= y_new:
+            last = len(dense.steps) - 1
+            T_c = _brentq(lambda s: dense.step_value(last, s) - threshold, t, t_new)
+            times.append(T_c)
+            values.append(dense.step_value(last, T_c))
+            break
+        t, y, f = t_new, y_new, k7
+        times.append(t)
+        values.append(y)
+    return times, values, T_c, failed, dense, {"rejected_steps": rejected, "rhs_evals": evals}
 
 
 @dataclass
@@ -62,7 +252,7 @@ class ControlTrajectory:
     verdict: str  # GlobalDecay | BlowUp | Inconclusive
     T_c: float | None = None
     diagnostics: dict = dc_field(default_factory=dict)
-    _dense: object = None
+    _dense: object = dc_field(default=None, repr=False, compare=False)
 
     def value(self, t):
         """Interpolated R_n(t); only valid on the computed time range."""
@@ -71,8 +261,14 @@ class ControlTrajectory:
                 "t = %s outside the computed range [0, %s]" % (t, self.times[-1])
             )
         if self._dense is not None:
-            return max(float(self._dense(t)[0]), 0.0)
-        return max(float(np.interp(t, self.times, self.values)), 0.0)
+            return max(self._dense(t), 0.0)
+        # linear between the samples, as numpy's interp
+        xs, ys = self.times, self.values
+        i = bisect_right(xs, t) - 1
+        if i >= len(xs) - 1:
+            return max(ys[-1], 0.0)
+        slope = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
+        return max(slope * (t - xs[i]) + ys[i], 0.0)
 
 
 def solve_control(
@@ -86,64 +282,60 @@ def solve_control(
 
     GlobalDecay requires both a small terminal value and a decreasing trend
     over the final decade; BlowUp requires crossing the threshold with the
-    step size collapsing; anything else is Inconclusive.
+    step size collapsing; anything else is Inconclusive.  The diagnostics
+    count the accepted steps (num_steps), the rejected ones and the
+    right-hand-side evaluations.
     """
+    if not (rtol >= 100 * EPS and atol > 0):
+        raise ValueError("need rtol >= 100 eps and atol > 0, got %r and %r" % (rtol, atol))
     G = constants.G_of(est.n)
     K = constants.K_of(est.n)
-    R, t_max = est.R, est.t_max
-    Dn, Dn1, eps = est.D_n_f, est.D_n1_f, est.eps_n_f
+    R = est.R
+    RG = R * G
+    rates = est.rates
 
-    def rhs(t, y):
-        r = y[0]
-        return [-r + R * (G * Dn(t) + K * Dn1(t)) * r + R * G * r * r + eps(t)]
+    def rhs(t, r):
+        dn, dn1, eps = rates(t)
+        return -r + R * (G * dn + K * dn1) * r + RG * r * r + eps
 
-    def blow(t, y):
-        return y[0] - blowup_threshold
+    run = _dormand_prince(rhs, est.t_max, blowup_threshold, rtol, atol)
+    return _trajectory(est, *run, blowup_threshold=blowup_threshold, rtol=rtol, atol=atol)
 
-    blow.terminal = True
-    blow.direction = 1
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_max),
-        [0.0],
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-        events=blow,
-        dense_output=True,
-    )
-    if sol.status == -1 or not np.all(np.isfinite(sol.y)):
+def _trajectory(est, times, ys, T_c, failed, dense, counts, blowup_threshold, rtol, atol):
+    """The trajectory and verdict of an integration of est's control
+    problem, from what _dormand_prince returns."""
+    if failed or not all(math.isfinite(v) for v in ys):
         # integration failure this close to divergence is itself blow-up
         # evidence only when the state already exploded; otherwise report it
-        if not (len(sol.y[0]) and sol.y[0][-1] > blowup_threshold):
-            raise RuntimeError("control integration failed: %s" % (sol.message,))
-
-    times = list(sol.t)
-    values = [max(v, 0.0) for v in sol.y[0]]
-    steps = np.diff(sol.t)
+        if not (ys and ys[-1] > blowup_threshold):
+            raise RuntimeError(
+                "control integration failed: "
+                "required step size is less than spacing between numbers"
+            )
+    t_max = est.t_max
+    values = [max(v, 0.0) for v in ys]
+    steps = [b - a for a, b in zip(times, times[1:])]
     diagnostics = {
         "max_value": max(values),
         "last_value": values[-1],
         "last_time": times[-1],
         "num_steps": len(times) - 1,
-        "min_step": float(steps.min()) if len(steps) else None,
-        "final_step": float(steps[-1]) if len(steps) else None,
+        **counts,
+        "min_step": min(steps) if steps else None,
+        "final_step": steps[-1] if steps else None,
         "rtol": rtol,
         "atol": atol,
         "blowup_threshold": blowup_threshold,
     }
 
     verdict = "Inconclusive"
-    T_c = None
-    if sol.status == 1 and len(sol.t_events[0]):
-        T_c = float(sol.t_events[0][0])
+    if T_c is not None:
         # corroboration: the adaptive step must have collapsed approaching T_c
-        tail_steps = steps[-5:] if len(steps) >= 5 else steps
-        if len(tail_steps) and tail_steps.min() < 1e-3 * max(T_c, 1.0):
+        tail_steps = steps[-5:]
+        if tail_steps and min(tail_steps) < 1e-3 * max(T_c, 1.0):
             verdict = "BlowUp"
         else:
-            verdict = "Inconclusive"
             diagnostics["note"] = "threshold crossed without step collapse"
     else:
         # values below the solver's absolute tolerance are numerically zero
@@ -159,7 +351,7 @@ def solve_control(
             diagnostics["trend"] = "decreasing" if decreasing else "not decreasing"
 
     return ControlTrajectory(
-        R=float(R),
+        R=float(est.R),
         n=est.n,
         variant=est.variant,
         times=times,
@@ -167,7 +359,7 @@ def solve_control(
         verdict=verdict,
         T_c=T_c,
         diagnostics=diagnostics,
-        _dense=sol.sol,
+        _dense=dense,
     )
 
 
@@ -246,6 +438,8 @@ def solve_higher_order(est_p, traj_n, constants, times=None):
 
     def a_rate(s):
         return G_p * est_p.D_n_f(s) + K_p * est_p.D_n1_f(s) + G_pn * traj_n.value(s)
+
+    from scipy.integrate import quad
 
     # cumulative quadrature of the linear coefficient
     A = [0.0]

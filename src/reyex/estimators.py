@@ -53,7 +53,6 @@ from mpmath.libmp import (
     mpf_sqrt,
     round_nearest,
 )
-from scipy.interpolate import PchipInterpolator
 
 from .fields import gram_poly_orbits
 from .symmetry import negation_closure, orbit_partition
@@ -146,7 +145,7 @@ def default_grid(num=400, t_max=20.0):
         raise ValueError("t_max must exceed %g" % GRID_SPLIT)
     n_geo = (num - 1) // 2
     n_lin = num - 1 - n_geo
-    ratio = (GRID_SPLIT / GRID_FIRST_STEP) ** (1.0 / (n_geo - 1))
+    ratio = (GRID_SPLIT / GRID_FIRST_STEP) ** (1.0 / max(n_geo - 1, 1))
     geo = [GRID_FIRST_STEP * ratio**i for i in range(n_geo)]
     geo[-1] = GRID_SPLIT
     step = (t_max - GRID_SPLIT) / n_lin
@@ -347,21 +346,74 @@ class EstimatorTables:
 
 # -- the per-R estimator set -----------------------------------------------------
 
+LOG_FLOOR = 1e-300  # exact zeros enter the logarithm as this
+VALUE_FLOOR = 1e-290  # interpolated values at or below this are zero
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+def _pchip_edge_slope(h0, h1, m0, m1):
+    """The one-sided three-point derivative at an end, kept to the shape of
+    the data (scipy's PchipInterpolator._edge_case)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if _sign(d) != _sign(m0):
+        return 0.0
+    if _sign(m0) != _sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def pchip_coefficients(x, y):
+    """The coefficients of scipy's PchipInterpolator(x, y), the rows of its
+    .c as four lists over the intervals: c0 s^3 + c1 s^2 + c2 s + c3 with
+    s = t - x[i] on interval i.
+
+    The formulas and their order of operations are scipy's own (the
+    derivatives of PchipInterpolator._find_derivatives and _edge_case, then
+    the CubicHermiteSpline coefficients), done elementwise on floats, so the
+    lists equal scipy's bit for bit.
+    """
+    x = [float(v) for v in x]
+    y = [float(v) for v in y]
+    if len(x) != len(y) or len(x) < 2:
+        raise ValueError("need as many x as y, and at least two")
+    h = [b - a for a, b in zip(x, x[1:])]
+    if not all(hk > 0 for hk in h):
+        raise ValueError("x must be strictly increasing")
+    m = [(b - a) / hk for a, b, hk in zip(y, y[1:], h)]
+    if len(x) == 2:
+        d = [m[0], m[0]]
+    else:
+        d = [_pchip_edge_slope(h[0], h[1], m[0], m[1])]
+        for h0, h1, m0, m1 in zip(h, h[1:], m, m[1:]):
+            if _sign(m0) != _sign(m1) or m0 == 0 or m1 == 0:
+                d.append(0.0)
+            else:
+                # the weighted harmonic mean of the two slopes
+                w1, w2 = 2 * h1 + h0, h1 + 2 * h0
+                d.append(1.0 / ((w1 / m0 + w2 / m1) / (w1 + w2)))
+        d.append(_pchip_edge_slope(h[-1], h[-2], m[-1], m[-2]))
+    c0, c1 = [], []
+    for hk, mk, da, db in zip(h, m, d, d[1:]):
+        t = (da + db - 2 * mk) / hk
+        c0.append(t / hk)
+        c1.append((mk - da) / hk - t)
+    return c0, c1, d[:-1], y[:-1]
+
 
 def pchip_scalar(x, y):
-    """The PchipInterpolator of (x, y), without extrapolation, as a function
-    of one float.
+    """scipy's PchipInterpolator(x, y, extrapolate=False) as a function of
+    one float, bit-identical to it.
 
-    scipy fits the coefficients; the evaluation is scipy's own arithmetic
-    done in Python, so the values are bit-identical to the interpolator's at
-    a fraction of its per-call cost: the interval is half-open,
-    x[i] <= t < x[i+1], except the last, which is closed, and the cubic is
-    c3 + c2 s + c1 s^2 + c0 s^3 with s = t - x[i] and the powers s, s s,
-    (s s) s.  Outside [x[0], x[-1]] the value is nan.
+    The interval is half-open, x[i] <= t < x[i+1], except the last, which is
+    closed, and the cubic is c3 + c2 s + c1 s^2 + c0 s^3 with s = t - x[i]
+    and the powers s, s s, (s s) s, as scipy evaluates it.  Outside
+    [x[0], x[-1]] the value is nan.
     """
-    pp = PchipInterpolator(x, y, extrapolate=False)
-    xs = pp.x.tolist()
-    c0, c1, c2, c3 = pp.c.tolist()
+    c0, c1, c2, c3 = pchip_coefficients(x, y)
+    xs = [float(v) for v in x]
     lo, hi, last = xs[0], xs[-1], len(xs) - 2
 
     def f(t):
@@ -375,34 +427,19 @@ def pchip_scalar(x, y):
     return f
 
 
-def _clamped_pchip(grid, values):
-    """Monotone-shape-preserving positive interpolant.
-
-    The estimators decay exponentially, so the cubic is fitted to the
-    logarithm: a pure exponential is then reproduced exactly and the result
-    can never dip below zero between nodes.  Exact zeros are pushed to a
-    floor far below any meaningful estimator value.
-    """
-    floor = 1e-300
-    log_f = pchip_scalar(grid, [math.log(max(v, floor)) for v in values])
-    top = grid[-1]
-    first = max(values[0], 0.0)
-    last = max(values[-1], 0.0)
-
-    def f(t):
-        if t <= 0:
-            return first
-        if t >= top:
-            return last
-        v = math.exp(log_f(t))
-        return 0.0 if v <= 1e-290 else v
-
-    return f
-
-
 @dataclass
 class EstimatorSet:
-    """Sampled + interpolated (D_n, D_{n+1}, eps_n) for one Reynolds value."""
+    """Sampled + interpolated (D_n, D_{n+1}, eps_n) for one Reynolds value.
+
+    Each column is interpolated by the exponential of the PCHIP fit of its
+    logarithm.  The estimators decay exponentially, so a pure exponential
+    is reproduced exactly, and the interpolant is monotone between nodes and
+    never dips below zero.  Exact zeros enter the logarithm as LOG_FLOOR,
+    values at or below VALUE_FLOOR come out as zero, and outside the grid
+    the end samples (clamped at zero) hold.  rates(t) evaluates the three
+    columns together and finds t's grid interval once; D_n_f, D_n1_f and
+    eps_n_f are its columns.
+    """
 
     R: float
     n: int
@@ -413,14 +450,48 @@ class EstimatorSet:
     D_n1: list
     eps_n: list
     precision: int
-    D_n_f: object = None
-    D_n1_f: object = None
-    eps_n_f: object = None
+    _rows: list = dc_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.D_n_f = _clamped_pchip(self.grid, self.D_n)
-        self.D_n1_f = _clamped_pchip(self.grid, self.D_n1)
-        self.eps_n_f = _clamped_pchip(self.grid, self.eps_n)
+        columns = (self.D_n, self.D_n1, self.eps_n)
+        fits = [
+            pchip_coefficients(self.grid, [math.log(max(v, LOG_FLOOR)) for v in col])
+            for col in columns
+        ]
+        # per interval, each column's coefficients from the constant term up
+        self._rows = list(zip(*(c for c0, c1, c2, c3 in fits for c in (c3, c2, c1, c0))))
+        self._first = tuple(max(col[0], 0.0) for col in columns)
+        self._last = tuple(max(col[-1], 0.0) for col in columns)
+
+    def rates(self, t):
+        """(D_n(t), D_{n+1}(t), eps_n(t))."""
+        grid = self.grid
+        if t <= 0:
+            return self._first
+        if t >= grid[-1]:
+            return self._last
+        i = bisect_right(grid, t) - 1
+        s = t - grid[i]
+        ss = s * s
+        sss = ss * s
+        a3, a2, a1, a0, b3, b2, b1, b0, e3, e2, e1, e0 = self._rows[i]
+        a = math.exp(a3 + a2 * s + a1 * ss + a0 * sss)
+        b = math.exp(b3 + b2 * s + b1 * ss + b0 * sss)
+        e = math.exp(e3 + e2 * s + e1 * ss + e0 * sss)
+        return (
+            0.0 if a <= VALUE_FLOOR else a,
+            0.0 if b <= VALUE_FLOOR else b,
+            0.0 if e <= VALUE_FLOOR else e,
+        )
+
+    def D_n_f(self, t):
+        return self.rates(t)[0]
+
+    def D_n1_f(self, t):
+        return self.rates(t)[1]
+
+    def eps_n_f(self, t):
+        return self.rates(t)[2]
 
     @property
     def t_max(self):

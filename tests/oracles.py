@@ -10,11 +10,20 @@ reproduce to the bit.  The *_products routines form the bilinear term and
 the Gram sums as TimePoly products and sums of rationals, the reference for
 the integer kernels of reyex.fields.  assert_residual_identity checks an
 expansion and its tails against bilinear_P's pair loop, which shares no
-convolution code with the expansion.
+convolution code with the expansion.  solve_control_scipy integrates the
+control problem with scipy's solve_ivp, the reference for the Dormand-Prince
+loop of reyex.control.
 """
 
 import mpmath
+from scipy.integrate import solve_ivp
 
+from reyex.control import (
+    DEFAULT_ATOL,
+    DEFAULT_BLOWUP_THRESHOLD,
+    DEFAULT_RTOL,
+    _trajectory,
+)
 from reyex.expansion import residual_tail
 from reyex.fields import (
     TimeField,
@@ -471,3 +480,52 @@ def gram_poly_orbits_products(v, w, orders, orbit_classes):
                 acc[key] = weight * x if prev is None else prev + weight * x
         out.append(TimePoly({key: GaussianRational(x) for key, x in acc.items()}))
     return out
+
+
+def solve_control_scipy(
+    est,
+    constants,
+    blowup_threshold=DEFAULT_BLOWUP_THRESHOLD,
+    rtol=DEFAULT_RTOL,
+    atol=DEFAULT_ATOL,
+):
+    """solve_control with the integration done by scipy's RK45, with its
+    terminal event and dense output; the verdict rules are the library's."""
+    G = constants.G_of(est.n)
+    K = constants.K_of(est.n)
+    R, t_max = est.R, est.t_max
+    Dn, Dn1, eps = est.D_n_f, est.D_n1_f, est.eps_n_f
+
+    def rhs(t, y):
+        r = y[0]
+        return [-r + R * (G * Dn(t) + K * Dn1(t)) * r + R * G * r * r + eps(t)]
+
+    def blow(t, y):
+        return y[0] - blowup_threshold
+
+    blow.terminal = True
+    blow.direction = 1
+
+    sol = solve_ivp(
+        rhs,
+        (0.0, t_max),
+        [0.0],
+        method="RK45",
+        rtol=rtol,
+        atol=atol,
+        events=blow,
+        dense_output=True,
+    )
+    T_c = float(sol.t_events[0][0]) if sol.status == 1 and len(sol.t_events[0]) else None
+    return _trajectory(
+        est,
+        [float(t) for t in sol.t],
+        [float(v) for v in sol.y[0]],
+        T_c,
+        sol.status == -1,
+        lambda t: float(sol.sol(t)[0]),
+        {"rhs_evals": sol.nfev},
+        blowup_threshold=blowup_threshold,
+        rtol=rtol,
+        atol=atol,
+    )

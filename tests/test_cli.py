@@ -216,6 +216,34 @@ def test_critical_bracket_json(runner, rundir, tmp_path):
     probes = {p["R"]: p["verdict"] for p in rec["probes"]}
     assert probes[rec["R_lo"]] == "GlobalDecay"
     assert probes[rec["R_hi"]] == "BlowUp"
+    assert rec["tol_met"] is True
+    assert rec["stopped_at"] is None
+    assert "tolerance not met" not in res.output
+
+
+def test_critical_says_when_an_inconclusive_probe_stops_it(runner, rundir, tmp_path):
+    # on this grid the rough verdict is Inconclusive from about R = 0.03 to
+    # 0.07, so the third probe, at 0.07125, stops the bisection
+    out = tmp_path / "bracket.json"
+    res = runner.invoke(main, [
+        "critical", "--cache", str(rundir / "cache"), "--variant", "rough",
+        "--lo", "0.01", "--hi", "0.5", "--tol-r", "0.02", "--grid-points", "120",
+        "--t-max", "15", "--output", str(out),
+    ])
+    assert res.exit_code == 0, res.output
+    rec = json.loads(out.read_text())
+    hi = 0.5 * (0.01 + 0.5 * (0.01 + 0.5))
+    stop = 0.5 * (0.01 + hi)
+    assert (rec["R_lo"], rec["R_hi"]) == (0.01, hi)
+    assert rec["tol_met"] is False
+    assert rec["stopped_at"] == stop
+    assert rec["probes"][-1] == {"R": stop, "verdict": "Inconclusive", "T_c": None}
+    lines = res.output.splitlines()
+    assert lines[-2] == "bracket: (0.01, %.17g)" % hi
+    assert lines[-1] == (
+        "tolerance not met: width %.17g > --tol-r 0.02; stopped at the Inconclusive probe R = %.17g"
+        % (hi - 0.01, stop)
+    )
 
 
 def test_critical_bad_datum_is_a_usage_error(runner, rundir, tmp_path):

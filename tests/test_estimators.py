@@ -13,11 +13,13 @@ from reyex.estimators import (
     EstimatorTables,
     MissingConstantError,
     build_estimator_set,
+    EstimatorSet,
+    LOG_FLOOR,
     default_grid,
     export_csv,
     parse_variant,
+    pchip_coefficients,
     pchip_scalar,
-    _clamped_pchip,
 )
 from reyex.fields import sobolev_norm
 
@@ -72,6 +74,8 @@ def test_default_grid_shape():
     assert all(b > a for a, b in zip(g, g[1:]))
     # denser below the split point
     assert sum(1 for t in g if 0 < t <= 0.5) >= len(g) // 3
+    # the smallest grid: one geometric point, the split itself
+    assert default_grid(4, 2.0) == [0.0, 0.5, 1.25, 2.0]
 
 
 def test_parse_variant():
@@ -355,7 +359,7 @@ def test_csv_export(bnw3, tables3, tmp_path):
 
 def _clamped_pchip_reference(grid, values):
     # the interpolant evaluated by scipy itself
-    logs = [math.log(max(v, 1e-300)) for v in values]
+    logs = [math.log(max(v, LOG_FLOOR)) for v in values]
     interp = PchipInterpolator(grid, logs, extrapolate=False)
 
     def f(t):
@@ -387,9 +391,13 @@ def test_pchip_evaluators_are_bit_identical_to_scipy(steps, first, seed):
     for step, _ in steps:
         grid.append(grid[-1] + step)
     values = [first] + [v for _, v in steps]
-    got = _clamped_pchip(grid, values)
-    ref, interp = _clamped_pchip_reference(grid, values)
-    logs = [math.log(max(v, 1e-300)) for v in values]
+    # three different columns on one grid, evaluated together
+    columns = (values, values[::-1], values[1:] + values[:1])
+    est = EstimatorSet(R=0.1, n=3, variant="rough", N=1, grid=grid, D_n=columns[0],
+                       D_n1=columns[1], eps_n=columns[2], precision=256)
+    refs = [_clamped_pchip_reference(grid, col)[0] for col in columns]
+    interp = _clamped_pchip_reference(grid, values)[1]
+    logs = [math.log(max(v, LOG_FLOOR)) for v in values]
     scalar = pchip_scalar(grid, logs)
     rng = random.Random(seed)
     top = grid[-1]
@@ -400,7 +408,61 @@ def test_pchip_evaluators_are_bit_identical_to_scipy(steps, first, seed):
         + [top, -1.0, -1e-300, 0.0, top * (1 + 1e-12), top + 1.0]
     )
     for t in times:
-        assert got(t) == ref(t)
+        got = est.rates(t)
+        assert got == tuple(ref(t) for ref in refs)
+        assert (est.D_n_f(t), est.D_n1_f(t), est.eps_n_f(t)) == got
         want = float(interp(t))
         have = scalar(t)
         assert have == want or (math.isnan(have) and math.isnan(want))
+
+
+def _assert_scipy_coefficients(x, y):
+    got = pchip_coefficients(x, y)
+    assert [list(row) for row in got] == PchipInterpolator(x, y).c.tolist()
+
+
+def _log_columns(est):
+    return [[math.log(max(v, LOG_FLOOR)) for v in col] for col in (est.D_n, est.D_n1, est.eps_n)]
+
+
+def test_pchip_fit_equals_scipy_on_estimator_columns(bnw3, tables3, km2):
+    c = ConstantsTable()
+    km_tables = EstimatorTables(km2, 3, grid=default_grid(80))
+    cases = [(bnw3, tables3, variant, R) for variant in ("rough", "intermediate:1", "tautological")
+             for R in (0.0, 0.05, 0.3, 1.7)]
+    cases += [(km2, km_tables, "rough", R) for R in (0.0, 0.02, 0.2)]
+    for exp, tables, variant, R in cases:
+        est = build_estimator_set(exp, R, 3, variant, constants=c, tables=tables)
+        for logs in _log_columns(est):
+            _assert_scipy_coefficients(tables.grid, logs)
+
+
+@pytest.mark.parametrize("y", [
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],  # flat
+    [1.0, 1.0, 1.0, 2.0, 2.0, 3.0],  # flat runs between rises
+    [0.0, 1.0, 0.0, 1.0, 0.0, 1.0],  # the slope changes sign at every node
+    [3.0, 1.0, 2.0, 2.0, -1.0, 4.0],  # both, and a sign change at an end
+    [-1.0, 5.0, 4.9, 4.8, 20.0, 19.0],  # end slopes that the shape rule cuts
+    [1e-3, 1.0, 1e3, 1e6, 1e3, 1.0],
+])
+def test_pchip_fit_equals_scipy_on_flat_runs_and_sign_changes(y):
+    _assert_scipy_coefficients([0.0, 0.1, 0.35, 1.0, 1.5, 4.0], y)
+    _assert_scipy_coefficients([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], y[::-1])
+
+
+def test_pchip_fit_equals_scipy_with_exact_zeros():
+    grid = default_grid(40)
+    base = [math.exp(-2 * t) * (1 + t) for t in grid]
+    for zeros in ([0], [0, 1, 2], [5, 6], list(range(30, 40)), [0, 17, 39]):
+        values = [0.0 if i in zeros else v for i, v in enumerate(base)]
+        logs = [math.log(max(v, LOG_FLOOR)) for v in values]
+        _assert_scipy_coefficients(grid, logs)
+
+
+def test_pchip_fit_equals_scipy_on_four_points():
+    grid = default_grid(4)
+    assert len(grid) == 4
+    for y in ([0.0, 1.0, 0.5, 0.25], [2.0, 2.0, 1.0, 1e-300], [0.0, 0.0, 0.0, 1.0],
+              [math.log(v) for v in (1.0, 0.3, 0.2, 1e-9)]):
+        _assert_scipy_coefficients(grid, y)
+    _assert_scipy_coefficients([0.0, 1.0], [3.0, -1.0])  # two points: a line
