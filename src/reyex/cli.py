@@ -333,6 +333,7 @@ def cmd_critical(ctx, cache, constants_path, n, variant, grid_points, t_max, pre
         "tol_met": r_hi - r_lo <= tol_r,
         "stopped_at": stopped_at,
         "probes": [{"R": r, "verdict": v, "T_c": tc} for r, v, tc in probe_log],
+        "telemetry": tables.stats,
     }
     if datum is not None:
         record["Rey_lo"] = float(physical_reynolds(datum, r_lo, precision))

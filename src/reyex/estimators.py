@@ -24,15 +24,32 @@ probed during a bisection.  They are built in two steps:
                 rounded once.  t = 0 is exact, so Grams of fields that
                 vanish there are exact zeros.
 
-The per-R assembly forms what does not depend on R once per instance, on
-first read: the norm columns ||u_j||_m = sqrt((2 pi)^3 G_jj^m) for
-m in {n, n+1} and the rough columns sum_l ||u_l||_n ||u_{j-l-1}||_{n+1}.
-Each probe then adds weighted columns at every grid point in one loop.
+The per-R assembly is exact integer arithmetic.  Every sampled value is a
+dyadic mpf, so the values at one grid point are ints over one common power
+of two.  What does not depend on R is formed from them once per instance, on
+first use:
 
-Floating point enters only in the sampling.  The bits each value loses to
-cancellation are measured there, and a value that would keep fewer than
-timepoly.GUARD_BITS is evaluated again at a higher precision;
-EstimatorTables.stats records the loss and the cost.
+  forms         H_s = sum_{i+j=s} (2 - delta_ij) G_ij^m, s = 0..2M, summed
+                exactly over the pairs within 0..M (M = N for the
+                tautological variant, cached by M for intermediate:M), so a
+                quadratic form in the powers of R has 2M+1 columns instead
+                of (M+1)(M+2)/2;
+  norms         ||u_j||_m = sqrt((2 pi)^3 G_jj^m) for m in {n, n+1}, to the
+                tables' precision;
+  rough sums    sum_l ||u_l||_n ||u_{j-l-1}||_{n+1}.
+
+R and K_n are mpfs at the tables' precision, which for a float is exact,
+and equal p 2^e.  A probe computes the integer weights of the powers of R
+once, and each sample is one integer dot product over a row of columns,
+rounded to a float once and correctly (a square root through math.isqrt
+with a sticky bit).
+
+Rounding enters in the sampling, in (2 pi)^3 and the norms (at the tables'
+precision), and once per sample when it becomes a float.  The bits each
+sampled value loses to cancellation are measured, and a value that would
+keep fewer than timepoly.GUARD_BITS is evaluated again at a higher
+precision.  EstimatorTables.stats records the loss and the cost of the
+sampling and of the assembly.
 """
 
 from __future__ import annotations
@@ -41,18 +58,9 @@ import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from operator import mul
 
 import mpmath
-from mpmath.libmp import (
-    fzero,
-    mpf_add,
-    mpf_mul,
-    mpf_pow_int,
-    mpf_shift,
-    mpf_sqrt,
-    round_nearest,
-)
 
 from .fields import gram_poly_orbits
 from .symmetry import negation_closure, orbit_partition
@@ -190,12 +198,16 @@ class EstimatorTables:
     each; they return dict[(i, j, m)] -> list of mpf over the grid.  Values
     at t = 0 are exact, and values that lose too many bits to cancellation
     are evaluated again at a higher precision.  Each probed R then costs one
-    weighted sum of columns per grid point, so bisections reuse one instance.
+    integer dot product over columns formed once per instance at each grid
+    point, so bisections reuse one instance.
 
     stats maps each table kind built so far ("coeff", "tail") to its
     build_s and eval_s (seconds for the exact build and the sampling), terms
     (Gram terms over all tables), max_bits_lost, reevaluated (values
-    evaluated again) and max_precision (the highest precision used).
+    evaluated again) and max_precision (the highest precision used).  Once R
+    has been probed, stats["assembly"] holds probes (samples() calls),
+    seconds (their assembly time) and columns_s (the part of it spent
+    forming the columns that do not depend on R).
     """
 
     def __init__(self, exp, n, grid=None, precision=DEFAULT_EVAL_PRECISION):
@@ -208,10 +220,11 @@ class EstimatorTables:
             raise ValueError("grid must be strictly increasing and start at 0")
         self.precision = precision
         with mpmath.workprec(precision):
-            self._vol = ((2 * mpmath.pi) ** 3)._mpf_
+            self._vol = self._dyadic((2 * mpmath.pi) ** 3)
         self._matrices = list(negation_closure(exp.group.reduced_plus))
         self._coeff_tables = None
         self._tail_tables = None
+        self._columns = {}
         self.stats = {}
 
     def coeff_tables(self):
@@ -255,93 +268,194 @@ class EstimatorTables:
         return dict(zip(keys, values))
 
     # -- per-R assembly --------------------------------------------------------
-    # The arithmetic is mpmath's own, done on the raw libmp values of the
-    # tables at self.precision with rounding to nearest, as the mpf operators
-    # do it.  Columns that do not depend on R are cached properties.
+    # Integer dot products over columns formed once per instance (see the
+    # module docstring), each sample rounded to a float once.  The columns
+    # are kept in self._columns under a key naming what they hold.
 
-    @cached_property
-    def _norm_columns(self):
-        """||u_j||_m = sqrt(vol G_jj^m) over the grid by m in {n, n+1}, j = 0..N."""
-        tables = self.coeff_tables()
-        return {
-            m: [[self._norm(x._mpf_) for x in tables[(j, j, m)]] for j in range(self.exp.N + 1)]
-            for m in (self.n, self.n + 1)
-        }
-
-    @cached_property
-    def _rough_columns(self):
-        """c_j = sum_l ||u_l||_n ||u_{j-l-1}||_{n+1} over the grid, j = N+1..2N+1."""
-        N, prec, rnd = self.exp.N, self.precision, round_nearest
-        a, b = self._norm_columns[self.n], self._norm_columns[self.n + 1]
-        out = []
-        for j in range(N + 1, 2 * N + 2):
-            factors = [(a[l], b[j - l - 1]) for l in range(j - N - 1, N + 1)]
-            col = []
-            for ig in range(len(self.grid)):
-                inner = fzero
-                for x, y in factors:
-                    inner = mpf_add(inner, mpf_mul(x[ig], y[ig], prec, rnd), prec, rnd)
-                col.append(inner)
-            out.append(col)
+    def samples(self, R, variant, constants):
+        """(D_n, D_{n+1}, eps_n) over the grid as floats for one R, counted
+        in stats["assembly"].  Tables not yet sampled are sampled first, off
+        the assembly's clock."""
+        self.coeff_tables()
+        if parse_variant(variant)[0] == "tautological":
+            self.tail_tables()
+        start = time.perf_counter()
+        out = (
+            self.growth_samples(R, self.n, variant),
+            self.growth_samples(R, self.n + 1, variant),
+            self.error_samples(R, variant, constants),
+        )
+        record = self._assembly
+        record["probes"] += 1
+        record["seconds"] += time.perf_counter() - start
         return out
-
-    def _powers(self, R, exponents):
-        with mpmath.workprec(self.precision):
-            Rf = mpmath.mpf(R)._mpf_
-        return [mpf_pow_int(Rf, e, self.precision, round_nearest) for e in exponents]
-
-    def _norm(self, x):
-        """sqrt(vol * x), with tiny negatives (cancellation noise from exact
-        zeros) clamped to 0."""
-        y = mpf_mul(self._vol, x, self.precision, round_nearest)
-        return mpf_sqrt(y, self.precision, round_nearest) if y[1] and not y[0] else fzero
-
-    def _accumulate(self, weighted, start=None):
-        """start (or 0) plus w * col[ig] for each (w, col), in order, at each ig."""
-        prec = self.precision
-        out = []
-        for ig in range(len(self.grid)):
-            acc = fzero if start is None else start[ig]
-            for w, col in weighted:
-                acc = mpf_add(acc, mpf_mul(w, col[ig], prec, round_nearest), prec, round_nearest)
-            out.append(acc)
-        return out
-
-    def _quadratic_form(self, tables, powers, m):
-        """sqrt(vol * sum_{i,j} P_i P_j G_ij^m) over the grid for the powers
-        P_i, from the tables of i <= j; clamped like _norm."""
-        prec = self.precision
-        weighted = []
-        for i in range(len(powers)):
-            for j in range(i, len(powers)):
-                w = mpf_mul(powers[i], powers[j], prec, round_nearest)
-                col = [v._mpf_ for v in tables[(i, j, m)]]
-                weighted.append((w if i == j else mpf_shift(w, 1), col))
-        return [self._norm(x) for x in self._accumulate(weighted)]
 
     def growth_samples(self, R, m, variant):
+        """D_m = ||sum_{j<=M} R^j u_j||_m + sum_{j>M} R^j ||u_j||_m over the
+        grid as floats, with M = N for the tautological variant and -1 for
+        the rough one."""
         kind, M = parse_variant(variant)
         N = self.exp.N
         M = {"rough": -1, "tautological": N}.get(kind, M)
         if M > N:
             raise ValueError("intermediate order M exceeds N")
-        Rpow = self._powers(R, range(N + 1))
-        head = self._quadratic_form(self.coeff_tables(), Rpow[: M + 1], m)
-        tail = [(Rpow[j], self._norm_columns[m][j]) for j in range(M + 1, N + 1)]
-        return [mpmath.mp.make_mpf(v) for v in self._accumulate(tail, head)]
+        R = self._dyadic(R)
+        if M == N:
+            return [_to_float(r, g) for r, g in self._roots("coeff", m, M, R, 0, FLOAT_BITS)]
+        if M < 0:
+            heads = [(0, 0)] * len(self.grid)  # no head: sqrt(0)
+        else:
+            heads = self._roots("coeff", m, M, R, 0, self.precision)
+        w, s = _weights(*R, M + 1, N)
+        out = []
+        for (r, g), (f, norms) in zip(heads, self._norms()[m]):
+            t, f = sum(map(mul, w, norms[M + 1 :])), f + s
+            low = min(g, f)
+            out.append(_to_float((r << (g - low)) + (t << (f - low)), low))
+        return out
 
     def error_samples(self, R, variant, constants):
+        """eps_n over the grid as floats: ||sum_i R^(N+1+i) tail_i||_n for the
+        tautological variant, else K_n sum_{j=N+1}^{2N+1} R^j
+        sum_l ||u_l||_n ||u_{j-l-1}||_{n+1}."""
         kind, _ = parse_variant(variant)
         N = self.exp.N
-        Rpow = self._powers(R, range(N + 1, 2 * N + 2))
+        R = self._dyadic(R)
         if kind == "tautological":
-            out = self._quadratic_form(self.tail_tables(), Rpow, self.n)
-        else:
-            with mpmath.workprec(self.precision):
-                Kf = mpmath.mpf(constants.K_of(self.n))._mpf_
-            total = self._accumulate(list(zip(Rpow, self._rough_columns)))
-            out = [mpf_mul(Kf, v, self.precision, round_nearest) for v in total]
-        return [mpmath.mp.make_mpf(v) for v in out]
+            roots = self._roots("tail", self.n, N, R, 2 * N + 2, FLOAT_BITS)
+            return [_to_float(r, g) for r, g in roots]
+        k, ke = self._dyadic(constants.K_of(self.n))
+        w, s = _weights(*R, N + 1, 2 * N + 1)
+        return [_to_float(k * sum(map(mul, w, c)), ke + s + f) for f, c in self._rough()]
+
+    def _dyadic(self, x):
+        """(p, e) with p 2^e = mpf(x) at self.precision."""
+        with mpmath.workprec(self.precision):
+            sign, man, exp, _ = mpmath.mpf(x)._mpf_
+        return (-man if sign else man), exp
+
+    def _roots(self, kind, m, M, R, lo, bits):
+        """(r, g) at each grid point with r 2^g = sqrt(vol sum_s R^(lo+s) H_s)
+        over the forms of the pairs within 0..M, to bits bits (_sqrt_fixed)."""
+        w, s = _weights(*R, lo, lo + 2 * M)
+        v, ve = self._vol
+        return [
+            _sqrt_fixed(v * sum(map(mul, w, H)), ve + s + e, bits)
+            for e, H in self._forms(kind, m, M)
+        ]
+
+    @property
+    def _assembly(self):
+        return self.stats.setdefault("assembly", {"probes": 0, "seconds": 0.0, "columns_s": 0.0})
+
+    def _cached(self, key, build, *args):
+        """The columns named key, formed by build(*args) on first use and
+        timed into columns_s.  Callers form a build's inputs before the call,
+        so no two builds overlap in time."""
+        columns = self._columns.get(key)
+        if columns is None:
+            start = time.perf_counter()
+            columns = self._columns[key] = build(*args)
+            self._assembly["columns_s"] += time.perf_counter() - start
+        return columns
+
+    def _forms(self, kind, m, M):
+        tables = self.coeff_tables() if kind == "coeff" else self.tail_tables()
+        return self._cached(("forms", kind, m, M), _form_columns, tables, m, M)
+
+    def _norms(self):
+        return self._cached("norms", self._norm_columns, self.coeff_tables())
+
+    def _rough(self):
+        norms = self._norms()
+        return self._cached("rough", _rough_sums, norms[self.n], norms[self.n + 1], self.exp.N)
+
+    def _norm_columns(self, tables):
+        """||u_j||_m = sqrt(vol G_jj^m), j = 0..N, to self.precision bits, as
+        ints over one power of two per grid point: dict m -> list over the
+        grid of (f, [||u_0||_m 2^-f, ...])."""
+        v, ve = self._vol
+        out = {}
+        for m in (self.n, self.n + 1):
+            out[m] = column = []
+            for e, G in _int_rows([tables[(j, j, m)] for j in range(self.exp.N + 1)]):
+                roots = [_sqrt_fixed(v * x, ve + e, self.precision) for x in G]
+                f = min(g for _, g in roots)
+                column.append((f, [r << (g - f) for r, g in roots]))
+        return out
+
+
+FLOAT_BITS = 55  # 53 bits, a rounding bit and a sticky bit
+
+
+def _to_float(v, e):
+    """The float nearest v 2^e for ints v and e, ties to even; beyond the
+    largest float, an infinity (as mpmath's float conversion gives)."""
+    try:
+        return float(v << e) if e >= 0 else v / (1 << -e)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
+def _sqrt_fixed(v, e, bits):
+    """(r, g) with r 2^g = sqrt(v 2^e) to at least bits bits: r is the root
+    truncated to bits or more bits, with its lowest bit set when anything
+    was cut off (a sticky bit), so r rounds as the exact root does to any
+    width of at most bits - 2 bits.  v <= 0 gives (0, 0): tiny negatives
+    are cancellation noise of exact zeros."""
+    if v <= 0:
+        return 0, 0
+    shift = 2 * bits - v.bit_length()
+    shift += (e - shift) & 1
+    if shift >= 0:
+        x, cut = v << shift, 0
+    else:
+        x, cut = v >> -shift, v & ((1 << -shift) - 1)
+    r = math.isqrt(x)
+    if cut or r * r != x:
+        r |= 1
+    return r, (e - shift) >> 1
+
+
+def _weights(p, e, lo, hi):
+    """([w_lo, ..., w_hi], s) with (p 2^e)^j = w_j 2^s for j = lo..hi."""
+    if e > 0:
+        p, e = p << e, 0
+    return [p**j << (j - hi) * e for j in range(lo, hi + 1)], hi * e
+
+
+def _int_rows(columns):
+    """Columns of mpf values over the grid as ints over one power of two per
+    grid point: (e, [x 2^-e for each column's value x]) for each point in
+    turn.  Exact, since every mpf is a dyadic."""
+    for values in zip(*columns):
+        raw = [x._mpf_ for x in values]
+        e = min(x[2] for x in raw)  # a zero's exponent is 0
+        yield e, [(-man if sign else man) << (exp - e) for sign, man, exp, _ in raw]
+
+
+def _form_columns(tables, m, M):
+    """H_s = sum_{i+j=s} (2 - delta_ij) G_ij^m over the pairs within 0..M,
+    s = 0..2M, per grid point from tables (dict[(i, j, m)] -> mpf values
+    over the grid): list of (e, [H_0 2^-e, ..., H_2M 2^-e])."""
+    pairs = [(i, j) for i in range(M + 1) for j in range(i, M + 1)]
+    out = []
+    for e, G in _int_rows([tables[(i, j, m)] for i, j in pairs]):
+        H = [0] * (2 * M + 1)
+        for (i, j), g in zip(pairs, G):
+            H[i + j] += g if i == j else 2 * g
+        out.append((e, H))
+    return out
+
+
+def _rough_sums(a, b, N):
+    """c_j = sum_l a_l b_{j-l-1}, j = N+1..2N+1, per grid point from the norm
+    rows a (order n) and b (order n+1): list of (f, [c_{N+1}, ...])."""
+    js = range(N + 1, 2 * N + 2)
+    return [
+        (fa + fb, [sum(x[l] * y[j - l - 1] for l in range(j - N - 1, N + 1)) for j in js])
+        for (fa, x), (fb, y) in zip(a, b)
+    ]
 
 
 # -- the per-R estimator set -----------------------------------------------------
@@ -520,22 +634,16 @@ def build_estimator_set(exp, R, n, variant="tautological", constants=None, table
     if R < 0:
         raise ValueError("R must be nonnegative")
 
-    D_n = tables.growth_samples(R, n, variant)
-    D_n1 = tables.growth_samples(R, n + 1, variant)
-    eps = tables.error_samples(R, variant, constants)
-
-    def lower(vals):
-        return [float(v) for v in vals]
-
+    D_n, D_n1, eps = tables.samples(R, variant, constants)
     est = EstimatorSet(
         R=float(R),
         n=n,
         variant=variant,
         N=exp.N,
         grid=list(tables.grid),
-        D_n=lower(D_n),
-        D_n1=lower(D_n1),
-        eps_n=lower(eps),
+        D_n=D_n,
+        D_n1=D_n1,
+        eps_n=eps,
         precision=tables.precision,
     )
     _check_invariants(est, exp)

@@ -5,8 +5,8 @@ sample_gram_tables samples cross Gram tables by evaluating every mode of the
 full support on every grid point.  Both are slow and independent of the
 exact Gram route that EstimatorTables takes and of the orbit classes it sums
 over.  The assembly_* loops assemble the per-R estimator samples from
-sampled tables with mpf operators, the arithmetic EstimatorTables must
-reproduce to the bit.  The *_products routines form the bilinear term and
+sampled tables with 256-bit mpf operators; EstimatorTables' exact integer
+assembly must give their floats to the bit.  The *_products routines form the bilinear term and
 the Gram sums as TimePoly products and sums of rationals, the reference for
 the integer kernels of reyex.fields.  assert_residual_identity checks an
 expansion and its tails against bilinear_P's pair loop, which shares no

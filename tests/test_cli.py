@@ -4,7 +4,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
-from reyex.cli import main
+from reyex.cli import _manifest_hash, main
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +219,17 @@ def test_critical_bracket_json(runner, rundir, tmp_path):
     assert rec["tol_met"] is True
     assert rec["stopped_at"] is None
     assert "tolerance not met" not in res.output
+    # the tables' stats: the sampling of the one table kind the rough
+    # variant reads, then the assembly
+    telemetry = rec["telemetry"]
+    assert set(telemetry) == {"coeff", "assembly"}
+    assembly = telemetry["assembly"]
+    assert set(assembly) == {"probes", "seconds", "columns_s"}
+    assert assembly["probes"] == len(rec["probes"])
+    assert assembly["seconds"] > assembly["columns_s"] > 0
+    assert telemetry["coeff"]["terms"] > 0 and telemetry["coeff"]["eval_s"] > 0
+    # the run manifest hash covers the configuration only
+    assert rec["run_manifest_hash"] == _manifest_hash(rec["run_manifest"])
 
 
 def test_critical_says_when_an_inconclusive_probe_stops_it(runner, rundir, tmp_path):

@@ -1,5 +1,7 @@
 import math
 import random
+import struct
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -216,39 +218,155 @@ def test_exact_gram_tables_match_per_mode_oracle(request, which, kind):
             assert abs(a - b) <= 1e-40 * abs(b)
 
 
-@pytest.mark.parametrize("R", [0.0, 0.05, 0.1666, 0.3, 1.7])
-def test_assembly_matches_mpf_reference_to_the_bit(tables3, R):
+@pytest.fixture(scope="module")
+def assembly_tables(tables3, bnw3_plain, km2):
+    """Tables at n = 3 on an 80-point grid: bnw N=3 under its group and
+    without one, and km N=2 under its 48-matrix group."""
+    residual_tail(km2)
+    return [tables3] + [EstimatorTables(exp, 3, grid=default_grid(80)) for exp in (bnw3_plain, km2)]
+
+
+@pytest.mark.parametrize("R", [0.0, 0.05, 0.1666, 0.3, 1.7, 3.0])
+def test_assembly_matches_mpf_reference_to_the_bit(assembly_tables, R):
+    # the exact integer assembly, rounded once, gives the floats of the
+    # 256-bit mpf reference
     c = ConstantsTable()
-    N = tables3.exp.N
-    for m in (3, 4):
-        for variant, M in (("rough", -1), ("intermediate:1", 1), ("intermediate:2", 2),
-                           ("tautological", N)):
-            got = tables3.growth_samples(R, m, variant)
-            assert [v._mpf_ for v in got] == [v._mpf_ for v in assembly_growth(tables3, R, m, M)]
-    got = tables3.error_samples(R, "tautological", c)
-    assert [v._mpf_ for v in got] == [v._mpf_ for v in assembly_error_tautological(tables3, R)]
-    got = tables3.error_samples(R, "rough", c)
-    assert [v._mpf_ for v in got] == [v._mpf_ for v in assembly_error_rough(tables3, R, c)]
+
+    def floats(values):
+        return [float(v) for v in values]
+
+    for tables in assembly_tables:
+        N = tables.exp.N
+        variants = [("rough", -1), ("tautological", N)]
+        variants += [("intermediate:%d" % M, M) for M in range(N + 1)]
+        for m in (3, 4):
+            for variant, M in variants:
+                got = tables.growth_samples(R, m, variant)
+                assert got == floats(assembly_growth(tables, R, m, M)), (N, m, variant)
+        got = tables.error_samples(R, "tautological", c)
+        assert got == floats(assembly_error_tautological(tables, R)), N
+        got = tables.error_samples(R, "rough", c)
+        assert got == floats(assembly_error_rough(tables, R, c)), N
+
+
+def _round_to_float(compare, start):
+    """The float nearest an exact value v, ties to the even mantissa, by
+    exact comparisons: compare(q) is the sign of q - v for a Fraction q, and
+    start is a float near v."""
+    c = start
+
+    def mid(a, b):
+        return (Fraction(a) + Fraction(b)) / 2
+
+    while compare(mid(c, math.nextafter(c, math.inf))) < 0:
+        c = math.nextafter(c, math.inf)
+    while compare(mid(math.nextafter(c, -math.inf), c)) > 0:
+        c = math.nextafter(c, -math.inf)
+    for a, b in ((c, math.nextafter(c, math.inf)), (math.nextafter(c, -math.inf), c)):
+        if compare(mid(a, b)) == 0:
+            # a tie: the float whose last mantissa bit is 0
+            return a if struct.unpack("<q", struct.pack("<d", a))[0] & 1 == 0 else b
+    return c
+
+
+def _sign(q):
+    return (q > 0) - (q < 0)
+
+
+_halfway = st.integers(2**52, 2**53 - 1).map(lambda m: 2 * m + 1)  # 54 bits, halfway between floats
+_mantissas = st.one_of(
+    st.integers(-(2**300), 2**300),
+    st.integers(0, 300).map(lambda a: 1 << a),  # one-bit mantissas
+    _halfway,
+)
+# the value's binary order of magnitude: normal floats, subnormals, and
+# values that round to zero, reached through exponents down to about -1400
+_magnitudes = st.integers(-1200, 1023)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_mantissas, _magnitudes)
+def test_fixed_point_rounds_to_the_nearest_float(v, t):
+    from reyex.estimators import _to_float
+
+    e = t - v.bit_length()
+    x = v * Fraction(2) ** e
+    assert _to_float(v, e) == _round_to_float(lambda q: _sign(q - x), float(x))
+    # past the largest float
+    assert _to_float(v, e + 2300) == (0.0 if v == 0 else math.inf if v > 0 else -math.inf)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        _mantissas,
+        st.integers(1, 2**200).map(lambda s: s * s),  # exact squares
+        _halfway.map(lambda h: h * h),  # roots halfway between floats
+        # just above a root halfway between floats, the excess in the low
+        # bits of a long operand or in the root's own
+        st.tuples(_halfway, st.integers(0, 100), st.integers(1, 2**40)).map(
+            lambda p: (p[0] * p[0] << 2 * p[1]) + p[2]
+        ),
+        st.integers(-(2**80), 0),  # cancellation noise and zero clamp to 0.0
+    ),
+    st.integers(-1200, 1022),  # the root's binary order of magnitude
+    st.integers(0, 1),
+)
+def test_sticky_square_root_rounds_to_the_nearest_float(v, t, odd):
+    from reyex.estimators import FLOAT_BITS, _sqrt_fixed, _to_float
+
+    e = 2 * t - 2 * (v.bit_length() // 2) + odd
+    got = _to_float(*_sqrt_fixed(v, e, FLOAT_BITS))
+    if v <= 0:
+        assert got == 0.0
+        return
+    x = v * Fraction(2) ** e
+    # a start within an ulp or so of the root, from an integer square root
+    scale = 2 * (x.denominator.bit_length() + 80)
+    root = Fraction(math.isqrt(x.numerator * 2**scale // x.denominator), 2 ** (scale // 2))
+    assert got == _round_to_float(lambda q: _sign(q * q - x) if q > 0 else -1, float(root))
+    # at a working precision the root is within one unit of its last place
+    r, g = _sqrt_fixed(v, e, 256)
+    assert r.bit_length() >= 256
+    unit = Fraction(2) ** g
+    assert ((r - 1) * unit) ** 2 < x < ((r + 1) * unit) ** 2
 
 
 def test_second_rough_probe_takes_no_square_root(bnw3, monkeypatch):
-    # the norm columns do not depend on R, so only the first probe forms them
+    # the columns do not depend on R, so only the first probe forms them:
+    # the sampled values as ints, the norms (the square roots) and the
+    # rough inner sums
     import reyex.estimators
 
-    calls = []
-    sqrt = reyex.estimators.mpf_sqrt
+    calls, roots = [], []
+    build = reyex.estimators._int_rows
+    norms = EstimatorTables._norm_columns
 
-    def counting_sqrt(*args):
-        calls.append(args)
-        return sqrt(*args)
+    def counting_build(columns):
+        calls.append(columns)
+        return build(columns)
 
-    monkeypatch.setattr(reyex.estimators, "mpf_sqrt", counting_sqrt)
+    def counting_norms(self, tables):
+        roots.append(tables)
+        return norms(self, tables)
+
+    monkeypatch.setattr(reyex.estimators, "_int_rows", counting_build)
+    monkeypatch.setattr(EstimatorTables, "_norm_columns", counting_norms)
     tables = EstimatorTables(bnw3, 3, grid=default_grid(40))
     build_estimator_set(bnw3, 0.1, 3, "rough", tables=tables)
-    assert calls
-    calls.clear()
+    # the norms at orders n and n + 1
+    assert (len(calls), len(roots)) == (2, 1)
+    record = tables.stats["assembly"]
+    assert record["probes"] == 1 and record["columns_s"] > 0
+    columns_s = record["columns_s"]
     build_estimator_set(bnw3, 0.3, 3, "rough", tables=tables)
-    assert calls == []
+    assert (len(calls), len(roots)) == (2, 1)
+    # intermediate:1 forms its heads at both orders, once
+    build_estimator_set(bnw3, 0.3, 3, "intermediate:1", tables=tables)
+    build_estimator_set(bnw3, 0.2, 3, "intermediate:1", tables=tables)
+    assert (len(calls), len(roots)) == (4, 1)
+    assert record["probes"] == 4
+    assert record["seconds"] > record["columns_s"] > columns_s
 
 
 def test_tail_tables_vanish_exactly_at_time_zero(tables3):
@@ -333,6 +451,12 @@ def test_interpolant_never_negative(bnw3, tables3):
         t = 20.0 * i / 399
         assert est.eps_n_f(t) >= 0.0
         assert est.D_n_f(t) >= 0.0
+
+
+def test_samples_beyond_the_float_range_are_refused(bnw3, tables3):
+    # R^7 overflows a float: the samples are infinite, and refused
+    with pytest.raises(ValueError, match="invalid"):
+        build_estimator_set(bnw3, 1e100, 3, "rough", tables=tables3)
 
 
 def test_intermediate_requires_M_within_N(bnw3, tables3):
