@@ -19,10 +19,14 @@ probed during a bisection.  They are built in two steps:
                 symmetry group (fields.gram_poly_orbits);
   sampling      all Grams of one table kind are evaluated together
                 (timepoly.sample_real_polys): at each t > 0, e^{-t} and every
-                basis value t^a e^{-bt} are computed once and each value is
-                one exact integer dot product of mantissas against them,
-                rounded once.  t = 0 is exact, so Grams of fields that
-                vanish there are exact zeros.
+                basis value t^a e^{-bt} are computed once.  Each Gram sums
+                its coefficient mantissas against a window of them, just
+                wide enough for its own value, with a bound on what the
+                window drops.  Ziv's rounding test on that bound certifies
+                that the value, rounded once, is the rounding of the exact
+                full-width sum; where it cannot, the full-width sum is
+                formed.  t = 0 is exact, so Grams of fields that vanish
+                there are exact zeros.
 
 The per-R assembly is exact integer arithmetic.  Every sampled value is a
 dyadic mpf, so the values at one grid point are ints over one common power
@@ -204,7 +208,9 @@ class EstimatorTables:
     stats maps each table kind built so far ("coeff", "tail") to its
     build_s and eval_s (seconds for the exact build and the sampling), terms
     (Gram terms over all tables), max_bits_lost, reevaluated (values
-    evaluated again) and max_precision (the highest precision used).  Once R
+    evaluated again), max_precision (the highest precision used) and
+    fallbacks (values whose window failed the rounding test and were summed
+    at full width).  Once R
     has been probed, stats["assembly"] holds probes (samples() calls),
     seconds (their assembly time) and columns_s (the part of it spent
     forming the columns that do not depend on R).

@@ -13,18 +13,17 @@ evaluation.
 
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, inf
 
 import mpmath
 from mpmath.libmp import (
-    fone,
+    MPZ,
     from_float,
-    from_man_exp,
     from_rational,
     mpf_exp,
-    mpf_mul,
     mpf_neg,
     mpf_pow_int,
+    normalize,
     round_nearest,
 )
 
@@ -304,6 +303,11 @@ GUARD_ROUNDS = 4
 # units of the carried precision, so 32 bits keep it under 2^-8 units of the
 # target precision while b + products < 2^24, far beyond any expansion.
 POWER_GUARD = 32
+# Bits above the precision that the window of one poly keeps of its widest
+# basis value (_window_dot).  A value that loses to cancellation well under
+# this many bits passes the window's rounding test; the tail Grams of bnw at
+# N = 5 lose up to 188.  Values that fail it are summed at full width.
+WINDOW_GUARD = 192
 
 
 def _basis(keys, t, prec):
@@ -312,28 +316,52 @@ def _basis(keys, t, prec):
 
     e^{-t} is computed once; the powers of e^{-t} and of t are built by
     successive products over the sorted distinct exponents, each gap power
-    computed once."""
+    computed once, all at prec + POWER_GUARD bits.  Each basis value is
+    their product rounded to prec bits (_mul_round).
+
+    The shared power of two is that of the smallest value, so at large t
+    and b the integers are far wider than prec: each holds its value's prec
+    bits, shifted left by its distance in magnitude from the smallest
+    (about 9,100 bits at t = 20 for b from 22 to 328).  _window_dot reads
+    only the top of the ones a poly uses; _dot reads them whole."""
     wp = prec + POWER_GUARD
     tt = from_float(t)
 
     def powers(base, exps):
         out = {}
         gaps = {}
-        cur, prev = fone, 0
+        cur, prev = (1, 0), 0
         for e in sorted(exps):
             g = e - prev
             step = gaps.get(g)
             if step is None:
-                step = gaps[g] = mpf_pow_int(base, g, wp, round_nearest)
-            cur = out[e] = mpf_mul(cur, step, wp, round_nearest)
+                _, man, exp, _ = mpf_pow_int(base, g, wp, round_nearest)
+                step = gaps[g] = man, exp
+            cur = out[e] = _mul_round(cur, step, wp)
             prev = e
         return out
 
     tpow = powers(tt, {a for a, _ in keys})
     xpow = powers(mpf_exp(mpf_neg(tt), wp, round_nearest), {b for _, b in keys})
-    rounded = [mpf_mul(tpow[a], xpow[b], prec, round_nearest) for a, b in keys]
-    low = min((e for _, _, e, _ in rounded), default=0)
-    return [man << (e - low) for _, man, e, _ in rounded], low
+    rounded = [_mul_round(tpow[a], xpow[b], prec) for a, b in keys]
+    low = min((e for _, e in rounded), default=0)
+    return [man << (e - low) for man, e in rounded], low
+
+
+def _mul_round(x, y, prec):
+    """The product of the positive values x = (man, exp) and y rounded to prec
+    bits, to nearest with ties to even, as (man, exp); the mantissa may have
+    trailing zeros.  Rounding depends on the product alone, so the value is
+    that of mpf_mul at prec with round_nearest."""
+    man = x[0] * y[0]
+    exp = x[1] + y[1]
+    n = man.bit_length() - prec
+    if n <= 0:
+        return man, exp
+    half = man >> (n - 1)
+    if half & 1 and (half & 2 or man & ((1 << (n - 1)) - 1)):
+        return (half >> 1) + 1, exp + n
+    return half >> 1, exp + n
 
 
 def _coefficients(poly, prec, slots):
@@ -353,20 +381,73 @@ def _coefficients(poly, prec, slots):
     return pos, neg, low
 
 
+def _round_int(man, exp, prec):
+    """man 2^exp rounded to prec bits, to nearest with ties to even, as a
+    libmp tuple: from_man_exp(man, exp, prec, round_nearest), without its
+    slow bit count."""
+    man = MPZ(man)
+    if man < 0:
+        return normalize(1, -man, exp, (-man).bit_length(), prec, round_nearest)
+    return normalize(0, man, exp, man.bit_length(), prec, round_nearest)
+
+
 def _dot(coeffs, basis, prec):
     """The value sum c B rounded once to prec bits, as a libmp tuple, and the
     bits it lost to cancellation, mag(sum |c| B) - mag(sum c B), exact to
-    within one bit.  Both sums are exact integer sums of mantissa products.
-    B > 0 for t > 0, so sum |c| B bounds every partial sum and sets the scale
-    of the rounding error."""
+    within one bit.  B > 0 for t > 0, so sum |c| B bounds every partial sum
+    and sets the scale of the rounding error.
+
+    Both sums P = sum_{c > 0} c B and N = sum_{c < 0} |c| B are exact integer
+    sums of mantissa products over the full width of the basis.  This is
+    the reference every windowed value equals, and the fallback where a
+    window cannot certify it."""
     pos, neg, cexp = coeffs
     mans, bexp = basis
     p = sum(c * mans[slot] for slot, c in pos)
     n = sum(c * mans[slot] for slot, c in neg)
-    value = from_man_exp(p - n, cexp + bexp, prec, round_nearest)
+    value = _round_int(p - n, cexp + bexp, prec)
     if p == n:
         return value, prec if pos or neg else 0
-    total = from_man_exp(p + n, cexp + bexp, prec, round_nearest)
+    total = _round_int(p + n, cexp + bexp, prec)
+    return value, max(total[2] + total[3] - value[2] - value[3], 0)
+
+
+def _window_dot(coeffs, bound, basis, widths, prec):
+    """What _dot returns, summed over a window of the basis, or None where
+    the window cannot certify it.  bound is (slots, C+, C-): the basis slots
+    the poly reads and the sums of its positive and of its negative
+    coefficient integers; widths[i] is the bit length of basis integer i.
+
+    Window: the basis integers the poly reads are shifted right by
+    sh = widest - prec - WINDOW_GUARD, widest the largest of their widths,
+    so a product is about prec + WINDOW_GUARD bits by the coefficient's
+    width however wide the basis is.  Where sh <= 0 this is _dot.
+    Each shifted integer is low by less than one unit of 2^sh, so in those
+    units the exact P - N lies in [P_w - N_w - C-, P_w - N_w + C+] and
+    P + N in [P_w + N_w, P_w + N_w + C+ + C-].
+
+    Ziv's rounding test (A. Ziv, ACM TOMS 17(3), 1991): rounding is
+    monotone, so where both ends of the first interval round to the same
+    nonzero value, that is the rounding of the exact P - N; where both ends
+    of the second do, the magnitude the bits lost are measured against is
+    exact too.  Where either test fails, as at an exact zero or an exact
+    tie, the caller sums the value at full width.
+    """
+    slots, cpos, cneg = bound
+    sh = max(map(widths.__getitem__, slots), default=0) - prec - WINDOW_GUARD
+    if sh <= 0:
+        return _dot(coeffs, basis, prec)
+    pos, neg, cexp = coeffs
+    mans, bexp = basis
+    p = sum(c * (mans[slot] >> sh) for slot, c in pos)
+    n = sum(c * (mans[slot] >> sh) for slot, c in neg)
+    e = cexp + bexp + sh
+    value = _round_int(p - n - cneg, e, prec)
+    if not value[1] or value != _round_int(p - n + cpos, e, prec):
+        return None
+    total = _round_int(p + n, e, prec)
+    if total != _round_int(p + n + cpos + cneg, e, prec):
+        return None
     return value, max(total[2] + total[3] - value[2] - value[3], 0)
 
 
@@ -385,28 +466,45 @@ def _reevaluate(poly, t, prec, lost, keep):
 
 
 def sample_real_polys(polys, grid, precision=DEFAULT_EVAL_PRECISION):
-    """Values of real-coefficient polys on a time grid.
+    """Values of real-coefficient polys on a time grid of finite t >= 0.
 
     Returns (values, report): values[i] is the list of mpf values of polys[i]
-    over the grid.  At each t > 0, e^{-t} and every basis value
-    B_{a,b}(t) = t^a e^{-bt} the batch uses are computed once, and each value
-    is the exact sum of its rounded coefficients times the rounded basis
-    values, rounded once.  t = 0 is exact: B_{a,b}(0) = [a == 0], so the
-    value is the rational sum of the a = 0 coefficients, rounded once.
+    over the grid.  Each value is the exact sum of its rounded coefficients
+    times the rounded basis values, rounded once.  t = 0 is exact:
+    B_{a,b}(0) = [a == 0], so the value is the rational sum of the a = 0
+    coefficients, rounded once.
+
+    At each t > 0, e^{-t} and every basis value B_{a,b}(t) = t^a e^{-bt} the
+    batch uses are computed once (_basis).  Each poly then sums only a
+    window of them, just wide enough for its own value, and Ziv's rounding
+    test on the window's error bound certifies that the rounded value and
+    the bits lost equal those of the full-width sum (_window_dot).  Where
+    the test fails, or the value is zero, the value is summed again at full
+    width (_dot), so every value is bit for bit the full-width one.
 
     The bits each value loses to cancellation are measured in the same pass.
     Where fewer than GUARD_BITS would survive (or the precision, if lower),
     the value is evaluated again at precision + the bits lost.  report holds
-    max_bits_lost, reevaluated (the number of values re-evaluated) and
-    max_precision (the highest precision used).
+    max_bits_lost, reevaluated (the number of values re-evaluated),
+    max_precision (the highest precision used) and fallbacks (the number of
+    values whose window failed the test and were summed at full width).
     """
     if precision < 53:
         raise ValueError("precision must be at least 53 bits")
+    grid = list(grid)
+    if not all(0 <= t < inf for t in grid):
+        # the window's error bound needs every basis value B > 0
+        raise ValueError("grid points must be finite and nonnegative")
     keep = min(GUARD_BITS, precision)
     keys = sorted({key for p in polys for key in p.terms})
     slot = {key: i for i, key in enumerate(keys)}
-    coeffs = [_coefficients(p, precision, [slot[key] for key in p.terms]) for p in polys]
-    max_lost = reevaluated = 0
+    coeffs, bounds = [], []
+    for p in polys:
+        slots = [slot[key] for key in p.terms]
+        pos, neg, _ = c = _coefficients(p, precision, slots)
+        coeffs.append(c)
+        bounds.append((slots, sum(m for _, m in pos), sum(m for _, m in neg)))
+    max_lost = reevaluated = fallbacks = 0
     max_prec = precision
     make_mpf = mpmath.mp.make_mpf
     values = [[] for _ in polys]
@@ -417,8 +515,13 @@ def sample_real_polys(polys, grid, precision=DEFAULT_EVAL_PRECISION):
                 out.append(make_mpf(_round(at_zero, precision)))
             continue
         basis = _basis(keys, t, precision)
-        for p, c, out in zip(polys, coeffs, values):
-            value, lost = _dot(c, basis, precision)
+        widths = [m.bit_length() for m in basis[0]]
+        for p, c, bound, out in zip(polys, coeffs, bounds, values):
+            got = _window_dot(c, bound, basis, widths, precision)
+            if got is None:
+                got = _dot(c, basis, precision)
+                fallbacks += 1
+            value, lost = got
             max_lost = max(max_lost, lost)
             if precision - lost < keep:
                 value, prec, lost = _reevaluate(p, t, precision, lost, keep)
@@ -426,7 +529,12 @@ def sample_real_polys(polys, grid, precision=DEFAULT_EVAL_PRECISION):
                 max_lost = max(max_lost, lost)
                 max_prec = max(max_prec, prec)
             out.append(make_mpf(value))
-    report = {"max_bits_lost": max_lost, "reevaluated": reevaluated, "max_precision": max_prec}
+    report = {
+        "max_bits_lost": max_lost,
+        "reevaluated": reevaluated,
+        "max_precision": max_prec,
+        "fallbacks": fallbacks,
+    }
     return values, report
 
 

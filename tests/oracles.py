@@ -12,10 +12,24 @@ the integer kernels of reyex.fields.  assert_residual_identity checks an
 expansion and its tails against bilinear_P's pair loop, which shares no
 convolution code with the expansion.  solve_control_scipy integrates the
 control problem with scipy's solve_ivp, the reference for the Dormand-Prince
-loop of reyex.control.
+loop of reyex.control.  sample_real_polys_full is the batch sampler of
+reyex.timepoly as it was before the per-poly window: every value summed at
+the full width of the aligned basis, which the windowed sampler must equal
+to the bit.
 """
 
 import mpmath
+from mpmath.libmp import (
+    fone,
+    from_float,
+    from_man_exp,
+    from_rational,
+    mpf_exp,
+    mpf_mul,
+    mpf_neg,
+    mpf_pow_int,
+    round_nearest,
+)
 from scipy.integrate import solve_ivp
 
 from reyex.control import (
@@ -36,7 +50,14 @@ from reyex.fields import (
     wave_norm_sq,
 )
 from reyex.rationals import GaussianRational, mpq
-from reyex.timepoly import DEFAULT_EVAL_PRECISION, TP_ZERO, TimePoly
+from reyex.timepoly import (
+    DEFAULT_EVAL_PRECISION,
+    GUARD_BITS,
+    GUARD_ROUNDS,
+    POWER_GUARD,
+    TP_ZERO,
+    TimePoly,
+)
 
 
 def assert_residual_identity(exp):
@@ -254,6 +275,108 @@ def sample_gram_tables(fields, orders, grid, precision):
         return tables
 
 
+# -- full-width batch sampling ---------------------------------------------------
+
+
+def _full_round(q, prec):
+    return from_rational(q.numerator, q.denominator, prec, round_nearest)
+
+
+def _full_basis(keys, t, prec):
+    """B_{a,b}(t) = t^a e^{-bt} for every key, each rounded to prec bits, as
+    integers over one shared power of two: returns (mantissas, exponent)."""
+    wp = prec + POWER_GUARD
+    tt = from_float(t)
+
+    def powers(base, exps):
+        out = {}
+        gaps = {}
+        cur, prev = fone, 0
+        for e in sorted(exps):
+            g = e - prev
+            step = gaps.get(g)
+            if step is None:
+                step = gaps[g] = mpf_pow_int(base, g, wp, round_nearest)
+            cur = out[e] = mpf_mul(cur, step, wp, round_nearest)
+            prev = e
+        return out
+
+    tpow = powers(tt, {a for a, _ in keys})
+    xpow = powers(mpf_exp(mpf_neg(tt), wp, round_nearest), {b for _, b in keys})
+    rounded = [mpf_mul(tpow[a], xpow[b], prec, round_nearest) for a, b in keys]
+    low = min((e for _, _, e, _ in rounded), default=0)
+    return [man << (e - low) for _, man, e, _ in rounded], low
+
+
+def _full_coefficients(poly, prec, slots):
+    rounded = []
+    for c in poly.terms.values():
+        if c.im:
+            raise ValueError("sample_real_polys needs real coefficients")
+        rounded.append(_full_round(c.re, prec))
+    low = min((e for _, _, e, _ in rounded), default=0)
+    pos, neg = [], []
+    for slot, (sign, man, e, _) in zip(slots, rounded):
+        (neg if sign else pos).append((slot, man << (e - low)))
+    return pos, neg, low
+
+
+def _full_dot(coeffs, basis, prec):
+    pos, neg, cexp = coeffs
+    mans, bexp = basis
+    p = sum(c * mans[slot] for slot, c in pos)
+    n = sum(c * mans[slot] for slot, c in neg)
+    value = from_man_exp(p - n, cexp + bexp, prec, round_nearest)
+    if p == n:
+        return value, prec if pos or neg else 0
+    total = from_man_exp(p + n, cexp + bexp, prec, round_nearest)
+    return value, max(total[2] + total[3] - value[2] - value[3], 0)
+
+
+def _full_reevaluate(poly, t, prec, lost, keep):
+    keys = list(poly.terms)
+    for _ in range(GUARD_ROUNDS):
+        prec += lost
+        coeffs = _full_coefficients(poly, prec, range(len(keys)))
+        value, lost = _full_dot(coeffs, _full_basis(keys, t, prec), prec)
+        if prec - lost >= keep:
+            break
+    return value, prec, lost
+
+
+def sample_real_polys_full(polys, grid, precision=DEFAULT_EVAL_PRECISION):
+    """reyex.timepoly.sample_real_polys with every value at t > 0 summed
+    exactly over the full width of the aligned basis, then rounded once.
+    Returns (values, report) with the report's max_bits_lost, reevaluated
+    and max_precision."""
+    if precision < 53:
+        raise ValueError("precision must be at least 53 bits")
+    keep = min(GUARD_BITS, precision)
+    keys = sorted({key for p in polys for key in p.terms})
+    slot = {key: i for i, key in enumerate(keys)}
+    coeffs = [_full_coefficients(p, precision, [slot[key] for key in p.terms]) for p in polys]
+    max_lost = reevaluated = 0
+    max_prec = precision
+    make_mpf = mpmath.mp.make_mpf
+    values = [[] for _ in polys]
+    for t in grid:
+        if t == 0:
+            for p, out in zip(polys, values):
+                at_zero = sum((c.re for (a, _), c in p.terms.items() if a == 0), mpq(0))
+                out.append(make_mpf(_full_round(at_zero, precision)))
+            continue
+        basis = _full_basis(keys, t, precision)
+        for p, c, out in zip(polys, coeffs, values):
+            value, lost = _full_dot(c, basis, precision)
+            max_lost = max(max_lost, lost)
+            if precision - lost < keep:
+                value, prec, lost = _full_reevaluate(p, t, precision, lost, keep)
+                reevaluated += 1
+                max_lost = max(max_lost, lost)
+                max_prec = max(max_prec, prec)
+            out.append(make_mpf(value))
+    report = {"max_bits_lost": max_lost, "reevaluated": reevaluated, "max_precision": max_prec}
+    return values, report
 
 
 def gram_at_zero(v, w, order):

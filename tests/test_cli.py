@@ -227,7 +227,14 @@ def test_critical_bracket_json(runner, rundir, tmp_path):
     assert set(assembly) == {"probes", "seconds", "columns_s"}
     assert assembly["probes"] == len(rec["probes"])
     assert assembly["seconds"] > assembly["columns_s"] > 0
-    assert telemetry["coeff"]["terms"] > 0 and telemetry["coeff"]["eval_s"] > 0
+    coeff = telemetry["coeff"]
+    assert set(coeff) == {
+        "build_s", "eval_s", "terms", "max_bits_lost", "reevaluated", "max_precision",
+        "fallbacks",
+    }
+    assert coeff["terms"] > 0 and coeff["eval_s"] > 0
+    # values whose window could not certify their rounding, summed again
+    assert isinstance(coeff["fallbacks"], int) and coeff["fallbacks"] >= 0
     # the run manifest hash covers the configuration only
     assert rec["run_manifest_hash"] == _manifest_hash(rec["run_manifest"])
 

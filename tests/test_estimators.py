@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.interpolate import PchipInterpolator
 
 from reyex.data import datum_bnw, datum_km, datum_tg
+import reyex.estimators
+import reyex.timepoly
 from reyex.expansion import expand, residual_tail
 from reyex.estimators import (
     ConstantsTable,
@@ -36,6 +38,7 @@ from oracles import (
     growth_intermediate,
     growth_rough,
     sample_gram_tables,
+    sample_real_polys_full,
 )
 
 
@@ -219,6 +222,52 @@ def test_exact_gram_tables_match_per_mode_oracle(request, which, kind):
 
 
 @pytest.fixture(scope="module")
+def tg3():
+    return expand(datum_tg().field, 3, datum_id="tg")
+
+
+@pytest.fixture(scope="module")
+def km3():
+    return expand(datum_km().field, 3, datum_id="km")
+
+
+@pytest.mark.parametrize(
+    "which, kind", [("bnw3", "coeff"), ("tg3", "coeff"), ("km3", "coeff"), ("bnw3", "tail")]
+)
+def test_sampled_gram_polys_equal_the_full_width_sum(request, monkeypatch, which, kind):
+    # the Gram polys the tables sample on the default grid, windowed, give
+    # the full-width sampler's mpfs to the bit and its report
+    exp = request.getfixturevalue(which)
+    sample = reyex.timepoly.sample_real_polys
+    dot = reyex.timepoly._dot
+    calls, full_width = [], []
+
+    def recording(polys, grid, precision):
+        values, report = sample(polys, grid, precision)
+        calls.append((polys, grid, precision, values, report))
+        return values, report
+
+    def counting(*args):
+        full_width.append(None)
+        return dot(*args)
+
+    monkeypatch.setattr(reyex.estimators, "sample_real_polys", recording)
+    monkeypatch.setattr(reyex.timepoly, "_dot", counting)
+    tables = EstimatorTables(exp, 3)
+    tables.coeff_tables() if kind == "coeff" else tables.tail_tables()
+    [(polys, grid, precision, values, report)] = calls
+    ref, ref_report = sample_real_polys_full(polys, grid, precision)
+    assert [[v._mpf_ for v in vs] for vs in values] == [[v._mpf_ for v in vs] for vs in ref]
+    assert report == dict(ref_report, fallbacks=report["fallbacks"])
+    assert tables.stats[kind]["fallbacks"] == report["fallbacks"]
+    # the values at large t, where the aligned basis is widest, are summed
+    # over a window: more than a fifth of those at t > 0 here
+    assert len(full_width) < 0.8 * len(polys) * (len(grid) - 1)
+    if which == "km3":
+        assert report["fallbacks"] == 0
+
+
+@pytest.fixture(scope="module")
 def assembly_tables(tables3, bnw3_plain, km2):
     """Tables at n = 3 on an 80-point grid: bnw N=3 under its group and
     without one, and km N=2 under its 48-matrix group."""
@@ -383,7 +432,8 @@ def test_table_stats(bnw3):
     for kind in ("coeff", "tail"):
         st = tables.stats[kind]
         assert set(st) == {
-            "build_s", "eval_s", "terms", "max_bits_lost", "reevaluated", "max_precision"
+            "build_s", "eval_s", "terms", "max_bits_lost", "reevaluated", "max_precision",
+            "fallbacks",
         }
         assert st["build_s"] >= 0 and st["eval_s"] >= 0
         assert st["terms"] > 0

@@ -2,10 +2,22 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from mpmath.libmp import from_man_exp, mpf_mul, round_nearest
 
 from reyex.rationals import GaussianRational, mpq
-from reyex.timepoly import GUARD_BITS, TP_ONE, TP_ZERO, TimePoly, sample_real_polys, tp_basis
+from reyex.timepoly import (
+    GUARD_BITS,
+    TP_ONE,
+    TP_ZERO,
+    TimePoly,
+    _mul_round,
+    _round_int,
+    sample_real_polys,
+    tp_basis,
+)
+
+from oracles import sample_real_polys_full
 
 small_q = st.fractions(min_value=-50, max_value=50, max_denominator=20).map(
     lambda f: mpq(f.numerator, f.denominator)
@@ -244,3 +256,88 @@ def test_sample_real_polys_is_accurate_at_large_exponents(batch):
             ref = p.evaluate(t, 1024).real
             with mpmath.workprec(1024):
                 assert abs(v - ref) <= bound * abs(ref)
+
+
+def _assert_equals_full_width(batch, grid):
+    """The windowed sampler gives the full-width sampler's mpfs to the bit and
+    its report, plus fallbacks; returns that report."""
+    values, report = sample_real_polys(batch, grid, 256)
+    ref, ref_report = sample_real_polys_full(batch, grid, 256)
+    assert [[v._mpf_ for v in vs] for vs in values] == [[v._mpf_ for v in vs] for vs in ref]
+    assert report == dict(ref_report, fallbacks=report["fallbacks"])
+    return report
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(km_scale_polys, min_size=1, max_size=4))
+def test_windowed_sampling_equals_the_full_width_sum(batch):
+    # at t = 7 and 20, with b up to 330, the aligned basis is thousands of
+    # bits wide, so most values there are summed over a window
+    _assert_equals_full_width(batch, [0.0, 1e-3, 0.5, 7.0, 20.0])
+
+
+def test_windowed_sampling_equals_the_full_width_sum_when_reevaluating():
+    base = TP_ONE - tp_basis(0, 1) - tp_basis(1, 1)
+    p = TP_ONE
+    for _ in range(10):
+        p = p * base
+    # t^40 e^{-40 t} puts the batch's shared power of two far below p's
+    # terms at t = 1e-3 and 9, so p is windowed there; at 1e-3 it cancels
+    # 219 bits, fails the window's test, falls back and is re-evaluated
+    report = _assert_equals_full_width([p, tp_basis(40, 40)], [0.0, 1e-3, 0.5, 3.0, 9.0])
+    assert report["reevaluated"] == 1
+    assert report["fallbacks"] == 1
+
+
+def test_exact_zero_in_a_window_falls_back_to_the_full_width_sum():
+    # t - 1 vanishes at t = 1; e^{-330 t} puts the batch's shared power of
+    # two about 476 bits below 1, so t - 1 is summed over a window there
+    batch = [tp_basis(1, 0) - TP_ONE, tp_basis(0, 330)]
+    report = _assert_equals_full_width(batch, [0.0, 1.0])
+    assert report["fallbacks"] == 1
+    values, _ = sample_real_polys(batch, [0.0, 1.0], 256)
+    assert values[0][1] == 0
+
+
+@pytest.mark.parametrize("t", [-0.5, -1e-300, float("inf"), float("nan")])
+def test_grid_points_must_be_finite_and_nonnegative(t):
+    # a negative t would drop the sign of t^a, and the window's error
+    # bound needs every basis value positive
+    with pytest.raises(ValueError):
+        sample_real_polys([tp_basis(1, 0)], [t, 0.5])
+
+
+def _tie(q, n):
+    """The mantissa q 2^n + 2^(n-1), halfway between q 2^n and (q + 1) 2^n."""
+    return (q << n) | (1 << (n - 1))
+
+
+mantissas = st.one_of(
+    st.just(1),  # one-bit mantissas: the product is the other factor
+    st.integers(1, 2**40),
+    st.integers(1, 2**300),
+    st.builds(_tie, st.integers(2**255, 2**256 - 1), st.integers(1, 60)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mantissas, mantissas, st.integers(-500, 500), st.integers(-500, 500),
+       st.sampled_from([53, 64, 256]), st.integers(0, 8))
+@example(_tie(2**255 + 1, 5), 1, 0, 0, 256, 0)  # a tie rounding up to even
+@example(_tie(2**255, 5), 1, 0, 0, 256, 3)  # a tie rounding down to even
+@example(2**64 - 1, 1, 0, 0, 53, 0)  # rounding up carries into a new bit
+@example(3, 5, -2, 7, 53, 2)  # an exact product
+@example(1, 1, 3, -7, 53, 0)  # one-bit mantissas
+def test_mul_round_is_mpf_mul(xm, ym, xe, ye, prec, pad):
+    # ties come from the tie mantissas against a one-bit one, exact products
+    # from small mantissas; trailing zeros in the inputs change nothing
+    x, y = from_man_exp(xm, xe), from_man_exp(ym, ye)
+    man, exp = _mul_round((xm << pad, xe - pad), (ym, ye), prec)
+    assert from_man_exp(man, exp) == mpf_mul(x, y, prec, round_nearest)
+    assert man.bit_length() <= prec + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-2**700, 2**700), st.integers(-300, 300), st.sampled_from([53, 256]))
+def test_round_int_is_from_man_exp(man, exp, prec):
+    assert _round_int(man, exp, prec) == from_man_exp(man, exp, prec, round_nearest)
