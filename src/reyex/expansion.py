@@ -18,6 +18,8 @@ import os
 import time
 from dataclasses import dataclass, field as dc_field
 
+from mpmath.libmp import BACKEND as MPMATH_BACKEND
+
 from .fields import (
     IntegerForm,
     TimeField,
@@ -37,6 +39,7 @@ from .symmetry import (
     orbit_partition,
     propagate_coefficient,
 )
+from .rationals import MPQ_BACKEND
 
 __all__ = [
     "Expansion",
@@ -73,6 +76,7 @@ class Expansion:
     symmetry: SymmetryData | None
     meta: list = dc_field(default_factory=list)
     tails: list | None = None  # residual tail fields, j = N+1 .. 2N+1
+    tail_meta: list = dc_field(default_factory=list)  # per tail: order, terms, wall_seconds
 
     def order_stats(self, j):
         u = self.coeffs[j]
@@ -263,18 +267,26 @@ def residual_tail(exp):
 
     tail_j = - sum_{l=j-N-1}^{N} P(u_l, u_{j-l-1}),   j = N+1 .. 2N+1.
 
-    Cached on the expansion after the first call.
+    Cached on the expansion after the first call, with the order, term count
+    and wall seconds of each tail in exp.tail_meta.  The wall seconds of the
+    first tail include forming the integer forms of u_0..u_N.
     """
     if exp.tails is not None:
         return exp.tails
     N = exp.N
+    t0 = time.monotonic()
     routes = _propagation_routes(exp.group)
     fulls = [IntegerForm(u) for u in exp.coeffs]
-    tails = []
+    tails, meta = [], []
     for j in range(N + 1, 2 * N + 2):
         pairs = [(l, j - 1 - l) for l in range(j - N - 1, N + 1)]
-        tails.append(_bilinear_order_field(fulls, pairs, routes, j, tail=True))
+        tail = _bilinear_order_field(fulls, pairs, routes, j, tail=True)
+        tails.append(tail)
+        t1 = time.monotonic()
+        meta.append({"order": j, "terms": _term_count(tail), "wall_seconds": round(t1 - t0, 3)})
+        t0 = t1
     exp.tails = tails
+    exp.tail_meta = meta
     return tails
 
 
@@ -331,7 +343,8 @@ def _field_names(N, tails):
 
 def cache_store(exp, path):
     """Write an expansion to a cache directory; exact textual round trip.
-    The manifest records the sha256 of every coefficient and tail file."""
+    The manifest records the sha256 of every coefficient and tail file, the
+    arithmetic backends of the run and the cost of each residual tail."""
     os.makedirs(path, exist_ok=True)
     fields = exp.coeffs + (exp.tails or [])
     digests = {}
@@ -348,6 +361,8 @@ def cache_store(exp, path):
         "orders": exp.meta,
         "has_tails": exp.tails is not None,
         "digests": digests,
+        "backend": {"mpq": MPQ_BACKEND, "mpmath": MPMATH_BACKEND},
+        "tails": exp.tail_meta,
     }
     with open(os.path.join(path, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=1)
@@ -377,4 +392,5 @@ def cache_load(path):
         symmetry=_symmetry_from_payload(manifest.get("symmetry")),
         meta=manifest.get("orders", []),
         tails=fields[N + 1 :] if has_tails else None,
+        tail_meta=manifest.get("tails", []),
     )

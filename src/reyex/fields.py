@@ -13,7 +13,14 @@ from math import lcm
 import mpmath
 
 from .rationals import GaussianRational, _gr, mpq
-from .timepoly import TP_ZERO, DEFAULT_EVAL_PRECISION, TimePoly, _tp
+from .timepoly import (
+    TP_ZERO,
+    DEFAULT_EVAL_PRECISION,
+    TimePoly,
+    _from_records,
+    _to_records,
+    _tp,
+)
 
 __all__ = [
     "canonical_key",
@@ -129,15 +136,44 @@ class TimeField:
     # -- invariants -------------------------------------------------------
 
     def validate(self):
+        """Check zero mean, canonical keys and exact incompressibility: k.v_k
+        vanishes at every exponent pair, summed in integer numerators over
+        the lcm of the field's denominators.  This is _dot over the rows of
+        _numerators, done in one pass without the rows: each distinct
+        coefficient object is scaled to the lcm once (a loaded field shares
+        one object between all its equal coefficients) and components with
+        k_i = 0 are skipped."""
         for k in self.coeffs:
             if k == (0, 0, 0):
                 raise ValueError("zero-mean violation: coefficient at k = 0")
             if not is_canonical(k):
                 raise ValueError("non-canonical storage key %s" % (k,))
-        _, rows = _numerators(self.coeffs.values())
-        for k, row in zip(self.coeffs, rows):
-            if _dot(row, k):
-                raise ValueError("incompressibility violation at k = %s" % (k,))
+        term_maps = [p.terms for vec in self.coeffs.values() for p in vec]
+        b = max((b for terms in term_maps for _, b in terms), default=0)
+        if b >= _MAX_EXP:
+            raise ValueError("exponent b = %d is too large to pack" % (b,))
+        distinct = {id(c): c for terms in term_maps for c in terms.values()}
+        _, mult = _multipliers(distinct.values())
+        ints = {
+            i: (c.re.numerator * mult[c.re.denominator], c.im.numerator * mult[c.im.denominator])
+            for i, c in distinct.items()
+        }
+        for k, vec in self.coeffs.items():
+            acc = {}
+            for ki, p in zip(k, vec):
+                if not ki:
+                    continue
+                for key, c in p.terms.items():
+                    re, im = ints[id(c)]
+                    prev = acc.get(key)
+                    if prev is None:
+                        acc[key] = [ki * re, ki * im]
+                    else:
+                        prev[0] += ki * re
+                        prev[1] += ki * im
+            for re, im in acc.values():
+                if re or im:
+                    raise ValueError("incompressibility violation at k = %s" % (k,))
         return self
 
     # -- basic structure ---------------------------------------------------
@@ -259,10 +295,13 @@ class TimeField:
     # -- serialization ----------------------------------------------------------
 
     def to_payload(self, name="", j=None):
+        """The field as records (TimePoly.to_records), mode by mode in sorted
+        order; each distinct coefficient is formatted once."""
+        memo = {}
         modes = []
         for k in sorted(self.coeffs):
             vec = self.coeffs[k]
-            modes.append({"k": list(k), "components": [p.to_records() for p in vec]})
+            modes.append({"k": list(k), "components": [_to_records(p, memo) for p in vec]})
         payload = {"format": "reyex-field/1", "name": name, "modes": modes}
         if j is not None:
             payload["j"] = j
@@ -270,15 +309,19 @@ class TimeField:
 
     @classmethod
     def from_payload(cls, payload):
+        """The field of a payload as to_payload writes it, validated.  Each
+        distinct coefficient text is parsed once, and its polys share one
+        GaussianRational (TimePoly.from_records)."""
         if payload.get("format") != "reyex-field/1":
             raise ValueError("unrecognized field payload format: %r" % (payload.get("format"),))
+        memo = {}
         coeffs = {}
         for mode in payload["modes"]:
             k = tuple(mode["k"])
             comps = mode["components"]
             if len(k) != 3 or len(comps) != 3:
                 raise ValueError("malformed mode entry for k = %s" % (k,))
-            coeffs[k] = tuple(TimePoly.from_records(recs) for recs in comps)
+            coeffs[k] = tuple(_from_records(recs, memo) for recs in comps)
         field = cls(coeffs, validate=False)
         field.validate()
         return field
@@ -314,20 +357,24 @@ def _unpack(key):
     return key >> _KEY_SHIFT, key & _KEY_MASK
 
 
+def _multipliers(coeffs):
+    """(den, mult): den the lcm of the denominators of the GaussianRationals
+    in coeffs, and mult maps each of those denominators d to den // d."""
+    dens = set()
+    for c in coeffs:
+        dens.add(c.re.denominator)
+        dens.add(c.im.denominator)
+    den = lcm(*dens)
+    return den, {d: den // d for d in dens}
+
+
 def _numerators(vecs):
     """The 3-vectors of TimePoly in vecs as integer numerators over one
     common denominator: returns (den, rows), den the lcm of every coefficient
     denominator and rows[i] the i-th vector as three tuples of
     (packed key, re, im)."""
     vecs = list(vecs)
-    dens = set()
-    for vec in vecs:
-        for p in vec:
-            for c in p.terms.values():
-                dens.add(c.re.denominator)
-                dens.add(c.im.denominator)
-    den = lcm(*dens)
-    mult = {d: den // d for d in dens}
+    den, mult = _multipliers(c for vec in vecs for p in vec for c in p.terms.values())
     rows = []
     for vec in vecs:
         row = []

@@ -11,11 +11,16 @@ from __future__ import annotations
 
 try:
     from gmpy2 import mpq
+
+    MPQ_BACKEND = "gmpy2"
 except ImportError:  # gmpy2 is an optional extra ('.[gmpy2]')
     from fractions import Fraction as mpq
 
+    MPQ_BACKEND = "fractions.Fraction"
+
 __all__ = [
     "mpq",
+    "MPQ_BACKEND",
     "rational_from_string",
     "rational_to_string",
     "GaussianRational",
@@ -28,11 +33,15 @@ _ZERO_Q = mpq(0)
 
 
 def rational_from_string(s):
-    """Parse 'num/den' or 'num' into an exact rational."""
+    """Parse 'num/den' or 'num' into an exact rational; ValueError if s is
+    neither, or den is zero."""
     s = s.strip()
     if "/" in s:
         num, den = s.split("/")
-        return mpq(int(num), int(den))
+        den = int(den)
+        if not den:
+            raise ValueError("zero denominator in %r" % (s,))
+        return mpq(int(num), den)
     return mpq(int(s))
 
 

@@ -260,24 +260,71 @@ class TimePoly:
 
     def to_records(self):
         """List of 'a b re_num/re_den im_num/im_den' records, sorted."""
-        recs = []
-        for (a, b) in sorted(self.terms):
-            re_s, im_s = self.terms[(a, b)].to_strings()
-            recs.append("%d %d %s %s" % (a, b, re_s, im_s))
-        return recs
+        return _to_records(self, {})
 
     @classmethod
     def from_records(cls, records):
-        terms = {}
-        for rec in records:
-            parts = rec.split()
-            if len(parts) != 4:
+        """The poly of a list of records as to_records writes them: any
+        whitespace between the four fields, nonnegative exponents, each pair
+        once; zero coefficients are dropped."""
+        return _from_records(list(records), {})
+
+
+def _to_records(poly, memo):
+    """poly.to_records(), with memo mapping every exponent pair formatted with
+    it to its text 'a b ' and the integer parts of every coefficient to its
+    text 're im', so each distinct one is converted to decimal once."""
+    terms = poly.terms
+    recs = []
+    for key in sorted(terms):
+        head = memo.get(key)
+        if head is None:
+            head = memo[key] = "%d %d " % key
+        c = terms[key]
+        re, im = c.re, c.im
+        parts = (re.numerator, re.denominator, im.numerator, im.denominator)
+        text = memo.get(parts)
+        if text is None:
+            text = memo[parts] = "%s %s" % c.to_strings()
+        recs.append(head + text)
+    return recs
+
+
+def _from_records(records, memo):
+    """TimePoly.from_records for a list of records, with memo mapping the
+    coefficient text of every record parsed with it to one shared
+    GaussianRational, or to False for a zero coefficient, so each distinct
+    text is parsed once."""
+    terms = {}
+    zeros = False
+    for rec in records:
+        try:
+            a, b, text = rec.split(None, 2)
+        except ValueError:
+            raise ValueError("malformed TimePoly record: %r" % (rec,)) from None
+        a, b = int(a), int(b)
+        if a < 0 or b < 0:
+            raise ValueError("exponents must be nonnegative, got (%s, %s)" % (a, b))
+        c = memo.get(text)
+        if c is None:
+            parts = text.split()
+            if len(parts) != 2:
                 raise ValueError("malformed TimePoly record: %r" % (rec,))
-            a, b = int(parts[0]), int(parts[1])
-            if (a, b) in terms:
-                raise ValueError("duplicate exponent pair in records: %s" % ((a, b),))
-            terms[(a, b)] = GaussianRational.from_strings(parts[2], parts[3])
-        return cls(terms)
+            c = GaussianRational.from_strings(*parts)
+            c = memo[text] = c if c else False
+        if c is False:
+            zeros = True
+        terms[a, b] = c
+    if len(terms) != len(records):
+        seen = set()
+        for rec in records:
+            key = tuple(map(int, rec.split(None, 2)[:2]))
+            if key in seen:
+                raise ValueError("duplicate exponent pair in records: %s" % (key,))
+            seen.add(key)
+    if zeros:
+        terms = {key: c for key, c in terms.items() if c is not False}
+    return _tp(terms)
 
 
 def _to_mpf(q):
@@ -405,10 +452,16 @@ def _dot(coeffs, basis, prec):
     mans, bexp = basis
     p = sum(c * mans[slot] for slot, c in pos)
     n = sum(c * mans[slot] for slot, c in neg)
-    value = _round_int(p - n, cexp + bexp, prec)
+    return _round_sums(p, n, cexp + bexp, prec, bool(pos or neg))
+
+
+def _round_sums(p, n, exp, prec, terms):
+    """What _dot returns for the exact sums P = p 2^exp and N = n 2^exp of a
+    poly that has terms, or none."""
+    value = _round_int(p - n, exp, prec)
     if p == n:
-        return value, prec if pos or neg else 0
-    total = _round_int(p + n, cexp + bexp, prec)
+        return value, prec if terms else 0
+    total = _round_int(p + n, exp, prec)
     return value, max(total[2] + total[3] - value[2] - value[3], 0)
 
 
@@ -422,19 +475,28 @@ def _window_dot(coeffs, bound, basis, widths, prec):
     sh = widest - prec - WINDOW_GUARD, widest the largest of their widths,
     so a product is about prec + WINDOW_GUARD bits by the coefficient's
     width however wide the basis is.  Where sh <= 0 this is _dot.
-    Each shifted integer is low by less than one unit of 2^sh, so in those
-    units the exact P - N lies in [P_w - N_w - C-, P_w - N_w + C+] and
-    P + N in [P_w + N_w, P_w + N_w + C+ + C-].
 
-    Ziv's rounding test (A. Ziv, ACM TOMS 17(3), 1991): rounding is
-    monotone, so where both ends of the first interval round to the same
-    nonzero value, that is the rounding of the exact P - N; where both ends
-    of the second do, the magnitude the bits lost are measured against is
-    exact too.  Where either test fails, as at an exact zero or an exact
-    tie, the caller sums the value at full width.
+    A basis integer of width w is divisible by 2^(w - prec): its mantissa
+    has at most prec bits, or is 2^prec after a rounding carry.  So the
+    shift drops only zero bits from it where w - prec >= sh, that is where
+    w >= widest - WINDOW_GUARD.  Where that holds for every integer the
+    poly reads, the window's sums are P and N exactly, and their rounding
+    is returned as _dot forms it.
+
+    Otherwise each shifted integer is low by less than one unit of 2^sh, so
+    in those units the exact P - N lies in [P_w - N_w - C-, P_w - N_w + C+]
+    and P + N in [P_w + N_w, P_w + N_w + C+ + C-].  Ziv's rounding test
+    (A. Ziv, ACM TOMS 17(3), 1991): rounding is monotone, so where both ends
+    of the first interval round to the same nonzero value, that is the
+    rounding of the exact P - N; where both ends of the second do, the
+    magnitude the bits lost are measured against is exact too.  Where
+    either test fails, as at an exact zero or an exact tie, the caller sums
+    the value at full width.
     """
     slots, cpos, cneg = bound
-    sh = max(map(widths.__getitem__, slots), default=0) - prec - WINDOW_GUARD
+    read = [widths[slot] for slot in slots]
+    widest = max(read, default=0)
+    sh = widest - prec - WINDOW_GUARD
     if sh <= 0:
         return _dot(coeffs, basis, prec)
     pos, neg, cexp = coeffs
@@ -442,6 +504,8 @@ def _window_dot(coeffs, bound, basis, widths, prec):
     p = sum(c * (mans[slot] >> sh) for slot, c in pos)
     n = sum(c * (mans[slot] >> sh) for slot, c in neg)
     e = cexp + bexp + sh
+    if min(read) >= widest - WINDOW_GUARD:
+        return _round_sums(p, n, e, prec, True)
     value = _round_int(p - n - cneg, e, prec)
     if not value[1] or value != _round_int(p - n + cpos, e, prec):
         return None

@@ -15,7 +15,10 @@ control problem with scipy's solve_ivp, the reference for the Dormand-Prince
 loop of reyex.control.  sample_real_polys_full is the batch sampler of
 reyex.timepoly as it was before the per-poly window: every value summed at
 the full width of the aligned basis, which the windowed sampler must equal
-to the bit.
+to the bit.  to_records_reference, from_records_reference and
+validate_reference are the cache codec as it was before each distinct
+coefficient was parsed, formatted and scaled once: the text the encoder
+writes, and the polys and verdicts of the decoder, must be theirs.
 """
 
 import mpmath
@@ -41,6 +44,8 @@ from reyex.control import (
 from reyex.expansion import residual_tail
 from reyex.fields import (
     TimeField,
+    _dot,
+    _numerators,
     bilinear_P,
     canonical_key,
     is_canonical,
@@ -377,6 +382,44 @@ def sample_real_polys_full(polys, grid, precision=DEFAULT_EVAL_PRECISION):
             out.append(make_mpf(value))
     report = {"max_bits_lost": max_lost, "reevaluated": reevaluated, "max_precision": max_prec}
     return values, report
+
+
+# -- the cache codec, one coefficient at a time ---------------------------------
+
+
+def to_records_reference(self):
+    """List of 'a b re_num/re_den im_num/im_den' records, sorted."""
+    recs = []
+    for (a, b) in sorted(self.terms):
+        re_s, im_s = self.terms[(a, b)].to_strings()
+        recs.append("%d %d %s %s" % (a, b, re_s, im_s))
+    return recs
+
+
+def from_records_reference(records):
+    terms = {}
+    for rec in records:
+        parts = rec.split()
+        if len(parts) != 4:
+            raise ValueError("malformed TimePoly record: %r" % (rec,))
+        a, b = int(parts[0]), int(parts[1])
+        if (a, b) in terms:
+            raise ValueError("duplicate exponent pair in records: %s" % ((a, b),))
+        terms[(a, b)] = GaussianRational.from_strings(parts[2], parts[3])
+    return TimePoly(terms)
+
+
+def validate_reference(self):
+    for k in self.coeffs:
+        if k == (0, 0, 0):
+            raise ValueError("zero-mean violation: coefficient at k = 0")
+        if not is_canonical(k):
+            raise ValueError("non-canonical storage key %s" % (k,))
+    _, rows = _numerators(self.coeffs.values())
+    for k, row in zip(self.coeffs, rows):
+        if _dot(row, k):
+            raise ValueError("incompressibility violation at k = %s" % (k,))
+    return self
 
 
 def gram_at_zero(v, w, order):

@@ -8,6 +8,7 @@ from oracles import assert_residual_identity
 
 import reyex.expansion
 from reyex.data import datum_bnw, datum_km, datum_tg
+from reyex.estimators import EstimatorTables, default_grid
 from reyex.expansion import (
     CacheError,
     Expansion,
@@ -160,6 +161,27 @@ def test_cache_round_trip(tmp_path):
     assert loaded.symmetry.minus == exp.symmetry.minus
 
 
+def test_cache_manifest_records_backends_and_tail_costs(tmp_path):
+    import mpmath.libmp
+
+    from reyex.rationals import MPQ_BACKEND
+
+    exp = expand(datum_bnw().field, 2, datum_id="bnw")
+    tails = residual_tail(exp)
+    path = str(tmp_path / "cache")
+    manifest = cache_store(exp, path)
+    assert manifest["backend"] == {"mpq": MPQ_BACKEND, "mpmath": mpmath.libmp.BACKEND}
+    assert MPQ_BACKEND in ("gmpy2", "fractions.Fraction")
+    assert [t["order"] for t in manifest["tails"]] == [3, 4, 5]
+    for rec, tail in zip(manifest["tails"], tails):
+        assert rec["terms"] == sum(p.num_terms() for vec in tail.coeffs.values() for p in vec)
+        assert rec["wall_seconds"] >= 0
+    with open(os.path.join(path, "manifest.json")) as fh:
+        assert json.load(fh) == manifest
+    assert cache_load(path).tail_meta == manifest["tails"]
+    assert cache_store(expand(datum_bnw().field, 1), str(tmp_path / "plain"))["tails"] == []
+
+
 def test_cache_rejects_tampering(tmp_path):
     exp = expand(datum_bnw().field, 1, datum_id="bnw")
     path = str(tmp_path / "cache")
@@ -251,3 +273,73 @@ def test_cache_rejects_corrupt_manifest(tmp_path):
     (tmp_path / "manifest.json").write_text("{not json")
     with pytest.raises(CacheError, match="unreadable manifest"):
         cache_load(str(tmp_path))
+
+
+def _tamper(path, name, edit):
+    """Apply edit to the payload of one field file of a cache."""
+    target = os.path.join(path, name)
+    with open(target) as fh:
+        payload = json.load(fh)
+    edit(payload)
+    with open(target, "w") as fh:
+        json.dump(payload, fh)
+
+
+def _first_records(payload):
+    return next(c for m in payload["modes"] for c in m["components"] if c)
+
+
+@pytest.mark.parametrize("edit", [
+    # a negative exponent
+    lambda recs: recs.__setitem__(0, "-1 " + recs[0].split(None, 1)[1]),
+    # a duplicate exponent pair, with another coefficient
+    lambda recs: recs.append(" ".join(recs[0].split()[:2] + ["1/3", "0"])),
+    # a malformed record: a field short
+    lambda recs: recs.__setitem__(0, recs[0].rsplit(None, 1)[0]),
+], ids=["negative-exponent", "duplicate-pair", "malformed"])
+def test_cache_rejects_malformed_records(tmp_path, edit):
+    exp = expand(datum_bnw().field, 2, datum_id="bnw")
+    path = str(tmp_path / "cache")
+    cache_store(exp, path)
+    _tamper(path, "u_002.json", lambda payload: edit(_first_records(payload)))
+    with pytest.raises(CacheError, match="invalid cache file"):
+        cache_load(path)
+
+
+def test_cache_rejects_incompressibility_at_one_exponent_pair(tmp_path):
+    exp = expand(datum_km().field, 2, datum_id="km")
+    path = str(tmp_path / "cache")
+    cache_store(exp, path)
+
+    def edit(payload):
+        # double one record of one component whose wave number is nonzero:
+        # k.v is then nonzero at that exponent pair and still zero at the others
+        comp = next(c for m in payload["modes"] for ki, c in zip(m["k"], m["components"])
+                    if ki and len(c) > 1)
+        a, b, re, im = comp[0].split()
+        comp[0] = " ".join([a, b, str(2 * Fraction(re)), str(2 * Fraction(im))])
+
+    _tamper(path, "u_002.json", edit)
+    with pytest.raises(CacheError, match="incompressibility"):
+        cache_load(path)
+
+
+def _sampled(tables, kind):
+    sampled = tables.coeff_tables() if kind == "coeff" else tables.tail_tables()
+    return {key: [v._mpf_ for v in values] for key, values in sampled.items()}
+
+
+@pytest.mark.parametrize("datum, kinds", [(datum_km, ("coeff",)), (datum_bnw, ("coeff", "tail"))],
+                         ids=["km2", "bnw2-tails"])
+def test_tables_on_a_loaded_cache_equal_the_in_memory_ones(tmp_path, datum, kinds):
+    d = datum()
+    exp = expand(d.field, 2, datum_id=d.name)
+    if "tail" in kinds:
+        residual_tail(exp)
+    path = str(tmp_path / "cache")
+    cache_store(exp, path)
+    loaded = cache_load(path)
+    grid = default_grid(80)
+    fresh, cached = EstimatorTables(exp, 3, grid=grid), EstimatorTables(loaded, 3, grid=grid)
+    for kind in kinds:
+        assert _sampled(cached, kind) == _sampled(fresh, kind)

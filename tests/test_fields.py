@@ -5,7 +5,13 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import bilinear_P_products, gram_poly_orbits_products, pruned_sum_products
+from oracles import (
+    bilinear_P_products,
+    gram_poly_orbits_products,
+    pruned_sum_products,
+    to_records_reference,
+    validate_reference,
+)
 from reyex.data import datum_bnw
 from reyex.expansion import _sum_convolutions
 from reyex.fields import (
@@ -348,3 +354,45 @@ def test_integer_kernels_match_timepoly_products(v, w):
     assert grams == gram_poly_orbits_products(v, w, orders, classes)
     for p in grams:
         assert all(c for c in p.terms.values())
+
+
+# -- validation and the payload codec against the references ----------------------
+
+
+@st.composite
+def _unchecked_fields(draw):
+    """Fields built without validation: keys canonical or not, the zero mode
+    now and then, divergence-free or with one term added to one component
+    (a violation at one exponent pair, or none where k_i = 0), and now and
+    then an exponent b too large to pack."""
+    keys = _keys if draw(st.integers(0, 3)) else st.tuples(*[st.integers(-2, 2)] * 3)
+    modes = draw(st.dictionaries(keys, st.tuples(_terms, _terms, _terms), max_size=4))
+    if draw(st.integers(0, 3)):
+        modes = {k: leray_project(k, vec) for k, vec in modes.items() if k != (0, 0, 0)}
+    for extra in (_terms, st.just(tp_basis(0, 2**31))):
+        if modes and not draw(st.integers(0, 2)):
+            k = draw(st.sampled_from(sorted(modes)))
+            i = draw(st.integers(0, 2))
+            vec = list(modes[k])
+            vec[i] = vec[i] + draw(extra)
+            modes[k] = tuple(vec)
+    return TimeField(modes, validate=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_unchecked_fields())
+def test_validate_and_payload_match_the_references(field):
+    try:
+        validate_reference(field)
+    except ValueError:
+        with pytest.raises(ValueError):
+            field.validate()
+        return
+    assert field.validate() is field
+    payload = field.to_payload(name="x", j=2)
+    assert payload["modes"] == [
+        {"k": list(k), "components": [to_records_reference(p) for p in field.coeffs[k]]}
+        for k in sorted(field.coeffs)
+    ]
+    # decoded, the polys share their coefficient objects
+    assert TimeField.from_payload(json.loads(json.dumps(payload))) == field

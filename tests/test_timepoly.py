@@ -11,13 +11,15 @@ from reyex.timepoly import (
     TP_ONE,
     TP_ZERO,
     TimePoly,
+    _from_records,
     _mul_round,
     _round_int,
+    _to_records,
     sample_real_polys,
     tp_basis,
 )
 
-from oracles import sample_real_polys_full
+from oracles import from_records_reference, sample_real_polys_full, to_records_reference
 
 small_q = st.fractions(min_value=-50, max_value=50, max_denominator=20).map(
     lambda f: mpq(f.numerator, f.denominator)
@@ -282,19 +284,34 @@ def test_windowed_sampling_equals_the_full_width_sum_when_reevaluating():
     for _ in range(10):
         p = p * base
     # t^40 e^{-40 t} puts the batch's shared power of two far below p's
-    # terms at t = 1e-3 and 9, so p is windowed there; at 1e-3 it cancels
-    # 219 bits, fails the window's test, falls back and is re-evaluated
-    report = _assert_equals_full_width([p, tp_basis(40, 40)], [0.0, 1e-3, 0.5, 3.0, 9.0])
+    # terms at t = 1e-6 and 9, so p is windowed there; at 1e-6 its terms
+    # span about 200 bits, so the shift drops nonzero bits from the small
+    # ones, and it cancels 418 bits, fails the window's test, falls back and
+    # is re-evaluated
+    report = _assert_equals_full_width([p, tp_basis(40, 40)], [0.0, 1e-6, 0.5, 3.0, 9.0])
     assert report["reevaluated"] == 1
     assert report["fallbacks"] == 1
 
 
 def test_exact_zero_in_a_window_falls_back_to_the_full_width_sum():
-    # t - 1 vanishes at t = 1; e^{-330 t} puts the batch's shared power of
-    # two about 476 bits below 1, so t - 1 is summed over a window there
-    batch = [tp_basis(1, 0) - TP_ONE, tp_basis(0, 330)]
+    # (t - 1)(1 + e^{-330 t}) vanishes at t = 1, where its terms e^{-330 t}
+    # sit about 476 bits below its terms 1, so it is summed over a window
+    # that shifts nonzero bits out of them, and the window's test fails
+    batch = [(tp_basis(1, 0) - TP_ONE) * (TP_ONE + tp_basis(0, 330)), tp_basis(0, 330)]
     report = _assert_equals_full_width(batch, [0.0, 1.0])
     assert report["fallbacks"] == 1
+    values, _ = sample_real_polys(batch, [0.0, 1.0], 256)
+    assert values[0][1] == 0
+
+
+def test_window_that_drops_only_zero_bits_is_exact():
+    # t - 1 vanishes at t = 1; e^{-330 t} puts the batch's shared power of
+    # two about 476 bits below 1, so t - 1 is summed over a window there.
+    # Its two basis integers are equally wide, so the shift drops only zero
+    # bits from them: the window's sum is exact and needs no test
+    batch = [tp_basis(1, 0) - TP_ONE, tp_basis(0, 330)]
+    report = _assert_equals_full_width(batch, [0.0, 1.0])
+    assert report["fallbacks"] == 0
     values, _ = sample_real_polys(batch, [0.0, 1.0], 256)
     assert values[0][1] == 0
 
@@ -341,3 +358,107 @@ def test_mul_round_is_mpf_mul(xm, ym, xe, ye, prec, pad):
 @given(st.integers(-2**700, 2**700), st.integers(-300, 300), st.sampled_from([53, 256]))
 def test_round_int_is_from_man_exp(man, exp, prec):
     assert _round_int(man, exp, prec) == from_man_exp(man, exp, prec, round_nearest)
+
+
+# -- the cache codec against the one-coefficient-at-a-time reference ---------------
+
+wide_q = st.builds(mpq, st.integers(-10**40, 10**40), st.integers(1, 10**25))
+wide_polys = st.dictionaries(
+    st.tuples(st.integers(0, 40), st.integers(0, 400)),
+    st.one_of(
+        st.builds(GaussianRational, wide_q, wide_q),
+        st.builds(GaussianRational, wide_q),
+        st.builds(GaussianRational, st.just(0), wide_q),
+    ),
+    max_size=8,
+).map(TimePoly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(wide_polys, max_size=5))
+def test_encoder_writes_the_reference_text(batch):
+    # one memo across the batch, as to_payload shares one across a field
+    memo = {}
+    for p in batch:
+        ref = to_records_reference(p)
+        assert p.to_records() == ref
+        assert _to_records(p, memo) == ref
+
+
+rational_texts = st.one_of(
+    st.sampled_from(["0", "-0", "9/1", "2/4", "0/3", "-6/-4", "+3", "1/0", "1/2/3", "/2",
+                     "1.5", "x", ""]),
+    st.integers(-10**30, 10**30).map(str),
+    st.tuples(st.integers(-10**30, 10**30), st.integers(-7, 7)).map(lambda t: "%d/%d" % t),
+)
+# mostly well formed, so that many whole lists are
+exponent_texts = st.sampled_from(["0", "1", "2", "3", "4", "5", "6", "7", "8", "-1", "+2", "01",
+                                  "1.0", "x"])
+
+
+@st.composite
+def record_texts(draw):
+    """'a b re im' with any whitespace around and between the fields, and now
+    and then a field too few or too many."""
+    fields = [draw(exponent_texts), draw(exponent_texts), draw(rational_texts),
+              draw(rational_texts), draw(rational_texts)]
+    fields = fields[: draw(st.sampled_from([4, 4, 4, 4, 4, 4, 3, 5]))]
+    gaps = st.sampled_from([" ", "  ", "\t", " \t "])
+    text = "".join(draw(gaps) + f for f in fields)
+    return text[1:] if draw(st.booleans()) else text + draw(gaps)
+
+
+def _assert_decodes_as_reference(decode, records):
+    """decode(records) equals the reference's poly, or raises ValueError (and
+    so CacheError in a cache) wherever the reference raises."""
+    try:
+        ref = from_records_reference(records)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError):
+            decode(records)
+    else:
+        assert decode(records) == ref
+
+
+record_lists = st.lists(record_texts(), max_size=5)
+KNOWN_RECORDS = [
+    ["0 1 9/1 0/1", "1  2 2/4\t-0", " 3 0 0/3 7 ", "2 2 0 0"],  # zeros dropped
+    ["0 1 1/1 0/1", "0 1 0 0"],  # a duplicate pair, one of them zero
+    ["0 -1 1 0"],  # a negative exponent
+    ["-1 0 0 0"],  # a negative exponent on a zero coefficient
+    ["0 1 9/1"],  # a field too few
+    ["0 1 9/1 0/1 0"],  # a field too many
+    ["0 1 1/0 0"],  # a zero denominator
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(record_lists)
+@example(KNOWN_RECORDS[0])
+@example(KNOWN_RECORDS[1])
+@example(KNOWN_RECORDS[2])
+@example(KNOWN_RECORDS[3])
+@example(KNOWN_RECORDS[4])
+@example(KNOWN_RECORDS[5])
+@example(KNOWN_RECORDS[6])
+def test_decoder_matches_the_reference(records):
+    _assert_decodes_as_reference(TimePoly.from_records, records)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(record_lists, max_size=4))
+@example(KNOWN_RECORDS)
+def test_decoder_with_a_shared_memo_matches_the_reference(batch):
+    # one memo across the batch, as from_payload shares one across a field;
+    # a rejected list leaves the memo fit for the next
+    memo = {}
+    for records in batch:
+        _assert_decodes_as_reference(lambda recs: _from_records(recs, memo), records)
+
+
+def test_decoder_shares_one_object_per_coefficient_text():
+    memo = {}
+    p = _from_records(["0 1 1/3 0", "2 0 -1/2 0"], memo)
+    q = _from_records(["0 1 1/3 0", "1 1 1/3 0", "3 3 0 0"], memo)
+    assert p.terms[(0, 1)] is q.terms[(0, 1)] is q.terms[(1, 1)]
+    assert q.terms == {(0, 1): GaussianRational(mpq(1, 3)), (1, 1): GaussianRational(mpq(1, 3))}

@@ -1,0 +1,111 @@
+"""Before/after record of the expansion cache: cache_store and cache_load
+wall seconds for km N=3 and 5, tg N=5, and bnw N=3 and 5 with residual
+tails.
+
+    python3 tools/bench_cache.py --before OLD/src --after src --repeats 5 > BENCH_cache.json
+
+Each side is a `src` directory holding a `reyex` package.  Every repeat runs
+each side once in a fresh interpreter, alternating which goes first.  In
+each case the expansion (and its tails) is computed, stored in a temporary
+directory and dropped; then the cache is loaded back.  The record keeps, per
+case and side, the median store and load wall seconds with every repeat's,
+the median expand and tails seconds for scale, and the sha256 of every field
+file written, so equal digests mean byte-identical files.  It also records
+the interpreter, the rational and mpmath backends and the CPU count.
+"""
+
+import argparse
+import gc
+import hashlib
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+from bench_sampling import environment
+
+CASES = [("km", 3, False), ("km", 5, False), ("tg", 5, False), ("bnw", 3, True), ("bnw", 5, True)]
+TIMED = ("expand_s", "tails_s", "store_s", "load_s")
+
+
+def measure():
+    """One side, in this interpreter: a JSON object per case on stdout."""
+    from reyex.data import get_datum
+    from reyex.expansion import cache_load, cache_store, expand, residual_tail
+
+    out = {}
+    for datum, N, tails in CASES:
+        row = {}
+        t0 = time.perf_counter()
+        exp = expand(get_datum(datum).field, N, datum_id=datum)
+        t1 = time.perf_counter()
+        if tails:
+            residual_tail(exp)
+        t2 = time.perf_counter()
+        path = tempfile.mkdtemp()
+        try:
+            t3 = time.perf_counter()
+            cache_store(exp, path)
+            t4 = time.perf_counter()
+            del exp
+            gc.collect()
+            t5 = time.perf_counter()
+            cache_load(path)
+            t6 = time.perf_counter()
+            names = sorted(n for n in os.listdir(path) if n != "manifest.json")
+            row["sha256"] = {}
+            for name in names:
+                with open(os.path.join(path, name), "rb") as fh:
+                    row["sha256"][name] = hashlib.sha256(fh.read()).hexdigest()
+        finally:
+            shutil.rmtree(path)
+        row.update(expand_s=t1 - t0, tails_s=t2 - t1, store_s=t4 - t3, load_s=t6 - t5)
+        out["%s N=%d%s" % (datum, N, " tails" if tails else "")] = row
+        gc.collect()
+    print(json.dumps(out))
+
+
+def run_side(src):
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    res = subprocess.run([sys.executable, __file__, "--measure"], env=env, check=True,
+                         capture_output=True, text=True)
+    return json.loads(res.stdout)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--before")
+    ap.add_argument("--after")
+    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.measure:
+        return measure()
+    runs = {"before": [], "after": []}
+    for i in range(args.repeats):
+        order = ("before", "after") if i % 2 == 0 else ("after", "before")
+        for side in order:
+            runs[side].append(run_side(getattr(args, side)))
+    sys.path.insert(0, os.path.abspath(args.after))
+    record = {"environment": environment(), "repeats": args.repeats, "cases": {}}
+    for name in runs["after"][0]:
+        row = {}
+        for side, reps in runs.items():
+            row[side] = {key: statistics.median(r[name][key] for r in reps) for key in TIMED}
+            for key in ("store_s", "load_s"):
+                row[side][key + "_runs"] = [round(r[name][key], 4) for r in reps]
+            row[side]["sha256"] = reps[0][name]["sha256"]
+            row[side]["files_stable"] = all(r[name]["sha256"] == row[side]["sha256"] for r in reps)
+        for key in ("store_s", "load_s"):
+            row[key.replace("_s", "_speedup")] = row["before"][key] / row["after"][key]
+        row["byte_identical"] = row["before"]["sha256"] == row["after"]["sha256"]
+        record["cases"][name] = row
+    print(json.dumps(record, indent=1))
+
+
+if __name__ == "__main__":
+    main()
