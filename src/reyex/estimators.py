@@ -26,7 +26,12 @@ probed during a bisection.  They are built in two steps:
                 that the value, rounded once, is the rounding of the exact
                 full-width sum; where it cannot, the full-width sum is
                 formed.  t = 0 is exact, so Grams of fields that vanish
-                there are exact zeros.
+                there are exact zeros.  A large enough batch has its points
+                t > 0 split into interleaved shares, one for this process
+                and one for each child forked for the call, up to one
+                process per CPU it may run on; a value depends only on its
+                Gram, its point and the precision, so the tables are bit
+                for bit the same however the points are split.
 
 The per-R assembly is exact integer arithmetic.  Every sampled value is a
 dyadic mpf, so the values at one grid point are ints over one common power
@@ -208,10 +213,10 @@ class EstimatorTables:
     stats maps each table kind built so far ("coeff", "tail") to its
     build_s and eval_s (seconds for the exact build and the sampling), terms
     (Gram terms over all tables), max_bits_lost, reevaluated (values
-    evaluated again), max_precision (the highest precision used) and
+    evaluated again), max_precision (the highest precision used),
     fallbacks (values whose window failed the rounding test and were summed
-    at full width).  Once R
-    has been probed, stats["assembly"] holds probes (samples() calls),
+    at full width) and workers (the processes that sampled the table).
+    Once R has been probed, stats["assembly"] holds probes (samples() calls),
     seconds (their assembly time) and columns_s (the part of it spent
     forming the columns that do not depend on R).
     """

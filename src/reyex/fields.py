@@ -311,17 +311,23 @@ class TimeField:
     def from_payload(cls, payload):
         """The field of a payload as to_payload writes it, validated.  Each
         distinct coefficient text is parsed once, and its polys share one
-        GaussianRational (TimePoly.from_records)."""
-        if payload.get("format") != "reyex-field/1":
-            raise ValueError("unrecognized field payload format: %r" % (payload.get("format"),))
-        memo = {}
-        coeffs = {}
-        for mode in payload["modes"]:
-            k = tuple(mode["k"])
-            comps = mode["components"]
-            if len(k) != 3 or len(comps) != 3:
-                raise ValueError("malformed mode entry for k = %s" % (k,))
-            coeffs[k] = tuple(_from_records(recs, memo) for recs in comps)
+        GaussianRational (TimePoly.from_records).  A payload of any other
+        shape, or one that lists a wave vector twice, raises ValueError."""
+        try:
+            if payload.get("format") != "reyex-field/1":
+                raise ValueError("unrecognized field payload format: %r" % (payload.get("format"),))
+            memo = {}
+            coeffs = {}
+            for mode in payload["modes"]:
+                k = tuple(mode["k"])
+                comps = mode["components"]
+                if len(k) != 3 or not all(type(ki) is int for ki in k) or len(comps) != 3:
+                    raise ValueError("malformed mode entry for k = %s" % (k,))
+                if k in coeffs:
+                    raise ValueError("wave vector %s listed twice" % (k,))
+                coeffs[k] = tuple(_from_records(recs, memo) for recs in comps)
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError("malformed field payload: %s: %s" % (type(exc).__name__, exc)) from None
         field = cls(coeffs, validate=False)
         field.validate()
         return field

@@ -13,6 +13,9 @@ evaluation.
 
 from __future__ import annotations
 
+import os
+import threading
+from contextlib import suppress
 from math import factorial, inf
 
 import mpmath
@@ -355,6 +358,13 @@ POWER_GUARD = 32
 # this many bits passes the window's rounding test; the tail Grams of bnw at
 # N = 5 lose up to 188.  Values that fail it are summed at full width.
 WINDOW_GUARD = 192
+# Work, in poly terms x grid points at t > 0, that the sampling of a batch
+# must have for each child forked to share it (sample_real_polys).  On a
+# 2-vCPU x86-64 VM (CPython 3.11, a 30 MB process) a forked child costs
+# about 4 ms, and a batch split in two broke even at about 2,000 on 39
+# points, 1,500 on 79 and under 400 on 399; from 2,500 up it was faster in
+# 11 to 15 of 15 alternating pairs on each of those grids.
+PARALLEL_MIN_WORK = 2500
 
 
 def _basis(keys, t, prec):
@@ -550,8 +560,17 @@ def sample_real_polys(polys, grid, precision=DEFAULT_EVAL_PRECISION):
     Where fewer than GUARD_BITS would survive (or the precision, if lower),
     the value is evaluated again at precision + the bits lost.  report holds
     max_bits_lost, reevaluated (the number of values re-evaluated),
-    max_precision (the highest precision used) and fallbacks (the number of
-    values whose window failed the test and were summed at full width).
+    max_precision (the highest precision used), fallbacks (the number of
+    values whose window failed the test and were summed at full width) and
+    workers (the number of processes that sampled the batch).
+
+    The points t > 0 are split into interleaved shares, one per process
+    (_run_shares): the caller's process and one child forked from it for
+    each PARALLEL_MIN_WORK of the batch's work (terms x points t > 0), up to
+    one process per CPU the caller may run on.  It stays in one process
+    where os.fork is missing or another thread is running.  A value depends
+    only on its poly, its point and the precision, so every value and every
+    report field but workers is the same however the points are split.
     """
     if precision < 53:
         raise ValueError("precision must be at least 53 bits")
@@ -568,38 +587,159 @@ def sample_real_polys(polys, grid, precision=DEFAULT_EVAL_PRECISION):
         pos, neg, _ = c = _coefficients(p, precision, slots)
         coeffs.append(c)
         bounds.append((slots, sum(m for _, m in pos), sum(m for _, m in neg)))
-    max_lost = reevaluated = fallbacks = 0
-    max_prec = precision
-    make_mpf = mpmath.mp.make_mpf
-    values = [[] for _ in polys]
-    for t in grid:
-        if t == 0:
-            for p, out in zip(polys, values):
-                at_zero = sum((c.re for (a, _), c in p.terms.items() if a == 0), mpq(0))
-                out.append(make_mpf(_round(at_zero, precision)))
-            continue
-        basis = _basis(keys, t, precision)
-        widths = [m.bit_length() for m in basis[0]]
-        for p, c, bound, out in zip(polys, coeffs, bounds, values):
-            got = _window_dot(c, bound, basis, widths, precision)
-            if got is None:
-                got = _dot(c, basis, precision)
-                fallbacks += 1
-            value, lost = got
-            max_lost = max(max_lost, lost)
-            if precision - lost < keep:
-                value, prec, lost = _reevaluate(p, t, precision, lost, keep)
-                reevaluated += 1
+
+    def sample(points):
+        """The values at the grid points with these indices, as one row of
+        libmp tuples per point, and the report of their loss."""
+        max_lost = reevaluated = fallbacks = 0
+        max_prec = precision
+        rows = []
+        for i in points:
+            t = grid[i]
+            basis = _basis(keys, t, precision)
+            widths = [m.bit_length() for m in basis[0]]
+            row = []
+            for p, c, bound in zip(polys, coeffs, bounds):
+                got = _window_dot(c, bound, basis, widths, precision)
+                if got is None:
+                    got = _dot(c, basis, precision)
+                    fallbacks += 1
+                value, lost = got
                 max_lost = max(max_lost, lost)
-                max_prec = max(max_prec, prec)
-            out.append(make_mpf(value))
+                if precision - lost < keep:
+                    value, prec, lost = _reevaluate(p, t, precision, lost, keep)
+                    reevaluated += 1
+                    max_lost = max(max_lost, lost)
+                    max_prec = max(max_prec, prec)
+                row.append(value)
+            rows.append(row)
+        report = {
+            "max_bits_lost": max_lost,
+            "reevaluated": reevaluated,
+            "max_precision": max_prec,
+            "fallbacks": fallbacks,
+        }
+        return rows, report
+
+    columns = [None] * len(grid)
+    points = []
+    for i, t in enumerate(grid):
+        if t:
+            points.append(i)
+        else:
+            columns[i] = [
+                _round(sum((c.re for (a, _), c in p.terms.items() if a == 0), mpq(0)), precision)
+                for p in polys
+            ]
+    workers = 1
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        work = sum(len(p.terms) for p in polys) * len(points)
+        workers = max(1, min(_cpus(), len(points), work // PARALLEL_MIN_WORK + 1))
+    shares, processes = _run_shares(sample, points, workers)
+    reports = [r for _, r in shares]
     report = {
-        "max_bits_lost": max_lost,
-        "reevaluated": reevaluated,
-        "max_precision": max_prec,
-        "fallbacks": fallbacks,
+        "max_bits_lost": max(r["max_bits_lost"] for r in reports),
+        "reevaluated": sum(r["reevaluated"] for r in reports),
+        "max_precision": max(r["max_precision"] for r in reports),
+        "fallbacks": sum(r["fallbacks"] for r in reports),
+        "workers": processes,
     }
+    for k, (rows, _) in enumerate(shares):
+        for i, row in zip(points[k::workers], rows):
+            columns[i] = row
+    make_mpf = mpmath.mp.make_mpf
+    values = [[make_mpf(col[j]) for col in columns] for j in range(len(polys))]
     return values, report
+
+
+def _cpus():
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _run_shares(run, points, workers):
+    """[run(points[k::workers]) for k in range(workers)], and the number of
+    processes whose results it holds.
+
+    Share 0 runs in this process and every other share in a child forked
+    from it, which inherits everything run reads.  Each process is pinned
+    to its own CPU of the ones this process may run on for the call: a
+    scheduler may leave a new child on its parent's CPU for a long time.
+    The child writes its result to a pipe as one pickle and exits at once.
+    Where a child cannot be forked, dies, or sends something short or
+    unreadable, its share runs here, so the result is always complete.  On
+    any exception here, KeyboardInterrupt included, every child still
+    running is killed and every child is reaped before the exception
+    propagates."""
+    shares = [points[k::workers] for k in range(workers)]
+    if workers == 1:
+        return [run(shares[0])], 1
+    # only forked sampling needs these, so import reyex does not load them
+    import pickle
+    from signal import SIGKILL
+
+    parent = os.getpid()
+    allowed = os.sched_getaffinity(0)
+    cpus = sorted(allowed)
+    children = []  # [pid or None once reaped, read end or None once handed over]
+    os.sched_setaffinity(0, {cpus[0]})
+    try:
+        for k, share in enumerate(shares[1:], 1):
+            try:
+                r, w = os.pipe()
+            except OSError:
+                break
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                break
+            if not pid:  # the child never returns from here
+                status = 1
+                try:
+                    os.sched_setaffinity(0, {cpus[k % len(cpus)]})
+                    with open(w, "wb") as pipe:
+                        pickle.dump(run(share), pipe, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children.append([pid, r])
+        results = [run(shares[0])]
+        processes = 1
+        for share, child in zip(shares[1:], children):
+            r, child[1] = child[1], None
+            with open(r, "rb") as pipe:
+                data = pipe.read()
+            status = os.waitpid(child[0], 0)[1]
+            child[0] = None
+            try:
+                rows, report = pickle.loads(data)
+                complete = status == 0 and len(rows) == len(share)
+            except Exception:  # what a failed child left in the pipe
+                complete = False
+            if complete:
+                results.append((rows, report))
+                processes += 1
+            else:
+                results.append(run(share))
+        results += [run(share) for share in shares[1 + len(children):]]
+        return results, processes
+    except BaseException:
+        if os.getpid() != parent:  # a child interrupted before its own try
+            os._exit(1)
+        for pid, r in children:
+            if r is not None:
+                os.close(r)
+            if pid is not None:
+                with suppress(OSError):
+                    os.kill(pid, SIGKILL)
+                with suppress(ChildProcessError):
+                    os.waitpid(pid, 0)
+        raise
+    finally:
+        os.sched_setaffinity(0, allowed)
 
 
 def _tp(terms):

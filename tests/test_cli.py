@@ -1,10 +1,12 @@
 import json
 import os
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
 from reyex.cli import _manifest_hash, main
+from reyex.data import datum_tg
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +42,21 @@ def test_norms_output(runner):
 def test_norms_rejects_unknown_datum(runner):
     res = runner.invoke(main, ["norms", "--datum", "euler"])
     assert res.exit_code == 2
+
+
+def test_datum_file_listing_a_mode_twice_is_a_usage_error(runner, tmp_path):
+    # the first mode again at triple the amplitude: taking either entry
+    # alone would give another datum
+    payload = datum_tg().field.to_payload(name="tg")
+    first = payload["modes"][0]
+    tripled = [[" ".join(r.split()[:2] + [str(3 * Fraction(x)) for x in r.split()[2:]])
+                for r in comp] for comp in first["components"]]
+    payload["modes"].append(dict(first, components=tripled))
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(payload))
+    res = runner.invoke(main, ["norms", "--datum", "file:%s" % path])
+    assert res.exit_code == 2, res.output
+    assert "listed twice" in res.output
 
 
 def test_expand_writes_manifest(runner, rundir):
@@ -230,7 +247,7 @@ def test_critical_bracket_json(runner, rundir, tmp_path):
     coeff = telemetry["coeff"]
     assert set(coeff) == {
         "build_s", "eval_s", "terms", "max_bits_lost", "reevaluated", "max_precision",
-        "fallbacks",
+        "fallbacks", "workers",
     }
     assert coeff["terms"] > 0 and coeff["eval_s"] > 0
     # values whose window could not certify their rounding, summed again

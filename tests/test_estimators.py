@@ -1,4 +1,5 @@
 import math
+import os
 import random
 import struct
 from fractions import Fraction
@@ -236,7 +237,8 @@ def km3():
 )
 def test_sampled_gram_polys_equal_the_full_width_sum(request, monkeypatch, which, kind):
     # the Gram polys the tables sample on the default grid, windowed, give
-    # the full-width sampler's mpfs to the bit and its report
+    # the full-width sampler's mpfs to the bit and its report, in one
+    # process and split across two
     exp = request.getfixturevalue(which)
     sample = reyex.timepoly.sample_real_polys
     dot = reyex.timepoly._dot
@@ -253,18 +255,27 @@ def test_sampled_gram_polys_equal_the_full_width_sum(request, monkeypatch, which
 
     monkeypatch.setattr(reyex.estimators, "sample_real_polys", recording)
     monkeypatch.setattr(reyex.timepoly, "_dot", counting)
+    # one process, so that the count sees every full-width sum
+    monkeypatch.setattr(reyex.timepoly, "_cpus", lambda: 1)
     tables = EstimatorTables(exp, 3)
     tables.coeff_tables() if kind == "coeff" else tables.tail_tables()
     [(polys, grid, precision, values, report)] = calls
     ref, ref_report = sample_real_polys_full(polys, grid, precision)
-    assert [[v._mpf_ for v in vs] for vs in values] == [[v._mpf_ for v in vs] for vs in ref]
-    assert report == dict(ref_report, fallbacks=report["fallbacks"])
+    mpfs = [[v._mpf_ for v in vs] for vs in values]
+    assert mpfs == [[v._mpf_ for v in vs] for vs in ref]
+    assert report == dict(ref_report, fallbacks=report["fallbacks"], workers=1)
     assert tables.stats[kind]["fallbacks"] == report["fallbacks"]
     # the values at large t, where the aligned basis is widest, are summed
     # over a window: more than a fifth of those at t > 0 here
     assert len(full_width) < 0.8 * len(polys) * (len(grid) - 1)
     if which == "km3":
         assert report["fallbacks"] == 0
+    monkeypatch.setattr(reyex.timepoly, "_cpus", lambda: 2)
+    forked, forked_report = sample(polys, grid, precision)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert [[v._mpf_ for v in vs] for vs in forked] == mpfs
+    assert forked_report == dict(report, workers=2)
 
 
 @pytest.fixture(scope="module")
@@ -433,7 +444,7 @@ def test_table_stats(bnw3):
         st = tables.stats[kind]
         assert set(st) == {
             "build_s", "eval_s", "terms", "max_bits_lost", "reevaluated", "max_precision",
-            "fallbacks",
+            "fallbacks", "workers",
         }
         assert st["build_s"] >= 0 and st["eval_s"] >= 0
         assert st["terms"] > 0

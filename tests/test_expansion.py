@@ -289,20 +289,34 @@ def _first_records(payload):
     return next(c for m in payload["modes"] for c in m["components"] if c)
 
 
+def _on_records(edit):
+    return lambda payload: edit(_first_records(payload))
+
+
 @pytest.mark.parametrize("edit", [
     # a negative exponent
-    lambda recs: recs.__setitem__(0, "-1 " + recs[0].split(None, 1)[1]),
+    _on_records(lambda recs: recs.__setitem__(0, "-1 " + recs[0].split(None, 1)[1])),
     # a duplicate exponent pair, with another coefficient
-    lambda recs: recs.append(" ".join(recs[0].split()[:2] + ["1/3", "0"])),
+    _on_records(lambda recs: recs.append(" ".join(recs[0].split()[:2] + ["1/3", "0"]))),
     # a malformed record: a field short
-    lambda recs: recs.__setitem__(0, recs[0].rsplit(None, 1)[0]),
-], ids=["negative-exponent", "duplicate-pair", "malformed"])
+    _on_records(lambda recs: recs.__setitem__(0, recs[0].rsplit(None, 1)[0])),
+    # well-formed JSON of the wrong shape: a record that is a number, no
+    # modes, a wave vector that is a number
+    _on_records(lambda recs: recs.__setitem__(0, 7)),
+    lambda payload: payload.pop("modes"),
+    lambda payload: payload["modes"][0].__setitem__("k", 5),
+    # a wave vector listed twice, the second time with other coefficients
+    lambda payload: payload["modes"].append(
+        dict(payload["modes"][0], components=[[], [], []])
+    ),
+], ids=["negative-exponent", "duplicate-pair", "malformed", "record-number", "no-modes",
+        "k-number", "repeated-mode"])
 def test_cache_rejects_malformed_records(tmp_path, edit):
     exp = expand(datum_bnw().field, 2, datum_id="bnw")
     path = str(tmp_path / "cache")
     cache_store(exp, path)
-    _tamper(path, "u_002.json", lambda payload: edit(_first_records(payload)))
-    with pytest.raises(CacheError, match="invalid cache file"):
+    _tamper(path, "u_002.json", edit)
+    with pytest.raises(CacheError, match="invalid cache file .*u_002.json"):
         cache_load(path)
 
 

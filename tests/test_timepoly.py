@@ -1,10 +1,17 @@
+import os
+import pickle
+import threading
+import time
 from fractions import Fraction
+from signal import SIGKILL
+from unittest import mock
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath.libmp import from_man_exp, mpf_mul, round_nearest
 
+import reyex.timepoly
 from reyex.rationals import GaussianRational, mpq
 from reyex.timepoly import (
     GUARD_BITS,
@@ -266,7 +273,7 @@ def _assert_equals_full_width(batch, grid):
     values, report = sample_real_polys(batch, grid, 256)
     ref, ref_report = sample_real_polys_full(batch, grid, 256)
     assert [[v._mpf_ for v in vs] for vs in values] == [[v._mpf_ for v in vs] for vs in ref]
-    assert report == dict(ref_report, fallbacks=report["fallbacks"])
+    assert report == dict(ref_report, fallbacks=report["fallbacks"], workers=report["workers"])
     return report
 
 
@@ -314,6 +321,177 @@ def test_window_that_drops_only_zero_bits_is_exact():
     assert report["fallbacks"] == 0
     values, _ = sample_real_polys(batch, [0.0, 1.0], 256)
     assert values[0][1] == 0
+
+
+# -- sampling split across forked processes ------------------------------------------
+
+# t = 0 and a repeated point among the others, out of order, so the values
+# are merged back by grid index
+SHARED_GRID = [0.5, 0.0, 1e-3, 20.0, 7.0, 0.37, 0.5, 11.5]
+
+
+def _assert_no_children():
+    # every child forked by a sampling call has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _sample_on(cpus, batch, grid=SHARED_GRID):
+    """sample_real_polys as if the process could run on cpus CPUs, with no
+    work floor, so every batch with points t > 0 to spare is split."""
+    allowed = os.sched_getaffinity(0)
+    with mock.patch.object(reyex.timepoly, "_cpus", lambda: cpus), \
+            mock.patch.object(reyex.timepoly, "PARALLEL_MIN_WORK", 1):
+        out = sample_real_polys(batch, grid, 256)
+    _assert_no_children()
+    # the processes were pinned to a CPU each for the call only
+    assert os.sched_getaffinity(0) == allowed
+    return [[v._mpf_ for v in vs] for vs in out[0]], out[1]
+
+
+def _assert_forked_equals_serial(batch, cpus, workers):
+    values, report = _sample_on(cpus, batch)
+    ref, ref_report = _sample_on(1, batch)
+    assert values == ref
+    assert ref_report["workers"] == 1
+    assert report == dict(ref_report, workers=workers)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(km_scale_polys, min_size=1, max_size=4), st.integers(2, 3))
+def test_forked_sampling_equals_the_serial_one(batch, cpus):
+    # a batch with no terms has no work to share
+    _assert_forked_equals_serial(batch, cpus, cpus if any(p.terms for p in batch) else 1)
+
+
+def test_forked_sampling_equals_the_serial_one_when_reevaluating():
+    # p cancels 219 bits at t = 1e-3 and is re-evaluated in whichever
+    # process samples that point
+    base = TP_ONE - tp_basis(0, 1) - tp_basis(1, 1)
+    p = TP_ONE
+    for _ in range(10):
+        p = p * base
+    for cpus in (2, 3):
+        _assert_forked_equals_serial([p, tp_basis(40, 40)], cpus, cpus)
+    assert _sample_on(3, [p])[1]["reevaluated"] == 1
+
+
+def test_a_batch_below_the_work_floor_is_sampled_in_one_process():
+    with mock.patch.object(reyex.timepoly, "_cpus", lambda: 2):
+        small = sample_real_polys([tp_basis(0, 1)], [0.0, 1.0, 2.0], 256)[1]
+        # each process must get PARALLEL_MIN_WORK terms x points
+        n = reyex.timepoly.PARALLEL_MIN_WORK
+        large = sample_real_polys([tp_basis(0, 1)], [0.1 * (i + 1) for i in range(n)], 256)[1]
+    _assert_no_children()
+    assert (small["workers"], large["workers"]) == (1, 2)
+
+
+def _fork_fails(after):
+    """os.fork that raises OSError once after forks have succeeded."""
+    fork = os.fork
+    forks = []
+
+    def failing():
+        if len(forks) == after:
+            raise OSError("no more processes")
+        forks.append(None)
+        return fork()
+
+    return failing
+
+
+@pytest.mark.parametrize("after, workers", [(None, 1), (0, 1), (1, 2)])
+def test_sampling_runs_here_what_it_cannot_fork(monkeypatch, after, workers):
+    # no os.fork at all, fork failing at once, and fork failing for the
+    # second child: the shares without a child are sampled here
+    batch = [tp_basis(1, 3) - tp_basis(0, 40), tp_basis(2, 0)]
+    ref, ref_report = _sample_on(1, batch)
+    if after is None:
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", _fork_fails(after))
+    values, report = _sample_on(3, batch)
+    assert values == ref
+    assert report == dict(ref_report, workers=workers)
+
+
+def test_sampling_does_not_fork_while_another_thread_runs():
+    batch = [tp_basis(1, 3) - tp_basis(0, 40), tp_basis(2, 0)]
+    ref, ref_report = _sample_on(1, batch)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        values, report = _sample_on(3, batch)
+    finally:
+        done.set()
+        thread.join(10)
+    assert not thread.is_alive()
+    assert values == ref
+    assert report == ref_report
+
+
+def _child_raises(parent, basis):
+    def failing(keys, t, prec):
+        if os.getpid() != parent:
+            raise RuntimeError("injected failure")
+        return basis(keys, t, prec)
+
+    return failing
+
+
+def _child_killed(parent, basis):
+    def killed(keys, t, prec):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), SIGKILL)
+        return basis(keys, t, prec)
+
+    return killed
+
+
+@pytest.mark.parametrize("failure", ["raises", "killed", "garbage", "short"])
+def test_a_failed_child_share_is_sampled_by_the_parent(monkeypatch, failure):
+    batch = [tp_basis(1, 3) - tp_basis(0, 40), tp_basis(2, 0), TP_ONE - tp_basis(1, 1)]
+    ref, ref_report = _sample_on(1, batch)
+    parent = os.getpid()
+    if failure == "raises":
+        monkeypatch.setattr(reyex.timepoly, "_basis", _child_raises(parent, reyex.timepoly._basis))
+    elif failure == "killed":
+        monkeypatch.setattr(reyex.timepoly, "_basis", _child_killed(parent, reyex.timepoly._basis))
+    else:
+        dumps = pickle.dumps
+
+        def bad_dump(obj, fh, protocol):
+            # only children pickle: the parent reads what they wrote, here a
+            # pickle of no rows, or the first half of the real one
+            data = dumps(([], {}) if failure == "garbage" else obj, protocol)
+            fh.write(data if failure == "garbage" else data[: len(data) // 2])
+
+        monkeypatch.setattr(pickle, "dump", bad_dump)
+    values, report = _sample_on(3, batch)
+    assert values == ref
+    assert report == dict(ref_report, workers=1)
+
+
+def test_an_exception_in_the_parent_kills_and_reaps_every_child(monkeypatch):
+    parent = os.getpid()
+    basis = reyex.timepoly._basis
+
+    def interrupted(keys, t, prec):
+        if os.getpid() != parent:
+            time.sleep(60)
+        else:
+            raise KeyboardInterrupt
+        return basis(keys, t, prec)
+
+    monkeypatch.setattr(reyex.timepoly, "_basis", interrupted)
+    allowed = os.sched_getaffinity(0)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        _sample_on(3, [tp_basis(1, 3), tp_basis(2, 0)])
+    _assert_no_children()
+    assert time.monotonic() - start < 30
+    assert os.sched_getaffinity(0) == allowed
 
 
 @pytest.mark.parametrize("t", [-0.5, -1e-300, float("inf"), float("nan")])
