@@ -11,11 +11,12 @@ order-N approximant is controlled mode by mode:
 finite time yields no conclusion beyond that time, and the critical Reynolds
 parameter is bracketed by bisection on the verdict.
 
-The problem is integrated by the Dormand-Prince RK5(4) pair with its quartic
-dense output (Dormand & Prince 1980; Hairer, Norsett & Wanner, Solving
-Ordinary Differential Equations I, II.4-5), in a loop on Python floats that
-takes the steps scipy's solve_ivp(method="RK45") takes: the same tableau,
-initial step, step-size control and terminal event at the blow-up
+This problem, and the linear one of the higher-order control R_p
+(solve_higher_order), are integrated by the Dormand-Prince RK5(4) pair
+with its quartic dense output (Dormand & Prince 1980; Hairer, Norsett &
+Wanner, Solving Ordinary Differential Equations I, II.4-5), in a loop on
+Python floats that takes the steps solve_ivp(method="RK45") takes: the same
+tableau, initial step, step-size control and terminal event at the blow-up
 threshold, located by Brent's method on the step's dense output.
 
 Verdicts are computer indications, not certified proofs: the integration is
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field as dc_field
 
 import mpmath
 
-from .estimators import ConstantsTable, EstimatorTables, build_estimator_set, pchip_scalar
+from .estimators import ConstantsTable, EstimatorTables, build_estimator_set
 from .fields import wave_norm_sq
 from .timepoly import DEFAULT_EVAL_PRECISION
 
@@ -56,7 +57,7 @@ DECAY_FLOOR_FACTOR = 1e-6
 
 EPS = sys.float_info.epsilon
 
-# The Dormand-Prince tableau as scipy's RK45 holds it: the stage times C,
+# The Dormand-Prince tableau as solve_ivp's RK45 holds it: the stage times C,
 # the stage weights A, the fifth-order weights B, the error weights E (fifth
 # minus fourth order, over the seven stages, the last being the derivative
 # at the step's end) and the dense-output matrix P.  The second stage has
@@ -117,7 +118,7 @@ class _QuarticDense:
 
 
 def _brentq(f, a, b, xtol=4 * EPS, rtol=4 * EPS, maxiter=100):
-    """A root of f in [a, b], where f changes sign: Brent's method as scipy's
+    """A root of f in [a, b], where f changes sign: Brent's method as
     brentq runs it, stopping when the bracket is below xtol + rtol |x|."""
     xpre, xcur = a, b
     fpre, fcur = f(xpre), f(xcur)
@@ -161,7 +162,7 @@ def _brentq(f, a, b, xtol=4 * EPS, rtol=4 * EPS, maxiter=100):
 
 
 def _initial_step(rhs, t, y, f, t_bound, rtol, atol):
-    """The first step size (Hairer, Norsett & Wanner II.4), as scipy's
+    """The first step size (Hairer, Norsett & Wanner II.4), as
     select_initial_step chooses it for an error estimate of order 4."""
     interval = t_bound - t
     scale = atol + abs(y) * rtol
@@ -417,47 +418,51 @@ def find_critical_R(
 
 
 def solve_higher_order(est_p, traj_n, constants, times=None):
-    """Sampled higher-order control R_p(t) from the explicit formula
+    """Sampled higher-order control R_p(t), the solution of
 
-        R_p(t) = e^{-t + R A_p(t)} int_0^t e^{s - R A_p(s)} eps_p(s) ds,
-        A_p(t) = int_0^t (G_p D_p + K_p D_{p+1} + G_pn R_n)(s) ds.
+        dR_p/dt = -R_p + R (G_p D_p + K_p D_{p+1} + G_pn R_n) R_p + eps_p,
+        R_p(0) = 0,
 
-    traj_n supplies R_n; its verdict must not be BlowUp before the last
-    requested time.
+    integrated from 0 by the Dormand-Prince loop of solve_control at its
+    default tolerances, with no event, and read off its dense output at
+    times (by default the grid points up to the end of traj_n).  traj_n
+    supplies R_n; its verdict must not be BlowUp before the last requested
+    time.  Returns (times, values).
     """
     p, n = est_p.n, traj_n.n
     G_p = constants.G_of(p)
     K_p = constants.K_of(p)
     G_pn = constants.G_pn_of(p, n)
     R = est_p.R
+    t_end = traj_n.times[-1]
     if times is None:
-        times = [t for t in est_p.grid if t <= traj_n.times[-1]]
+        times = [t for t in est_p.grid if t <= t_end]
     times = list(times)
+    if not times:
+        raise ValueError("times is empty")
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError("times must be strictly increasing")
+    if times[0] < 0:
+        raise ValueError("times must be nonnegative, got %s" % (times[0],))
     if traj_n.verdict == "BlowUp" and traj_n.T_c is not None and times[-1] >= traj_n.T_c:
         raise ValueError("R_n blows up at %s, before the requested range" % (traj_n.T_c,))
+    if times[-1] > t_end:
+        raise ValueError("time %s is past the end %s of R_n" % (times[-1], t_end))
+    if times[-1] == 0:
+        return times, [0.0] * len(times)
+    rates = est_p.rates
+    R_n = traj_n.value
 
-    def a_rate(s):
-        return G_p * est_p.D_n_f(s) + K_p * est_p.D_n1_f(s) + G_pn * traj_n.value(s)
+    def rhs(t, r):
+        dp, dp1, eps = rates(t)
+        return -r + R * (G_p * dp + K_p * dp1 + G_pn * R_n(t)) * r + eps
 
-    from scipy.integrate import quad
-
-    # cumulative quadrature of the linear coefficient
-    A = [0.0]
-    for a, b in zip(times, times[1:]):
-        inc, _ = quad(a_rate, a, b, limit=200)
-        A.append(A[-1] + inc)
-    A_f = pchip_scalar(times, A)
-
-    def inner(s):
-        return math.exp(s - R * A_f(s)) * est_p.eps_n_f(s)
-
-    I = [0.0]
-    for a, b in zip(times, times[1:]):
-        inc, _ = quad(inner, a, b, limit=200)
-        I.append(I[-1] + inc)
-
-    values = [math.exp(-t + R * a) * i for t, a, i in zip(times, A, I)]
-    return times, [max(v, 0.0) for v in values]
+    run_times, ys, _, failed, dense, _ = _dormand_prince(
+        rhs, times[-1], math.inf, DEFAULT_RTOL, DEFAULT_ATOL
+    )
+    if failed or not all(math.isfinite(v) for v in ys):
+        raise RuntimeError("higher-order control integration failed at t = %s" % (run_times[-1],))
+    return times, [max(dense(t), 0.0) for t in times]
 
 
 def coefficient_bound(traj, k, t):

@@ -164,9 +164,11 @@ def get_datum(selector):
 def load_user_datum(path):
     """Load a user datum from the textual field format.
 
-    The loader symmetrizes the mode list (reality is enforced by folding) and
-    rejects data violating exact incompressibility or the zero-mean condition
-    instead of projecting silently.
+    Each mode is listed once, at its canonical wave vector (first nonzero
+    component positive); the coefficient at -k is its conjugate, implied.
+    A payload that writes a mode at -k, or twice, is refused with
+    ValueError.  So are data violating exact incompressibility or the
+    zero-mean condition, instead of being projected silently.
     """
     with open(path) as fh:
         payload = json.load(fh)

@@ -225,6 +225,8 @@ class EstimatorTables:
         self.exp = exp
         self.n = n
         self.grid = list(grid) if grid is not None else default_grid()
+        if len(self.grid) < 2 or not all(math.isfinite(t) for t in self.grid):
+            raise ValueError("grid needs at least 2 points, all finite")
         if self.grid[0] != 0 or any(
             b <= a for a, b in zip(self.grid, self.grid[1:])
         ):
@@ -481,7 +483,7 @@ def _sign(v):
 
 def _pchip_edge_slope(h0, h1, m0, m1):
     """The one-sided three-point derivative at an end, kept to the shape of
-    the data (scipy's PchipInterpolator._edge_case)."""
+    the data (PchipInterpolator._edge_case)."""
     d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
     if _sign(d) != _sign(m0):
         return 0.0
@@ -491,14 +493,14 @@ def _pchip_edge_slope(h0, h1, m0, m1):
 
 
 def pchip_coefficients(x, y):
-    """The coefficients of scipy's PchipInterpolator(x, y), the rows of its
-    .c as four lists over the intervals: c0 s^3 + c1 s^2 + c2 s + c3 with
+    """The coefficients of PchipInterpolator(x, y), the rows of its .c as
+    four lists over the intervals: c0 s^3 + c1 s^2 + c2 s + c3 with
     s = t - x[i] on interval i.
 
-    The formulas and their order of operations are scipy's own (the
-    derivatives of PchipInterpolator._find_derivatives and _edge_case, then
-    the CubicHermiteSpline coefficients), done elementwise on floats, so the
-    lists equal scipy's bit for bit.
+    The formulas and their order of operations are the interpolator's own
+    (the derivatives of PchipInterpolator._find_derivatives and _edge_case,
+    then the CubicHermiteSpline coefficients), done elementwise on floats,
+    so the lists equal its .c bit for bit.
     """
     x = [float(v) for v in x]
     y = [float(v) for v in y]
@@ -526,30 +528,6 @@ def pchip_coefficients(x, y):
         c0.append(t / hk)
         c1.append((mk - da) / hk - t)
     return c0, c1, d[:-1], y[:-1]
-
-
-def pchip_scalar(x, y):
-    """scipy's PchipInterpolator(x, y, extrapolate=False) as a function of
-    one float, bit-identical to it.
-
-    The interval is half-open, x[i] <= t < x[i+1], except the last, which is
-    closed, and the cubic is c3 + c2 s + c1 s^2 + c0 s^3 with s = t - x[i]
-    and the powers s, s s, (s s) s, as scipy evaluates it.  Outside
-    [x[0], x[-1]] the value is nan.
-    """
-    c0, c1, c2, c3 = pchip_coefficients(x, y)
-    xs = [float(v) for v in x]
-    lo, hi, last = xs[0], xs[-1], len(xs) - 2
-
-    def f(t):
-        if not lo <= t <= hi:
-            return math.nan
-        i = min(bisect_right(xs, t) - 1, last)
-        s = t - xs[i]
-        ss = s * s
-        return c3[i] + c2[i] * s + c1[i] * ss + c0[i] * (ss * s)
-
-    return f
 
 
 @dataclass

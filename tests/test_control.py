@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,7 +33,7 @@ from reyex.estimators import (
 )
 from reyex.expansion import expand
 
-from oracles import solve_control_scipy
+from oracles import solve_control_scipy, solve_higher_order_reference
 
 
 def synthetic_estimator(R, n, grid, D_n, D_n1, eps):
@@ -203,12 +204,31 @@ def test_brentq_is_scipys(f, a, b):
 
 
 def test_import_loads_neither_scipy_nor_numpy():
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    root = Path(__file__).resolve().parents[1]
+    src = str(root / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = "import sys, reyex; print(sorted(m for m in ('scipy', 'numpy') if m in sys.modules))"
+    code = (
+        "import sys, reyex\n"
+        "from reyex.control import ControlTrajectory, solve_higher_order\n"
+        "from reyex.estimators import ConstantsTable, EstimatorSet, default_grid\n"
+        "grid = default_grid(40)\n"
+        "m = len(grid)\n"
+        "est = EstimatorSet(R=0.1, n=4, variant='rough', N=1, grid=grid, D_n=[2.0] * m,\n"
+        "                   D_n1=[3.0] * m, eps_n=[0.4] * m, precision=256)\n"
+        "traj = ControlTrajectory(R=0.1, n=3, variant='rough', times=grid,\n"
+        "                         values=[0.5] * m, verdict='GlobalDecay')\n"
+        "c = ConstantsTable(K={3: 0.323, 4: 0.5}, G={3: 0.438, 4: 0.6}, G_pn={(4, 3): 0.7})\n"
+        "assert solve_higher_order(est, traj, c)[1][-1] > 0\n"
+        "print(sorted(m for m in ('scipy', 'numpy') if m in sys.modules))"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+    tomllib = pytest.importorskip("tomllib")
+    with open(root / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower() for d in deps}
+    assert not names & {"scipy", "numpy"}
 
 
 def test_bisection_brackets_the_transition(bnw2, tables2):
@@ -273,6 +293,90 @@ def test_higher_order_satisfies_the_linear_ode():
         deriv = (rp(t + h) - rp(t - h)) / (2 * h)
         expected = -rp(t) + 0.3 * rate * rp(t) + 0.4
         assert float(deriv) == pytest.approx(float(expected), rel=5e-4, abs=1e-6)
+
+
+HIGHER = ConstantsTable(K={3: 0.323, 4: 0.5}, G={3: 0.438, 4: 0.6}, G_pn={(4, 3): 0.7})
+
+
+def _still_R_n(R, grid, value):
+    return ControlTrajectory(R=R, n=3, variant="rough", times=list(grid),
+                             values=[value] * len(grid), verdict="GlobalDecay")
+
+
+@pytest.fixture(scope="module")
+def tables2_p4(bnw2):
+    return EstimatorTables(bnw2, 4, grid=GRID)
+
+
+@pytest.mark.parametrize("R", [0.01, 0.06])
+def test_higher_order_matches_the_dop853_reference_on_real_probes(bnw2, tables2, tables2_p4, R):
+    # the solution is well conditioned above a thousandth of its maximum;
+    # below it the absolute tolerance dominates
+    traj_n = solve_control(build_estimator_set(bnw2, R, 3, "rough", HIGHER, tables2), HIGHER)
+    est_p = build_estimator_set(bnw2, R, 4, "rough", HIGHER, tables2_p4)
+    times, got = solve_higher_order(est_p, traj_n, HIGHER)
+    ref_times, ref = solve_higher_order_reference(est_p, traj_n, HIGHER)
+    assert times == ref_times
+    top = max(ref)
+    assert top > 0
+    for t, g, r in zip(times, got, ref):
+        if r > 1e-3 * top:
+            assert g == pytest.approx(r, rel=1e-6), t
+
+
+def test_higher_order_at_R_zero_on_a_long_grid():
+    # e^{t} overflows a double past t = 709
+    grid = default_grid(100, 800.0)
+    eps = 0.25
+    est_p = synthetic_estimator(0.0, 4, grid, 5.0, 8.0, eps)
+    times, values = solve_higher_order(est_p, _still_R_n(0.0, grid, 0.0), HIGHER)
+    assert times == grid
+    for t, v in zip(times, values):
+        assert v == pytest.approx(eps * (1 - math.exp(-t)), rel=1e-8, abs=1e-12)
+
+
+def test_higher_order_integrates_from_zero_whatever_the_times():
+    eps = 0.25
+    est_p = synthetic_estimator(0.0, 4, GRID, 5.0, 8.0, eps)
+    times, values = solve_higher_order(est_p, _still_R_n(0.0, GRID, 0.0), HIGHER,
+                                       times=[1.0, 2.0])
+    assert times == [1.0, 2.0]
+    for t, v in zip(times, values):
+        assert v == pytest.approx(eps * (1 - math.exp(-t)), rel=1e-8)
+    assert solve_higher_order(est_p, _still_R_n(0.0, GRID, 0.0), HIGHER, times=[0.0]) == (
+        [0.0], [0.0])
+
+
+@pytest.mark.parametrize("R", [0.05, 0.3])
+def test_higher_order_with_constant_coefficients_is_closed_form(R):
+    # R_p' = -lam R_p + eps with lam = 1 - R rate: R_p = eps/lam (1 - e^{-lam t})
+    eps = 0.4
+    est_p = synthetic_estimator(R, 4, GRID, 2.0, 3.0, eps)
+    rate = 0.6 * 2.0 + 0.5 * 3.0 + 0.7 * 0.5  # G_p D_p + K_p D_{p+1} + G_pn R_n
+    lam = 1 - R * rate
+    times, values = solve_higher_order(est_p, _still_R_n(R, GRID, 0.5), HIGHER)
+    for t, v in zip(times, values):
+        assert v == pytest.approx(eps / lam * -math.expm1(-lam * t), rel=1e-8, abs=1e-12)
+
+
+@pytest.mark.parametrize("times, message", [
+    ([], "empty"),
+    ([1.0, 1.0], "strictly increasing"),
+    ([2.0, 1.0], "strictly increasing"),
+    ([-1.0, 1.0], "nonnegative"),
+    ([1.0, 20.5], "past the end"),
+])
+def test_higher_order_checks_the_times(times, message):
+    est_p = synthetic_estimator(0.1, 4, GRID, 2.0, 3.0, 0.4)
+    with pytest.raises(ValueError, match=message):
+        solve_higher_order(est_p, _still_R_n(0.1, GRID, 0.5), HIGHER, times=times)
+
+
+def test_higher_order_reports_a_failed_integration():
+    # a growth rate of about 1,400: R_p overflows before t = 1
+    est_p = synthetic_estimator(1.0, 4, GRID, 1e3, 1e3, 1.0)
+    with pytest.raises(RuntimeError, match="integration failed"):
+        solve_higher_order(est_p, _still_R_n(1.0, GRID, 0.0), HIGHER, times=[0.0, 20.0])
 
 
 def test_coefficient_bound_values():

@@ -111,6 +111,22 @@ def test_file_datum_rejects_time_dependence(tmp_path):
         load_user_datum(str(path))
 
 
+def test_file_datum_rejects_a_mode_written_as_minus_k(tmp_path):
+    payload = datum_tg().field.to_payload(name="flipped")
+    mode = payload["modes"][0]
+    # the same real field, its first mode stored as the conjugate at -k
+    mode["k"] = [-x for x in mode["k"]]
+    for comp in mode["components"]:
+        for i, term in enumerate(comp):
+            a, b, re_part, im_part = term.split()
+            im_part = -mpq(im_part)
+            comp[i] = "%s %s %s %d/%d" % (a, b, re_part, im_part.numerator, im_part.denominator)
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="non-canonical storage key"):
+        load_user_datum(str(path))
+
+
 def test_file_datum_rejects_compressible(tmp_path):
     payload = datum_bnw().field.to_payload(name="bad")
     # break incompressibility on the first stored mode, k = (0, 1, 1)
