@@ -80,9 +80,9 @@ def _constant_value(poly):
     if set(poly.terms) != {(0, 0)}:
         raise ValueError("static field norm should be constant in time")
     c = poly.terms[(0, 0)]
-    if c.im:
+    if c.b:
         raise ValueError("norm square must be real")
-    return c.re
+    return mpq(c.a, c.d)
 
 
 def _gr(re, im=0):

@@ -540,8 +540,7 @@ class EstimatorSet:
     never dips below zero.  Exact zeros enter the logarithm as LOG_FLOOR,
     values at or below VALUE_FLOOR come out as zero, and outside the grid
     the end samples (clamped at zero) hold.  rates(t) evaluates the three
-    columns together and finds t's grid interval once; D_n_f, D_n1_f and
-    eps_n_f are its columns.
+    columns together and finds t's grid interval once.
     """
 
     R: float
@@ -586,15 +585,6 @@ class EstimatorSet:
             0.0 if b <= VALUE_FLOOR else b,
             0.0 if e <= VALUE_FLOOR else e,
         )
-
-    def D_n_f(self, t):
-        return self.rates(t)[0]
-
-    def D_n1_f(self, t):
-        return self.rates(t)[1]
-
-    def eps_n_f(self, t):
-        return self.rates(t)[2]
 
     @property
     def t_max(self):

@@ -35,7 +35,9 @@ from .symmetry import (
     GroupElement,
     SymmetryData,
     find_symmetries,
+    identity_element,
     negation_closure,
+    octahedral_matrices,
     orbit_partition,
     propagate_coefficient,
 )
@@ -182,7 +184,7 @@ def _bilinear_order_field(fulls, pairs, routes, j, tail=False, count=None):
         if raw is None:
             continue
         if tail:
-            # -acc/den = acc/(-den): each rational normalizes the sign
+            # -acc/den = acc/(-den): project_mode folds the sign back in
             den, acc = raw
             raw = (-den, acc)
         vec = project_mode(rep, raw)
@@ -303,18 +305,38 @@ def _symmetry_payload(sym):
     return {"plus": enc(sym.plus), "minus": enc(sym.minus)}
 
 
+def _int_triple(x):
+    return isinstance(x, list) and len(x) == 3 and all(type(v) is int for v in x)
+
+
 def _symmetry_from_payload(payload):
+    """The SymmetryData of a manifest's symmetry entry, or None for null.
+    CacheError unless plus and minus are lists of [S rows, a] with S a
+    signed permutation matrix and a a triple in 0..3, and plus holds the
+    identity."""
     if payload is None:
         return None
+    signed_permutations = set(octahedral_matrices())
 
     def dec(items):
+        if not isinstance(items, list):
+            return None
         out = []
         for row in items:
-            S = (tuple(row[0]), tuple(row[1]), tuple(row[2]))
-            out.append(GroupElement(S, tuple(row[3])))
+            if not (isinstance(row, list) and len(row) == 4 and all(map(_int_triple, row))):
+                return None
+            g = GroupElement(tuple(map(tuple, row[:3])), tuple(row[3]))
+            if g.S not in signed_permutations or not all(0 <= x < 4 for x in g.a):
+                return None
+            out.append(g)
         return frozenset(out)
 
-    return SymmetryData(plus=dec(payload["plus"]), minus=dec(payload["minus"]))
+    plus = minus = None
+    if isinstance(payload, dict):
+        plus, minus = dec(payload.get("plus")), dec(payload.get("minus"))
+    if plus is None or minus is None or identity_element() not in plus:
+        raise CacheError("malformed symmetry in manifest: %r" % (payload,))
+    return SymmetryData(plus=plus, minus=minus)
 
 
 def _read_field(path, name, digests):
@@ -371,25 +393,34 @@ def cache_store(exp, path):
 
 def cache_load(path):
     """Load an expansion cache; re-validates every field invariant and
-    checks every field file against its manifest digest."""
+    checks every field file against its manifest digest.  A manifest whose
+    N is not an int >= 0, whose has_tails is not a bool, or whose symmetry
+    is neither null nor well formed raises CacheError."""
     manifest_path = os.path.join(path, "manifest.json")
     try:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
     except (OSError, ValueError) as exc:
         raise CacheError("unreadable manifest %s: %s" % (manifest_path, exc)) from exc
+    if not isinstance(manifest, dict):
+        raise CacheError("manifest %s is not a JSON object" % (manifest_path,))
     if manifest.get("format") != CACHE_FORMAT:
         raise CacheError("unsupported cache format %r" % (manifest.get("format"),))
     digests = manifest.get("digests")
     if not isinstance(digests, dict):
         raise CacheError("manifest in %s has no file digests; re-run `reyex expand`" % (path,))
-    N, has_tails = manifest["N"], manifest.get("has_tails")
+    N, has_tails = manifest.get("N"), manifest.get("has_tails")
+    if type(N) is not int or N < 0:
+        raise CacheError("manifest in %s has no valid order N: %r" % (path, N))
+    if type(has_tails) is not bool:
+        raise CacheError("manifest in %s has no valid has_tails: %r" % (path, has_tails))
+    symmetry = _symmetry_from_payload(manifest.get("symmetry"))
     fields = [_read_field(path, name, digests) for name in _field_names(N, has_tails)]
     return Expansion(
         datum_id=manifest.get("datum_id", ""),
         N=N,
         coeffs=fields[: N + 1],
-        symmetry=_symmetry_from_payload(manifest.get("symmetry")),
+        symmetry=symmetry,
         meta=manifest.get("orders", []),
         tails=fields[N + 1 :] if has_tails else None,
         tail_meta=manifest.get("tails", []),

@@ -12,7 +12,7 @@ from math import lcm
 
 import mpmath
 
-from .rationals import GaussianRational, _gr, mpq
+from .rationals import GaussianRational, _gaussian, mpq
 from .timepoly import (
     TP_ZERO,
     DEFAULT_EVAL_PRECISION,
@@ -67,7 +67,6 @@ def _neg(k):
 
 
 _ZERO3 = (TP_ZERO, TP_ZERO, TP_ZERO)
-_ZERO_Q = mpq(0)
 
 
 def leray_project(k, vec):
@@ -82,19 +81,19 @@ def leray_project(k, vec):
         dot = TP_ZERO
         for ki, vi in zip(k, vec):
             if ki:
-                dot = dot + vi.scale_rational(mpq(ki))
+                dot = dot + vi.scale_rational(ki)
         if dot.is_zero():
             return tuple(vec)
-        return tuple(
-            vi - dot.scale_rational(mpq(ki, wave_norm_sq(k))) for ki, vi in zip(k, vec)
-        )
+        ksq = wave_norm_sq(k)
+        return tuple(vi - dot.scale_rational(mpq(ki, ksq)) for ki, vi in zip(k, vec))
     dot = GaussianRational(0)
     for ki, vi in zip(k, vec):
         if ki:
-            dot = dot + vi.scale(mpq(ki))
+            dot = dot + vi.mul_ratio(ki, 1)
     if not dot:
         return tuple(vec)
-    return tuple(vi - dot.scale(mpq(ki, wave_norm_sq(k))) for ki, vi in zip(k, vec))
+    ksq = wave_norm_sq(k)
+    return tuple(vi - dot.mul_ratio(ki, ksq) for ki, vi in zip(k, vec))
 
 
 class TimeField:
@@ -154,10 +153,10 @@ class TimeField:
             raise ValueError("exponent b = %d is too large to pack" % (b,))
         distinct = {id(c): c for terms in term_maps for c in terms.values()}
         _, mult = _multipliers(distinct.values())
-        ints = {
-            i: (c.re.numerator * mult[c.re.denominator], c.im.numerator * mult[c.im.denominator])
-            for i, c in distinct.items()
-        }
+        ints = {}
+        for i, c in distinct.items():
+            m = mult[c.d]
+            ints[i] = (c.a * m, c.b * m)
         for k, vec in self.coeffs.items():
             acc = {}
             for ki, p in zip(k, vec):
@@ -271,7 +270,7 @@ class TimeField:
 
     def laplacian(self):
         def fn(k, v):
-            q = mpq(-wave_norm_sq(k))
+            q = -wave_norm_sq(k)
             return (v[0].scale_rational(q), v[1].scale_rational(q), v[2].scale_rational(q))
 
         return self.map_coeffs(fn)
@@ -366,10 +365,7 @@ def _unpack(key):
 def _multipliers(coeffs):
     """(den, mult): den the lcm of the denominators of the GaussianRationals
     in coeffs, and mult maps each of those denominators d to den // d."""
-    dens = set()
-    for c in coeffs:
-        dens.add(c.re.denominator)
-        dens.add(c.im.denominator)
+    dens = {c.d for c in coeffs}
     den = lcm(*dens)
     return den, {d: den // d for d in dens}
 
@@ -389,14 +385,8 @@ def _numerators(vecs):
             for (a, b), c in p.terms.items():
                 if b >= _MAX_EXP:
                     raise ValueError("exponent b = %d is too large to pack" % (b,))
-                re, im = c.re, c.im
-                comp.append(
-                    (
-                        a << _KEY_SHIFT | b,
-                        re.numerator * mult[re.denominator],
-                        im.numerator * mult[im.denominator],
-                    )
-                )
+                m = mult[c.d]
+                comp.append((a << _KEY_SHIFT | b, c.a * m, c.b * m))
             row.append(tuple(comp))
         rows.append(tuple(row))
     return den, rows
@@ -459,20 +449,22 @@ def _add_products(acc, s, wrow):
 _ZERO_PAIR = (0, 0)
 
 
-def _ratio(num, den):
-    return mpq(num, den) if num else _ZERO_Q
-
-
 def project_mode(k, raw):
     """Apply -i and the Leray projection to an accumulated convolution sum.
 
-    raw is (den, acc) as convolution_coefficient returns it.  The projection
-    is formed in integers as |k|^2 v - k (k.v) over den |k|^2, and each
-    nonzero part becomes one rational."""
+    raw is (den, acc) as convolution_coefficient returns it, den nonzero of
+    either sign.  The projection is formed in integers as |k|^2 v - k (k.v)
+    over den |k|^2, and each nonzero term becomes one normalized
+    GaussianRational."""
     den, acc = raw
     k0, k1, k2 = k
     ksq = k0 * k0 + k1 * k1 + k2 * k2
     den *= ksq
+    # the sign of den goes into the weights of the numerators, so den > 0
+    s = -1 if den < 0 else 1
+    den *= s
+    w = s * ksq
+    w0, w1, w2 = s * k0, s * k1, s * k2
     a0, a1, a2 = acc
     out = ({}, {}, {})
     for key in a0.keys() | a1.keys() | a2.keys():
@@ -482,12 +474,12 @@ def project_mode(k, raw):
         dre = k0 * r0 + k1 * r1 + k2 * r2
         dim = k0 * i0 + k1 * i1 + k2 * i2
         ab = _unpack(key)
-        for terms, ki, re, im in ((out[0], k0, r0, i0), (out[1], k1, r1, i1), (out[2], k2, r2, i2)):
-            re = ksq * re - ki * dre
-            im = ksq * im - ki * dim
+        for terms, wi, re, im in ((out[0], w0, r0, i0), (out[1], w1, r1, i1), (out[2], w2, r2, i2)):
+            re = w * re - wi * dre
+            im = w * im - wi * dim
             if re or im:
                 # -i (re + i im) = im - i re
-                terms[ab] = _gr(_ratio(im, den), _ratio(-re, den))
+                terms[ab] = _gaussian(im, -re, den)
     return (_tp(out[0]), _tp(out[1]), _tp(out[2]))
 
 
@@ -633,7 +625,7 @@ def gram_poly_orbits(v, w, orders, orbit_classes):
     canonical support; contributions are constant on classes when the fields
     are equivariant under the symmetry group that produced the classes.  The
     canonical pair {k, -k} contributes twice the real part of conj(v_k).w_k,
-    so only Re(conj(c) d) = c.re d.re + c.im d.im is ever formed, in integer
+    so only Re(conj(c) d) = Re c Re d + Im c Im d is ever formed, in integer
     numerators over the product of the two fields' denominators.  The orders
     differ only in the |k|^{2 order} weight, so the mode products are summed
     once per shell |k|^2, and each shell sum is weighted per order.
@@ -669,7 +661,7 @@ def gram_poly_orbits(v, w, orders, orbit_classes):
                 acc[key] = acc.get(key, 0) + weight * x
         den = vden * wden * scale
         out.append(
-            _tp({_unpack(key): _gr(mpq(2 * x, den), _ZERO_Q) for key, x in acc.items() if x})
+            _tp({_unpack(key): _gaussian(2 * x, 0, den) for key, x in acc.items() if x})
         )
     return out
 

@@ -1,13 +1,19 @@
 """Exact Gaussian-rational scalars.
 
-All coefficient arithmetic in this package is exact: a scalar is a pair of
-rationals (real and imaginary part) with arbitrary-precision integer
-numerators and denominators.  gmpy2's mpq is used when available because the
-expansion recursion multiplies millions of these; plain fractions.Fraction is
-a drop-in fallback.
+All coefficient arithmetic in this package is exact.  A scalar (a + b i)/d is
+held as three Python ints in normal form: d > 0 and gcd(a, b, d) = 1, so zero
+is (0, 0, 1) and two scalars are equal exactly when their triples are.  Every
+operation works on the ints and normalizes at most once, with one gcd of
+three arguments; negation, conjugation and the quarter turns only move signs.
+
+mpq is the type of the rationals the API takes and returns (the parts re and
+im, abs_sq, rational_from_string): gmpy2's mpq when it is installed, else
+fractions.Fraction.  The scalar arithmetic runs on Python ints under either.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 try:
     from gmpy2 import mpq
@@ -29,20 +35,24 @@ __all__ = [
     "GR_I",
 ]
 
-_ZERO_Q = mpq(0)
 
-
-def rational_from_string(s):
-    """Parse 'num/den' or 'num' into an exact rational; ValueError if s is
-    neither, or den is zero."""
+def _int_pair(s):
+    """(num, den) of 'num/den' or 'num', den a nonzero int of either sign;
+    ValueError if s is neither, or den is zero."""
     s = s.strip()
     if "/" in s:
         num, den = s.split("/")
         den = int(den)
         if not den:
             raise ValueError("zero denominator in %r" % (s,))
-        return mpq(int(num), den)
-    return mpq(int(s))
+        return int(num), den
+    return int(s), 1
+
+
+def rational_from_string(s):
+    """Parse 'num/den' or 'num' into an exact rational; ValueError if s is
+    neither, or den is zero."""
+    return mpq(*_int_pair(s))
 
 
 def rational_to_string(q):
@@ -51,101 +61,161 @@ def rational_to_string(q):
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-class GaussianRational:
-    """A complex number with exact rational real and imaginary parts."""
+def _ratio_string(n, d):
+    """rational_to_string of n/d, d > 0, without forming the rational."""
+    g = gcd(n, d)
+    if g == d:
+        return str(n // d)
+    return "%d/%d" % (n // g, d // g)
 
-    __slots__ = ("re", "im")
+
+class GaussianRational:
+    """A complex number (a + b i)/d with integer a, b and d in normal form:
+    d > 0 and gcd(a, b, d) = 1."""
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = mpq(re)
-        self.im = mpq(im)
+        re, im = mpq(re), mpq(im)
+        p, q = int(re.denominator), int(im.denominator)
+        # over lcm(p, q) no prime divides both numerators and the denominator
+        d = p // gcd(p, q) * q
+        self.a = int(re.numerator) * (d // p)
+        self.b = int(im.numerator) * (d // q)
+        self.d = d
+
+    @property
+    def re(self):
+        """The real part, as an exact rational."""
+        return mpq(self.a, self.d)
+
+    @property
+    def im(self):
+        """The imaginary part, as an exact rational."""
+        return mpq(self.b, self.d)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.a or self.b)
 
     def __eq__(self, other):
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __repr__(self):
         return "GaussianRational(%s, %s)" % (self.re, self.im)
 
     def __add__(self, other):
-        return _gr(self.re + other.re, self.im + other.im)
+        d, e = self.d, other.d
+        if d == e:
+            a = self.a + other.a
+            b = self.b + other.b
+            if d == 1:
+                return _triple(a, b, 1)
+        else:
+            a = self.a * e + other.a * d
+            b = self.b * e + other.b * d
+            d *= e
+        return _gaussian(a, b, d)
 
     def __sub__(self, other):
-        return _gr(self.re - other.re, self.im - other.im)
-
-    # Negation, conjugation and quarter turns pass a zero part through
-    # unchanged: shipped coefficients are purely real or purely imaginary,
-    # and a zero test is cheaper than negating a rational.
+        d, e = self.d, other.d
+        if d == e:
+            a = self.a - other.a
+            b = self.b - other.b
+            if d == 1:
+                return _triple(a, b, 1)
+        else:
+            a = self.a * e - other.a * d
+            b = self.b * e - other.b * d
+            d *= e
+        return _gaussian(a, b, d)
 
     def __neg__(self):
-        re, im = self.re, self.im
-        return _gr(-re if re else re, -im if im else im)
+        return _triple(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        # Zero-part shortcuts matter: for the shipped data every expansion
-        # coefficient is purely real or purely imaginary, and the generic
-        # 4-multiplication path would dominate the run time.
-        a, b = self.re, self.im
-        c, d = other.re, other.im
+        a, b = self.a, self.b
+        c, e = other.a, other.b
+        # For the shipped data every coefficient is purely real or purely
+        # imaginary, so a zero part saves two of the four products.
         if not b:
-            if not d:
-                return _gr(a * c, _ZERO_Q)
-            if not c:
-                return _gr(_ZERO_Q, a * d)
-            return _gr(a * c, a * d)
-        if not a:
-            if not c:
-                return _gr(-b * d, _ZERO_Q)
-            if not d:
-                return _gr(_ZERO_Q, b * c)
-            return _gr(-b * d, b * c)
-        if not d:
-            return _gr(a * c, b * c)
-        if not c:
-            return _gr(-b * d, a * d)
-        return _gr(a * c - b * d, a * d + b * c)
+            re, im = a * c, a * e
+        elif not a:
+            re, im = -b * e, b * c
+        else:
+            re, im = a * c - b * e, a * e + b * c
+        d = self.d * other.d
+        if d == 1:
+            return _triple(re, im, 1)
+        return _gaussian(re, im, d)
 
     def scale(self, q):
-        """Multiply by an exact rational."""
-        return _gr(self.re * q, self.im * q)
+        """Multiply by an exact rational (an int or an mpq)."""
+        return self.mul_ratio(int(q.numerator), int(q.denominator))
+
+    def mul_ratio(self, n, m):
+        """Multiply by n/m for ints n and m, m nonzero."""
+        if m < 0:
+            n, m = -n, -m
+        return _gaussian(self.a * n, self.b * n, self.d * m)
 
     def conj(self):
-        im = self.im
-        return _gr(self.re, -im if im else im)
+        return _triple(self.a, -self.b, self.d)
 
     def mul_i(self):
         """Multiply by the imaginary unit."""
-        im = self.im
-        return _gr(-im if im else im, self.re)
+        return _triple(-self.b, self.a, self.d)
 
     def mul_minus_i(self):
-        re = self.re
-        return _gr(self.im, -re if re else re)
+        return _triple(self.b, -self.a, self.d)
 
     def abs_sq(self):
-        return self.re * self.re + self.im * self.im
+        a, b, d = self.a, self.b, self.d
+        return mpq(a * a + b * b, d * d)
 
     def to_strings(self):
-        return rational_to_string(self.re), rational_to_string(self.im)
+        """The parts as rational_to_string writes them."""
+        return _ratio_string(self.a, self.d), _ratio_string(self.b, self.d)
 
     @classmethod
     def from_strings(cls, re_s, im_s):
-        return _gr(rational_from_string(re_s), rational_from_string(im_s))
+        """The scalar with the parts rational_from_string reads."""
+        p, q = _int_pair(re_s)
+        r, s = _int_pair(im_s)
+        d = q * s
+        if d < 0:
+            q, s, d = -q, -s, -d
+        return _gaussian(p * s, r * q, d)
 
 
-def _gr(re, im):
-    """Internal fast constructor: parts must already be exact rationals."""
-    g = GaussianRational.__new__(GaussianRational)
-    g.re = re
-    g.im = im
-    return g
+_new = GaussianRational.__new__
+
+
+def _triple(a, b, d):
+    """Internal fast constructor: (a, b, d) must already be in normal form."""
+    x = _new(GaussianRational)
+    x.a = a
+    x.b = b
+    x.d = d
+    return x
+
+
+def _gaussian(a, b, d):
+    """(a + b i)/d in normal form, for ints a, b and d > 0."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    x = _new(GaussianRational)
+    x.a = a
+    x.b = b
+    x.d = d
+    return x
 
 
 GR_ZERO = GaussianRational(0, 0)

@@ -30,7 +30,7 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from .rationals import GR_ZERO, GaussianRational, mpq
+from .rationals import GR_ZERO, GaussianRational
 
 __all__ = ["TimePoly", "tp_basis", "TP_ZERO", "TP_ONE", "sample_real_polys"]
 
@@ -76,7 +76,7 @@ class TimePoly:
         bits = []
         for (a, b) in sorted(self.terms):
             c = self.terms[(a, b)]
-            bits.append("(%s+%si)*B[%d,%d]" % (c.re, c.im, a, b))
+            bits.append("(%s+%si)*B[%d,%d]" % (*c.to_strings(), a, b))
         return "TimePoly(" + " + ".join(bits) + ")"
 
     def __add__(self, other):
@@ -149,9 +149,11 @@ class TimePoly:
         return _tp({key: x * c for key, x in self.terms.items()})
 
     def scale_rational(self, q):
+        """Multiply by an exact rational (an int or an mpq)."""
         if not q:
             return TP_ZERO
-        return _tp({key: x.scale(q) for key, x in self.terms.items()})
+        n, m = int(q.numerator), int(q.denominator)
+        return _tp({key: x.mul_ratio(n, m) for key, x in self.terms.items()})
 
     def conj(self):
         return _tp({key: c.conj() for key, c in self.terms.items()})
@@ -170,7 +172,7 @@ class TimePoly:
         for (a, b), c in self.terms.items():
             if a:
                 key = (a - 1, b)
-                add = c.scale(mpq(a))
+                add = c.mul_ratio(a, 1)
                 prev = out.get(key)
                 s = add if prev is None else prev + add
                 if s:
@@ -179,7 +181,7 @@ class TimePoly:
                     del out[key]
             if b:
                 key = (a, b)
-                add = c.scale(mpq(-b))
+                add = c.mul_ratio(-b, 1)
                 prev = out.get(key)
                 s = add if prev is None else prev + add
                 if s:
@@ -211,14 +213,13 @@ class TimePoly:
 
         for (a, b), c in self.terms.items():
             if b == ksq:
-                add((a + 1, ksq), c.scale(mpq(1, a + 1)))
+                add((a + 1, ksq), c.mul_ratio(1, a + 1))
             else:
                 d = b - ksq
                 fact_a = factorial(a)
-                add((0, ksq), c.scale(mpq(fact_a, d ** (a + 1))))
+                add((0, ksq), c.mul_ratio(fact_a, d ** (a + 1)))
                 for ell in range(a + 1):
-                    q = mpq(fact_a, d ** (a + 1 - ell) * factorial(ell))
-                    add((ell, b), c.scale(-q))
+                    add((ell, b), c.mul_ratio(-fact_a, d ** (a + 1 - ell) * factorial(ell)))
         return _tp(out)
 
     # -- numeric evaluation ----------------------------------------------
@@ -228,6 +229,7 @@ class TimePoly:
         if precision < 53:
             raise ValueError("precision must be at least 53 bits")
         with mpmath.workprec(precision):
+            make_mpf = mpmath.mp.make_mpf
             tt = mpmath.mpf(t) if not isinstance(t, mpmath.mpf) else t
             x = mpmath.e ** (-tt)
             re = mpmath.mpf(0)
@@ -242,8 +244,8 @@ class TimePoly:
                 if xb is None:
                     xb = xpow[b] = x ** b
                 w = ta * xb
-                re += _to_mpf(c.re) * w
-                im += _to_mpf(c.im) * w
+                re += make_mpf(_round(c.a, c.d, precision)) * w
+                im += make_mpf(_round(c.b, c.d, precision)) * w
             return mpmath.mpc(re, im)
 
     # -- structure -------------------------------------------------------
@@ -275,7 +277,7 @@ class TimePoly:
 
 def _to_records(poly, memo):
     """poly.to_records(), with memo mapping every exponent pair formatted with
-    it to its text 'a b ' and the integer parts of every coefficient to its
+    it to its text 'a b ' and the integer triple of every coefficient to its
     text 're im', so each distinct one is converted to decimal once."""
     terms = poly.terms
     recs = []
@@ -284,8 +286,7 @@ def _to_records(poly, memo):
         if head is None:
             head = memo[key] = "%d %d " % key
         c = terms[key]
-        re, im = c.re, c.im
-        parts = (re.numerator, re.denominator, im.numerator, im.denominator)
+        parts = (c.a, c.b, c.d)
         text = memo.get(parts)
         if text is None:
             text = memo[parts] = "%s %s" % c.to_strings()
@@ -332,11 +333,13 @@ def _from_records(records, memo):
 
 def _to_mpf(q):
     """The rational q rounded once to the current precision."""
-    return mpmath.mp.make_mpf(_round(q, mpmath.mp.prec))
+    return mpmath.mp.make_mpf(_round(q.numerator, q.denominator, mpmath.mp.prec))
 
 
-def _round(q, prec):
-    return from_rational(q.numerator, q.denominator, prec, round_nearest)
+def _round(num, den, prec):
+    """num/den rounded once to prec bits, to nearest, as a libmp tuple; the
+    value is the same whether or not num/den is in lowest terms."""
+    return from_rational(num, den, prec, round_nearest)
 
 
 # -- batch sampling on a time grid -------------------------------------------------
@@ -428,9 +431,9 @@ def _coefficients(poly, prec, slots):
     negative ones; slots[i] is the basis slot of the i-th term."""
     rounded = []
     for c in poly.terms.values():
-        if c.im:
+        if c.b:
             raise ValueError("sample_real_polys needs real coefficients")
-        rounded.append(_round(c.re, prec))
+        rounded.append(_round(c.a, c.d, prec))
     low = min((e for _, _, e, _ in rounded), default=0)
     pos, neg = [], []
     for slot, (sign, man, e, _) in zip(slots, rounded):
@@ -627,10 +630,8 @@ def sample_real_polys(polys, grid, precision=DEFAULT_EVAL_PRECISION):
         if t:
             points.append(i)
         else:
-            columns[i] = [
-                _round(sum((c.re for (a, _), c in p.terms.items() if a == 0), mpq(0)), precision)
-                for p in polys
-            ]
+            at_zero = [sum((c for (a, _), c in p.terms.items() if a == 0), GR_ZERO) for p in polys]
+            columns[i] = [_round(c.a, c.d, precision) for c in at_zero]
     workers = 1
     if hasattr(os, "fork") and threading.active_count() == 1:
         work = sum(len(p.terms) for p in polys) * len(points)

@@ -21,6 +21,8 @@ to the bit.  to_records_reference, from_records_reference and
 validate_reference are the cache codec as it was before each distinct
 coefficient was parsed, formatted and scaled once: the text the encoder
 writes, and the polys and verdicts of the decoder, must be theirs.
+FractionGaussian is GaussianRational as it was before the integer triple: a
+pair of exact rationals, every operation on the two parts.
 """
 
 import mpmath
@@ -56,7 +58,7 @@ from reyex.fields import (
     sobolev_norm,
     wave_norm_sq,
 )
-from reyex.rationals import GaussianRational, mpq
+from reyex.rationals import GaussianRational, mpq, rational_to_string
 from reyex.timepoly import (
     DEFAULT_EVAL_PRECISION,
     GUARD_BITS,
@@ -65,6 +67,78 @@ from reyex.timepoly import (
     TP_ZERO,
     TimePoly,
 )
+
+
+class FractionGaussian:
+    """A complex number with exact rational real and imaginary parts."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = mpq(re)
+        self.im = mpq(im)
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def __eq__(self, other):
+        if not isinstance(other, FractionGaussian):
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __add__(self, other):
+        return FractionGaussian(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return FractionGaussian(self.re - other.re, self.im - other.im)
+
+    def __neg__(self):
+        return FractionGaussian(-self.re, -self.im)
+
+    def __mul__(self, other):
+        a, b = self.re, self.im
+        c, d = other.re, other.im
+        return FractionGaussian(a * c - b * d, a * d + b * c)
+
+    def scale(self, q):
+        """Multiply by an exact rational."""
+        return FractionGaussian(self.re * q, self.im * q)
+
+    def conj(self):
+        return FractionGaussian(self.re, -self.im)
+
+    def mul_i(self):
+        """Multiply by the imaginary unit."""
+        return FractionGaussian(-self.im, self.re)
+
+    def mul_minus_i(self):
+        return FractionGaussian(self.im, -self.re)
+
+    def abs_sq(self):
+        return self.re * self.re + self.im * self.im
+
+    def to_strings(self):
+        return rational_to_string(self.re), rational_to_string(self.im)
+
+    @classmethod
+    def from_strings(cls, re_s, im_s):
+        return cls(rational_from_string_reference(re_s), rational_from_string_reference(im_s))
+
+
+def rational_from_string_reference(s):
+    """rational_from_string as it was before it shared its int parser with
+    GaussianRational.from_strings."""
+    s = s.strip()
+    if "/" in s:
+        num, den = s.split("/")
+        den = int(den)
+        if not den:
+            raise ValueError("zero denominator in %r" % (s,))
+        return mpq(int(num), den)
+    return mpq(int(s))
 
 
 def assert_residual_identity(exp):
@@ -662,11 +736,11 @@ def solve_control_scipy(
     G = constants.G_of(est.n)
     K = constants.K_of(est.n)
     R, t_max = est.R, est.t_max
-    Dn, Dn1, eps = est.D_n_f, est.D_n1_f, est.eps_n_f
 
     def rhs(t, y):
         r = y[0]
-        return [-r + R * (G * Dn(t) + K * Dn1(t)) * r + R * G * r * r + eps(t)]
+        dn, dn1, eps = est.rates(t)
+        return [-r + R * (G * dn + K * dn1) * r + R * G * r * r + eps]
 
     def blow(t, y):
         return y[0] - blowup_threshold

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 from fractions import Fraction
 
 import pytest
@@ -188,6 +189,22 @@ def test_estimate_missing_cache(runner, tmp_path):
         "--output", str(tmp_path / "x.csv"),
     ])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("key, value", [("N", "1"), ("N", -1), ("symmetry", {"plus": 5})],
+                         ids=["N-string", "N-negative", "symmetry-malformed"])
+def test_estimate_with_a_malformed_manifest_is_a_usage_error(runner, rundir, tmp_path, key, value):
+    cache = tmp_path / "cache"
+    shutil.copytree(rundir / "cache", cache)
+    manifest = json.loads((cache / "manifest.json").read_text())
+    manifest[key] = value
+    (cache / "manifest.json").write_text(json.dumps(manifest))
+    res = runner.invoke(main, [
+        "estimate", "--cache", str(cache), "--R", "0.1", "--output", str(tmp_path / "x.csv"),
+    ])
+    assert res.exit_code == 2, res.output
+    assert "cannot load cache" in res.output
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_control_verdict_files(runner, rundir):

@@ -516,15 +516,15 @@ def test_interpolant_reproduces_heat_decay_off_grid():
     base = float(d.sobolev(3))
     for t in (0.0731, 0.492, 3.17, 11.9):
         expected = base * math.exp(-2 * t)
-        assert est.D_n_f(t) == pytest.approx(expected, rel=1e-8)
+        assert est.rates(t)[0] == pytest.approx(expected, rel=1e-8)
 
 
 def test_interpolant_never_negative(bnw3, tables3):
     est = build_estimator_set(bnw3, 0.3, 3, "tautological", tables=tables3)
     for i in range(400):
         t = 20.0 * i / 399
-        assert est.eps_n_f(t) >= 0.0
-        assert est.D_n_f(t) >= 0.0
+        assert est.rates(t)[2] >= 0.0
+        assert est.rates(t)[0] >= 0.0
 
 
 def test_samples_beyond_the_float_range_are_refused(bnw3, tables3):
@@ -605,7 +605,7 @@ def test_pchip_evaluators_are_bit_identical_to_scipy(steps, first, seed):
     for t in times:
         got = est.rates(t)
         assert got == tuple(ref(t) for ref in refs)
-        assert (est.D_n_f(t), est.D_n1_f(t), est.eps_n_f(t)) == got
+        assert (est.rates(t)[0], est.rates(t)[1], est.rates(t)[2]) == got
 
 
 def _assert_scipy_coefficients(x, y):

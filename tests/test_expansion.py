@@ -275,6 +275,80 @@ def test_cache_rejects_corrupt_manifest(tmp_path):
         cache_load(str(tmp_path))
 
 
+def _edit_manifest(path, edit):
+    mpath = os.path.join(path, "manifest.json")
+    with open(mpath) as fh:
+        manifest = json.load(fh)
+    edit(manifest)
+    with open(mpath, "w") as fh:
+        json.dump(manifest, fh)
+
+
+def _set(key, value):
+    return lambda manifest: manifest.__setitem__(key, value)
+
+
+def _set_symmetry(side, value):
+    return lambda manifest: manifest["symmetry"].__setitem__(side, value)
+
+
+def _add_plus(row):
+    return lambda manifest: manifest["symmetry"]["plus"].append(row)
+
+
+_IDENTITY_ROW = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda manifest: manifest.pop("N"),
+    _set("N", "1"),
+    _set("N", -1),
+    _set("N", 1.0),
+    _set("N", True),
+    lambda manifest: manifest.pop("has_tails"),
+    _set("has_tails", 1),
+    _set("has_tails", "yes"),
+    _set("symmetry", []),
+    _set("symmetry", {"plus": [_IDENTITY_ROW]}),
+    _set_symmetry("plus", 5),
+    _add_plus([1, 2, 3]),
+    _add_plus([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    _add_plus([[1, 0, 0], [0, 1, 0], [0, 0, "1"], [0, 0, 0]]),
+    _add_plus([[1, 0, 0], [0, 1, 0], [0, 0, True], [0, 0, 0]]),
+    _add_plus([[1, 0, 0], [1, 0, 0], [0, 0, 1], [0, 0, 0]]),
+    _add_plus([[2, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]),
+    _add_plus([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 4]]),
+    _set_symmetry("plus", [[[-1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]]),
+    _set_symmetry("minus", [_IDENTITY_ROW, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0]]]),
+], ids=["no-N", "N-string", "N-negative", "N-float", "N-bool", "no-has_tails", "has_tails-int",
+        "has_tails-string", "symmetry-list", "no-minus", "plus-number", "short-row", "no-a",
+        "S-string", "S-bool", "S-singular", "S-scaled", "a-out-of-range", "no-identity",
+        "a-negative"])
+def test_cache_rejects_a_malformed_manifest(tmp_path, edit):
+    exp = expand(datum_bnw().field, 1, datum_id="bnw")
+    path = str(tmp_path / "cache")
+    cache_store(exp, path)
+    _edit_manifest(path, edit)
+    with pytest.raises(CacheError, match="manifest"):
+        cache_load(path)
+
+
+def test_cache_rejects_a_manifest_that_is_not_an_object(tmp_path):
+    (tmp_path / "manifest.json").write_text("[1, 2]")
+    with pytest.raises(CacheError, match="not a JSON object"):
+        cache_load(str(tmp_path))
+
+
+def test_cache_loads_a_manifest_without_symmetry(tmp_path):
+    exp = expand(datum_bnw().field, 1, datum_id="bnw", use_symmetry=False)
+    path = str(tmp_path / "cache")
+    cache_store(exp, path)
+    _edit_manifest(path, lambda manifest: manifest.pop("symmetry"))
+    loaded = cache_load(path)
+    assert loaded.symmetry is None
+    assert loaded.coeffs == exp.coeffs
+
+
 def _tamper(path, name, edit):
     """Apply edit to the payload of one field file of a cache."""
     target = os.path.join(path, name)
