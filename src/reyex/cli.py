@@ -19,6 +19,7 @@ import mpmath
 
 from .control import (
     DEFAULT_BLOWUP_THRESHOLD,
+    DEFAULT_TOL_R,
     _verdict_record,
     classical_bounds,
     export_trajectory_csv,
@@ -27,6 +28,8 @@ from .control import (
 )
 from .data import get_datum, physical_reynolds
 from .estimators import (
+    DEFAULT_GRID_POINTS,
+    DEFAULT_T_MAX,
     ConstantsTable,
     EstimatorTables,
     MissingConstantError,
@@ -71,6 +74,10 @@ def _write_json(path, payload, cfg):
 
 
 def _load_constants(path):
+    """The ConstantsTable of a JSON constants file: an object of sections K
+    and G (keyed by order) and K_pn and G_pn (keyed "p,n"), each an object of
+    numbers.  The sections it leaves out keep the table's defaults.
+    ValueError for a file of any other shape."""
     if path is None:
         return ConstantsTable()
     with open(path) as fh:
@@ -86,9 +93,15 @@ def _load_constants(path):
             out[(int(p), int(n))] = float(v)
         return out
 
-    # only the sections the file holds, so the table's defaults fill the rest
     parsers = {"K": intkeys, "G": intkeys, "K_pn": pairkeys, "G_pn": pairkeys}
-    return ConstantsTable(**{key: parse(raw[key]) for key, parse in parsers.items() if key in raw})
+    if not (isinstance(raw, dict) and raw.keys() <= parsers.keys()
+            and all(isinstance(section, dict) for section in raw.values())):
+        raise ValueError("constants file %s is not an object of sections %s, each an object"
+                         % (path, ", ".join(parsers)))
+    try:
+        return ConstantsTable(**{key: parsers[key](section) for key, section in raw.items()})
+    except TypeError as exc:
+        raise ValueError("malformed constant in %s: %s" % (path, exc)) from exc
 
 
 def _cache_dir(cache, cache_root):
@@ -214,8 +227,8 @@ def cmd_expand(ctx, selector, N, symmetry, tails, term_ceiling, cache):
 
 def _common_estimator_args(f):
     f = click.option("--precision", default=DEFAULT_EVAL_PRECISION, show_default=True)(f)
-    f = click.option("--t-max", default=20.0, show_default=True)(f)
-    f = click.option("--grid-points", default=400, show_default=True)(f)
+    f = click.option("--t-max", default=DEFAULT_T_MAX, show_default=True)(f)
+    f = click.option("--grid-points", default=DEFAULT_GRID_POINTS, show_default=True)(f)
     f = click.option("--variant", default="rough", show_default=True, callback=_variant_option,
                      help="tautological | rough | intermediate:M")(f)
     f = click.option("--n", "n", default=3, show_default=True, help="Sobolev order")(f)
@@ -297,7 +310,7 @@ def cmd_control(ctx, cache, constants_path, n, variant, grid_points, t_max, prec
 @_common_estimator_args
 @click.option("--lo", required=True, type=float)
 @click.option("--hi", required=True, type=float)
-@click.option("--tol-r", default=0.01, show_default=True)
+@click.option("--tol-r", default=DEFAULT_TOL_R, show_default=True)
 @click.option("--datum", "selector", default=None,
               help="Datum selector for the physical-Reynolds conversion.")
 @click.option("--output", required=True, help="Bracket JSON output path.")

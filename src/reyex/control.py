@@ -54,6 +54,7 @@ DEFAULT_BLOWUP_THRESHOLD = 1e6
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-14
 DECAY_FLOOR_FACTOR = 1e-6
+DEFAULT_TOL_R = 0.01
 
 EPS = sys.float_info.epsilon
 
@@ -370,7 +371,7 @@ def find_critical_R(
     variant,
     lo,
     hi,
-    tol_R=0.01,
+    tol_R=DEFAULT_TOL_R,
     constants=None,
     tables=None,
     probe_log=None,

@@ -15,8 +15,11 @@ depend only on the expansion, so one EstimatorTables instance serves every R
 probed during a bisection.  They are built in two steps:
 
   exact build   each Gram G_ij^m is a real-coefficient TimePoly, summed
-                exactly over one representative per orbit class of the
-                symmetry group (fields.gram_poly_orbits);
+                exactly over one representative per orbit class
+                (fields.gram_poly_orbits).  The classes are those the
+                expansion propagated its fields over (SymmetryData.routes),
+                each weighted by its size, or for a pair of odd order sum by
+                the sum of its members' signs;
   sampling      all Grams of one table kind are evaluated together
                 (timepoly.sample_real_polys): at each t > 0, e^{-t} and every
                 basis value t^a e^{-bt} are computed once.  Each Gram sums
@@ -72,7 +75,7 @@ from operator import mul
 import mpmath
 
 from .fields import gram_poly_orbits
-from .symmetry import negation_closure, orbit_partition
+from .symmetry import orbit_partition
 from .expansion import residual_tail
 from .timepoly import DEFAULT_EVAL_PRECISION, sample_real_polys
 
@@ -127,16 +130,11 @@ class ConstantsTable:
             raise MissingConstantError("G_%s not configured; supply it explicitly" % (m,))
 
     def K_pn_of(self, p, n):
-        if p == n:
-            # K_n = K_{nn}
-            try:
-                return self.K_pn[(p, n)]
-            except KeyError:
-                return self.K_of(n)
-        try:
+        if (p, n) in self.K_pn:
             return self.K_pn[(p, n)]
-        except KeyError:
-            raise MissingConstantError("K_{%s,%s} not configured" % (p, n))
+        if p == n:  # K_n = K_{nn}
+            return self.K_of(n)
+        raise MissingConstantError("K_{%s,%s} not configured" % (p, n))
 
     def G_pn_of(self, p, n):
         try:
@@ -147,9 +145,11 @@ class ConstantsTable:
 
 GRID_SPLIT = 0.5
 GRID_FIRST_STEP = 1e-3
+DEFAULT_GRID_POINTS = 400
+DEFAULT_T_MAX = 20.0
 
 
-def default_grid(num=400, t_max=20.0):
+def default_grid(num=DEFAULT_GRID_POINTS, t_max=DEFAULT_T_MAX):
     """Time grid starting at 0: geometric on (0, GRID_SPLIT] from
     GRID_FIRST_STEP, uniform after.
 
@@ -234,7 +234,6 @@ class EstimatorTables:
         self.precision = precision
         with mpmath.workprec(precision):
             self._vol = self._dyadic((2 * mpmath.pi) ** 3)
-        self._matrices = list(negation_closure(exp.group.reduced_plus))
         self._coeff_tables = None
         self._tail_tables = None
         self._columns = {}
@@ -260,15 +259,21 @@ class EstimatorTables:
         the precision lost in self.stats[kind]."""
         start = time.perf_counter()
         support = set().union(*(f.coeffs for f in fields))
-        # the support holds canonical keys only, so each class is the
-        # canonical half of an orbit under +-S
-        classes = [
-            (rep, len(members)) for rep, members in orbit_partition(support, self._matrices)
-        ]
+        # the classes the fields were propagated over: a member reached with
+        # sign sigma holds sigma^(i+j) times its representative's term (tail i
+        # is of order N+1+i), so a class weighs its size, or on odd pairs its signs' sum
+        routes = self.exp.group.routes
+        classes = orbit_partition(support, list(routes))
+        weights = (  # by the parity of i + j
+            [(rep, len(members)) for rep, members in classes],
+            [(rep, sum(routes[M][1] for M in members.values())) for rep, members in classes],
+        )
         pairs = [(i, j) for i in range(len(fields)) for j in range(i, len(fields))]
         keys = [(i, j, m) for i, j in pairs for m in orders]
         polys = [
-            poly for i, j in pairs for poly in gram_poly_orbits(fields[i], fields[j], orders, classes)
+            poly
+            for i, j in pairs
+            for poly in gram_poly_orbits(fields[i], fields[j], orders, weights[(i + j) % 2])
         ]
         built = time.perf_counter()
         values, report = sample_real_polys(polys, self.grid, self.precision)

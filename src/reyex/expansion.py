@@ -36,7 +36,6 @@ from .symmetry import (
     SymmetryData,
     find_symmetries,
     identity_element,
-    negation_closure,
     octahedral_matrices,
     orbit_partition,
     propagate_coefficient,
@@ -81,13 +80,18 @@ class Expansion:
     tail_meta: list = dc_field(default_factory=list)  # per tail: order, terms, wall_seconds
 
     def order_stats(self, j):
+        """Size figures of u_j.  orbits (None when unpruned) counts the classes
+        of its support under the group's routes: the representatives the
+        expansion convolved, with O and -O one class even where -I is not in S+ | S-."""
         u = self.coeffs[j]
         polys = [p for vec in u.coeffs.values() for p in vec]
         return {
             "order": j,
             "nonzero_coefficients": u.num_modes(),
             "canonical_modes": len(u.coeffs),
-            "orbits": self._orbit_count(u),
+            "orbits": None if self.symmetry is None else len(
+                orbit_partition(u.coeffs, list(self.symmetry.routes))
+            ),
             "terms": sum(p.num_terms() for p in polys),
             "degree_t": max((p.degree_t() for p in polys), default=-1),
             "degree_exp": max((p.degree_exp() for p in polys), default=-1),
@@ -98,18 +102,6 @@ class Expansion:
         """The symmetry the coefficients are computed under: the trivial
         group for an unpruned expansion."""
         return self.symmetry or SymmetryData.trivial()
-
-    def _orbit_count(self, u):
-        if self.symmetry is None:
-            return None
-        mats = list(self.symmetry.reduced_union)
-        if not mats:
-            return None
-        full = set()
-        for k in u.coeffs:
-            full.add(k)
-            full.add((-k[0], -k[1], -k[2]))
-        return len(orbit_partition(full, mats))
 
 
 def _zero_vec(vec):
@@ -133,17 +125,6 @@ def _candidate_support(full_a, full_b):
             if is_canonical(k):
                 out.add(k)
     return out
-
-
-def _propagation_routes(sym):
-    """Map each matrix M of the reduced group closed under negation to
-    (g, sigma, conj): g = (S, a) is the group element with sign sigma for
-    M = S, and conj is set when M = -S, which is g followed by conjugation."""
-    table = sym.transform_table()
-    return {
-        M: (GroupElement(S, table[S][0]), table[S][1], conj)
-        for M, (S, conj) in negation_closure(table).items()
-    }
 
 
 def _materialize_orbit(rep, rep_vec, members, routes, j):
@@ -235,7 +216,7 @@ def expand(
     exp = Expansion(datum_id=datum_id, N=0, coeffs=coeffs, symmetry=sym, meta=meta)
     meta.append(exp.order_stats(0))
 
-    routes = _propagation_routes(exp.group)
+    routes = exp.group.routes
     # the forms of u_0..u_{N-1}; the recursion never reads u_N's
     fulls = []
 
@@ -277,7 +258,7 @@ def residual_tail(exp):
         return exp.tails
     N = exp.N
     t0 = time.monotonic()
-    routes = _propagation_routes(exp.group)
+    routes = exp.group.routes
     fulls = [IntegerForm(u) for u in exp.coeffs]
     tails, meta = [], []
     for j in range(N + 1, 2 * N + 2):

@@ -35,7 +35,6 @@ __all__ = [
     "add_convolutions",
     "project_mode",
     "heat_apply",
-    "heat_duhamel",
     "duhamel_mode",
     "gram_poly",
     "gram_poly_orbits",
@@ -195,14 +194,6 @@ class TimeField:
     def num_modes(self):
         """Nonzero Fourier coefficients over the full lattice (both signs)."""
         return 2 * len(self.coeffs)
-
-    def full_coeffs(self):
-        """Materialize both k and -k entries (the latter by conjugation)."""
-        full = {}
-        for k, vec in self.coeffs.items():
-            full[k] = vec
-            full[_neg(k)] = (vec[0].conj(), vec[1].conj(), vec[2].conj())
-        return full
 
     def coeff(self, k):
         """Coefficient at any wave vector, honoring the reality convention."""
@@ -598,11 +589,6 @@ def duhamel_mode(k, vec):
     return (vec[0].heat_convolve(ksq), vec[1].heat_convolve(ksq), vec[2].heat_convolve(ksq))
 
 
-def heat_duhamel(v):
-    """int_0^t e^{(t-s) Delta} v(s) ds, mode by mode."""
-    return v.map_coeffs(duhamel_mode)
-
-
 # -- Sobolev inner products ----------------------------------------------------------
 
 
@@ -618,28 +604,30 @@ def gram_poly(v, w, order):
 
 def gram_poly_orbits(v, w, orders, orbit_classes):
     """Gram sums at several Sobolev orders exploiting symmetry: evaluate one
-    canonical representative per orbit class and weight by the class size.
-    Returns one poly per order.
+    canonical representative per orbit class and weight it.  Returns one
+    poly per order.
 
-    orbit_classes is an iterable of (representative, size) pairs covering the
-    canonical support; contributions are constant on classes when the fields
-    are equivariant under the symmetry group that produced the classes.  The
+    orbit_classes is an iterable of (representative, weight) pairs covering
+    the canonical support.  The weight is the caller's sum of the signs of
+    the members' terms relative to the representative's: the class size for
+    equivariant fields, the sum of sigma^(i+j) for expansion fields u_i, u_j
+    spread with pseudo-symmetries of sign sigma.  The
     canonical pair {k, -k} contributes twice the real part of conj(v_k).w_k,
     so only Re(conj(c) d) = Re c Re d + Im c Im d is ever formed, in integer
     numerators over the product of the two fields' denominators.  The orders
     differ only in the |k|^{2 order} weight, so the mode products are summed
     once per shell |k|^2, and each shell sum is weighted per order.
     """
-    classes = [(rep, size) for rep, size in orbit_classes if rep in v.coeffs and rep in w.coeffs]
+    classes = [(rep, wt) for rep, wt in orbit_classes if rep in v.coeffs and rep in w.coeffs]
     vden, vrows = _numerators(v.coeffs[rep] for rep, _ in classes)
     wden, wrows = _numerators(w.coeffs[rep] for rep, _ in classes)
     shells = {}
-    for (rep, size), vrow, wrow in zip(classes, vrows, wrows):
+    for (rep, wt), vrow, wrow in zip(classes, vrows, wrows):
         shell = shells.setdefault(wave_norm_sq(rep), {})
         for vcomp, wcomp in zip(vrow, wrow):
             for k1, cre, cim in vcomp:
-                cre *= size
-                cim *= size
+                cre *= wt
+                cim *= wt
                 for k2, dre, dim in wcomp:
                     x = cre * dre + cim * dim
                     if x:

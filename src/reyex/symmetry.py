@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
-from .fields import TimeField
+from .fields import TimeField, is_canonical
 
 __all__ = [
     "GroupElement",
     "SymmetryData",
     "octahedral_matrices",
     "identity_element",
-    "compose",
-    "inverse",
     "push_forward",
     "find_symmetries",
     "negation_closure",
@@ -48,16 +47,6 @@ def _mat_vec(S, k):
         S[1][0] * k[0] + S[1][1] * k[1] + S[1][2] * k[2],
         S[2][0] * k[0] + S[2][1] * k[1] + S[2][2] * k[2],
     )
-
-
-def _mat_mul(S, U):
-    return tuple(
-        tuple(sum(S[i][m] * U[m][j] for m in range(3)) for j in range(3)) for i in range(3)
-    )
-
-
-def _transpose(S):
-    return tuple(tuple(S[j][i] for j in range(3)) for i in range(3))
 
 
 _IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -96,32 +85,9 @@ def identity_element():
     return GroupElement(_IDENTITY, (0, 0, 0))
 
 
-def compose(g, h):
-    """Group law (S,a)(U,b) = (SU, a + S b), translations mod 2 pi."""
-    Sb = _mat_vec(g.S, h.a)
-    a = tuple((g.a[i] + Sb[i]) % 4 for i in range(3))
-    return GroupElement(_mat_mul(g.S, h.S), a)
-
-
-def inverse(g):
-    St = _transpose(g.S)
-    mSta = _mat_vec(St, tuple(-x for x in g.a))
-    return GroupElement(St, tuple(x % 4 for x in mSta))
-
-
 def _transform_vec(S, vec):
     """(S v)_i for a 3-vector of TimePoly; each row of S has one entry +-1."""
-    out = []
-    for i in range(3):
-        row = S[i]
-        for j in range(3):
-            if row[j] == 1:
-                out.append(vec[j])
-                break
-            if row[j] == -1:
-                out.append(-vec[j])
-                break
-    return tuple(out)
+    return tuple(vec[j] if row[j] == 1 else -vec[j] for row in S for j in range(3) if row[j])
 
 
 def push_forward(g, v):
@@ -129,20 +95,23 @@ def push_forward(g, v):
 
     The stored canonical coefficient at k0 lands at S k0 (folded back to the
     canonical half by conjugation when needed); Sobolev norms are preserved
-    exactly.
+    exactly.  Not validated again: a phased signed permutation keeps zero
+    mean and incompressibility, and folds no two canonical keys together.
     """
-    S, a = g.S, g.a
-    full = {}
+    coeffs = {}
     for k0, vec in v.coeffs.items():
-        k = _mat_vec(S, k0)
-        full[k] = _apply_phase(_transform_vec(S, vec), _phase(a, k))
-    return TimeField.from_full(full)
+        k, vec = propagate_coefficient(vec, k0, g, 1, 0)
+        if not is_canonical(k):
+            k, vec = (-k[0], -k[1], -k[2]), (vec[0].conj(), vec[1].conj(), vec[2].conj())
+        coeffs[k] = vec
+    return TimeField(coeffs, validate=False)
 
 
 @dataclass(frozen=True)
 class SymmetryData:
     """Symmetry group H+ and pseudo-symmetry set H- of a datum, with the
-    reduced (matrix-only) projections derived from them."""
+    reduced (matrix-only) projections and the propagation routes derived
+    from them."""
 
     plus: frozenset
     minus: frozenset
@@ -155,19 +124,17 @@ class SymmetryData:
     def reduced_minus(self):
         return frozenset(g.S for g in self.minus)
 
-    @property
-    def reduced_union(self):
-        return self.reduced_plus | self.reduced_minus
-
-    def transform_table(self):
-        """Map S -> (a, sigma) choosing one witness translation per reduced
-        matrix; sigma is +1 for H+ elements and -1 for H-."""
+    @cached_property
+    def routes(self):
+        """Each matrix M of +-(S+ | S-) -> (g, sigma, conj): g = (S, a) is of
+        sign sigma (one witness a per S, H+ first), and M = S, or M = -S with
+        conj set, as -S acts on canonical keys like g then conjugation.  Every
+        orbit partition of the pipeline is orbit_partition(keys, list(routes))."""
         table = {}
-        for g in self.plus:
-            table.setdefault(g.S, (g.a, 1))
-        for g in self.minus:
-            table.setdefault(g.S, (g.a, -1))
-        return table
+        for sigma, elements in ((1, self.plus), (-1, self.minus)):
+            for g in elements:
+                table.setdefault(g.S, (g, sigma))
+        return {M: (*table[S], conj) for M, (S, conj) in negation_closure(table).items()}
 
     @classmethod
     def trivial(cls):

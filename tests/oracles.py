@@ -22,7 +22,10 @@ validate_reference are the cache codec as it was before each distinct
 coefficient was parsed, formatted and scaled once: the text the encoder
 writes, and the polys and verdicts of the decoder, must be theirs.
 FractionGaussian is GaussianRational as it was before the integer triple: a
-pair of exact rationals, every operation on the two parts.
+pair of exact rationals, every operation on the two parts.  compose and
+inverse (the group law), heat_duhamel (the Duhamel integral of a whole
+field) and full_coeffs (both signs of a field's support) serve only the
+tests.
 """
 
 import mpmath
@@ -49,9 +52,11 @@ from reyex.expansion import residual_tail
 from reyex.fields import (
     TimeField,
     _dot,
+    _neg,
     _numerators,
     bilinear_P,
     canonical_key,
+    duhamel_mode,
     is_canonical,
     leray_project,
     norm_sq_poly,
@@ -59,6 +64,7 @@ from reyex.fields import (
     wave_norm_sq,
 )
 from reyex.rationals import GaussianRational, mpq, rational_to_string
+from reyex.symmetry import GroupElement, _mat_vec
 from reyex.timepoly import (
     DEFAULT_EVAL_PRECISION,
     GUARD_BITS,
@@ -67,6 +73,43 @@ from reyex.timepoly import (
     TP_ZERO,
     TimePoly,
 )
+
+
+def _mat_mul(S, U):
+    return tuple(
+        tuple(sum(S[i][m] * U[m][j] for m in range(3)) for j in range(3)) for i in range(3)
+    )
+
+
+def _transpose(S):
+    return tuple(tuple(S[j][i] for j in range(3)) for i in range(3))
+
+
+def compose(g, h):
+    """Group law (S,a)(U,b) = (SU, a + S b), translations mod 2 pi."""
+    Sb = _mat_vec(g.S, h.a)
+    a = tuple((g.a[i] + Sb[i]) % 4 for i in range(3))
+    return GroupElement(_mat_mul(g.S, h.S), a)
+
+
+def inverse(g):
+    St = _transpose(g.S)
+    mSta = _mat_vec(St, tuple(-x for x in g.a))
+    return GroupElement(St, tuple(x % 4 for x in mSta))
+
+
+def heat_duhamel(v):
+    """int_0^t e^{(t-s) Delta} v(s) ds, mode by mode."""
+    return v.map_coeffs(duhamel_mode)
+
+
+def full_coeffs(field):
+    """Materialize both k and -k entries (the latter by conjugation)."""
+    full = {}
+    for k, vec in field.coeffs.items():
+        full[k] = vec
+        full[_neg(k)] = (vec[0].conj(), vec[1].conj(), vec[2].conj())
+    return full
 
 
 class FractionGaussian:
@@ -608,7 +651,7 @@ def project_products(k, acc):
 
 def convolution_products(fv, fw, k):
     """Raw sum_h [v_h.(k-h)] w_{k-h} at k as TimePoly sums; fv, fw are
-    full_coeffs() maps.  None when no pair contributes."""
+    full_coeffs maps.  None when no pair contributes."""
     acc0 = acc1 = acc2 = TP_ZERO
     hit = False
     for h, vh in fv.items():
@@ -629,8 +672,8 @@ def convolution_products(fv, fw, k):
 def bilinear_P_products(v, w, targets=None):
     """P(v, w) by TimePoly products: a pair loop over the two supports, or
     one convolution per target."""
-    fv = v.full_coeffs()
-    fw = w.full_coeffs()
+    fv = full_coeffs(v)
+    fw = full_coeffs(w)
     out = {}
     if targets is None:
         acc = {}
@@ -667,7 +710,7 @@ def pruned_sum_products(fields, pairs, k):
     """-i P_k of the sum over (l, m) in pairs of the raw convolution of
     fields l and m at k, as the pruned recursion forms it; None when it
     vanishes."""
-    fulls = [f.full_coeffs() for f in fields]
+    fulls = [full_coeffs(f) for f in fields]
     acc = None
     for l, m in pairs:
         raw = convolution_products(fulls[l], fulls[m], k)

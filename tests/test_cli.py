@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import shutil
@@ -7,7 +8,9 @@ import pytest
 from click.testing import CliRunner
 
 from reyex.cli import _manifest_hash, main
+from reyex.control import DEFAULT_TOL_R, find_critical_R
 from reyex.data import datum_tg
+from reyex.estimators import DEFAULT_GRID_POINTS, DEFAULT_T_MAX, default_grid
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +184,38 @@ def test_constants_file_without_K_or_G_keeps_the_defaults(runner, rundir, tmp_pa
         assert res.exit_code == 0, res.output
         outs.append((tmp_path / (name + ".trajectory.csv")).read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"K": [1]}, "not an object of sections"),
+    (5, "not an object of sections"),
+    ([], "not an object of sections"),
+    ({"k": {"3": 0.5}}, "not an object of sections"),
+    ({"G_pn": "4,3"}, "not an object of sections"),
+    ({"K": {"3": None}}, "malformed constant"),
+], ids=["section-list", "number", "list", "unknown-section", "section-string", "null-constant"])
+@pytest.mark.parametrize("command", ["estimate", "control", "critical"])
+def test_malformed_constants_file_is_a_usage_error(runner, rundir, tmp_path, command, raw, message):
+    cpath = tmp_path / "constants.json"
+    cpath.write_text(json.dumps(raw))
+    res = runner.invoke(main, [
+        command, "--cache", str(rundir / "cache"), "--grid-points", "40",
+        "--constants", str(cpath), *PROBE_ARGS[command], str(tmp_path / "out"),
+    ])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert [p.name for p in tmp_path.iterdir()] == ["constants.json"]
+
+
+def test_probe_option_defaults_are_the_library_defaults():
+    grid = inspect.signature(default_grid).parameters
+    tol_R = inspect.signature(find_critical_R).parameters["tol_R"].default
+    for name in ("estimate", "control", "critical"):
+        defaults = {p.name: p.default for p in main.commands[name].params}
+        assert defaults["grid_points"] == grid["num"].default == DEFAULT_GRID_POINTS
+        assert defaults["t_max"] == grid["t_max"].default == DEFAULT_T_MAX
+    assert {p.name: p.default for p in main.commands["critical"].params}["tol_r"] == tol_R
+    assert tol_R == DEFAULT_TOL_R
 
 
 def test_estimate_missing_cache(runner, tmp_path):

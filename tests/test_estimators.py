@@ -12,7 +12,7 @@ from scipy.interpolate import PchipInterpolator
 from reyex.data import datum_bnw, datum_km, datum_tg
 import reyex.estimators
 import reyex.timepoly
-from reyex.expansion import expand, residual_tail
+from reyex.expansion import Expansion, expand, residual_tail
 from reyex.estimators import (
     ConstantsTable,
     EstimatorTables,
@@ -25,7 +25,16 @@ from reyex.estimators import (
     parse_variant,
     pchip_coefficients,
 )
-from reyex.fields import sobolev_norm
+from reyex.fields import TimeField, gram_poly, gram_poly_orbits, is_canonical, sobolev_norm
+from reyex.rationals import GaussianRational
+from reyex.symmetry import (
+    GroupElement,
+    SymmetryData,
+    identity_element,
+    orbit_partition,
+    propagate_coefficient,
+)
+from reyex.timepoly import TimePoly
 
 from oracles import (
     assembly_error_rough,
@@ -289,6 +298,102 @@ def test_sampled_gram_polys_equal_the_full_width_sum(request, monkeypatch, which
         os.waitpid(-1, os.WNOHANG)
     assert [[v._mpf_ for v in vs] for vs in forked] == mpfs
     assert forked_report == dict(report, workers=2)
+
+
+# x <-> y: an involution outside +-S+ when S+ holds the identity alone
+SWAP = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+# two directions orthogonal to each representative wave vector
+PERP = {
+    (1, 2, 0): ((2, -1, 0), (0, 0, 1)),
+    (1, 0, 1): ((1, 0, -1), (0, 1, 0)),
+    (1, -2, 1): ((2, 1, 0), (1, 1, 1)),
+}
+
+
+def swap_family():
+    """An expansion u_0, u_1, u_2 spread from chosen representative vectors
+    over the orbits of a datum whose only symmetry besides the identity is
+    the pseudo-symmetry x <-> y (sign -1): the coefficient at S k is
+    -S u_{j,k} for even j and S u_{j,k} for odd j.  (1, -2, 1) reaches its
+    canonical member through -S, with conjugation."""
+    sym = SymmetryData(
+        plus=frozenset([identity_element()]), minus=frozenset([GroupElement(SWAP, (0, 0, 0))])
+    )
+
+    def mode(k, alpha, beta):
+        # alpha e1 + beta e2 for terms (a, b, re, im) of t^a e^{-bt}
+        comps = []
+        for i in range(3):
+            terms = {}
+            for e, poly in zip(PERP[k], (alpha, beta)):
+                for a, b, re, im in poly:
+                    c = GaussianRational(e[i] * re, e[i] * im)
+                    terms[(a, b)] = terms.get((a, b), GaussianRational(0)) + c
+            comps.append(TimePoly({key: c for key, c in terms.items() if c}))
+        return tuple(comps)
+
+    def field(j, reps):
+        coeffs = {}
+        for rep, (alpha, beta) in reps.items():
+            vec = mode(rep, alpha, beta)
+            for g, sigma, conj in sym.routes.values():
+                k, w = propagate_coefficient(vec, rep, g, sigma, j)
+                if conj:
+                    k, w = (-k[0], -k[1], -k[2]), tuple(p.conj() for p in w)
+                if is_canonical(k):
+                    coeffs[k] = w
+        return TimeField(coeffs)
+
+    u0 = field(0, {
+        (1, 2, 0): ([(0, 5, 2, 0)], [(0, 5, 1, 1)]),
+        (1, 0, 1): ([(0, 2, 1, 0)], [(0, 2, 3, -1)]),
+    })
+    u1 = field(1, {
+        (1, 2, 0): ([(1, 5, 4, 0), (0, 3, 1, 0)], [(1, 5, 3, 0)]),
+        (1, -2, 1): ([(0, 6, 2, 1)], [(0, 6, 1, 0)]),
+    })
+    u2 = field(2, {
+        (1, 2, 0): ([(2, 5, 6, 0)], [(1, 4, 5, 2)]),
+        (1, 0, 1): ([(1, 2, -1, 0)], [(1, 2, 7, 0)]),
+        (1, -2, 1): ([(1, 6, 1, 1)], [(1, 6, 1, -1)]),
+    })
+    return Expansion(datum_id="swap", N=2, coeffs=[u0, u1, u2], symmetry=sym)
+
+
+@pytest.mark.parametrize("kind", ["coeff", "tail"])
+def test_signed_class_weights_give_the_full_support_gram(monkeypatch, kind):
+    # a pseudo-symmetry outside +-S+: the members of a class carry the
+    # signs +1 and -1, so an odd pair must weigh the class by their sum
+    exp = swap_family()
+    routes = exp.symmetry.routes
+    assert sorted(sigma for _, sigma, _ in routes.values()) == [-1, -1, 1, 1]
+    sample = reyex.estimators.sample_real_polys
+    built = []
+
+    def recording(polys, grid, precision):
+        built.append(polys)
+        return sample(polys, grid, precision)
+
+    monkeypatch.setattr(reyex.estimators, "sample_real_polys", recording)
+    tables = EstimatorTables(exp, 1, grid=default_grid(8))
+    if kind == "coeff":
+        tables.coeff_tables()
+        fields, orders = exp.coeffs, (1, 2)
+    else:
+        tables.tail_tables()
+        fields, orders = exp.tails, (1,)
+    pairs = [(i, j) for i in range(len(fields)) for j in range(i, len(fields))]
+    full = {(i, j): [gram_poly(fields[i], fields[j], m) for m in orders] for i, j in pairs}
+    [polys] = built
+    assert polys == [poly for pair in pairs for poly in full[pair]]
+    # weighing every class by its size gets some odd pair wrong
+    support = set().union(*(f.coeffs for f in fields))
+    sizes = [(rep, len(members)) for rep, members in orbit_partition(support, list(routes))]
+    assert any(
+        gram_poly_orbits(fields[i], fields[j], orders, sizes) != full[(i, j)]
+        for i, j in pairs
+        if (i + j) % 2
+    )
 
 
 @pytest.fixture(scope="module")

@@ -18,8 +18,9 @@ from reyex.expansion import (
     expand,
     residual_tail,
 )
-from reyex.fields import heat_apply, leray_project, static_field
+from reyex.fields import canonical_key, heat_apply, leray_project, static_field
 from reyex.rationals import GaussianRational, mpq
+from reyex.symmetry import orbit_partition
 
 
 def random_two_mode_datum(seed):
@@ -143,6 +144,32 @@ def test_meta_statistics_are_recorded():
     for s in exp.meta:
         assert s["terms"] > 0
         assert s["nonzero_coefficients"] > 0
+
+
+@pytest.mark.parametrize("datum, golden", [
+    (datum_bnw, [1, 1, 3, 6]), (datum_tg, None), (datum_km, [1, 4, 14, 33]),
+], ids=["bnw", "tg", "km"])
+def test_orbit_counts_are_the_classes_of_the_routes(datum, golden):
+    exp = expand(datum().field, 3, datum_id="x")
+    sym = exp.symmetry
+    mats = list(sym.routes)
+    assert ((-1, 0, 0), (0, -1, 0), (0, 0, -1)) in sym.reduced_plus | sym.reduced_minus
+
+    def image(M, k):
+        return tuple(sum(M[i][m] * k[m] for m in range(3)) for i in range(3))
+
+    counts = []
+    for j, u in enumerate(exp.coeffs):
+        # each key's class, its canonical images under the routes' matrices
+        classes = {frozenset(canonical_key(image(M, k)) for M in mats) for k in u.coeffs}
+        assert set().union(*classes) == u.coeffs.keys()
+        counts.append(exp.order_stats(j)["orbits"])
+        assert counts[-1] == len(classes) == exp.meta[j]["orbits"]
+        # -I is in S+ | S-, so the count over both signs of the support
+        # under S+ | S- is the same
+        both = set(u.coeffs) | {(-x, -y, -z) for x, y, z in u.coeffs}
+        assert counts[-1] == len(orbit_partition(both, list(sym.reduced_plus | sym.reduced_minus)))
+    assert golden is None or counts == golden
 
 
 def test_cache_round_trip(tmp_path):

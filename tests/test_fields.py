@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     bilinear_P_products,
+    full_coeffs,
     gram_poly_orbits_products,
+    heat_duhamel,
     pruned_sum_products,
     to_records_reference,
     validate_reference,
@@ -23,7 +25,6 @@ from reyex.fields import (
     gram_poly,
     gram_poly_orbits,
     heat_apply,
-    heat_duhamel,
     is_canonical,
     leray_project,
     norm_sq_poly,
@@ -126,7 +127,7 @@ def _independent_bilinear(modes_v, modes_w, k):
 
 def _full_fraction_modes(field):
     out = {}
-    for k, vec in field.full_coeffs().items():
+    for k, vec in full_coeffs(field).items():
         comps = []
         for p in vec:
             c = p.terms.get((0, 0))

@@ -6,12 +6,11 @@ from reyex.data import datum_bnw, datum_km, datum_tg
 from reyex.expansion import expand
 from reyex.fields import sobolev_norm, static_field
 from reyex.rationals import GaussianRational
+from oracles import compose, inverse
 from reyex.symmetry import (
     GroupElement,
-    compose,
     find_symmetries,
     identity_element,
-    inverse,
     negation_closure,
     octahedral_matrices,
     orbit_partition,
