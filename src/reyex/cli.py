@@ -2,14 +2,16 @@
 
 Subcommands: expand | norms | estimate | control | critical | report.
 Exit codes: 0 ok, 2 usage error, 3 resource ceiling, 4 numerical failure.
-Every emitted file records the hash of the fully materialized run
-configuration, so identical configurations produce identical artifacts.
+The cache manifest, the verdict and bracket JSON files and the report's
+files record the hash of the fully materialized run configuration; the
+estimator and trajectory CSVs do not.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -20,7 +22,6 @@ import mpmath
 from .control import (
     DEFAULT_BLOWUP_THRESHOLD,
     DEFAULT_TOL_R,
-    _verdict_record,
     classical_bounds,
     export_trajectory_csv,
     find_critical_R,
@@ -73,9 +74,33 @@ def _write_json(path, payload, cfg):
         fh.write("\n")
 
 
+def _read_verdict(path):
+    """The record of a verdict file; a usage error unless it is a JSON
+    object whose R is a finite number >= 0, verdict a string and T_c null
+    or a number."""
+    try:
+        with open(path) as fh:
+            rec = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise click.UsageError("cannot read verdict file %s: %s" % (path, exc))
+
+    def number(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    R = rec.get("R") if isinstance(rec, dict) else None
+    if not (number(R) and (isinstance(R, int) or math.isfinite(R)) and R >= 0
+            and isinstance(rec.get("verdict"), str)
+            and (rec.get("T_c") is None or number(rec["T_c"]))):
+        raise click.UsageError(
+            "verdict file %s needs R a finite number >= 0, verdict a string and "
+            "T_c null or a number" % path
+        )
+    return rec
+
+
 def _load_constants(path):
     """The ConstantsTable of a JSON constants file: an object of sections K
-    and G (keyed by order) and K_pn and G_pn (keyed "p,n"), each an object of
+    and G (keyed by order) and G_pn (keyed "p,n"), each an object of
     numbers.  The sections it leaves out keep the table's defaults.
     ValueError for a file of any other shape."""
     if path is None:
@@ -93,7 +118,7 @@ def _load_constants(path):
             out[(int(p), int(n))] = float(v)
         return out
 
-    parsers = {"K": intkeys, "G": intkeys, "K_pn": pairkeys, "G_pn": pairkeys}
+    parsers = {"K": intkeys, "G": intkeys, "G_pn": pairkeys}
     if not (isinstance(raw, dict) and raw.keys() <= parsers.keys()
             and all(isinstance(section, dict) for section in raw.values())):
         raise ValueError("constants file %s is not an object of sections %s, each an object"
@@ -214,7 +239,7 @@ def cmd_expand(ctx, selector, N, symmetry, tails, term_ceiling, cache):
             progress=progress,
         )
         if tails:
-            residual_tail(exp)
+            residual_tail(exp, term_ceiling)
     except ResourceLimitError as exc:
         click.echo("error: %s" % exc, err=True)
         sys.exit(EXIT_RESOURCE)
@@ -242,11 +267,15 @@ def _common_estimator_args(f):
 @contextmanager
 def _probe_errors():
     """Usage errors of a probing command exit 2 (a BracketError is a
-    ValueError), a failed control integration exits 4."""
+    ValueError), residual tails computed for a cache without them that pass
+    the default term ceiling exit 3, a failed control integration exits 4."""
     try:
         yield
     except (MissingConstantError, ValueError) as exc:
         raise click.UsageError(str(exc))
+    except ResourceLimitError as exc:
+        click.echo("error: %s" % exc, err=True)
+        sys.exit(EXIT_RESOURCE)
     except RuntimeError as exc:
         click.echo("numerical failure: %s" % exc, err=True)
         sys.exit(EXIT_NUMERICAL)
@@ -302,7 +331,11 @@ def cmd_control(ctx, cache, constants_path, n, variant, grid_points, t_max, prec
         est = build_estimator_set(exp, R, n, variant, constants=constants, tables=tables)
         traj = solve_control(est, constants, blowup_threshold=blowup_threshold)
     export_trajectory_csv(traj, output_prefix + ".trajectory.csv")
-    _write_json(output_prefix + ".verdict.json", _verdict_record(traj, exp.N), cfg)
+    record = {
+        "R": traj.R, "n": traj.n, "N": exp.N, "variant": traj.variant,
+        "verdict": traj.verdict, "T_c": traj.T_c, "diagnostics": traj.diagnostics,
+    }
+    _write_json(output_prefix + ".verdict.json", record, cfg)
     click.echo("verdict: %s%s" % (traj.verdict, "" if traj.T_c is None else " T_c=%s" % _fmt(traj.T_c)))
 
 
@@ -378,8 +411,7 @@ def cmd_report(ctx, run_dir, selector, precision):
             "run directory %s must contain cache/ and at least one *.verdict.json" % run_dir
         )
     exp = _load_cache(cache_path)
-    with open(os.path.join(run_dir, verdicts[0])) as fh:
-        verdict = json.load(fh)
+    verdict = _read_verdict(os.path.join(run_dir, verdicts[0]))
     cfg = {"command": "report", "run_dir": run_dir, "datum": selector, "precision": precision}
 
     R = verdict["R"]

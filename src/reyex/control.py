@@ -26,7 +26,6 @@ floating point over interpolated estimator tables.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import sys
 from bisect import bisect_left, bisect_right
@@ -47,7 +46,6 @@ __all__ = [
     "coefficient_bound",
     "classical_bounds",
     "export_trajectory_csv",
-    "export_verdict_json",
 ]
 
 DEFAULT_BLOWUP_THRESHOLD = 1e6
@@ -509,21 +507,3 @@ def export_trajectory_csv(traj, path):
         for t, v in zip(traj.times, traj.values):
             writer.writerow(["%.17g" % t, "%.17g" % v])
 
-
-def _verdict_record(traj, N):
-    return {
-        "R": traj.R,
-        "n": traj.n,
-        "N": N,
-        "variant": traj.variant,
-        "verdict": traj.verdict,
-        "T_c": traj.T_c,
-        "diagnostics": traj.diagnostics,
-    }
-
-
-def export_verdict_json(traj, path, N=None):
-    record = _verdict_record(traj, N)
-    with open(path, "w") as fh:
-        json.dump(record, fh, indent=1)
-    return record

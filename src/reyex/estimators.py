@@ -108,11 +108,10 @@ class ConstantsTable:
 
     K: dict = dc_field(default_factory=lambda: {3: DEFAULT_K3})
     G: dict = dc_field(default_factory=lambda: {3: DEFAULT_G3})
-    K_pn: dict = dc_field(default_factory=dict)
     G_pn: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        for table in (self.K, self.G, self.K_pn, self.G_pn):
+        for table in (self.K, self.G, self.G_pn):
             for key, val in table.items():
                 if not val > 0:
                     raise ValueError("constant for %s must be positive, got %s" % (key, val))
@@ -128,13 +127,6 @@ class ConstantsTable:
             return self.G[m]
         except KeyError:
             raise MissingConstantError("G_%s not configured; supply it explicitly" % (m,))
-
-    def K_pn_of(self, p, n):
-        if (p, n) in self.K_pn:
-            return self.K_pn[(p, n)]
-        if p == n:  # K_n = K_{nn}
-            return self.K_of(n)
-        raise MissingConstantError("K_{%s,%s} not configured" % (p, n))
 
     def G_pn_of(self, p, n):
         try:

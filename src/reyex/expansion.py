@@ -139,45 +139,57 @@ def _materialize_orbit(rep, rep_vec, members, routes, j):
     return coeffs
 
 
-def _sum_convolutions(fulls, pairs, k):
-    """sum over (l, m) in pairs of the raw convolution of u_l, u_m at k;
-    fulls holds the IntegerForm of each u_l."""
-    raws = []
-    for l, m in pairs:
-        raw = convolution_coefficient(fulls[l], fulls[m], k)
-        if raw is not None:
-            raws.append(raw)
-    return add_convolutions(raws)
+def _orders(exp, N, orders, term_ceiling):
+    """Yield (j, field) for each j in orders of the recursion truncated at N:
 
+    sum_{l = max(0, j-N-1)}^{min(j-1, N)} P(u_l, u_{j-l-1}),
 
-def _bilinear_order_field(fulls, pairs, routes, j, tail=False, count=None):
-    """The field sum_{(l,m) in pairs} P(u_l, u_m), computed at orbit
-    representatives only and propagated.  Each representative is Duhamel'd
-    for a coefficient u_j, or negated for a residual tail; propagation is
-    linear, so that is the same as negating the whole field.  count, if
-    given, is called with the terms of each orbit as it is added."""
-    cand = set()
-    for l, m in pairs:
-        cand |= _candidate_support(fulls[l].modes, fulls[m].modes)
-    coeffs = {}
-    for rep, members in orbit_partition(cand, list(routes)):
-        raw = _sum_convolutions(fulls, pairs, rep)
-        if raw is None:
-            continue
-        if tail:
-            # -acc/den = acc/(-den): project_mode folds the sign back in
-            den, acc = raw
-            raw = (-den, acc)
-        vec = project_mode(rep, raw)
-        if _zero_vec(vec):
-            continue
-        if not tail:
-            vec = duhamel_mode(rep, vec)
-        orbit = _materialize_orbit(rep, vec, members, routes, j)
-        coeffs.update(orbit)
-        if count is not None:
-            count(sum(_vec_terms(v) for v in orbit.values()))
-    return TimeField(coeffs, validate=False)
+    Duhamel'd into the coefficient u_j for j <= N and negated into the
+    residual tail tail_j for j > N.  Each field is computed at orbit
+    representatives only and propagated over the orbit; propagation is
+    linear, so negating a representative negates its orbit.
+
+    The integer forms of u_0 .. u_{min(j-1, N)} are formed as order j first
+    reads them, so exp.coeffs may grow between orders.  One running count of
+    every term the expansion holds, its coefficients and then the orders
+    yielded, is checked against term_ceiling as each orbit is added; past
+    it, ResourceLimitError is raised with exp as .partial.
+    """
+    routes = exp.group.routes
+    keys = list(routes)
+    total = sum(_term_count(u) for u in exp.coeffs)
+    fulls = []
+    for j in orders:
+        tail = j > N
+        while len(fulls) < min(j, N + 1):
+            fulls.append(IntegerForm(exp.coeffs[len(fulls)]))
+        pairs = [(l, j - 1 - l) for l in range(max(0, j - N - 1), min(j - 1, N) + 1)]
+        cand = set()
+        for l, m in pairs:
+            cand |= _candidate_support(fulls[l].modes, fulls[m].modes)
+        coeffs = {}
+        for rep, members in orbit_partition(cand, keys):
+            raws = [convolution_coefficient(fulls[l], fulls[m], rep) for l, m in pairs]
+            raw = add_convolutions([r for r in raws if r is not None])
+            if raw is None:
+                continue
+            if tail:
+                # -acc/den = acc/(-den): project_mode folds the sign back in
+                raw = (-raw[0], raw[1])
+            vec = project_mode(rep, raw)
+            if _zero_vec(vec):
+                continue
+            if not tail:
+                vec = duhamel_mode(rep, vec)
+            orbit = _materialize_orbit(rep, vec, members, routes, j)
+            coeffs.update(orbit)
+            total += sum(_vec_terms(v) for v in orbit.values())
+            if total > term_ceiling:
+                raise ResourceLimitError(
+                    "term ceiling exceeded at order %d (%d terms > %d)" % (j, total, term_ceiling),
+                    partial=exp,
+                )
+        yield j, TimeField(coeffs, validate=False)
 
 
 def expand(
@@ -209,43 +221,22 @@ def expand(
         sym = symmetry if symmetry is not None else (
             find_symmetries(datum) if datum else SymmetryData.trivial()
         )
-    u0 = heat_apply(datum)
-    coeffs = [u0]
-    meta = []
-    total_terms = _term_count(u0)
-    exp = Expansion(datum_id=datum_id, N=0, coeffs=coeffs, symmetry=sym, meta=meta)
-    meta.append(exp.order_stats(0))
-
-    routes = exp.group.routes
-    # the forms of u_0..u_{N-1}; the recursion never reads u_N's
-    fulls = []
-
-    def count(terms):
-        nonlocal total_terms
-        total_terms += terms
-        if total_terms > term_ceiling:
-            raise ResourceLimitError(
-                "term ceiling exceeded at order %d (%d terms > %d)"
-                % (exp.N + 1, total_terms, term_ceiling),
-                partial=exp,
-            )
-
-    for j in range(1, N + 1):
-        t0 = time.monotonic()
-        fulls.append(IntegerForm(coeffs[-1]))
-        pairs = [(l, j - 1 - l) for l in range(j)]
-        uj = _bilinear_order_field(fulls, pairs, routes, j, count=count)
-        coeffs.append(uj)
+    exp = Expansion(datum_id=datum_id, N=0, coeffs=[heat_apply(datum)], symmetry=sym)
+    exp.meta.append(exp.order_stats(0))
+    t0 = time.monotonic()
+    for j, uj in _orders(exp, N, range(1, N + 1), term_ceiling):
+        exp.coeffs.append(uj)
         exp.N = j
         stats = exp.order_stats(j)
         stats["wall_seconds"] = round(time.monotonic() - t0, 3)
-        meta.append(stats)
+        exp.meta.append(stats)
         if progress is not None:
             progress(stats)
+        t0 = time.monotonic()
     return exp
 
 
-def residual_tail(exp):
+def residual_tail(exp, term_ceiling=DEFAULT_TERM_CEILING):
     """The tail coefficients of d u^N/dt - Delta u^N - R P(u^N, u^N):
 
     tail_j = - sum_{l=j-N-1}^{N} P(u_l, u_{j-l-1}),   j = N+1 .. 2N+1.
@@ -253,17 +244,17 @@ def residual_tail(exp):
     Cached on the expansion after the first call, with the order, term count
     and wall seconds of each tail in exp.tail_meta.  The wall seconds of the
     first tail include forming the integer forms of u_0..u_N.
+
+    The tails' terms count toward the expansion's term ceiling on top of its
+    coefficients' terms; past term_ceiling, ResourceLimitError is raised with
+    exp as .partial, its tails still None.
     """
     if exp.tails is not None:
         return exp.tails
     N = exp.N
-    t0 = time.monotonic()
-    routes = exp.group.routes
-    fulls = [IntegerForm(u) for u in exp.coeffs]
     tails, meta = [], []
-    for j in range(N + 1, 2 * N + 2):
-        pairs = [(l, j - 1 - l) for l in range(j - N - 1, N + 1)]
-        tail = _bilinear_order_field(fulls, pairs, routes, j, tail=True)
+    t0 = time.monotonic()
+    for j, tail in _orders(exp, N, range(N + 1, 2 * N + 2), term_ceiling):
         tails.append(tail)
         t1 = time.monotonic()
         meta.append({"order": j, "terms": _term_count(tail), "wall_seconds": round(t1 - t0, 3)})

@@ -264,10 +264,9 @@ def error_rough(exp, R, m, t, constants, precision=DEFAULT_EVAL_PRECISION):
         return mpmath.mpf(K) * total
 
 
-def error_tame(exp, R, p, n, t, constants, precision=DEFAULT_EVAL_PRECISION):
-    """(1/2) K_pn sum_j R^j sum_l (||u_l||_p ||u_{j-l-1}||_{n+1}
-    + ||u_l||_n ||u_{j-l-1}||_{p+1})."""
-    K = constants.K_pn_of(p, n)
+def error_tame(exp, R, p, n, t, K, precision=DEFAULT_EVAL_PRECISION):
+    """(1/2) K sum_j R^j sum_l (||u_l||_p ||u_{j-l-1}||_{n+1}
+    + ||u_l||_n ||u_{j-l-1}||_{p+1}), for the two-order constant K = K_{p,n}."""
     N = exp.N
     with mpmath.workprec(precision):
         Rf = mpmath.mpf(R)

@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
+import reyex.estimators
 from reyex.cli import _manifest_hash, main
 from reyex.control import DEFAULT_TOL_R, find_critical_R
 from reyex.data import datum_tg
 from reyex.estimators import DEFAULT_GRID_POINTS, DEFAULT_T_MAX, default_grid
+from reyex.expansion import residual_tail
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +78,37 @@ def test_expand_term_ceiling_exit_code(runner, tmp_path):
         "--cache", str(tmp_path / "c"),
     ])
     assert res.exit_code == 3
+
+
+def test_expand_tails_past_the_term_ceiling_exit_code(runner, tmp_path):
+    # bnw N=4 holds 1,482 coefficient terms and 76,497 tail terms
+    res = runner.invoke(main, [
+        "expand", "--datum", "bnw", "--order", "4", "--tails", "--term-ceiling", "5000",
+        "--cache", str(tmp_path / "c"),
+    ])
+    assert res.exit_code == 3, res.output
+    assert "term ceiling exceeded at order 6" in res.output
+    assert not (tmp_path / "c" / "manifest.json").exists()
+
+
+def test_probe_computing_tails_past_the_term_ceiling_exits_3(runner, tmp_path, monkeypatch):
+    """A tautological probe on a cache without tails computes them, under
+    the term ceiling: past it the command exits 3 and writes nothing."""
+    cache = tmp_path / "cache"
+    res = runner.invoke(main, ["expand", "--datum", "bnw", "--order", "2", "--cache", str(cache)])
+    assert res.exit_code == 0, res.output
+    monkeypatch.setattr(reyex.estimators, "residual_tail",
+                        lambda exp: residual_tail(exp, term_ceiling=200))
+    out = tmp_path / "out"
+    out.mkdir()
+    for command in ("estimate", "control", "critical"):
+        res = runner.invoke(main, [
+            command, "--cache", str(cache), "--variant", "tautological", "--grid-points", "40",
+            *PROBE_ARGS[command], str(out / command),
+        ])
+        assert res.exit_code == 3, res.output
+        assert "term ceiling exceeded at order 3" in res.output
+    assert not list(out.iterdir())
 
 
 def test_expand_negative_order(runner, tmp_path):
@@ -171,9 +204,9 @@ def test_bad_grid_or_precision_is_a_usage_error(runner, rundir, tmp_path, comman
 
 
 def test_constants_file_without_K_or_G_keeps_the_defaults(runner, rundir, tmp_path):
-    sections = {"K": {"3": 0.323}, "G": {"3": 0.438}, "K_pn": {"4,3": 0.5}}
+    sections = {"K": {"3": 0.323}, "G": {"3": 0.438}, "G_pn": {"4,3": 0.5}}
     outs = []
-    for name, raw in (("full", sections), ("bare", {"K_pn": sections["K_pn"]})):
+    for name, raw in (("full", sections), ("bare", {"G_pn": sections["G_pn"]})):
         cpath = tmp_path / (name + ".json")
         cpath.write_text(json.dumps(raw))
         prefix = str(tmp_path / name)
@@ -193,7 +226,9 @@ def test_constants_file_without_K_or_G_keeps_the_defaults(runner, rundir, tmp_pa
     ({"k": {"3": 0.5}}, "not an object of sections"),
     ({"G_pn": "4,3"}, "not an object of sections"),
     ({"K": {"3": None}}, "malformed constant"),
-], ids=["section-list", "number", "list", "unknown-section", "section-string", "null-constant"])
+    ({"K_pn": {"4,3": 0.5}}, "not an object of sections"),
+], ids=["section-list", "number", "list", "unknown-section", "section-string", "null-constant",
+        "K_pn-section"])
 @pytest.mark.parametrize("command", ["estimate", "control", "critical"])
 def test_malformed_constants_file_is_a_usage_error(runner, rundir, tmp_path, command, raw, message):
     cpath = tmp_path / "constants.json"
@@ -362,6 +397,24 @@ def test_report(runner, rundir):
     assert gamma[1] == "t,gamma"
     t0 = float(gamma[2].split(",")[1])
     assert t0 == pytest.approx(22.27, rel=1e-3)
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({"verdict": "GlobalDecay", "T_c": None}),
+    "not json",
+    json.dumps({"R": 0.1}),
+    json.dumps({"R": -0.1, "verdict": "GlobalDecay"}),
+    json.dumps({"R": "0.1", "verdict": "GlobalDecay"}),
+    json.dumps({"R": 0.1, "verdict": "BlowUp", "T_c": "soon"}),
+    json.dumps([0.1]),
+], ids=["no-R", "not-json", "no-verdict", "negative-R", "string-R", "string-T_c", "list"])
+def test_report_with_a_malformed_verdict_file_is_a_usage_error(runner, rundir, tmp_path, text):
+    shutil.copytree(rundir / "cache", tmp_path / "cache")
+    (tmp_path / "run.verdict.json").write_text(text)
+    res = runner.invoke(main, ["report", "--run-dir", str(tmp_path), "--datum", "bnw"])
+    assert res.exit_code == 2, res.output
+    assert "verdict file" in res.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "run.verdict.json"]
 
 
 def test_report_empty_dir(runner, tmp_path):

@@ -1,4 +1,3 @@
-import json
 import math
 import os
 import re
@@ -18,7 +17,6 @@ from reyex.control import (
     classical_bounds,
     coefficient_bound,
     export_trajectory_csv,
-    export_verdict_json,
     find_critical_R,
     solve_control,
     solve_higher_order,
@@ -425,8 +423,3 @@ def test_exports(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[1] == "t,R_3"
     assert len(lines) == 4
-    json_path = tmp_path / "v.json"
-    export_verdict_json(traj, str(json_path), N=5)
-    rec = json.loads(json_path.read_text())
-    assert rec["verdict"] == "GlobalDecay"
-    assert rec["N"] == 5

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -136,6 +137,33 @@ def test_term_ceiling_raises_with_partial_result(monkeypatch):
             assert a == b
         modes_built = built.count(3)
         assert 0 < modes_built < len(full.coeffs[3].coeffs)
+
+
+def test_tails_count_toward_the_term_ceiling():
+    """residual_tail counts its terms on top of the coefficients' under one
+    ceiling: a ceiling the tails alone meet but the whole expansion passes
+    raises, its .partial the expansion with no tails; a ceiling the whole
+    expansion meets gives the unbounded run's tails."""
+    exp = expand(datum_bnw().field, 4, datum_id="bnw")
+    coeff_terms = sum(s["terms"] for s in exp.meta)
+    unbounded = expand(datum_bnw().field, 4, datum_id="bnw")
+    tails = residual_tail(unbounded)
+    tail_terms = sum(t["terms"] for t in unbounded.tail_meta)
+    assert tail_terms > coeff_terms
+
+    for ceiling in (coeff_terms + 1, tail_terms):
+        with pytest.raises(ResourceLimitError) as err:
+            residual_tail(exp, term_ceiling=ceiling)
+        assert err.value.partial is exp
+        assert exp.tails is None and exp.tail_meta == []
+        counted, limit = map(int, re.search(r"\((\d+) terms > (\d+)\)", str(err.value)).groups())
+        assert limit == ceiling < counted <= coeff_terms + tail_terms
+
+    bounded = residual_tail(exp, term_ceiling=coeff_terms + tail_terms)
+    assert bounded == tails
+    assert [(t["order"], t["terms"]) for t in exp.tail_meta] == [
+        (t["order"], t["terms"]) for t in unbounded.tail_meta
+    ]
 
 
 def test_meta_statistics_are_recorded():

@@ -15,10 +15,10 @@ from oracles import (
     validate_reference,
 )
 from reyex.data import datum_bnw
-from reyex.expansion import _sum_convolutions
 from reyex.fields import (
     IntegerForm,
     TimeField,
+    add_convolutions,
     bilinear_P,
     canonical_key,
     convolution_coefficient,
@@ -320,7 +320,10 @@ def _assert_canonical_field(f):
 
 
 def _pruned_sum(fulls, pairs, k):
-    raw = _sum_convolutions(fulls, pairs, k)
+    """The expansion's sum over pairs at one target: the raw convolutions
+    added over one denominator, then projected."""
+    raws = [convolution_coefficient(fulls[l], fulls[m], k) for l, m in pairs]
+    raw = add_convolutions([r for r in raws if r is not None])
     vec = None if raw is None else project_mode(k, raw)
     return None if vec is None or all(p.is_zero() for p in vec) else vec
 
