@@ -229,6 +229,9 @@ def cmd_expand(ctx, selector, N, symmetry, tails, term_ceiling, cache):
             "%(terms)d terms, %(wall_seconds).2fs" % stats
         )
 
+    def tail_progress(meta):
+        click.echo("tail order %(order)d: %(terms)d terms, %(wall_seconds).2fs" % meta)
+
     try:
         exp = expand(
             datum.field,
@@ -239,7 +242,7 @@ def cmd_expand(ctx, selector, N, symmetry, tails, term_ceiling, cache):
             progress=progress,
         )
         if tails:
-            residual_tail(exp, term_ceiling)
+            residual_tail(exp, term_ceiling, progress=tail_progress)
     except ResourceLimitError as exc:
         click.echo("error: %s" % exc, err=True)
         sys.exit(EXIT_RESOURCE)

@@ -17,7 +17,9 @@ with its quartic dense output (Dormand & Prince 1980; Hairer, Norsett &
 Wanner, Solving Ordinary Differential Equations I, II.4-5), in a loop on
 Python floats that takes the steps solve_ivp(method="RK45") takes: the same
 tableau, initial step, step-size control and terminal event at the blow-up
-threshold, located by Brent's method on the step's dense output.
+threshold.  The event time is located by bisecting the step's dense output
+down to adjacent floats, where solve_ivp runs Brent's method, so the two
+agree to within that method's tolerance.
 
 Verdicts are computer indications, not certified proofs: the integration is
 floating point over interpolated estimator tables.
@@ -92,8 +94,8 @@ class BracketError(ValueError):
 class _QuarticDense:
     """The continuous solution: on each accepted step the quartic
     y_old + h (Q_0 x + Q_1 x^2 + Q_2 x^3 + Q_3 x^4), x = (t - t_old) / h,
-    with Q = K P formed from the step's stages K at each evaluation.  Step i
-    serves t in (t_i, t_{i+1}], the first step also t_0."""
+    with Q = K P formed from the step's stages K.  Step i serves t in
+    (t_i, t_{i+1}], the first step also t_0."""
 
     def __init__(self):
         self.starts = []
@@ -103,61 +105,23 @@ class _QuarticDense:
         self.starts.append(t_old)
         self.steps.append((h, y_old, stages))
 
-    def step_value(self, i, t):
+    def quartic(self, i):
+        """Step i's quartic as a function of t, with its Q formed once."""
         h, y_old, stages = self.steps[i]
+        t_old = self.starts[i]
         Q = [sum(k * row[j] for k, row in zip(stages, P)) for j in range(4)]
-        x = (t - self.starts[i]) / h
-        x2 = x * x
-        x3 = x2 * x
-        return y_old + h * (Q[0] * x + Q[1] * x2 + Q[2] * x3 + Q[3] * (x3 * x))
+
+        def value(t):
+            x = (t - t_old) / h
+            x2 = x * x
+            x3 = x2 * x
+            return y_old + h * (Q[0] * x + Q[1] * x2 + Q[2] * x3 + Q[3] * (x3 * x))
+
+        return value
 
     def __call__(self, t):
         i = min(max(bisect_left(self.starts, t) - 1, 0), len(self.steps) - 1)
-        return self.step_value(i, t)
-
-
-def _brentq(f, a, b, xtol=4 * EPS, rtol=4 * EPS, maxiter=100):
-    """A root of f in [a, b], where f changes sign: Brent's method as
-    brentq runs it, stopping when the bracket is below xtol + rtol |x|."""
-    xpre, xcur = a, b
-    fpre, fcur = f(xpre), f(xcur)
-    xblk = fblk = spre = scur = 0.0
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise RuntimeError("no sign change in [%r, %r]" % (a, b))
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError("Brent's method did not converge in %d iterations" % (maxiter,))
+        return self.quartic(i)(t)
 
 
 def _initial_step(rhs, t, y, f, t_bound, rtol, atol):
@@ -231,10 +195,16 @@ def _dormand_prince(rhs, t_bound, threshold, rtol, atol):
             break
         dense.append(t, h, y, (k1, k3, k4, k5, k6, k7))
         if y <= threshold <= y_new:
-            last = len(dense.steps) - 1
-            T_c = _brentq(lambda s: dense.step_value(last, s) - threshold, t, t_new)
+            quartic = dense.quartic(len(dense.steps) - 1)
+            # bisect down to adjacent floats; T_c is the upper one
+            lo, T_c = t, t_new
+            while lo < (mid := (lo + T_c) / 2) < T_c:
+                if quartic(mid) < threshold:
+                    lo = mid
+                else:
+                    T_c = mid
             times.append(T_c)
-            values.append(dense.step_value(last, T_c))
+            values.append(quartic(T_c))
             break
         t, y, f = t_new, y_new, k7
         times.append(t)

@@ -165,18 +165,13 @@ def default_grid(num=DEFAULT_GRID_POINTS, t_max=DEFAULT_T_MAX):
 
 def parse_variant(variant):
     """Normalize a variant spec to ('tautological'|'rough'|'intermediate', M)."""
-    if isinstance(variant, tuple):
-        kind, M = variant
-        if kind != "intermediate":
-            raise ValueError("tuple variants must be ('intermediate', M)")
-    elif variant in ("tautological", "rough"):
+    if variant in ("tautological", "rough"):
         return (variant, None)
-    elif isinstance(variant, str) and variant.startswith("intermediate"):
-        _, _, M = variant.partition(":")
-        if not M:
-            raise ValueError("intermediate variant needs an order, e.g. 'intermediate:5'")
-    else:
+    if not (isinstance(variant, str) and variant.startswith("intermediate")):
         raise ValueError("unknown estimator variant %r" % (variant,))
+    _, _, M = variant.partition(":")
+    if not M:
+        raise ValueError("intermediate variant needs an order, e.g. 'intermediate:5'")
     M = int(M)
     if M < 0:
         raise ValueError("intermediate order M must be nonnegative, got %d" % M)

@@ -23,7 +23,6 @@ from mpmath.libmp import BACKEND as MPMATH_BACKEND
 from .fields import (
     IntegerForm,
     TimeField,
-    add_convolutions,
     bilinear_P,  # not called here; bench/tracing.py wraps it by this name
     convolution_coefficient,
     duhamel_mode,
@@ -163,14 +162,13 @@ def _orders(exp, N, orders, term_ceiling):
         tail = j > N
         while len(fulls) < min(j, N + 1):
             fulls.append(IntegerForm(exp.coeffs[len(fulls)]))
-        pairs = [(l, j - 1 - l) for l in range(max(0, j - N - 1), min(j - 1, N) + 1)]
+        pairs = [(fulls[l], fulls[j - 1 - l]) for l in range(max(0, j - N - 1), min(j - 1, N) + 1)]
         cand = set()
-        for l, m in pairs:
-            cand |= _candidate_support(fulls[l].modes, fulls[m].modes)
+        for fv, fw in pairs:
+            cand |= _candidate_support(fv.modes, fw.modes)
         coeffs = {}
         for rep, members in orbit_partition(cand, keys):
-            raws = [convolution_coefficient(fulls[l], fulls[m], rep) for l, m in pairs]
-            raw = add_convolutions([r for r in raws if r is not None])
+            raw = convolution_coefficient(pairs, rep)
             if raw is None:
                 continue
             if tail:
@@ -236,7 +234,7 @@ def expand(
     return exp
 
 
-def residual_tail(exp, term_ceiling=DEFAULT_TERM_CEILING):
+def residual_tail(exp, term_ceiling=DEFAULT_TERM_CEILING, progress=None):
     """The tail coefficients of d u^N/dt - Delta u^N - R P(u^N, u^N):
 
     tail_j = - sum_{l=j-N-1}^{N} P(u_l, u_{j-l-1}),   j = N+1 .. 2N+1.
@@ -247,7 +245,8 @@ def residual_tail(exp, term_ceiling=DEFAULT_TERM_CEILING):
 
     The tails' terms count toward the expansion's term ceiling on top of its
     coefficients' terms; past term_ceiling, ResourceLimitError is raised with
-    exp as .partial, its tails still None.
+    exp as .partial, its tails still None.  progress, if given, is called
+    with each tail's tail_meta record as the tail is made.
     """
     if exp.tails is not None:
         return exp.tails
@@ -258,7 +257,9 @@ def residual_tail(exp, term_ceiling=DEFAULT_TERM_CEILING):
         tails.append(tail)
         t1 = time.monotonic()
         meta.append({"order": j, "terms": _term_count(tail), "wall_seconds": round(t1 - t0, 3)})
-        t0 = t1
+        if progress is not None:
+            progress(meta[-1])
+        t0 = time.monotonic()
     exp.tails = tails
     exp.tail_meta = meta
     return tails

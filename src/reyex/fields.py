@@ -32,7 +32,6 @@ __all__ = [
     "IntegerForm",
     "bilinear_P",
     "convolution_coefficient",
-    "add_convolutions",
     "project_mode",
     "heat_apply",
     "duhamel_mode",
@@ -401,13 +400,14 @@ class IntegerForm:
         self.modes = modes
 
 
-def _dot(row, k):
-    """k . v for a row of numerators, as a list of (packed key, re, im) with
-    the vanishing terms dropped."""
+def _dot(row, k, f=1):
+    """f (k . v) for a row of numerators and an int f != 0, as a list of
+    (packed key, re, im) with the vanishing terms dropped."""
     acc = {}
     for ki, comp in zip(k, row):
         if not ki:
             continue
+        ki *= f
         for key, re, im in comp:
             prev = acc.get(key)
             if prev is None:
@@ -474,61 +474,45 @@ def project_mode(k, raw):
     return (_tp(out[0]), _tp(out[1]), _tp(out[2]))
 
 
-def convolution_coefficient(fv, fw, k):
-    """Raw sum_h [v_h.(k-h)] w_{k-h} at a single wave vector k.
+def convolution_coefficient(pairs, k):
+    """Raw sum over the pairs (fv, fw) of sum_h [v_h.(k-h)] w_{k-h} at a
+    single wave vector k.
 
-    fv, fw are the IntegerForm of the two fields.  The -i factor and the
-    Leray projection are NOT applied here, so per-k contributions from
-    several bilinear terms can be accumulated first.  Returns (den, acc):
-    acc holds per component a map of packed exponent key to the integer
-    [re, im] numerators over den = fv.den * fw.den.  Returns None when no
-    pair of modes contributes.
+    pairs lists the IntegerForm pairs of the bilinear terms summed at k.  The
+    -i factor and the Leray projection are NOT applied here.  Returns (den,
+    acc): acc holds per component a map of packed exponent key to the
+    integer [re, im] numerators over den, the lcm of fv.den * fw.den over
+    the pairs; each pair's k.v row is scaled up to den before its products
+    are added.  Returns None when no pair of modes contributes.
     """
-    vmodes, wmodes = fv.modes, fw.modes
+    den = lcm(*(fv.den * fw.den for fv, fw in pairs))
     acc = ({}, {}, {})
     hit = False
-    if len(vmodes) <= len(wmodes):
-        for h, vh in vmodes.items():
-            h2 = (k[0] - h[0], k[1] - h[1], k[2] - h[2])
-            wh2 = wmodes.get(h2)
-            if wh2 is None:
-                continue
-            s = _dot(vh, h2)
-            if s:
-                hit = True
-                _add_products(acc, s, wh2)
-    else:
-        for h2, wh2 in wmodes.items():
-            h = (k[0] - h2[0], k[1] - h2[1], k[2] - h2[2])
-            vh = vmodes.get(h)
-            if vh is None:
-                continue
-            s = _dot(vh, h2)
-            if s:
-                hit = True
-                _add_products(acc, s, wh2)
+    for fv, fw in pairs:
+        f = den // (fv.den * fw.den)
+        vmodes, wmodes = fv.modes, fw.modes
+        if len(vmodes) <= len(wmodes):
+            for h, vh in vmodes.items():
+                h2 = (k[0] - h[0], k[1] - h[1], k[2] - h[2])
+                wh2 = wmodes.get(h2)
+                if wh2 is None:
+                    continue
+                s = _dot(vh, h2, f)
+                if s:
+                    hit = True
+                    _add_products(acc, s, wh2)
+        else:
+            for h2, wh2 in wmodes.items():
+                h = (k[0] - h2[0], k[1] - h2[1], k[2] - h2[2])
+                vh = vmodes.get(h)
+                if vh is None:
+                    continue
+                s = _dot(vh, h2, f)
+                if s:
+                    hit = True
+                    _add_products(acc, s, wh2)
     if not hit:
         return None
-    return fv.den * fw.den, acc
-
-
-def add_convolutions(raws):
-    """The sum of raw convolution sums, as convolution_coefficient returns
-    them, over the lcm of their denominators; None for an empty list."""
-    if len(raws) <= 1:
-        return raws[0] if raws else None
-    den = lcm(*(d for d, _ in raws))
-    acc = ({}, {}, {})
-    for d, comps in raws:
-        f = den // d
-        for out, comp in zip(acc, comps):
-            for key, (re, im) in comp.items():
-                prev = out.get(key)
-                if prev is None:
-                    out[key] = [f * re, f * im]
-                else:
-                    prev[0] += f * re
-                    prev[1] += f * im
     return den, acc
 
 

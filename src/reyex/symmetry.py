@@ -57,18 +57,6 @@ def _phase(a, k):
     return (a[0] * k[0] + a[1] * k[1] + a[2] * k[2]) % 4
 
 
-def _apply_phase(vec, n):
-    """e^{-i (pi/2) n} vec for a 3-vector of TimePoly: the phases 1, -i, -1,
-    i are a copy, a rotation or a negation, never a product."""
-    if n == 0:
-        return vec
-    if n == 1:
-        return tuple(p.mul_minus_i() for p in vec)
-    if n == 2:
-        return tuple(-p for p in vec)
-    return tuple(p.mul_i() for p in vec)
-
-
 def octahedral_matrices():
     """All 48 signed permutation matrices of O(3,Z)."""
     mats = []
@@ -83,11 +71,6 @@ def octahedral_matrices():
 
 def identity_element():
     return GroupElement(_IDENTITY, (0, 0, 0))
-
-
-def _transform_vec(S, vec):
-    """(S v)_i for a 3-vector of TimePoly; each row of S has one entry +-1."""
-    return tuple(vec[j] if row[j] == 1 else -vec[j] for row in S for j in range(3) if row[j])
 
 
 def push_forward(g, v):
@@ -216,13 +199,33 @@ def orbit_partition(keys, matrices):
     return orbits
 
 
+def _quarter_turn(p, n):
+    """e^{-i (pi/2) n} p for n in 0..3: a copy, a rotation or a negation,
+    never a product."""
+    if n == 0:
+        return p
+    if n == 1:
+        return p.mul_minus_i()
+    if n == 2:
+        return -p
+    return p.mul_i()
+
+
 def propagate_coefficient(coeff, k, g, sigma, j):
     """Exact coefficient of u_j at S k, given the one at k:
     u_{j,Sk} = sigma^{j+1} e^{-i a.(Sk)} S u_{j,k}.
 
-    Returns the pair (Sk, coefficient)."""
-    Sk = _mat_vec(g.S, k)
+    Returns the pair (Sk, coefficient).  Row i of S holds one entry +-1, in
+    column c, so component i is e^{-i (pi/2) n} (+-coeff[c]); a -1 entry adds
+    two quarter turns to n, and each component takes one pass over its
+    terms."""
+    S = g.S
+    Sk = _mat_vec(S, k)
     n = _phase(g.a, Sk)
-    if sigma == -1 and (j + 1) % 2 == 1:
-        n = (n + 2) % 4
-    return Sk, _apply_phase(_transform_vec(g.S, coeff), n)
+    if sigma == -1 and j % 2 == 0:
+        n += 2
+    out = []
+    for row in S:
+        c = 0 if row[0] else 1 if row[1] else 2
+        out.append(_quarter_turn(coeff[c], (n if row[c] > 0 else n + 2) % 4))
+    return Sk, tuple(out)

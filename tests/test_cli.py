@@ -72,6 +72,21 @@ def test_expand_writes_manifest(runner, rundir):
     assert "run_manifest_hash" in manifest
 
 
+def test_expand_tails_reports_each_tail_as_it_is_made(runner, tmp_path):
+    cache = tmp_path / "c"
+    res = runner.invoke(main, [
+        "expand", "--datum", "bnw", "--order", "2", "--tails", "--cache", str(cache),
+    ])
+    assert res.exit_code == 0, res.output
+    lines = res.output.splitlines()
+    tails = [i for i, line in enumerate(lines) if line.startswith("tail order ")]
+    assert [lines[i].split(":")[0] for i in tails] == ["tail order %d" % j for j in (3, 4, 5)]
+    manifest = json.loads((cache / "manifest.json").read_text())
+    for i, meta in zip(tails, manifest["tails"]):
+        assert lines[i].startswith("tail order %(order)d: %(terms)d terms, " % meta)
+    assert lines[tails[-1] + 1].startswith("cache written")
+
+
 def test_expand_term_ceiling_exit_code(runner, tmp_path):
     res = runner.invoke(main, [
         "expand", "--datum", "bnw", "--order", "4", "--term-ceiling", "50",

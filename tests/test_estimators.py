@@ -107,10 +107,10 @@ def test_tables_refuse_a_bad_grid(grid):
 def test_parse_variant():
     assert parse_variant("rough") == ("rough", None)
     assert parse_variant("intermediate:5") == ("intermediate", 5)
-    assert parse_variant(("intermediate", 2)) == ("intermediate", 2)
-    with pytest.raises(ValueError):
-        parse_variant("fancy")
-    for bad in ("intermediate:-1", "intermediate:-3", ("intermediate", -1)):
+    for unknown in ("fancy", ("intermediate", 2)):
+        with pytest.raises(ValueError, match="unknown estimator variant"):
+            parse_variant(unknown)
+    for bad in ("intermediate:-1", "intermediate:-3"):
         with pytest.raises(ValueError, match="nonnegative"):
             parse_variant(bad)
 

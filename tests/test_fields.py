@@ -18,7 +18,6 @@ from reyex.data import datum_bnw
 from reyex.fields import (
     IntegerForm,
     TimeField,
-    add_convolutions,
     bilinear_P,
     canonical_key,
     convolution_coefficient,
@@ -171,7 +170,7 @@ def _per_target(a, b, targets):
     fa, fb = IntegerForm(a), IntegerForm(b)
     out = {}
     for k in {canonical_key(kt) for kt in targets} - {(0, 0, 0)}:
-        raw = convolution_coefficient(fa, fb, k)
+        raw = convolution_coefficient([(fa, fb)], k)
         if raw is not None:
             out[k] = project_mode(k, raw)
     return TimeField(out, validate=False)
@@ -184,6 +183,43 @@ def test_bilinear_targets_agree_with_full_computation():
     partial = _per_target(v, v, targets)
     for k in targets:
         assert partial.coeff(k) == full.coeff(k)
+
+
+def test_convolution_coefficient_sums_pairs_over_the_lcm_of_their_denominators():
+    """Two pairs over the denominators 30 and 100: the one accumulator, over
+    their lcm 300, holds each pair's own numerators scaled up by 10 and 3."""
+    third, fifth = mpq(1, 3), mpq(1, 5)
+    a = static_field({(1, 1, 0): (gr(third), gr(-third), gr(2 * third)),
+                      (0, 0, 1): (gr(third, 1), gr(1), gr(0))})
+    b = static_field({(1, 1, 0): (gr(fifth), gr(-fifth), gr(mpq(1, 2))),
+                      (0, 0, 1): (gr(2 * fifth), gr(0, 3 * fifth), gr(0))})
+    fa, fb = IntegerForm(a), IntegerForm(b)
+    pairs = [(fa, fb), (fb, fb)]
+    assert [fv.den * fw.den for fv, fw in pairs] == [30, 100]
+    sums = {tuple(x + y for x, y in zip(h, g)) for h in fa.modes for g in fb.modes}
+    both = 0
+    for k in {canonical_key(k) for k in sums} - {(0, 0, 0)}:
+        raws = [convolution_coefficient([pair], k) for pair in pairs]
+        want = ({}, {}, {})
+        for raw in raws:
+            if raw is None:
+                continue
+            f = 300 // raw[0]
+            for out, comp in zip(want, raw[1]):
+                for key, (re, im) in comp.items():
+                    prev = out.setdefault(key, [0, 0])
+                    prev[0] += f * re
+                    prev[1] += f * im
+        got = convolution_coefficient(pairs, k)
+        if raws == [None, None]:
+            assert got is None
+            continue
+        both += None not in raws
+        assert got[0] == 300
+        for have, comp in zip(got[1], want):
+            assert {key: v for key, v in have.items() if v != [0, 0]} == \
+                {key: v for key, v in comp.items() if v != [0, 0]}
+    assert both
 
 
 def test_heat_apply_multiplies_by_decay():
@@ -322,8 +358,7 @@ def _assert_canonical_field(f):
 def _pruned_sum(fulls, pairs, k):
     """The expansion's sum over pairs at one target: the raw convolutions
     added over one denominator, then projected."""
-    raws = [convolution_coefficient(fulls[l], fulls[m], k) for l, m in pairs]
-    raw = add_convolutions([r for r in raws if r is not None])
+    raw = convolution_coefficient([(fulls[l], fulls[m]) for l, m in pairs], k)
     vec = None if raw is None else project_mode(k, raw)
     return None if vec is None or all(p.is_zero() for p in vec) else vec
 

@@ -17,7 +17,7 @@ from reyex.symmetry import (
     propagate_coefficient,
     push_forward,
 )
-from reyex.timepoly import TimePoly
+from reyex.timepoly import TP_ZERO, TimePoly
 
 # -- golden tables: signed-permutation factorization S = D_a Q_b and the
 #    half-period translations used by the benchmark data -----------------------
@@ -217,8 +217,10 @@ def test_zero_field_rejected():
 
 @pytest.mark.parametrize("sigma", [1, -1])
 def test_propagation_phases_equal_products_with_the_phase(sigma):
-    """Each of the four phases e^{-i (pi/2) n}, applied by sign flips and
-    quarter turns, gives the coefficient the GaussianRational product gives."""
+    """For every signed permutation S (two or three -1 entries and -I among
+    them) and each of the four phases e^{-i (pi/2) n}, the coefficient formed
+    by quarter turns equals S coeff, as a sum of GaussianRational products,
+    times the phase."""
     phases = (
         GaussianRational(1, 0),
         GaussianRational(0, -1),
@@ -229,17 +231,20 @@ def test_propagation_phases_equal_products_with_the_phase(sigma):
         TimePoly({(0, 2): GaussianRational(c, 2 - c), (1, 4): GaussianRational(-3, c)})
         for c in (1, -5, 7)
     )
-    S = ((0, 1, 0), (-1, 0, 0), (0, 0, 1))
-    k = (1, 2, 0)  # S k = (2, -1, 0)
-    seen = set()
-    for a in itertools.product(range(4), repeat=3):
-        for j in (1, 2):
-            Sk, got = propagate_coefficient(coeff, k, GroupElement(S, a), sigma, j)
-            n = (a[0] * Sk[0] + a[1] * Sk[1] + a[2] * Sk[2]) % 4
-            ph = phases[n]
-            if sigma == -1 and j % 2 == 0:
-                ph = GaussianRational(-ph.re, -ph.im)
-            moved = (coeff[1], -coeff[0], coeff[2])
-            assert got == tuple(p.scale(ph) for p in moved)
-            seen.add(phases.index(ph))
-    assert seen == {0, 1, 2, 3}
+    k = (1, 2, 0)  # S k has an entry +-1, so a.(S k) takes every n mod 4
+    for S in octahedral_matrices():
+        moved = tuple(
+            sum((p.scale(GaussianRational(x, 0)) for p, x in zip(coeff, row) if x), TP_ZERO)
+            for row in S
+        )
+        seen = set()
+        for a in itertools.product(range(4), repeat=3):
+            for j in (1, 2):
+                Sk, got = propagate_coefficient(coeff, k, GroupElement(S, a), sigma, j)
+                n = (a[0] * Sk[0] + a[1] * Sk[1] + a[2] * Sk[2]) % 4
+                ph = phases[n]
+                if sigma == -1 and j % 2 == 0:
+                    ph = GaussianRational(-ph.re, -ph.im)
+                assert got == tuple(p.scale(ph) for p in moved), (S, a, j)
+                seen.add(phases.index(ph))
+        assert seen == {0, 1, 2, 3}

@@ -1,6 +1,7 @@
 """Before/after record of the expansion cache: cache_store and cache_load
 wall seconds for km N=3 and 5, tg N=5, and bnw N=3 and 5 with residual
-tails.
+tails, all under their symmetry groups, and bnw N=3 with tails unpruned (the
+trivial-group route).
 
     python3 tools/bench_cache.py --before OLD/src --after src --repeats 5 > BENCH_cache.json
 
@@ -28,7 +29,11 @@ import time
 
 from bench_sampling import environment
 
-CASES = [("km", 3, False), ("km", 5, False), ("tg", 5, False), ("bnw", 3, True), ("bnw", 5, True)]
+# (datum, N, residual tails, symmetry pruning)
+CASES = [
+    ("km", 3, False, True), ("km", 5, False, True), ("tg", 5, False, True),
+    ("bnw", 3, True, True), ("bnw", 5, True, True), ("bnw", 3, True, False),
+]
 TIMED = ("expand_s", "tails_s", "store_s", "load_s")
 
 
@@ -38,10 +43,10 @@ def measure():
     from reyex.expansion import cache_load, cache_store, expand, residual_tail
 
     out = {}
-    for datum, N, tails in CASES:
+    for datum, N, tails, pruned in CASES:
         row = {}
         t0 = time.perf_counter()
-        exp = expand(get_datum(datum).field, N, datum_id=datum)
+        exp = expand(get_datum(datum).field, N, use_symmetry=pruned, datum_id=datum)
         t1 = time.perf_counter()
         if tails:
             residual_tail(exp)
@@ -64,7 +69,8 @@ def measure():
         finally:
             shutil.rmtree(path)
         row.update(expand_s=t1 - t0, tails_s=t2 - t1, store_s=t4 - t3, load_s=t6 - t5)
-        out["%s N=%d%s" % (datum, N, " tails" if tails else "")] = row
+        name = "%s N=%d%s" % (datum, N, " tails" if tails else "")
+        out[name if pruned else name + " unpruned"] = row
         gc.collect()
     print(json.dumps(out))
 
