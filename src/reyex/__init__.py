@@ -3,7 +3,7 @@
 
 from .rationals import GaussianRational, mpq
 from .timepoly import TimePoly, tp_basis
-from .fields import TimeField, bilinear_P, sobolev_norm, static_field
+from .fields import TimeField, bilinear_P, static_field
 from .symmetry import GroupElement, SymmetryData, find_symmetries, push_forward
 from .expansion import (
     Expansion,
@@ -46,7 +46,6 @@ __all__ = [
     "tp_basis",
     "TimeField",
     "bilinear_P",
-    "sobolev_norm",
     "static_field",
     "GroupElement",
     "SymmetryData",

@@ -17,7 +17,6 @@ import sys
 from contextlib import contextmanager
 
 import click
-import mpmath
 
 from .control import (
     DEFAULT_BLOWUP_THRESHOLD,
@@ -27,7 +26,7 @@ from .control import (
     find_critical_R,
     solve_control,
 )
-from .data import get_datum, physical_reynolds
+from .data import get_datum, mode_amplitude, physical_reynolds
 from .estimators import (
     DEFAULT_GRID_POINTS,
     DEFAULT_T_MAX,
@@ -187,7 +186,7 @@ def cmd_norms(selector, orders, precision):
     for m in order_list:
         click.echo("norm_%d = %s" % (m, _fmt(datum.sobolev(m, precision))))
     k = datum.marked_mode
-    gamma0 = datum.field.coeff_magnitude(k, 0, precision)
+    (gamma0,) = mode_amplitude([datum.field], k, 0, [0], precision)
     click.echo("marked mode k = %s" % (k,))
     click.echo("gamma(0) = %s" % _fmt(gamma0))
     click.echo("V_star = %s" % _fmt(datum.V_star(precision)))
@@ -425,25 +424,16 @@ def cmd_report(ctx, run_dir, selector, precision):
         fh.write("# datum=%s k=%s R=%.17g N=%d hash=%s\n"
                  % (datum.name, k, R, exp.N, _manifest_hash(cfg)))
         fh.write("t,gamma\n")
-        with mpmath.workprec(precision):
-            Rf = mpmath.mpf(R)
-            for t in grid:
-                total = [mpmath.mpc(0)] * 3
-                for j, u in enumerate(exp.coeffs):
-                    vec = u.eval_coeff(k, t, precision)
-                    w = Rf**j
-                    total = [a + w * b for a, b in zip(total, vec)]
-                mag = mpmath.sqrt(sum(abs(c) ** 2 for c in total))
-                gamma = (2 * mpmath.pi) ** mpmath.mpf("1.5") * mag
-                fh.write("%.17g,%.17g\n" % (t, float(gamma)))
+        for t, gamma in zip(grid, mode_amplitude(exp.coeffs, k, R, grid, precision)):
+            fh.write("%.17g,%.17g\n" % (t, float(gamma)))
 
     bounds = classical_bounds(datum, precision=precision)
+    (gamma0,) = mode_amplitude([datum.field], k, 0, [0], precision)
     summary = os.path.join(run_dir, "summary.txt")
     with open(summary, "w") as fh:
         fh.write("datum %s, expansion order N=%d, manifest %s\n"
                  % (datum.name, exp.N, _manifest_hash(cfg)))
-        fh.write("gamma(0) = %s at k = %s\n"
-                 % (_fmt(datum.field.coeff_magnitude(k, 0, precision)), (k,)))
+        fh.write("gamma(0) = %s at k = %s\n" % (_fmt(gamma0), (k,)))
         fh.write("norm_3 = %s\n" % _fmt(datum.sobolev(3, precision)))
         fh.write("classical bounds: R_h3 = %s, R_h1 = %s\n"
                  % (_fmt(bounds["R_h3"]), _fmt(bounds["R_h1"])))

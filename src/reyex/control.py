@@ -355,8 +355,8 @@ def find_critical_R(
     """
     if constants is None:
         constants = ConstantsTable()
-    if not lo < hi:
-        raise BracketError("need lo < hi, got [%s, %s]" % (lo, hi))
+    if not 0 <= lo < hi < math.inf:
+        raise BracketError("need 0 <= lo < hi < inf, got [%s, %s]" % (lo, hi))
     if tables is None:
         tables = EstimatorTables(exp, n)
 

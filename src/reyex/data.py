@@ -10,13 +10,14 @@ number Re = V* L* R.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 
 import mpmath
 
-from .fields import TimeField, norm_sq_poly, sobolev_norm, static_field
-from .rationals import GaussianRational, mpq
-from .timepoly import DEFAULT_EVAL_PRECISION, _to_mpf
+from .fields import TimeField, norm_sq_poly, static_field
+from .rationals import GaussianRational, _gaussian, mpq
+from .timepoly import TP_ZERO, DEFAULT_EVAL_PRECISION, _to_mpf, _tp, sample_real_polys
 
 __all__ = [
     "DatumDescriptor",
@@ -26,6 +27,7 @@ __all__ = [
     "get_datum",
     "load_user_datum",
     "physical_reynolds",
+    "mode_amplitude",
     "DATUM_NAMES",
 ]
 
@@ -71,7 +73,10 @@ class DatumDescriptor:
             return 2 * mpmath.pi * mpmath.sqrt(_to_mpf(self.inv_sq_sum))
 
     def sobolev(self, order, precision=DEFAULT_EVAL_PRECISION):
-        return sobolev_norm(self.field, order, 0, precision)
+        """||u||_order, from its exact square rounded once."""
+        q = _constant_value(norm_sq_poly(self.field, order))
+        with mpmath.workprec(precision):
+            return mpmath.sqrt((2 * mpmath.pi) ** 3 * _to_mpf(q))
 
 
 def _constant_value(poly):
@@ -83,6 +88,31 @@ def _constant_value(poly):
     if c.b:
         raise ValueError("norm square must be real")
     return mpq(c.a, c.d)
+
+
+def mode_amplitude(fields, k, R, grid, precision=DEFAULT_EVAL_PRECISION):
+    """(2 pi)^{3/2} |sum_j R^j v_{j,k}(t)| over the grid, for fields v_0, v_1, ...
+
+    R (a float is read as its exact rational value) weights the fields'
+    coefficients at k exactly; the real and imaginary parts of the three
+    components are sampled in one batch (timepoly.sample_real_polys), so
+    t = 0 is exact and the loss at t > 0 is measured.
+    """
+    R = mpq(R)
+    comps = [TP_ZERO] * 3
+    for j, v in enumerate(fields):
+        comps = [a + p.scale_rational(R**j) for a, p in zip(comps, v.coeff(k))]
+    parts = []
+    for p in comps:
+        parts.append(_tp({key: _gaussian(c.a, 0, c.d) for key, c in p.terms.items() if c.a}))
+        parts.append(_tp({key: _gaussian(c.b, 0, c.d) for key, c in p.terms.items() if c.b}))
+    values, _ = sample_real_polys(parts, grid, precision)
+    with mpmath.workprec(precision):
+        scale = (2 * mpmath.pi) ** mpmath.mpf("1.5")
+        return [
+            scale * mpmath.sqrt(sum(re * re + im * im for re, im in zip(col[::2], col[1::2])))
+            for col in zip(*values)
+        ]
 
 
 def _gr(re, im=0):
@@ -183,7 +213,7 @@ def load_user_datum(path):
 
 def physical_reynolds(datum, R, precision=DEFAULT_EVAL_PRECISION):
     """Physical Reynolds number Re = V* L* R for the given datum."""
-    if R < 0:
-        raise ValueError("R must be nonnegative")
+    if not 0 <= R < math.inf:
+        raise ValueError("R must be a finite number >= 0, got %s" % (R,))
     with mpmath.workprec(precision):
         return datum.rey_factor(precision) * mpmath.mpf(R)

@@ -113,8 +113,8 @@ class ConstantsTable:
     def __post_init__(self):
         for table in (self.K, self.G, self.G_pn):
             for key, val in table.items():
-                if not val > 0:
-                    raise ValueError("constant for %s must be positive, got %s" % (key, val))
+                if not 0 < val < math.inf:
+                    raise ValueError("constant %s must be finite and positive, got %s" % (key, val))
 
     def K_of(self, m):
         try:
@@ -167,7 +167,7 @@ def parse_variant(variant):
     """Normalize a variant spec to ('tautological'|'rough'|'intermediate', M)."""
     if variant in ("tautological", "rough"):
         return (variant, None)
-    if not (isinstance(variant, str) and variant.startswith("intermediate")):
+    if not isinstance(variant, str) or variant.partition(":")[0] != "intermediate":
         raise ValueError("unknown estimator variant %r" % (variant,))
     _, _, M = variant.partition(":")
     if not M:
@@ -336,7 +336,10 @@ class EstimatorTables:
     def _dyadic(self, x):
         """(p, e) with p 2^e = mpf(x) at self.precision."""
         with mpmath.workprec(self.precision):
-            sign, man, exp, _ = mpmath.mpf(x)._mpf_
+            x = mpmath.mpf(x)
+        if not mpmath.isfinite(x):  # mpmath holds inf and nan with a zero mantissa
+            raise ValueError("%s is not a finite number" % (x,))
+        sign, man, exp, _ = x._mpf_
         return (-man if sign else man), exp
 
     def _roots(self, kind, m, M, R, lo, bits):
@@ -602,8 +605,8 @@ def build_estimator_set(exp, R, n, variant="tautological", constants=None, table
         raise ValueError("tables were built on another expansion")
     elif tables.n != n:
         raise ValueError("tables were built for order %d, not %d" % (tables.n, n))
-    if R < 0:
-        raise ValueError("R must be nonnegative")
+    if not 0 <= R < math.inf:
+        raise ValueError("R must be a finite number >= 0, got %s" % (R,))
 
     D_n, D_n1, eps = tables.samples(R, variant, constants)
     est = EstimatorSet(

@@ -10,12 +10,9 @@ from __future__ import annotations
 
 from math import lcm
 
-import mpmath
-
 from .rationals import GaussianRational, _gaussian, mpq
 from .timepoly import (
     TP_ZERO,
-    DEFAULT_EVAL_PRECISION,
     TimePoly,
     _from_records,
     _to_records,
@@ -38,7 +35,6 @@ __all__ = [
     "gram_poly",
     "gram_poly_orbits",
     "norm_sq_poly",
-    "sobolev_norm",
 ]
 
 
@@ -264,22 +260,6 @@ class TimeField:
             return (v[0].scale_rational(q), v[1].scale_rational(q), v[2].scale_rational(q))
 
         return self.map_coeffs(fn)
-
-    # -- numeric access --------------------------------------------------------
-
-    def eval_coeff(self, k, t, precision=DEFAULT_EVAL_PRECISION):
-        """Numeric 3-vector coefficient at wave vector k and time t."""
-        vec = self.coeff(k)
-        return tuple(p.evaluate(t, precision) for p in vec)
-
-    def coeff_magnitude(self, k, t, precision=DEFAULT_EVAL_PRECISION):
-        """(2 pi)^{3/2} |v_k(t)|, the normalization used for reporting."""
-        with mpmath.workprec(precision):
-            vec = self.eval_coeff(k, t, precision)
-            s = mpmath.mpf(0)
-            for c in vec:
-                s += c.real * c.real + c.imag * c.imag
-            return (2 * mpmath.pi) ** mpmath.mpf("1.5") * mpmath.sqrt(s)
 
     # -- serialization ----------------------------------------------------------
 
@@ -580,7 +560,7 @@ def gram_poly(v, w, order):
     """sum_k |k|^{2 order} conj(v_k).w_k over the full lattice, symbolic.
 
     The (2 pi)^3 normalization of the Sobolev inner product is irrational and
-    is applied only at numeric evaluation time (see sobolev_norm).
+    is applied only where the Gram is rounded to a number.
     """
     common = v.coeffs.keys() & w.coeffs.keys()
     return gram_poly_orbits(v, w, (order,), [(k, 1) for k in common])[0]
@@ -641,15 +621,3 @@ def gram_poly_orbits(v, w, orders, orbit_classes):
 def norm_sq_poly(v, order):
     """Symbolic |k|-weighted energy: (2 pi)^{-3} ||v(t)||_order^2."""
     return gram_poly(v, v, order)
-
-
-def sobolev_norm(v, order, t=0, precision=DEFAULT_EVAL_PRECISION):
-    """Numeric Sobolev norm ||v(t)||_order, including the (2 pi)^{3/2} factor."""
-    poly = norm_sq_poly(v, order)
-    with mpmath.workprec(precision):
-        val = poly.evaluate(t, precision).real
-        if val < 0:
-            # exact algebra guarantees nonnegativity; numeric eval can only
-            # undershoot by rounding
-            val = mpmath.mpf(0)
-        return mpmath.sqrt((2 * mpmath.pi) ** 3 * val)

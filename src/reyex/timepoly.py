@@ -225,7 +225,9 @@ class TimePoly:
     # -- numeric evaluation ----------------------------------------------
 
     def evaluate(self, t, precision=DEFAULT_EVAL_PRECISION):
-        """Value at time t >= 0 as an mpmath mpc, at the given bit precision."""
+        """Value at time t >= 0 as an mpmath mpc, at the given bit precision,
+        with no loss measured: the one-point reference of the tests and the
+        bench's kernel probe; the library samples through sample_real_polys."""
         if precision < 53:
             raise ValueError("precision must be at least 53 bits")
         with mpmath.workprec(precision):

@@ -1,5 +1,13 @@
 """Reference implementations that the tests compare against.
 
+sobolev_norm evaluates a field's Gram poly at one time t with
+TimePoly.evaluate, a one-point mpmath loop that rounds each coefficient and
+basis value on its own and measures no loss.  Together they are the
+reference for the library's one route from exact polys to numbers: the
+datum norms (DatumDescriptor.sobolev, an exact t = 0 rational rounded once)
+must equal sobolev_norm at t = 0 to the bit, and the batch sampler
+(sample_real_polys, and data.mode_amplitude on top of it) must agree with
+TimePoly.evaluate at a higher precision.
 The single-time estimators evaluate norms mode by mode at one time, and
 sample_gram_tables samples cross Gram tables by evaluating every mode of the
 full support on every grid point.  Both are slow and independent of the
@@ -60,7 +68,6 @@ from reyex.fields import (
     is_canonical,
     leray_project,
     norm_sq_poly,
-    sobolev_norm,
     wave_norm_sq,
 )
 from reyex.rationals import GaussianRational, mpq, rational_to_string
@@ -212,8 +219,16 @@ def _as_mpq(R):
     return mpq(R) if not isinstance(R, float) else mpq(*R.as_integer_ratio())
 
 
-def _norm_at(field, m, t, precision):
-    return sobolev_norm(field, m, t, precision)
+def sobolev_norm(v, order, t=0, precision=DEFAULT_EVAL_PRECISION):
+    """Numeric Sobolev norm ||v(t)||_order, including the (2 pi)^{3/2} factor."""
+    poly = norm_sq_poly(v, order)
+    with mpmath.workprec(precision):
+        val = poly.evaluate(t, precision).real
+        if val < 0:
+            # exact algebra guarantees nonnegativity; numeric eval can only
+            # undershoot by rounding
+            val = mpmath.mpf(0)
+        return mpmath.sqrt((2 * mpmath.pi) ** 3 * val)
 
 
 def growth_rough(exp, R, m, t, precision=DEFAULT_EVAL_PRECISION):
@@ -224,7 +239,7 @@ def growth_rough(exp, R, m, t, precision=DEFAULT_EVAL_PRECISION):
         Rf = mpmath.mpf(R)
         total = mpmath.mpf(0)
         for j, u in enumerate(exp.coeffs):
-            total += Rf**j * _norm_at(u, m, t, precision)
+            total += Rf**j * sobolev_norm(u, m, t, precision)
         return total
 
 
@@ -241,9 +256,9 @@ def growth_intermediate(exp, R, m, M, t, precision=DEFAULT_EVAL_PRECISION):
         power = power * Rq
     with mpmath.workprec(precision):
         Rf = mpmath.mpf(R)
-        total = _norm_at(head, m, t, precision)
+        total = sobolev_norm(head, m, t, precision)
         for j in range(M + 1, exp.N + 1):
-            total += Rf**j * _norm_at(exp.coeffs[j], m, t, precision)
+            total += Rf**j * sobolev_norm(exp.coeffs[j], m, t, precision)
         return total
 
 
@@ -253,8 +268,8 @@ def error_rough(exp, R, m, t, constants, precision=DEFAULT_EVAL_PRECISION):
     N = exp.N
     with mpmath.workprec(precision):
         Rf = mpmath.mpf(R)
-        norms_m = [_norm_at(u, m, t, precision) for u in exp.coeffs]
-        norms_m1 = [_norm_at(u, m + 1, t, precision) for u in exp.coeffs]
+        norms_m = [sobolev_norm(u, m, t, precision) for u in exp.coeffs]
+        norms_m1 = [sobolev_norm(u, m + 1, t, precision) for u in exp.coeffs]
         total = mpmath.mpf(0)
         for j in range(N + 1, 2 * N + 2):
             inner = mpmath.mpf(0)
@@ -271,7 +286,7 @@ def error_tame(exp, R, p, n, t, K, precision=DEFAULT_EVAL_PRECISION):
     with mpmath.workprec(precision):
         Rf = mpmath.mpf(R)
         norms = {
-            m: [_norm_at(u, m, t, precision) for u in exp.coeffs]
+            m: [sobolev_norm(u, m, t, precision) for u in exp.coeffs]
             for m in {p, n, p + 1, n + 1}
         }
         total = mpmath.mpf(0)

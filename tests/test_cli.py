@@ -13,6 +13,8 @@ from reyex.control import DEFAULT_TOL_R, find_critical_R
 from reyex.data import datum_tg
 from reyex.estimators import DEFAULT_GRID_POINTS, DEFAULT_T_MAX, default_grid
 from reyex.expansion import residual_tail
+from reyex.fields import static_field
+from reyex.rationals import GaussianRational
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +182,34 @@ def test_bad_variant_is_a_usage_error(runner, rundir, tmp_path, command):
     res = runner.invoke(main, [
         command, "--cache", str(rundir / "cache"), "--variant", "bogus",
         "--grid-points", "40", *PROBE_ARGS[command], str(tmp_path / "out"),
+    ])
+    assert res.exit_code == 2, res.output
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["estimate", "control", "critical"])
+def test_misspelt_intermediate_variant_is_a_usage_error(runner, rundir, tmp_path, command):
+    res = runner.invoke(main, [
+        command, "--cache", str(rundir / "cache"), "--variant", "intermediatefoo:3",
+        "--grid-points", "40", *PROBE_ARGS[command], str(tmp_path / "out"),
+    ])
+    assert res.exit_code == 2, res.output
+    assert "unknown estimator variant" in res.output
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["estimate", "control", "critical"])
+def test_non_finite_R_is_a_usage_error(runner, rundir, tmp_path, command, value):
+    # the sampled tables would read it as R = 0
+    args = {
+        "estimate": ["--R=" + value, "--output"],
+        "control": ["--R=" + value, "--output-prefix"],
+        "critical": ["--lo", "0.01", "--hi=" + value, "--output"],
+    }[command]
+    res = runner.invoke(main, [
+        command, "--cache", str(rundir / "cache"), "--grid-points", "40",
+        *args, str(tmp_path / "out"),
     ])
     assert res.exit_code == 2, res.output
     assert not list(tmp_path.iterdir())
@@ -448,3 +478,17 @@ def test_symmetry_command(runner):
         assert res.exit_code == 0, res.output
         assert h in res.output
         assert s in res.output
+
+
+def test_symmetry_command_quarter_lattice(runner, tmp_path):
+    # a single mode with a quarter-period symmetry that the half grid misses
+    v = static_field({(1, 0, 0): (GaussianRational(0), GaussianRational(1), GaussianRational(0, 1))})
+    path = tmp_path / "quarter.json"
+    path.write_text(json.dumps(v.to_payload(name="quarter")))
+    sizes = {}
+    for lattice in (None, "quarter"):
+        extra = [] if lattice is None else ["--lattice", lattice]
+        res = runner.invoke(main, ["symmetry", "--datum", "file:%s" % path, *extra])
+        assert res.exit_code == 0, res.output
+        sizes[lattice] = int(res.output.split("|H+| = ")[1].split(",")[0])
+    assert sizes["quarter"] > sizes[None]

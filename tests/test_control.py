@@ -234,6 +234,15 @@ def test_bisection_rejects_bad_bracket(bnw2, tables2):
         find_critical_R(bnw2, 3, "rough", 1.0, 1.0, tol_R=0.05, tables=tables2)
 
 
+@pytest.mark.parametrize("lo, hi", [(0.01, math.inf), (math.nan, 3.0), (-0.1, 3.0)])
+def test_bisection_refuses_a_bracket_outside_the_finite_nonnegative_numbers(bnw2, tables2, lo, hi):
+    # refused before any probe: the tables would read inf and nan as R = 0
+    probe_log = []
+    with pytest.raises(BracketError, match="need 0 <= lo < hi < inf"):
+        find_critical_R(bnw2, 3, "rough", lo, hi, tables=tables2, probe_log=probe_log)
+    assert probe_log == []
+
+
 def test_bisection_wide_tolerance_returns_input_bracket(bnw2, tables2):
     lo, hi = find_critical_R(bnw2, 3, "rough", 0.01, 3.0, tol_R=10.0, tables=tables2)
     assert (lo, hi) == (0.01, 3.0)

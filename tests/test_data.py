@@ -1,19 +1,25 @@
 import json
 import math
 
+import mpmath
 import pytest
+from oracles import sobolev_norm
 
 from reyex.data import (
     DATUM_NAMES,
+    DatumDescriptor,
     datum_bnw,
     datum_km,
     datum_tg,
     get_datum,
     load_user_datum,
+    mode_amplitude,
     physical_reynolds,
 )
-from reyex.fields import heat_apply
-from reyex.rationals import mpq
+from reyex.estimators import default_grid
+from reyex.expansion import expand
+from reyex.fields import heat_apply, leray_project, static_field
+from reyex.rationals import GaussianRational, mpq
 
 
 NORMS_3 = {"bnw": 154.3, "tg": 40.91, "km": 497.6}
@@ -40,8 +46,59 @@ def test_order_three_norms(name):
 def test_marked_mode_amplitude(name):
     d = get_datum(name)
     assert d.marked_mode == MARKED[name]
-    gamma0 = float(d.field.coeff_magnitude(d.marked_mode, 0))
+    gamma0 = float(mode_amplitude([d.field], d.marked_mode, 0, [0])[0])
     assert gamma0 == pytest.approx(GAMMA0[name], rel=1e-3)
+
+
+def _generic_datum():
+    """Three modes with complex amplitudes in every component."""
+    g = GaussianRational
+    modes = {
+        (1, 0, 0): (g(0), g(2, -3), g(mpq(1, 2), 5)),
+        (0, 1, 2): (g(3, 1), g(-1, 7), g(2, mpq(1, 3))),
+        (2, -1, 1): (g(1, 1), g(1, -2), g(0, 3)),
+    }
+    field = static_field({k: leray_project(k, vec) for k, vec in modes.items()})
+    return DatumDescriptor(name="generic", field=field)
+
+
+@pytest.mark.parametrize("build", [datum_bnw, datum_tg, datum_km, _generic_datum])
+def test_datum_norm_is_the_oracle_norm_at_time_zero(build):
+    d = build()
+    for precision in (53, 113, 256):
+        for order in (-1, 0, 1, 2, 3, 5):
+            got = d.sobolev(order, precision)
+            assert got == sobolev_norm(d.field, order, 0, precision), (order, precision)
+
+
+@pytest.mark.parametrize("name, N", [("bnw", 3), ("km", 2), ("tg", 3)])
+def test_mode_amplitude_panel_matches_the_oracle(name, N):
+    # the gamma panel of `reyex report`, at its marked mode and at a mode
+    # of u_N outside the datum, against TimePoly.evaluate at 512 bits
+    d = get_datum(name)
+    exp = expand(d.field, N, datum_id=name)
+    grid = default_grid(200)
+    R = 0.23
+    for k in (d.marked_mode, max(exp.coeffs[-1].coeffs)):
+        panel = mode_amplitude(exp.coeffs, k, R, grid)
+        # t = 0 is exact: u_j(0) = 0 for j >= 1
+        assert panel[0] == mode_amplitude([d.field], k, 0, [0])[0]
+        with mpmath.workprec(512):
+            Rq = mpq(R)
+            w = mpmath.mpf(Rq.numerator) / Rq.denominator
+            for t, got in zip(grid[1:], panel[1:]):
+                total = [mpmath.mpc(0)] * 3
+                for j, u in enumerate(exp.coeffs):
+                    total = [a + w**j * p.evaluate(t, 512) for a, p in zip(total, u.coeff(k))]
+                ref = (2 * mpmath.pi) ** mpmath.mpf(1.5) * mpmath.sqrt(
+                    sum(c.real**2 + c.imag**2 for c in total)
+                )
+                assert abs(got - ref) <= ref * mpmath.mpf(2) ** -200, (k, t)
+
+
+def test_mode_amplitude_off_the_support_is_zero():
+    d = datum_bnw()
+    assert mode_amplitude([d.field], (5, 0, 0), 0.3, [0, 0.5]) == [0, 0]
 
 
 @pytest.mark.parametrize("name", DATUM_NAMES)
@@ -87,8 +144,9 @@ def test_physical_reynolds():
     d = datum_bnw()
     assert float(physical_reynolds(d, 0.23)) == pytest.approx(0.23 * 15.3906, rel=1e-4)
     assert float(physical_reynolds(d, 0.0)) == 0.0
-    with pytest.raises(ValueError):
-        physical_reynolds(d, -0.1)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="R must be a finite number >= 0"):
+            physical_reynolds(d, bad)
 
 
 def test_file_datum_round_trip(tmp_path):

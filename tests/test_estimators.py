@@ -25,7 +25,7 @@ from reyex.estimators import (
     parse_variant,
     pchip_coefficients,
 )
-from reyex.fields import TimeField, gram_poly, gram_poly_orbits, is_canonical, sobolev_norm
+from reyex.fields import TimeField, gram_poly, gram_poly_orbits, is_canonical
 from reyex.rationals import GaussianRational
 from reyex.symmetry import (
     GroupElement,
@@ -48,6 +48,7 @@ from oracles import (
     growth_rough,
     sample_gram_tables,
     sample_real_polys_full,
+    sobolev_norm,
 )
 
 
@@ -74,8 +75,10 @@ def test_constants_defaults_and_refusal():
 
 
 def test_constants_must_be_positive():
-    with pytest.raises(ValueError):
-        ConstantsTable(K={3: -1.0})
+    # the per-R assembly would read an infinite K_n as 0
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            ConstantsTable(K={3: bad})
 
 
 def test_default_grid_shape():
@@ -107,12 +110,23 @@ def test_tables_refuse_a_bad_grid(grid):
 def test_parse_variant():
     assert parse_variant("rough") == ("rough", None)
     assert parse_variant("intermediate:5") == ("intermediate", 5)
-    for unknown in ("fancy", ("intermediate", 2)):
+    for unknown in ("fancy", ("intermediate", 2), "intermediatefoo:3"):
         with pytest.raises(ValueError, match="unknown estimator variant"):
             parse_variant(unknown)
     for bad in ("intermediate:-1", "intermediate:-3"):
         with pytest.raises(ValueError, match="nonnegative"):
             parse_variant(bad)
+
+
+@pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf])
+def test_non_finite_R_is_refused(bnw3, tables3, R):
+    # mpmath holds NaN and the infinities with a zero mantissa, which the
+    # tables would read as R = 0
+    for variant in ("rough", "tautological"):
+        with pytest.raises(ValueError, match="R must be a finite number >= 0"):
+            build_estimator_set(bnw3, R, 3, variant, tables=tables3)
+        with pytest.raises(ValueError, match="not a finite number"):
+            tables3.growth_samples(R, 3, variant)
 
 
 def test_growth_at_time_zero_is_the_datum_norm(bnw3):

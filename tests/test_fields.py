@@ -11,10 +11,11 @@ from oracles import (
     gram_poly_orbits_products,
     heat_duhamel,
     pruned_sum_products,
+    sobolev_norm,
     to_records_reference,
     validate_reference,
 )
-from reyex.data import datum_bnw
+from reyex.data import datum_bnw, mode_amplitude
 from reyex.fields import (
     IntegerForm,
     TimeField,
@@ -28,7 +29,6 @@ from reyex.fields import (
     leray_project,
     norm_sq_poly,
     project_mode,
-    sobolev_norm,
     static_field,
 )
 from reyex.rationals import GaussianRational, mpq
@@ -308,7 +308,7 @@ def test_payload_round_trip_and_tamper_detection(tmp_path):
 
 def test_coeff_magnitude_marked_mode():
     v = datum_bnw().field
-    val = v.coeff_magnitude((1, 1, 0), 0)
+    (val,) = mode_amplitude([v], (1, 1, 0), 0, [0])
     with mpmath.workprec(256):
         expected = (2 * mpmath.pi) ** mpmath.mpf("1.5") * mpmath.sqrt(2)
     assert abs(val - expected) < 1e-40

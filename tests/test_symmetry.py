@@ -4,9 +4,9 @@ import pytest
 
 from reyex.data import datum_bnw, datum_km, datum_tg
 from reyex.expansion import expand
-from reyex.fields import sobolev_norm, static_field
+from reyex.fields import static_field
 from reyex.rationals import GaussianRational
-from oracles import compose, inverse
+from oracles import compose, inverse, sobolev_norm
 from reyex.symmetry import (
     GroupElement,
     find_symmetries,
