@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import sys
 from contextlib import contextmanager
 
@@ -71,6 +72,15 @@ def _write_json(path, payload, cfg):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def _telemetry(tables):
+    """The run record's telemetry: the tables' stats and the peak resident
+    memory so far, in MB, of this process and of its reaped children
+    (ru_maxrss is in KiB on Linux)."""
+    peak = {who: resource.getrusage(getattr(resource, "RUSAGE_" + who.upper())).ru_maxrss / 1024
+            for who in ("self", "children")}
+    return {**tables.stats, "peak_rss_mb": peak}
 
 
 def _read_verdict(path):
@@ -336,6 +346,7 @@ def cmd_control(ctx, cache, constants_path, n, variant, grid_points, t_max, prec
     record = {
         "R": traj.R, "n": traj.n, "N": exp.N, "variant": traj.variant,
         "verdict": traj.verdict, "T_c": traj.T_c, "diagnostics": traj.diagnostics,
+        "telemetry": _telemetry(tables),
     }
     _write_json(output_prefix + ".verdict.json", record, cfg)
     click.echo("verdict: %s%s" % (traj.verdict, "" if traj.T_c is None else " T_c=%s" % _fmt(traj.T_c)))
@@ -381,7 +392,7 @@ def cmd_critical(ctx, cache, constants_path, n, variant, grid_points, t_max, pre
         "tol_met": r_hi - r_lo <= tol_r,
         "stopped_at": stopped_at,
         "probes": [{"R": r, "verdict": v, "T_c": tc} for r, v, tc in probe_log],
-        "telemetry": tables.stats,
+        "telemetry": _telemetry(tables),
     }
     if datum is not None:
         record["Rey_lo"] = float(physical_reynolds(datum, r_lo, precision))

@@ -30,6 +30,7 @@ from __future__ import annotations
 import csv
 import math
 import sys
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dc_field
 
@@ -95,33 +96,36 @@ class _QuarticDense:
     """The continuous solution: on each accepted step the quartic
     y_old + h (Q_0 x + Q_1 x^2 + Q_2 x^3 + Q_3 x^4), x = (t - t_old) / h,
     with Q = K P formed from the step's stages K.  Step i serves t in
-    (t_i, t_{i+1}], the first step also t_0."""
+    (t_i, t_{i+1}], the first step also t_0.
 
-    def __init__(self):
-        self.starts = []
-        self.steps = []  # (h, y_old, stages)
+    Each step is one flat record of doubles: t_old in starts[i], and
+    h, y_old, k1, k3, k4, k5, k6, k7 in steps[8 i : 8 i + 8].  The
+    integration extends two lists; they are packed into array('d') once,
+    here, so a step costs 9 doubles and no float or tuple objects."""
 
-    def append(self, t_old, h, y_old, stages):
-        self.starts.append(t_old)
-        self.steps.append((h, y_old, stages))
-
-    def quartic(self, i):
-        """Step i's quartic as a function of t, with its Q formed once."""
-        h, y_old, stages = self.steps[i]
-        t_old = self.starts[i]
-        Q = [sum(k * row[j] for k, row in zip(stages, P)) for j in range(4)]
-
-        def value(t):
-            x = (t - t_old) / h
-            x2 = x * x
-            x3 = x2 * x
-            return y_old + h * (Q[0] * x + Q[1] * x2 + Q[2] * x3 + Q[3] * (x3 * x))
-
-        return value
+    def __init__(self, starts, steps):
+        self.starts = array("d", starts)
+        self.steps = array("d", steps)
 
     def __call__(self, t):
-        i = min(max(bisect_left(self.starts, t) - 1, 0), len(self.steps) - 1)
-        return self.quartic(i)(t)
+        i = min(max(bisect_left(self.starts, t) - 1, 0), len(self.starts) - 1)
+        return _quartic(self.starts[i], self.steps[8 * i : 8 * i + 8])(t)
+
+
+def _quartic(t_old, record):
+    """The quartic of the step from t_old whose record is h, y_old and the
+    stages k1, k3, k4, k5, k6, k7 (_QuarticDense), as a function of t, with
+    its Q formed once."""
+    h, y_old, *stages = record
+    Q = [sum(k * row[j] for k, row in zip(stages, P)) for j in range(4)]
+
+    def value(t):
+        x = (t - t_old) / h
+        x2 = x * x
+        x3 = x2 * x
+        return y_old + h * (Q[0] * x + Q[1] * x2 + Q[2] * x3 + Q[3] * (x3 * x))
+
+    return value
 
 
 def _initial_step(rhs, t, y, f, t_bound, rtol, atol):
@@ -155,7 +159,7 @@ def _dormand_prince(rhs, t_bound, threshold, rtol, atol):
     f = rhs(t, y)
     h_abs = _initial_step(rhs, t, y, f, t_bound, rtol, atol)
     evals, rejected = 2, 0
-    times, values, dense = [t], [y], _QuarticDense()
+    times, values, starts, steps = [t], [y], [], []
     T_c, failed = None, False
     while t < t_bound:
         min_step = 10 * math.ulp(t)
@@ -193,9 +197,10 @@ def _dormand_prince(rhs, t_bound, threshold, rtol, atol):
             rejected += 1
         if failed:
             break
-        dense.append(t, h, y, (k1, k3, k4, k5, k6, k7))
+        starts.append(t)
+        steps.extend((h, y, k1, k3, k4, k5, k6, k7))
         if y <= threshold <= y_new:
-            quartic = dense.quartic(len(dense.steps) - 1)
+            quartic = _quartic(t, steps[-8:])
             # bisect down to adjacent floats; T_c is the upper one
             lo, T_c = t, t_new
             while lo < (mid := (lo + T_c) / 2) < T_c:
@@ -209,6 +214,7 @@ def _dormand_prince(rhs, t_bound, threshold, rtol, atol):
         t, y, f = t_new, y_new, k7
         times.append(t)
         values.append(y)
+    dense = _QuarticDense(starts, steps)
     return times, values, T_c, failed, dense, {"rejected_steps": rejected, "rhs_evals": evals}
 
 

@@ -280,7 +280,8 @@ class TimeField:
     def from_payload(cls, payload):
         """The field of a payload as to_payload writes it, validated.  Each
         distinct coefficient text is parsed once, and its polys share one
-        GaussianRational (TimePoly.from_records).  A payload of any other
+        GaussianRational and one key tuple per exponent pair
+        (TimePoly.from_records).  A payload of any other
         shape, or one that lists a wave vector twice, raises ValueError."""
         try:
             if payload.get("format") != "reyex-field/1":

@@ -273,7 +273,10 @@ class TimePoly:
     def from_records(cls, records):
         """The poly of a list of records as to_records writes them: any
         whitespace between the four fields, nonnegative exponents, each pair
-        once; zero coefficients are dropped."""
+        once; zero coefficients are dropped.  Equal coefficient texts share
+        one GaussianRational (_from_records); a field's records are parsed
+        under one memo, so its polys also share one key tuple per exponent
+        pair, as the polys of a computed expansion do."""
         return _from_records(list(records), {})
 
 
@@ -297,10 +300,12 @@ def _to_records(poly, memo):
 
 
 def _from_records(records, memo):
-    """TimePoly.from_records for a list of records, with memo mapping the
-    coefficient text of every record parsed with it to one shared
-    GaussianRational, or to False for a zero coefficient, so each distinct
-    text is parsed once."""
+    """TimePoly.from_records for a list of records, with memo shared by
+    every list parsed with it: it maps each coefficient text to one shared
+    GaussianRational, or to False for a zero coefficient, and each exponent
+    pair, as its two texts and as integers, to one shared key tuple.  So
+    each distinct text is parsed once, and the polys of one memo hold one
+    key object per distinct exponent pair."""
     terms = {}
     zeros = False
     for rec in records:
@@ -308,9 +313,12 @@ def _from_records(records, memo):
             a, b, text = rec.split(None, 2)
         except ValueError:
             raise ValueError("malformed TimePoly record: %r" % (rec,)) from None
-        a, b = int(a), int(b)
-        if a < 0 or b < 0:
-            raise ValueError("exponents must be nonnegative, got (%s, %s)" % (a, b))
+        key = memo.get((a, b))
+        if key is None:
+            key = int(a), int(b)
+            if key[0] < 0 or key[1] < 0:
+                raise ValueError("exponents must be nonnegative, got (%s, %s)" % key)
+            key = memo[a, b] = memo.setdefault(key, key)
         c = memo.get(text)
         if c is None:
             parts = text.split()
@@ -320,7 +328,7 @@ def _from_records(records, memo):
             c = memo[text] = c if c else False
         if c is False:
             zeros = True
-        terms[a, b] = c
+        terms[key] = c
     if len(terms) != len(records):
         seen = set()
         for rec in records:

@@ -322,19 +322,42 @@ def test_estimate_with_a_malformed_manifest_is_a_usage_error(runner, rundir, tmp
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_control_verdict_files(runner, rundir):
-    prefix = str(rundir / "run")
-    res = runner.invoke(main, [
+@pytest.fixture(scope="module")
+def control_run(runner, rundir):
+    """A control run at R = 0.01 writing run.verdict.json and
+    run.trajectory.csv into rundir, for every test that reads them."""
+    return runner.invoke(main, [
         "control", "--cache", str(rundir / "cache"), "--R", "0.01",
         "--variant", "tautological", "--grid-points", "80",
-        "--output-prefix", prefix,
+        "--output-prefix", str(rundir / "run"),
     ])
-    assert res.exit_code == 0, res.output
-    assert "verdict: GlobalDecay" in res.output
+
+
+def _check_peak_rss(telemetry):
+    """The peak resident memory of a run record, in MB: the process's own is
+    positive, and its children's is positive once a table was sampled by a
+    forked child (ru_maxrss counts reaped children only)."""
+    peak = telemetry["peak_rss_mb"]
+    assert set(peak) == {"self", "children"}
+    assert peak["self"] > 0
+    forked = any(s.get("workers", 1) > 1 for s in telemetry.values())
+    assert peak["children"] > 0 if forked else peak["children"] >= 0
+
+
+def test_control_verdict_files(control_run, rundir):
+    assert control_run.exit_code == 0, control_run.output
+    assert "verdict: GlobalDecay" in control_run.output
     rec = json.loads((rundir / "run.verdict.json").read_text())
     assert rec["verdict"] == "GlobalDecay"
     assert rec["N"] == 2
     assert rec["run_manifest_hash"]
+    # the tables' stats, both kinds for the tautological variant, and the
+    # peak memory; the run manifest hash covers the configuration only
+    telemetry = rec["telemetry"]
+    assert set(telemetry) == {"coeff", "tail", "assembly", "peak_rss_mb"}
+    assert telemetry["assembly"]["probes"] == 1
+    _check_peak_rss(telemetry)
+    assert rec["run_manifest_hash"] == _manifest_hash(rec["run_manifest"])
     lines = (rundir / "run.trajectory.csv").read_text().splitlines()
     assert lines[1] == "t,R_3"
 
@@ -369,9 +392,10 @@ def test_critical_bracket_json(runner, rundir, tmp_path):
     assert rec["stopped_at"] is None
     assert "tolerance not met" not in res.output
     # the tables' stats: the sampling of the one table kind the rough
-    # variant reads, then the assembly
+    # variant reads, then the assembly; and the peak memory
     telemetry = rec["telemetry"]
-    assert set(telemetry) == {"coeff", "assembly"}
+    assert set(telemetry) == {"coeff", "assembly", "peak_rss_mb"}
+    _check_peak_rss(telemetry)
     assembly = telemetry["assembly"]
     assert set(assembly) == {"probes", "seconds", "columns_s"}
     assert assembly["probes"] == len(rec["probes"])
@@ -432,7 +456,8 @@ def test_critical_bad_bracket(runner, rundir, tmp_path):
     assert res.exit_code == 2
 
 
-def test_report(runner, rundir):
+def test_report(runner, rundir, control_run):
+    assert control_run.exit_code == 0, control_run.output
     res = runner.invoke(main, ["report", "--run-dir", str(rundir), "--datum", "bnw"])
     assert res.exit_code == 0, res.output
     summary = (rundir / "summary.txt").read_text()

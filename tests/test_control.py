@@ -1,8 +1,10 @@
+import gc
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -26,7 +28,7 @@ from reyex.estimators import (
     build_estimator_set,
     default_grid,
 )
-from reyex.expansion import expand
+from reyex.expansion import expand, residual_tail
 
 from oracles import solve_control_scipy, solve_higher_order_reference
 
@@ -186,6 +188,35 @@ def test_trajectory_dense_output_meets_the_steps():
                                  ("R", "n", "variant", "times", "values", "verdict", "T_c",
                                   "diagnostics")})
     assert other == traj
+
+
+@pytest.fixture(scope="module")
+def bnw3_taut():
+    """bnw N=3 with its tails, and tautological tables on the default grid."""
+    exp = expand(datum_bnw().field, 3, datum_id="bnw")
+    residual_tail(exp)
+    return exp, EstimatorTables(exp, 3)
+
+
+@pytest.mark.parametrize("R, verdict", [(0.1, "GlobalDecay"), (0.2, "BlowUp")])
+def test_trajectory_retains_under_200_bytes_per_accepted_step(bnw3_taut, R, verdict):
+    # times and values hold one boxed float each per step (64 B with their
+    # list slots) and the dense output 9 doubles (72 B); a step held as
+    # tuples of boxed floats costs about 380 B
+    exp, tables = bnw3_taut
+    c = ConstantsTable()
+    est = build_estimator_set(exp, R, 3, "tautological", constants=c, tables=tables)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traj = solve_control(est, c)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert traj.verdict == verdict
+    assert kept <= 200 * traj.diagnostics["num_steps"]
 
 
 def test_import_loads_neither_scipy_nor_numpy():

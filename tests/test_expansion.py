@@ -216,6 +216,23 @@ def test_cache_round_trip(tmp_path):
     assert loaded.symmetry.minus == exp.symmetry.minus
 
 
+@pytest.mark.parametrize("datum, tails", [(datum_bnw, True), (datum_km, False)],
+                         ids=["bnw3-tails", "km3"])
+def test_cache_load_shares_one_key_per_exponent_pair(tmp_path, datum, tails):
+    d = datum()
+    exp = expand(d.field, 3, datum_id=d.name)
+    if tails:
+        residual_tail(exp)
+    path = str(tmp_path / "cache")
+    cache_store(exp, path)
+    loaded = cache_load(path)
+    assert loaded.coeffs == exp.coeffs
+    assert loaded.tails == exp.tails
+    for field in loaded.coeffs + (loaded.tails or []):
+        keys = [key for vec in field.coeffs.values() for p in vec for key in p.terms]
+        assert len({id(key) for key in keys}) == len(set(keys))
+
+
 def test_cache_manifest_records_backends_and_tail_costs(tmp_path):
     import mpmath.libmp
 
@@ -422,12 +439,34 @@ def _on_records(edit):
     return lambda payload: edit(_first_records(payload))
 
 
+def _negate_a_repeated_pair(payload):
+    """Write a = -1 in every record of the first record's exponent pair,
+    which several polys of the field hold."""
+    pair = _first_records(payload)[0].split()[:2]
+    for mode in payload["modes"]:
+        for recs in mode["components"]:
+            for i, rec in enumerate(recs):
+                a, b, rest = rec.split(None, 2)
+                if [a, b] == pair:
+                    recs[i] = "-1 %s %s" % (b, rest)
+
+
+def _repeat_pair(template):
+    """Append the first record's exponent pair again, written as template
+    writes the pair, with another coefficient."""
+    return _on_records(lambda recs: recs.append(template % tuple(recs[0].split()[:2]) + " 1/3 0"))
+
+
 @pytest.mark.parametrize("edit", [
-    # a negative exponent
+    # a negative exponent, once and on a pair several polys hold
     _on_records(lambda recs: recs.__setitem__(0, "-1 " + recs[0].split(None, 1)[1])),
-    # a duplicate exponent pair, with another coefficient
-    _on_records(lambda recs: recs.append(" ".join(recs[0].split()[:2] + ["1/3", "0"]))),
-    # a malformed record: a field short
+    _negate_a_repeated_pair,
+    # a duplicate exponent pair, with another coefficient: written alike,
+    # with another gap, and with a leading zero
+    _repeat_pair("%s %s"),
+    _repeat_pair("%s  %s"),
+    _repeat_pair("0%s %s"),
+    # a malformed record: a field short, so 3 fields
     _on_records(lambda recs: recs.__setitem__(0, recs[0].rsplit(None, 1)[0])),
     # well-formed JSON of the wrong shape: a record that is a number, no
     # modes, a wave vector that is a number
@@ -438,8 +477,9 @@ def _on_records(edit):
     lambda payload: payload["modes"].append(
         dict(payload["modes"][0], components=[[], [], []])
     ),
-], ids=["negative-exponent", "duplicate-pair", "malformed", "record-number", "no-modes",
-        "k-number", "repeated-mode"])
+], ids=["negative-exponent", "negative-exponent-repeated-pair", "duplicate-pair",
+        "duplicate-pair-gap", "duplicate-pair-leading-zero", "malformed", "record-number",
+        "no-modes", "k-number", "repeated-mode"])
 def test_cache_rejects_malformed_records(tmp_path, edit):
     exp = expand(datum_bnw().field, 2, datum_id="bnw")
     path = str(tmp_path / "cache")

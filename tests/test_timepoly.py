@@ -640,3 +640,14 @@ def test_decoder_shares_one_object_per_coefficient_text():
     q = _from_records(["0 1 1/3 0", "1 1 1/3 0", "3 3 0 0"], memo)
     assert p.terms[(0, 1)] is q.terms[(0, 1)] is q.terms[(1, 1)]
     assert q.terms == {(0, 1): GaussianRational(mpq(1, 3)), (1, 1): GaussianRational(mpq(1, 3))}
+
+
+def test_decoder_shares_one_key_per_exponent_pair():
+    # however the pair is written, the polys of one memo hold one key tuple
+    memo = {}
+    p = _from_records(["0 1 1/3 0", "2 0 -1/2 0"], memo)
+    q = _from_records(["0  1 1/5 0", "02 0 1/7 0"], memo)
+    r = _from_records(["00 01 1 0"], memo)
+    (kp0, kp2), (kq0, kq2), (kr,) = p.terms, q.terms, r.terms
+    assert kp0 == (0, 1) and kp2 == (2, 0)
+    assert kp0 is kq0 is kr and kp2 is kq2

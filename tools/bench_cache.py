@@ -11,8 +11,12 @@ each case the expansion (and its tails) is computed, stored in a temporary
 directory and dropped; then the cache is loaded back.  The record keeps, per
 case and side, the median store and load wall seconds with every repeat's,
 the median expand and tails seconds for scale, and the sha256 of every field
-file written, so equal digests mean byte-identical files.  It also records
-the interpreter, the rational and mpmath backends and the CPU count.
+file written, so equal digests mean byte-identical files.  One more load,
+untimed and after the timed one, runs under tracemalloc: the record keeps
+the median MB the loaded expansion holds (loaded_mb) and the median traced
+peak during cache_load (load_peak_mb), both above what was traced before the
+load.  It also records the interpreter, the rational and mpmath backends and
+the CPU count.
 """
 
 import argparse
@@ -26,6 +30,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 from bench_sampling import environment
 
@@ -35,6 +40,7 @@ CASES = [
     ("bnw", 3, True, True), ("bnw", 5, True, True), ("bnw", 3, True, False),
 ]
 TIMED = ("expand_s", "tails_s", "store_s", "load_s")
+TRACED = ("loaded_mb", "load_peak_mb")
 
 
 def measure():
@@ -61,6 +67,16 @@ def measure():
             t5 = time.perf_counter()
             cache_load(path)
             t6 = time.perf_counter()
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                loaded = cache_load(path)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            del loaded
+            row.update(loaded_mb=(held - base) / 2**20, load_peak_mb=(peak - base) / 2**20)
             names = sorted(n for n in os.listdir(path) if n != "manifest.json")
             row["sha256"] = {}
             for name in names:
@@ -101,7 +117,8 @@ def main():
     for name in runs["after"][0]:
         row = {}
         for side, reps in runs.items():
-            row[side] = {key: statistics.median(r[name][key] for r in reps) for key in TIMED}
+            row[side] = {key: statistics.median(r[name][key] for r in reps)
+                         for key in TIMED + TRACED}
             for key in ("store_s", "load_s"):
                 row[side][key + "_runs"] = [round(r[name][key], 4) for r in reps]
             row[side]["sha256"] = reps[0][name]["sha256"]
