@@ -101,15 +101,23 @@ class _QuarticDense:
     Each step is one flat record of doubles: t_old in starts[i], and
     h, y_old, k1, k3, k4, k5, k6, k7 in steps[8 i : 8 i + 8].  The
     integration extends two lists; they are packed into array('d') once,
-    here, so a step costs 9 doubles and no float or tuple objects."""
+    here, so a step costs 9 doubles and no float or tuple objects.  A
+    step's quartic is formed when the step is first read and kept, so each
+    Q is formed once however often, and in whatever order, its step is read:
+    a solve that reads this one goes back over steps after each step it
+    rejects."""
 
     def __init__(self, starts, steps):
         self.starts = array("d", starts)
         self.steps = array("d", steps)
+        self._quartics = {}
 
     def __call__(self, t):
         i = min(max(bisect_left(self.starts, t) - 1, 0), len(self.starts) - 1)
-        return _quartic(self.starts[i], self.steps[8 * i : 8 * i + 8])(t)
+        quartic = self._quartics.get(i)
+        if quartic is None:
+            quartic = self._quartics[i] = _quartic(self.starts[i], self.steps[8 * i : 8 * i + 8])
+        return quartic(t)
 
 
 def _quartic(t_old, record):

@@ -33,6 +33,7 @@ from .fields import (
 from .symmetry import (
     GroupElement,
     SymmetryData,
+    canonical_images,
     find_symmetries,
     identity_element,
     octahedral_matrices,
@@ -51,7 +52,8 @@ __all__ = [
     "cache_load",
 ]
 
-CACHE_FORMAT = "reyex-cache/1"
+CACHE_FORMAT = "reyex-cache/2"  # each field file lists its orbit representatives
+FULL_CACHE_FORMAT = "reyex-cache/1"  # each field file lists every canonical mode
 DEFAULT_TERM_CEILING = 10_000_000
 
 
@@ -129,12 +131,15 @@ def _candidate_support(full_a, full_b):
 def _materialize_orbit(rep, rep_vec, members, routes, j):
     """Spread the representative coefficient over the canonical members of
     its orbit: one propagation through the group matrix S that carries rep
-    to each member, conjugated when the member is reached through -S."""
+    to each member, conjugated when the member is reached through -S.  The
+    members share each turned component (propagate_coefficient), so an orbit
+    holds at most 24 distinct polys: 3 components, 4 quarter turns, with and
+    without conjugation.  A single member has nothing to share."""
+    turned = {} if len(members) > 1 else None
     coeffs = {}
     for k, M in members.items():
         g, sigma, conj = routes[M]
-        _, vec = propagate_coefficient(rep_vec, rep, g, sigma, j)
-        coeffs[k] = (vec[0].conj(), vec[1].conj(), vec[2].conj()) if conj else vec
+        coeffs[k] = propagate_coefficient(rep_vec, rep, g, sigma, j, conj, turned)[1]
     return coeffs
 
 
@@ -327,6 +332,23 @@ def _read_field(path, name, digests):
     return field
 
 
+def _spread(stored, routes, j):
+    """The field of order j whose orbit representatives stored holds, each
+    spread over its orbit as _orders spreads it, or None unless stored holds
+    exactly one representative per orbit: the smallest key of each."""
+    keys = list(routes)
+    coeffs = {}
+    orbits = orbit_partition(canonical_images(stored.coeffs, keys), keys)
+    if len(orbits) != len(stored.coeffs):
+        return None
+    for rep, members in orbits:
+        vec = stored.coeffs.get(rep)
+        if vec is None:
+            return None
+        coeffs.update(_materialize_orbit(rep, vec, members, routes, j))
+    return TimeField(coeffs, validate=False)
+
+
 def _field_names(N, tails):
     """The coefficient file names of an order-N cache, then its tail file
     names if it has tails."""
@@ -337,17 +359,30 @@ def _field_names(N, tails):
 
 
 def cache_store(exp, path):
-    """Write an expansion to a cache directory; exact textual round trip.
-    The manifest records the sha256 of every coefficient and tail file, the
-    arithmetic backends of the run and the cost of each residual tail."""
+    """Write an expansion to a cache directory; exact round trip.  Each
+    field file lists the field's orbit representatives under the
+    expansion's routes, from which cache_load spreads the rest.  The
+    manifest records the sha256 of every coefficient and tail file, its
+    orbits, stored terms and spread terms, the arithmetic backends of the
+    run and the cost of each residual tail."""
     os.makedirs(path, exist_ok=True)
     fields = exp.coeffs + (exp.tails or [])
-    digests = {}
+    keys = list(exp.group.routes)
+    digests, files = {}, {}
     for j, (name, field) in enumerate(zip(_field_names(exp.N, exp.tails is not None), fields)):
-        text = json.dumps(field.to_payload(name=exp.datum_id, j=j))
+        reps = TimeField(
+            {rep: field.coeffs[rep] for rep, _ in orbit_partition(field.coeffs, keys)},
+            validate=False,
+        )
+        text = json.dumps(reps.to_payload(name=exp.datum_id, j=j))
         with open(os.path.join(path, name), "w") as fh:
             fh.write(text)
         digests[name] = hashlib.sha256(text.encode()).hexdigest()
+        files[name] = {
+            "orbits": len(reps.coeffs),
+            "stored_terms": _term_count(reps),
+            "terms": _term_count(field),
+        }
     manifest = {
         "format": CACHE_FORMAT,
         "datum_id": exp.datum_id,
@@ -356,6 +391,7 @@ def cache_store(exp, path):
         "orders": exp.meta,
         "has_tails": exp.tails is not None,
         "digests": digests,
+        "files": files,
         "backend": {"mpq": MPQ_BACKEND, "mpmath": MPMATH_BACKEND},
         "tails": exp.tail_meta,
     }
@@ -365,10 +401,14 @@ def cache_store(exp, path):
 
 
 def cache_load(path):
-    """Load an expansion cache; re-validates every field invariant and
-    checks every field file against its manifest digest.  A manifest whose
-    N is not an int >= 0, whose has_tails is not a bool, or whose symmetry
-    is neither null nor well formed raises CacheError."""
+    """Load an expansion cache; re-validates every field invariant of the
+    stored modes and checks every field file against its manifest digest.
+    A reyex-cache/2 file's representatives are spread over their orbits
+    under the manifest's symmetry; a reyex-cache/1 file holds every mode.
+    A manifest whose N is not an int >= 0, whose has_tails is not a bool,
+    or whose symmetry is neither null nor well formed raises CacheError, as
+    does a reyex-cache/2 file that is not exactly one representative per
+    orbit."""
     manifest_path = os.path.join(path, "manifest.json")
     try:
         with open(manifest_path) as fh:
@@ -377,8 +417,9 @@ def cache_load(path):
         raise CacheError("unreadable manifest %s: %s" % (manifest_path, exc)) from exc
     if not isinstance(manifest, dict):
         raise CacheError("manifest %s is not a JSON object" % (manifest_path,))
-    if manifest.get("format") != CACHE_FORMAT:
-        raise CacheError("unsupported cache format %r" % (manifest.get("format"),))
+    fmt = manifest.get("format")
+    if fmt not in (CACHE_FORMAT, FULL_CACHE_FORMAT):
+        raise CacheError("unsupported cache format %r" % (fmt,))
     digests = manifest.get("digests")
     if not isinstance(digests, dict):
         raise CacheError("manifest in %s has no file digests; re-run `reyex expand`" % (path,))
@@ -388,7 +429,16 @@ def cache_load(path):
     if type(has_tails) is not bool:
         raise CacheError("manifest in %s has no valid has_tails: %r" % (path, has_tails))
     symmetry = _symmetry_from_payload(manifest.get("symmetry"))
-    fields = [_read_field(path, name, digests) for name in _field_names(N, has_tails)]
+    routes = (symmetry or SymmetryData.trivial()).routes
+    fields = []
+    for j, name in enumerate(_field_names(N, has_tails)):
+        field = _read_field(path, name, digests)
+        if fmt == CACHE_FORMAT:
+            field = _spread(field, routes, j)
+            if field is None:
+                fpath = os.path.join(path, name)
+                raise CacheError("%s is not one representative per orbit" % (fpath,))
+        fields.append(field)
     return Expansion(
         datum_id=manifest.get("datum_id", ""),
         N=N,

@@ -26,6 +26,7 @@ __all__ = [
     "find_symmetries",
     "negation_closure",
     "orbit_partition",
+    "canonical_images",
     "propagate_coefficient",
 ]
 
@@ -199,6 +200,18 @@ def orbit_partition(keys, matrices):
     return orbits
 
 
+def canonical_images(keys, matrices):
+    """The canonical keys among the images S k of keys under matrices: for
+    a group closed under negation, the canonical halves of their orbits."""
+    images = set()
+    for k in keys:
+        for S in matrices:
+            Sk = _mat_vec(S, k)
+            if is_canonical(Sk):
+                images.add(Sk)
+    return images
+
+
 def _quarter_turn(p, n):
     """e^{-i (pi/2) n} p for n in 0..3: a copy, a rotation or a negation,
     never a product."""
@@ -211,14 +224,17 @@ def _quarter_turn(p, n):
     return p.mul_i()
 
 
-def propagate_coefficient(coeff, k, g, sigma, j):
+def propagate_coefficient(coeff, k, g, sigma, j, conj=False, turned=None):
     """Exact coefficient of u_j at S k, given the one at k:
-    u_{j,Sk} = sigma^{j+1} e^{-i a.(Sk)} S u_{j,k}.
+    u_{j,Sk} = sigma^{j+1} e^{-i a.(Sk)} S u_{j,k}, conjugated when conj is
+    set.
 
     Returns the pair (Sk, coefficient).  Row i of S holds one entry +-1, in
     column c, so component i is e^{-i (pi/2) n} (+-coeff[c]); a -1 entry adds
     two quarter turns to n, and each component takes one pass over its
-    terms."""
+    terms.  turned, if given, is a dict shared by calls on one coeff: each
+    turned component, keyed by its column c, its quarter turns mod 4 and
+    conj, is formed once and reused."""
     S = g.S
     Sk = _mat_vec(S, k)
     n = _phase(g.a, Sk)
@@ -227,5 +243,13 @@ def propagate_coefficient(coeff, k, g, sigma, j):
     out = []
     for row in S:
         c = 0 if row[0] else 1 if row[1] else 2
-        out.append(_quarter_turn(coeff[c], (n if row[c] > 0 else n + 2) % 4))
+        turns = (n if row[c] > 0 else n + 2) % 4
+        p = None if turned is None else turned.get((c, turns, conj))
+        if p is None:
+            p = _quarter_turn(coeff[c], turns)
+            if conj:
+                p = p.conj()
+            if turned is not None:
+                turned[c, turns, conj] = p
+        out.append(p)
     return Sk, tuple(out)

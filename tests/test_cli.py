@@ -69,7 +69,7 @@ def test_datum_file_listing_a_mode_twice_is_a_usage_error(runner, tmp_path):
 
 def test_expand_writes_manifest(runner, rundir):
     manifest = json.loads((rundir / "cache" / "manifest.json").read_text())
-    assert manifest["format"] == "reyex-cache/1"
+    assert manifest["format"] == "reyex-cache/2"
     assert manifest["N"] == 2
     assert "run_manifest_hash" in manifest
 

@@ -349,6 +349,41 @@ def test_higher_order_matches_the_dop853_reference_on_real_probes(bnw2, tables2,
             assert g == pytest.approx(r, rel=1e-6), t
 
 
+def test_higher_order_forms_each_quartic_of_R_n_once(monkeypatch):
+    """bnw N=3 rough at R = 0.05: the solve reads R_n at every stage of its
+    own steps, going back after each step it rejects, yet forms the quartic
+    of each step at most once, R_n's and its own; the values are those of a
+    solve on a fresh R_n."""
+    import reyex.control
+
+    exp = expand(datum_bnw().field, 3, datum_id="bnw")
+    grid = default_grid()
+    est_n = build_estimator_set(exp, 0.05, 3, "rough", HIGHER, EstimatorTables(exp, 3, grid=grid))
+    est_p = build_estimator_set(exp, 0.05, 4, "rough", HIGHER, EstimatorTables(exp, 4, grid=grid))
+    expected = solve_higher_order(est_p, solve_control(est_n, HIGHER), HIGHER)
+    traj_n = solve_control(est_n, HIGHER)
+    formed, integrated = [], []
+    quartic, integrate = reyex.control._quartic, reyex.control._dormand_prince
+
+    def counted(t_old, record):
+        formed.append((t_old, tuple(record)))
+        return quartic(t_old, record)
+
+    def marked(*args):
+        # while R_p is integrated, with no event, only R_n is read
+        out = integrate(*args)
+        integrated.append(len(formed))
+        return out
+
+    monkeypatch.setattr(reyex.control, "_quartic", counted)
+    monkeypatch.setattr(reyex.control, "_dormand_prince", marked)
+    assert solve_higher_order(est_p, traj_n, HIGHER) == expected
+    assert traj_n.diagnostics["rejected_steps"] > 0
+    (of_n,) = integrated
+    assert len(set(formed[:of_n])) == of_n <= traj_n.diagnostics["num_steps"]
+    assert len(set(formed[of_n:])) == len(formed) - of_n
+
+
 def test_higher_order_at_R_zero_on_a_long_grid():
     # e^{t} overflows a double past t = 709
     grid = default_grid(100, 800.0)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -19,7 +20,7 @@ from reyex.expansion import (
     expand,
     residual_tail,
 )
-from reyex.fields import canonical_key, heat_apply, leray_project, static_field
+from reyex.fields import TimeField, canonical_key, heat_apply, leray_project, static_field
 from reyex.rationals import GaussianRational, mpq
 from reyex.symmetry import orbit_partition
 
@@ -74,9 +75,9 @@ def test_pruned_expansion_propagates_each_stored_mode_once(monkeypatch):
     calls = []
     propagate = reyex.expansion.propagate_coefficient
 
-    def counted(coeff, k, g, sigma, j):
+    def counted(coeff, k, g, sigma, j, *shared):
         calls.append(j)
-        return propagate(coeff, k, g, sigma, j)
+        return propagate(coeff, k, g, sigma, j, *shared)
 
     monkeypatch.setattr(reyex.expansion, "propagate_coefficient", counted)
     exp = expand(datum_km().field, 2, datum_id="km")
@@ -118,9 +119,9 @@ def test_term_ceiling_raises_with_partial_result(monkeypatch):
     built = []
     propagate = reyex.expansion.propagate_coefficient
 
-    def counted_propagate(coeff, k, g, sigma, j):
+    def counted_propagate(coeff, k, g, sigma, j, *shared):
         built.append(j)
-        return propagate(coeff, k, g, sigma, j)
+        return propagate(coeff, k, g, sigma, j, *shared)
 
     monkeypatch.setattr(reyex.expansion, "propagate_coefficient", counted_propagate)
     for use_symmetry in (True, False):
@@ -216,11 +217,16 @@ def test_cache_round_trip(tmp_path):
     assert loaded.symmetry.minus == exp.symmetry.minus
 
 
-@pytest.mark.parametrize("datum, tails", [(datum_bnw, True), (datum_km, False)],
-                         ids=["bnw3-tails", "km3"])
-def test_cache_load_shares_one_key_per_exponent_pair(tmp_path, datum, tails):
+@pytest.mark.parametrize("datum, tails, pruned", [
+    (datum_bnw, True, True), (datum_km, False, True), (datum_bnw, False, True),
+    (datum_tg, False, True), (datum_bnw, True, False),
+], ids=["bnw3-tails", "km3", "bnw3", "tg3", "bnw3-tails-unpruned"])
+def test_cache_load_shares_one_key_per_exponent_pair(tmp_path, datum, tails, pruned):
+    """The cache stores orbit representatives and the load spreads them back
+    to fields equal to the computed ones, whose polys share one key object
+    per exponent pair."""
     d = datum()
-    exp = expand(d.field, 3, datum_id=d.name)
+    exp = expand(d.field, 3, use_symmetry=pruned, datum_id=d.name)
     if tails:
         residual_tail(exp)
     path = str(tmp_path / "cache")
@@ -228,9 +234,28 @@ def test_cache_load_shares_one_key_per_exponent_pair(tmp_path, datum, tails):
     loaded = cache_load(path)
     assert loaded.coeffs == exp.coeffs
     assert loaded.tails == exp.tails
+    assert (loaded.symmetry is None) == (not pruned)
     for field in loaded.coeffs + (loaded.tails or []):
         keys = [key for vec in field.coeffs.values() for p in vec for key in p.terms]
         assert len({id(key) for key in keys}) == len(set(keys))
+
+
+def test_orbit_members_share_their_turned_components(tmp_path):
+    """km N=3, computed and loaded: the members of an orbit hold at most 24
+    distinct polys, the representative's 3 components under 4 quarter turns
+    with and without conjugation, though an orbit has up to 24 members of 3
+    components each.  The computed u_0 is the heat flow of the datum, not
+    spread from a representative."""
+    exp = expand(datum_km().field, 3, datum_id="km")
+    path = str(tmp_path / "cache")
+    cache_store(exp, path)
+    keys = list(exp.group.routes)
+    largest = 0
+    for field in exp.coeffs[1:] + cache_load(path).coeffs:
+        for _, members in orbit_partition(field.coeffs, keys):
+            assert len({id(p) for k in members for p in field.coeffs[k]}) <= 24
+            largest = max(largest, len(members))
+    assert largest == 24
 
 
 def test_cache_manifest_records_backends_and_tail_costs(tmp_path):
@@ -251,7 +276,84 @@ def test_cache_manifest_records_backends_and_tail_costs(tmp_path):
     with open(os.path.join(path, "manifest.json")) as fh:
         assert json.load(fh) == manifest
     assert cache_load(path).tail_meta == manifest["tails"]
+    # per file: the orbits and terms stored, and the terms of the spread field
+    keys = list(exp.symmetry.routes)
+    names = ["u_%03d.json" % j for j in range(3)] + ["tail_%03d.json" % j for j in (3, 4, 5)]
+    assert list(manifest["files"]) == names
+    for name, field in zip(names, exp.coeffs + tails):
+        with open(os.path.join(path, name)) as fh:
+            stored = TimeField.from_payload(json.load(fh))
+        reps = [rep for rep, _ in orbit_partition(field.coeffs, keys)]
+        assert sorted(stored.coeffs) == reps
+        assert manifest["files"][name] == {
+            "orbits": len(reps), "stored_terms": _terms(stored), "terms": _terms(field),
+        }
+    assert sum(f["stored_terms"] for f in manifest["files"].values()) < sum(
+        f["terms"] for f in manifest["files"].values())
     assert cache_store(expand(datum_bnw().field, 1), str(tmp_path / "plain"))["tails"] == []
+
+
+def _terms(field):
+    return sum(p.num_terms() for vec in field.coeffs.values() for p in vec)
+
+
+def _write_field(path, name, field, j, manifest):
+    """Write field as the cache file name and enter its digest in manifest."""
+    text = json.dumps(field.to_payload(name=manifest["datum_id"], j=j))
+    with open(os.path.join(path, name), "w") as fh:
+        fh.write(text)
+    manifest["digests"][name] = hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("datum, tails", [(datum_bnw, True), (datum_km, False)],
+                         ids=["bnw2-tails", "km2"])
+def test_a_full_field_cache_loads_to_the_computed_expansion(tmp_path, datum, tails):
+    """A reyex-cache/1 directory, each file holding every canonical mode,
+    still loads, to the expansion that was computed."""
+    d = datum()
+    exp = expand(d.field, 2, datum_id=d.name)
+    fields = exp.coeffs + (residual_tail(exp) if tails else [])
+    path = str(tmp_path / "cache")
+    os.makedirs(path)
+    manifest = {
+        "format": "reyex-cache/1", "datum_id": d.name, "N": 2, "has_tails": tails,
+        "symmetry": {side: [[list(g.S[0]), list(g.S[1]), list(g.S[2]), list(g.a)]
+                            for g in getattr(exp.symmetry, side)]
+                     for side in ("plus", "minus")},
+        "orders": exp.meta, "digests": {}, "tails": exp.tail_meta,
+    }
+    names = ["u_%03d.json" % j for j in range(3)] + ["tail_%03d.json" % j for j in (3, 4, 5)]
+    for j, (name, field) in enumerate(zip(names, fields)):
+        _write_field(path, name, field, j, manifest)
+    with open(os.path.join(path, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh)
+    loaded = cache_load(path)
+    assert loaded.coeffs == exp.coeffs
+    assert loaded.tails == exp.tails
+    assert loaded.symmetry == exp.symmetry
+
+
+@pytest.mark.parametrize("edit", ["non-representative", "two-of-one-orbit"])
+def test_cache_refuses_a_file_that_is_not_one_representative_per_orbit(tmp_path, edit):
+    """A valid field file, digest and all, that lists an orbit at another
+    member than its representative, or at its representative and another
+    member, is refused by name."""
+    exp = expand(datum_km().field, 2, datum_id="km")
+    path = str(tmp_path / "cache")
+    manifest = cache_store(exp, path)
+    field = exp.coeffs[2]
+    orbits = orbit_partition(field.coeffs, list(exp.symmetry.routes))
+    stored = {rep: field.coeffs[rep] for rep, _ in orbits}
+    rep, members = next((rep, members) for rep, members in orbits if len(members) > 1)
+    if edit == "non-representative":
+        del stored[rep]
+    other = max(members)
+    stored[other] = field.coeffs[other]
+    _write_field(path, "u_002.json", TimeField(stored), 2, manifest)
+    with open(os.path.join(path, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh)
+    with pytest.raises(CacheError, match="u_002.json is not one representative per orbit"):
+        cache_load(path)
 
 
 def test_cache_rejects_tampering(tmp_path):
