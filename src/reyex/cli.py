@@ -380,7 +380,8 @@ def cmd_critical(ctx, cache, constants_path, n, variant, grid_points, t_max, pre
             exp, n, variant, lo, hi, tol_R=tol_r, constants=constants,
             tables=tables, probe_log=probe_log,
         )
-    # the bisection stops early only at an Inconclusive probe, its last
+    # the bisection stops early at an Inconclusive probe, its last, or once
+    # R_lo and R_hi are adjacent floats
     last_R, last_verdict, _ = probe_log[-1]
     stopped_at = last_R if last_verdict == "Inconclusive" else None
     record = {
@@ -400,10 +401,10 @@ def cmd_critical(ctx, cache, constants_path, n, variant, grid_points, t_max, pre
     _write_json(output, record, cfg)
     click.echo("bracket: (%s, %s)" % (_fmt(r_lo), _fmt(r_hi)))
     if not record["tol_met"]:
-        click.echo(
-            "tolerance not met: width %s > --tol-r %s; stopped at the Inconclusive probe R = %s"
-            % (_fmt(r_hi - r_lo), _fmt(tol_r), _fmt(stopped_at))
-        )
+        why = ("no float lies between R_lo and R_hi" if stopped_at is None
+               else "stopped at the Inconclusive probe R = %s" % _fmt(stopped_at))
+        click.echo("tolerance not met: width %s > --tol-r %s; %s"
+                   % (_fmt(r_hi - r_lo), _fmt(tol_r), why))
 
 
 @main.command("report")

@@ -363,6 +363,8 @@ def find_critical_R(
     Returns (R_lo, R_hi) with a verified GlobalDecay at R_lo and BlowUp at
     R_hi.  An Inconclusive probe stops the refinement and the last certified
     bracket is returned (the tool must not overclaim near the transition).
+    tol_R must be finite and > 0; the bisection also stops once R_lo and
+    R_hi are adjacent floats, as no midpoint lies strictly between them.
     tables, an EstimatorTables of exp at order n, fixes the grid and the
     precision of every probe; without it, tables on the default grid and
     precision are built.
@@ -371,6 +373,8 @@ def find_critical_R(
         constants = ConstantsTable()
     if not 0 <= lo < hi < math.inf:
         raise BracketError("need 0 <= lo < hi < inf, got [%s, %s]" % (lo, hi))
+    if not 0 < tol_R < math.inf:
+        raise ValueError("tol_R must be a finite number > 0, got %s" % (tol_R,))
     if tables is None:
         tables = EstimatorTables(exp, n)
 
@@ -388,8 +392,7 @@ def find_critical_R(
     if v_hi != "BlowUp":
         raise BracketError("hi = %s is not BlowUp (got %s)" % (hi, v_hi))
 
-    while hi - lo > tol_R:
-        mid = 0.5 * (lo + hi)
+    while hi - lo > tol_R and lo < (mid := 0.5 * (lo + hi)) < hi:
         v = probe(mid)
         if v == "GlobalDecay":
             lo = mid

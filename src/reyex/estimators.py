@@ -535,7 +535,8 @@ class EstimatorSet:
     never dips below zero.  Exact zeros enter the logarithm as LOG_FLOOR,
     values at or below VALUE_FLOOR come out as zero, and outside the grid
     the end samples (clamped at zero) hold.  rates(t) evaluates the three
-    columns together and finds t's grid interval once.
+    columns together and finds t's grid interval once, and keeps its last t
+    and value: a Dormand-Prince step evaluates its last two stages at one t.
     """
 
     R: float
@@ -548,6 +549,7 @@ class EstimatorSet:
     eps_n: list
     precision: int
     _rows: list = dc_field(default=None, init=False, repr=False, compare=False)
+    _memo: tuple = dc_field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         columns = (self.D_n, self.D_n1, self.eps_n)
@@ -567,6 +569,9 @@ class EstimatorSet:
             return self._first
         if t >= grid[-1]:
             return self._last
+        memo_t, memo = self._memo
+        if t == memo_t:
+            return memo
         i = bisect_right(grid, t) - 1
         s = t - grid[i]
         ss = s * s
@@ -575,11 +580,13 @@ class EstimatorSet:
         a = math.exp(a3 + a2 * s + a1 * ss + a0 * sss)
         b = math.exp(b3 + b2 * s + b1 * ss + b0 * sss)
         e = math.exp(e3 + e2 * s + e1 * ss + e0 * sss)
-        return (
+        out = (
             0.0 if a <= VALUE_FLOOR else a,
             0.0 if b <= VALUE_FLOOR else b,
             0.0 if e <= VALUE_FLOOR else e,
         )
+        self._memo = (t, out)
+        return out
 
     @property
     def t_max(self):

@@ -6,6 +6,11 @@ representable, because only those produce Gaussian-rational phases
 e^{-i a.k}; every symmetry listed for the shipped data lives on the
 half-period sublattice {0, pi}^3.  Translations are stored as integer triples
 in units of pi/2.
+
+find_symmetries decides each of the 48 signed permutations S once, by the
+support and the quarter turn that S takes each stored coefficient to; each
+translation is then decided by integer phases, with no field pushed
+forward.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .fields import TimeField, is_canonical
+from .fields import TimeField, canonical_key, is_canonical
 
 __all__ = [
     "GroupElement",
@@ -130,11 +135,14 @@ _QUARTER_LATTICE = tuple(itertools.product((0, 1, 2, 3), repeat=3))
 
 
 def find_symmetries(u, lattice="half"):
-    """Brute-force search of all (S, a) with push-forward equal to +-u.
+    """All (S, a) with push-forward equal to +-u, decided matrix by matrix.
 
-    lattice selects the translation candidates: 'half' is the 384-element
-    search over {0, pi}^3 (enough for the shipped data), 'quarter' widens to
-    {0, pi/2, pi, 3pi/2}^3 for user data.
+    lattice selects the translation candidates: 'half' is {0, pi}^3 (enough
+    for the shipped data), 'quarter' widens to {0, pi/2, pi, 3pi/2}^3 for
+    user data.  Each of the 48 matrices S is decided once by _matrix_turns;
+    then, with m(k0) its quarter turn at each stored mode k0, (S, a) is in
+    H+ iff a.(S k0) = m(k0) mod 4 for every k0 and in H- iff
+    a.(S k0) + 2 = m(k0), so each translation costs integer arithmetic only.
     """
     if u.is_zero():
         raise ValueError("symmetry search needs a nonzero field")
@@ -144,18 +152,67 @@ def find_symmetries(u, lattice="half"):
         translations = _QUARTER_LATTICE
     else:
         raise ValueError("lattice must be 'half' or 'quarter', got %r" % (lattice,))
-    neg_u = -u
+    coeffs = u.coeffs
+    turned = {}
+    conjugated = {}
     plus = []
     minus = []
     for S in octahedral_matrices():
+        turns = _matrix_turns(S, coeffs, turned, conjugated)
+        if turns is None:
+            continue
+        (Sk0, m0), rest = turns[0], turns[1:]
         for a in translations:
-            g = GroupElement(S, a)
-            pf = push_forward(g, u)
-            if pf == u:
-                plus.append(g)
-            elif pf == neg_u:
-                minus.append(g)
+            d = (m0 - _phase(a, Sk0)) % 4
+            if d in (0, 2) and all((m - _phase(a, Sk)) % 4 == d for Sk, m in rest):
+                (plus if d == 0 else minus).append(GroupElement(S, a))
     return SymmetryData(plus=frozenset(plus), minus=frozenset(minus))
+
+
+def _matrix_turns(S, coeffs, turned, conjugated):
+    """The pairs (S k0, m(k0)) over the stored modes k0 of a field with
+    coefficients coeffs, where m(k0) in 0..3 is the quarter turn with
+    e^{-i (pi/2) m} S u_{k0} equal to the stored coefficient at S k0, or to
+    conj(u_{-S k0}) when S k0 is not canonical.  m is unique, as u_{k0} is
+    nonzero.  None when some S k0 is not stored up to sign or no quarter
+    turn fits.  turned (k0 -> the four quarter turns of each component of
+    u_{k0}) and conjugated (k -> conj(u_k)) are shared by the calls of one
+    search, so each is formed once."""
+    images = []
+    for k0 in coeffs:
+        Sk = _mat_vec(S, k0)
+        key = canonical_key(Sk)
+        if key not in coeffs:
+            return None
+        images.append((k0, Sk, key))
+    # row i of S u_{k0} is u_{k0}[c], negated (two more quarter turns) on -1
+    rows = [(i, c, 0 if row[c] > 0 else 2)
+            for i, row in enumerate(S) for c in range(3) if row[c]]
+    out = []
+    for k0, Sk, key in images:
+        if key is Sk:
+            target = coeffs[key]
+        else:
+            target = conjugated.get(key)
+            if target is None:
+                target = conjugated[key] = tuple(p.conj() for p in coeffs[key])
+        four = turned.get(k0)
+        if four is None:
+            four = turned[k0] = tuple(
+                tuple(_quarter_turn(p, r) for r in range(4)) for p in coeffs[k0]
+            )
+        i, c, shift = next(row for row in rows if coeffs[k0][row[1]])
+        for r in range(4):
+            if four[c][r] == target[i]:
+                m = (r - shift) % 4
+                break
+        else:
+            return None
+        for j, c, shift in rows:
+            if j != i and four[c][(m + shift) % 4] != target[j]:
+                return None
+        out.append((Sk, m))
+    return out
 
 
 def negation_closure(matrices):

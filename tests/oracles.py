@@ -30,10 +30,13 @@ validate_reference are the cache codec as it was before each distinct
 coefficient was parsed, formatted and scaled once: the text the encoder
 writes, and the polys and verdicts of the decoder, must be theirs.
 FractionGaussian is GaussianRational as it was before the integer triple: a
-pair of exact rationals, every operation on the two parts.  compose and
-inverse (the group law), heat_duhamel (the Duhamel integral of a whole
-field) and full_coeffs (both signs of a field's support) serve only the
-tests.
+pair of exact rationals, every operation on the two parts.
+find_symmetries_reference is the symmetry search as it was before it
+decided each matrix once: every one of the 48 x 8 (48 x 64 on the quarter
+lattice) candidates pushes the whole field forward and compares it with u
+and -u.  compose and inverse (the group law), heat_duhamel (the Duhamel
+integral of a whole field) and full_coeffs (both signs of a field's
+support) serve only the tests.
 """
 
 import mpmath
@@ -71,7 +74,15 @@ from reyex.fields import (
     wave_norm_sq,
 )
 from reyex.rationals import GaussianRational, mpq, rational_to_string
-from reyex.symmetry import GroupElement, _mat_vec
+from reyex.symmetry import (
+    _HALF_LATTICE,
+    _QUARTER_LATTICE,
+    GroupElement,
+    SymmetryData,
+    _mat_vec,
+    octahedral_matrices,
+    push_forward,
+)
 from reyex.timepoly import (
     DEFAULT_EVAL_PRECISION,
     GUARD_BITS,
@@ -103,6 +114,35 @@ def inverse(g):
     St = _transpose(g.S)
     mSta = _mat_vec(St, tuple(-x for x in g.a))
     return GroupElement(St, tuple(x % 4 for x in mSta))
+
+
+def find_symmetries_reference(u, lattice="half"):
+    """Brute-force search of all (S, a) with push-forward equal to +-u.
+
+    lattice selects the translation candidates: 'half' is the 384-element
+    search over {0, pi}^3 (enough for the shipped data), 'quarter' widens to
+    {0, pi/2, pi, 3pi/2}^3 for user data.
+    """
+    if u.is_zero():
+        raise ValueError("symmetry search needs a nonzero field")
+    if lattice == "half":
+        translations = _HALF_LATTICE
+    elif lattice == "quarter":
+        translations = _QUARTER_LATTICE
+    else:
+        raise ValueError("lattice must be 'half' or 'quarter', got %r" % (lattice,))
+    neg_u = -u
+    plus = []
+    minus = []
+    for S in octahedral_matrices():
+        for a in translations:
+            g = GroupElement(S, a)
+            pf = push_forward(g, u)
+            if pf == u:
+                plus.append(g)
+            elif pf == neg_u:
+                minus.append(g)
+    return SymmetryData(plus=frozenset(plus), minus=frozenset(minus))
 
 
 def heat_duhamel(v):

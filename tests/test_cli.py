@@ -1,12 +1,15 @@
 import inspect
 import json
+import math
 import os
 import shutil
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
 
+import reyex.control
 import reyex.estimators
 from reyex.cli import _manifest_hash, main
 from reyex.control import DEFAULT_TOL_R, find_critical_R
@@ -434,6 +437,40 @@ def test_critical_says_when_an_inconclusive_probe_stops_it(runner, rundir, tmp_p
     assert lines[-1] == (
         "tolerance not met: width %.17g > --tol-r 0.02; stopped at the Inconclusive probe R = %.17g"
         % (hi - 0.01, stop)
+    )
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_critical_refuses_a_tolerance_that_is_not_finite_and_positive(runner, rundir, tmp_path,
+                                                                     value):
+    res = runner.invoke(main, [
+        "critical", "--cache", str(rundir / "cache"), "--grid-points", "40",
+        "--lo", "0.01", "--hi", "3.0", "--tol-r=" + value, "--output", str(tmp_path / "out"),
+    ])
+    assert res.exit_code == 2, res.output
+    assert "tol_R must be a finite number > 0" in res.output
+    assert not list(tmp_path.iterdir())
+
+
+def test_critical_says_when_the_bracket_ends_are_adjacent_floats(runner, rundir, tmp_path,
+                                                                monkeypatch):
+    # a stub probe: GlobalDecay below R = 0.3, BlowUp from it on
+    monkeypatch.setattr(reyex.control, "build_estimator_set", lambda exp, R, *args, **kw: R)
+    monkeypatch.setattr(reyex.control, "solve_control", lambda R, constants: SimpleNamespace(
+        verdict="GlobalDecay" if R < 0.3 else "BlowUp", T_c=None))
+    out = tmp_path / "bracket.json"
+    res = runner.invoke(main, [
+        "critical", "--cache", str(rundir / "cache"), "--grid-points", "40",
+        "--lo", "0.01", "--hi", "3.0", "--tol-r", "1e-300", "--output", str(out),
+    ])
+    assert res.exit_code == 0, res.output
+    rec = json.loads(out.read_text())
+    assert rec["R_hi"] == math.nextafter(rec["R_lo"], math.inf)
+    assert rec["tol_met"] is False
+    assert rec["stopped_at"] is None
+    assert res.output.splitlines()[-1] == (
+        "tolerance not met: width %.17g > --tol-r 1e-300; no float lies between R_lo and R_hi"
+        % (rec["R_hi"] - rec["R_lo"])
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import os
@@ -6,9 +7,12 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import reyex.control
+import reyex.estimators
 from reyex.control import (
     DEFAULT_BLOWUP_THRESHOLD,
     BracketError,
@@ -219,6 +223,48 @@ def test_trajectory_retains_under_200_bytes_per_accepted_step(bnw3_taut, R, verd
     assert kept <= 200 * traj.diagnostics["num_steps"]
 
 
+def _unmemoized(est):
+    """A copy of est whose rates evaluates every call afresh."""
+    plain = dataclasses.replace(est)
+
+    def rates(t):
+        plain._memo = (None, None)
+        return EstimatorSet.rates(plain, t)
+
+    plain.rates = rates
+    return plain
+
+
+# the bnw-taut-n3 benchmark's stage probes lie in [0.083, 0.155] below its
+# transition and in [0.178, 0.252] above it
+@pytest.mark.parametrize("R", [0.09, 0.15, 0.18, 0.25])
+def test_rates_memo_leaves_the_trajectory_bit_identical(bnw3_taut, R, monkeypatch):
+    exp, tables = bnw3_taut
+    c = ConstantsTable()
+    est = build_estimator_set(exp, R, 3, "tautological", constants=c, tables=tables)
+    lookups = []
+    real = reyex.estimators.bisect_right
+    monkeypatch.setattr(reyex.estimators, "bisect_right",
+                        lambda grid, t: lookups.append(t) or real(grid, t))
+    ref = solve_control(_unmemoized(est), c)
+    fresh = len(lookups)
+    got = solve_control(est, c)
+    kept = len(lookups) - fresh
+    assert (got.times, got.values, got.verdict, got.T_c) == (ref.times, ref.values, ref.verdict,
+                                                             ref.T_c)
+    # rhs_evals counts right-hand-side calls, memoized or not
+    assert got.diagnostics == ref.diagnostics
+    # each attempted step evaluates its sixth and seventh stages at one t
+    assert kept < fresh
+
+
+def test_rates_memo_leaves_the_higher_order_control_bit_identical(bnw2, tables2, tables2_p4):
+    traj_n = solve_control(build_estimator_set(bnw2, 0.06, 3, "rough", HIGHER, tables2), HIGHER)
+    est_p = build_estimator_set(bnw2, 0.06, 4, "rough", HIGHER, tables2_p4)
+    assert solve_higher_order(est_p, traj_n, HIGHER) == solve_higher_order(
+        _unmemoized(est_p), traj_n, HIGHER)
+
+
 def test_import_loads_neither_scipy_nor_numpy():
     root = Path(__file__).resolve().parents[1]
     src = str(root / "src")
@@ -277,6 +323,33 @@ def test_bisection_refuses_a_bracket_outside_the_finite_nonnegative_numbers(bnw2
 def test_bisection_wide_tolerance_returns_input_bracket(bnw2, tables2):
     lo, hi = find_critical_R(bnw2, 3, "rough", 0.01, 3.0, tol_R=10.0, tables=tables2)
     assert (lo, hi) == (0.01, 3.0)
+
+
+@pytest.fixture
+def stub_probe(monkeypatch):
+    """find_critical_R with a probe that costs nothing: GlobalDecay below
+    R = 0.3, BlowUp from it on."""
+    monkeypatch.setattr(reyex.control, "build_estimator_set", lambda exp, R, *args, **kw: R)
+    monkeypatch.setattr(reyex.control, "solve_control", lambda R, constants: SimpleNamespace(
+        verdict="GlobalDecay" if R < 0.3 else "BlowUp", T_c=None))
+
+
+@pytest.mark.parametrize("tol_R", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_bisection_refuses_a_tolerance_that_is_not_finite_and_positive(stub_probe, tol_R):
+    probe_log = []
+    with pytest.raises(ValueError, match="tol_R must be a finite number > 0"):
+        find_critical_R(None, 3, "rough", 0.01, 3.0, tol_R=tol_R, tables=object(),
+                        probe_log=probe_log)
+    assert probe_log == []
+
+
+def test_bisection_below_the_float_spacing_ends_at_adjacent_floats(stub_probe):
+    probe_log = []
+    lo, hi = find_critical_R(None, 3, "rough", 0.01, 3.0, tol_R=1e-300, tables=object(),
+                             probe_log=probe_log)
+    assert lo < 0.3 <= hi == math.nextafter(lo, math.inf)
+    probed = [R for R, _, _ in probe_log]
+    assert len(set(probed)) == len(probed) < 100
 
 
 def test_higher_order_zero_error_gives_zero():

@@ -1,12 +1,14 @@
 import itertools
+import random
 
 import pytest
 
 from reyex.data import datum_bnw, datum_km, datum_tg
 from reyex.expansion import expand
-from reyex.fields import static_field
-from reyex.rationals import GaussianRational
-from oracles import compose, inverse, sobolev_norm
+from reyex.fields import leray_project, static_field
+from reyex.rationals import GaussianRational, mpq
+from oracles import compose, find_symmetries_reference, inverse, sobolev_norm
+import reyex.symmetry
 from reyex.symmetry import (
     GroupElement,
     find_symmetries,
@@ -206,6 +208,74 @@ def test_quarter_lattice_search_widens_the_group():
     quarter = find_symmetries(v, lattice="quarter")
     assert len(quarter.plus) > len(half.plus)
     assert half.plus <= quarter.plus
+
+
+def _generic_datum(seed):
+    """Random two-mode data as the rand-plain-n3 benchmark draws it: the
+    modes (1,1,1) and (2,0,1) turned by a random signed permutation, with
+    general complex amplitudes."""
+    rng = random.Random(seed)
+    perm = rng.sample(range(3), 3)
+    signs = [rng.choice((1, -1)) for _ in range(3)]
+    modes = {}
+    for base in ((1, 1, 1), (2, 0, 1)):
+        k = tuple(signs[i] * base[perm[i]] for i in range(3))
+        vec = tuple(
+            GaussianRational(mpq(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), rng.randint(1, 3)),
+                             mpq(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), rng.randint(1, 3)))
+            for _ in range(3)
+        )
+        modes[k] = leray_project(k, vec)
+    return static_field(modes)
+
+
+def _g(re, im=0):
+    return GaussianRational(re, im)
+
+
+SEARCH_INPUTS = {
+    "bnw": lambda: datum_bnw().field,
+    "tg": lambda: datum_tg().field,
+    "km": lambda: datum_km().field,
+    "generic-1": lambda: _generic_datum(1),
+    "generic-2": lambda: _generic_datum(2),
+    "generic-3": lambda: _generic_datum(3),
+    # time-dependent: every coefficient a TimePoly of many terms
+    "bnw-u2": lambda: expand(datum_bnw().field, 2, datum_id="bnw").coeffs[2],
+    # the axis swaps carry (1, 0, 0) to (0, 1, 0), which is not stored
+    "image-leaves-support": lambda: static_field({
+        (1, 0, 0): (_g(0), _g(1), _g(0, 1)),
+        (1, 2, 0): (_g(2), _g(-1), _g(0)),
+    }),
+    # zero components, whose quarter turns are all equal
+    "zero-component": lambda: static_field({(1, 1, 0): (_g(1), _g(-1), _g(0))}),
+    # swapping y and z keeps the support, but no quarter turn of (0, 2, 1)
+    # is (0, 1, 2)
+    "no-quarter-turn": lambda: static_field({(1, 0, 0): (_g(0), _g(1), _g(2))}),
+    "quarter-turn-only": lambda: static_field({(1, 0, 0): (_g(0), _g(1), _g(0, 1))}),
+}
+
+
+@pytest.mark.parametrize("lattice", ["half", "quarter"])
+@pytest.mark.parametrize("name", list(SEARCH_INPUTS))
+def test_search_equals_the_push_forward_reference(name, lattice):
+    u = SEARCH_INPUTS[name]()
+    sym = find_symmetries(u, lattice=lattice)
+    ref = find_symmetries_reference(u, lattice=lattice)
+    assert sym.plus == ref.plus
+    assert sym.minus == ref.minus
+    assert identity_element() in sym.plus
+
+
+def test_search_builds_no_push_forward_field(monkeypatch):
+    calls = []
+    for name in ("push_forward", "propagate_coefficient"):
+        real = getattr(reyex.symmetry, name)
+        monkeypatch.setattr(reyex.symmetry, name,
+                            lambda *args, real=real: calls.append(args) or real(*args))
+    sym = find_symmetries(datum_km().field, lattice="quarter")
+    assert len(sym.plus) == len(sym.minus) == 192
+    assert calls == []
 
 
 def test_zero_field_rejected():
