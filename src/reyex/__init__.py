@@ -4,7 +4,7 @@
 from .rationals import GaussianRational, mpq
 from .timepoly import TimePoly, tp_basis
 from .fields import TimeField, bilinear_P, static_field
-from .symmetry import GroupElement, SymmetryData, find_symmetries, push_forward
+from .symmetry import GroupElement, SymmetryData, find_symmetries
 from .expansion import (
     Expansion,
     ResourceLimitError,
@@ -50,7 +50,6 @@ __all__ = [
     "GroupElement",
     "SymmetryData",
     "find_symmetries",
-    "push_forward",
     "Expansion",
     "ResourceLimitError",
     "cache_load",

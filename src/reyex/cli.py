@@ -340,6 +340,8 @@ def cmd_control(ctx, cache, constants_path, n, variant, grid_points, t_max, prec
         "constants": constants_path,
     }
     with _probe_errors():
+        constants.G_of(n)  # solve_control reads both: a missing one fails before sampling
+        constants.K_of(n)
         est = build_estimator_set(exp, R, n, variant, constants=constants, tables=tables)
         traj = solve_control(est, constants, blowup_threshold=blowup_threshold)
     export_trajectory_csv(traj, output_prefix + ".trajectory.csv")

@@ -365,9 +365,11 @@ def find_critical_R(
     bracket is returned (the tool must not overclaim near the transition).
     tol_R must be finite and > 0; the bisection also stops once R_lo and
     R_hi are adjacent floats, as no midpoint lies strictly between them.
-    tables, an EstimatorTables of exp at order n, fixes the grid and the
-    precision of every probe; without it, tables on the default grid and
-    precision are built.
+    The midpoint is 0.5 (lo + hi), or lo + 0.5 (hi - lo) where lo + hi
+    overflows.  A missing G_n or K_n, which every probe's control reads,
+    is raised before the first probe.  tables, an EstimatorTables of exp
+    at order n, fixes the grid and the precision of every probe; without
+    it, tables on the default grid and precision are built.
     """
     if constants is None:
         constants = ConstantsTable()
@@ -375,6 +377,8 @@ def find_critical_R(
         raise BracketError("need 0 <= lo < hi < inf, got [%s, %s]" % (lo, hi))
     if not 0 < tol_R < math.inf:
         raise ValueError("tol_R must be a finite number > 0, got %s" % (tol_R,))
+    constants.G_of(n)
+    constants.K_of(n)
     if tables is None:
         tables = EstimatorTables(exp, n)
 
@@ -392,7 +396,7 @@ def find_critical_R(
     if v_hi != "BlowUp":
         raise BracketError("hi = %s is not BlowUp (got %s)" % (hi, v_hi))
 
-    while hi - lo > tol_R and lo < (mid := 0.5 * (lo + hi)) < hi:
+    while hi - lo > tol_R and lo < (mid := _midpoint(lo, hi)) < hi:
         v = probe(mid)
         if v == "GlobalDecay":
             lo = mid
@@ -401,6 +405,13 @@ def find_critical_R(
         else:
             break
     return lo, hi
+
+
+def _midpoint(lo, hi):
+    """0.5 (lo + hi) for 0 <= lo < hi finite; lo + 0.5 (hi - lo) where the
+    sum overflows, as 0.5 (lo + hi) is then inf."""
+    total = lo + hi
+    return 0.5 * total if total < math.inf else lo + 0.5 * (hi - lo)
 
 
 def solve_higher_order(est_p, traj_n, constants, times=None):

@@ -249,7 +249,7 @@ class EstimatorTables:
         # the classes the fields were propagated over: a member reached with
         # sign sigma holds sigma^(i+j) times its representative's term (tail i
         # is of order N+1+i), so a class weighs its size, or on odd pairs its signs' sum
-        routes = self.exp.group.routes
+        routes = self.exp.symmetry.routes
         classes = orbit_partition(support, list(routes))
         weights = (  # by the parity of i + j
             [(rep, len(members)) for rep, members in classes],
@@ -280,9 +280,14 @@ class EstimatorTables:
     def samples(self, R, variant, constants):
         """(D_n, D_{n+1}, eps_n) over the grid as floats for one R, counted
         in stats["assembly"].  Tables not yet sampled are sampled first, off
-        the assembly's clock."""
+        the assembly's clock, once the variant's order M and, for the rough
+        error, K_n are known to be valid."""
+        self._head_order(variant)
+        tautological = parse_variant(variant)[0] == "tautological"
+        if not tautological:
+            constants.K_of(self.n)
         self.coeff_tables()
-        if parse_variant(variant)[0] == "tautological":
+        if tautological:
             self.tail_tables()
         start = time.perf_counter()
         out = (
@@ -299,11 +304,7 @@ class EstimatorTables:
         """D_m = ||sum_{j<=M} R^j u_j||_m + sum_{j>M} R^j ||u_j||_m over the
         grid as floats, with M = N for the tautological variant and -1 for
         the rough one."""
-        kind, M = parse_variant(variant)
-        N = self.exp.N
-        M = {"rough": -1, "tautological": N}.get(kind, M)
-        if M > N:
-            raise ValueError("intermediate order M exceeds N")
+        M, N = self._head_order(variant), self.exp.N
         R = self._dyadic(R)
         if M == N:
             return [_to_float(r, g) for r, g in self._roots("coeff", m, M, R, 0, FLOAT_BITS)]
@@ -332,6 +333,15 @@ class EstimatorTables:
         k, ke = self._dyadic(constants.K_of(self.n))
         w, s = _weights(*R, N + 1, 2 * N + 1)
         return [_to_float(k * sum(map(mul, w, c)), ke + s + f) for f, c in self._rough()]
+
+    def _head_order(self, variant):
+        """The order M of the exact head of the growth: N for the
+        tautological variant, -1 for the rough one; ValueError past N."""
+        kind, M = parse_variant(variant)
+        M = {"rough": -1, "tautological": self.exp.N}.get(kind, M)
+        if M > self.exp.N:
+            raise ValueError("intermediate order M exceeds N")
+        return M
 
     def _dyadic(self, x):
         """(p, e) with p 2^e = mpf(x) at self.precision."""

@@ -72,37 +72,35 @@ class CacheError(RuntimeError):
 
 @dataclass
 class Expansion:
+    """The coefficients u_0 .. u_N of a datum, and the group they were
+    computed under: the datum's SymmetryData, or SymmetryData.trivial() for
+    an unpruned run.  Every orbit partition of the expansion, its cache and
+    its Gram tables reads symmetry.routes."""
+
     datum_id: str
     N: int
     coeffs: list  # TimeField, u_0 .. u_N
-    symmetry: SymmetryData | None
+    symmetry: SymmetryData
     meta: list = dc_field(default_factory=list)
     tails: list | None = None  # residual tail fields, j = N+1 .. 2N+1
     tail_meta: list = dc_field(default_factory=list)  # per tail: order, terms, wall_seconds
 
     def order_stats(self, j):
-        """Size figures of u_j.  orbits (None when unpruned) counts the classes
-        of its support under the group's routes: the representatives the
-        expansion convolved, with O and -O one class even where -I is not in S+ | S-."""
+        """Size figures of u_j.  orbits counts the classes of its support
+        under the group's routes: the representatives the expansion
+        convolved, with O and -O one class even where -I is not in S+ | S-.
+        Under the trivial group each canonical mode is its own class."""
         u = self.coeffs[j]
         polys = [p for vec in u.coeffs.values() for p in vec]
         return {
             "order": j,
             "nonzero_coefficients": u.num_modes(),
             "canonical_modes": len(u.coeffs),
-            "orbits": None if self.symmetry is None else len(
-                orbit_partition(u.coeffs, list(self.symmetry.routes))
-            ),
+            "orbits": len(orbit_partition(u.coeffs, list(self.symmetry.routes))),
             "terms": sum(p.num_terms() for p in polys),
             "degree_t": max((p.degree_t() for p in polys), default=-1),
             "degree_exp": max((p.degree_exp() for p in polys), default=-1),
         }
-
-    @property
-    def group(self):
-        """The symmetry the coefficients are computed under: the trivial
-        group for an unpruned expansion."""
-        return self.symmetry or SymmetryData.trivial()
 
 
 def _zero_vec(vec):
@@ -159,7 +157,7 @@ def _orders(exp, N, orders, term_ceiling):
     yielded, is checked against term_ceiling as each orbit is added; past
     it, ResourceLimitError is raised with exp as .partial.
     """
-    routes = exp.group.routes
+    routes = exp.symmetry.routes
     keys = list(routes)
     total = sum(_term_count(u) for u in exp.coeffs)
     fulls = []
@@ -209,8 +207,8 @@ def expand(
     datum is a TimeField with constant coefficients.  With use_symmetry the
     datum's symmetry group is discovered (or taken from the symmetry
     argument) and the recursion only convolves orbit representatives;
-    without it, the recursion runs under the trivial group and .symmetry is
-    None.
+    without it, .symmetry is the trivial group and every canonical mode is
+    convolved.
 
     The running term count is checked against term_ceiling as each orbit
     of an order is added; past it, ResourceLimitError is raised with the
@@ -219,12 +217,11 @@ def expand(
     if N < 0:
         raise ValueError("N must be >= 0")
     datum.validate()
-    sym = None
-    if use_symmetry:
-        sym = symmetry if symmetry is not None else (
-            find_symmetries(datum) if datum else SymmetryData.trivial()
-        )
-    exp = Expansion(datum_id=datum_id, N=0, coeffs=[heat_apply(datum)], symmetry=sym)
+    if not use_symmetry:
+        symmetry = SymmetryData.trivial()
+    elif symmetry is None:
+        symmetry = find_symmetries(datum) if datum else SymmetryData.trivial()
+    exp = Expansion(datum_id=datum_id, N=0, coeffs=[heat_apply(datum)], symmetry=symmetry)
     exp.meta.append(exp.order_stats(0))
     t0 = time.monotonic()
     for j, uj in _orders(exp, N, range(1, N + 1), term_ceiling):
@@ -274,9 +271,6 @@ def residual_tail(exp, term_ceiling=DEFAULT_TERM_CEILING, progress=None):
 
 
 def _symmetry_payload(sym):
-    if sym is None:
-        return None
-
     def enc(gs):
         return sorted([list(g.S[0]), list(g.S[1]), list(g.S[2]), list(g.a)] for g in gs)
 
@@ -288,12 +282,13 @@ def _int_triple(x):
 
 
 def _symmetry_from_payload(payload):
-    """The SymmetryData of a manifest's symmetry entry, or None for null.
+    """The SymmetryData of a manifest's symmetry entry; null, which the
+    unpruned caches of older versions hold, is the trivial group.
     CacheError unless plus and minus are lists of [S rows, a] with S a
     signed permutation matrix and a a triple in 0..3, and plus holds the
     identity."""
     if payload is None:
-        return None
+        return SymmetryData.trivial()
     signed_permutations = set(octahedral_matrices())
 
     def dec(items):
@@ -367,7 +362,7 @@ def cache_store(exp, path):
     run and the cost of each residual tail."""
     os.makedirs(path, exist_ok=True)
     fields = exp.coeffs + (exp.tails or [])
-    keys = list(exp.group.routes)
+    keys = list(exp.symmetry.routes)
     digests, files = {}, {}
     for j, (name, field) in enumerate(zip(_field_names(exp.N, exp.tails is not None), fields)):
         reps = TimeField(
@@ -405,10 +400,10 @@ def cache_load(path):
     stored modes and checks every field file against its manifest digest.
     A reyex-cache/2 file's representatives are spread over their orbits
     under the manifest's symmetry; a reyex-cache/1 file holds every mode.
-    A manifest whose N is not an int >= 0, whose has_tails is not a bool,
-    or whose symmetry is neither null nor well formed raises CacheError, as
-    does a reyex-cache/2 file that is not exactly one representative per
-    orbit."""
+    A null or missing symmetry is read as the trivial group.  A manifest
+    whose N is not an int >= 0, whose has_tails is not a bool, or whose
+    symmetry is neither null nor well formed raises CacheError, as does a
+    reyex-cache/2 file that is not exactly one representative per orbit."""
     manifest_path = os.path.join(path, "manifest.json")
     try:
         with open(manifest_path) as fh:
@@ -429,12 +424,11 @@ def cache_load(path):
     if type(has_tails) is not bool:
         raise CacheError("manifest in %s has no valid has_tails: %r" % (path, has_tails))
     symmetry = _symmetry_from_payload(manifest.get("symmetry"))
-    routes = (symmetry or SymmetryData.trivial()).routes
     fields = []
     for j, name in enumerate(_field_names(N, has_tails)):
         field = _read_field(path, name, digests)
         if fmt == CACHE_FORMAT:
-            field = _spread(field, routes, j)
+            field = _spread(field, symmetry.routes, j)
             if field is None:
                 fpath = os.path.join(path, name)
                 raise CacheError("%s is not one representative per orbit" % (fpath,))

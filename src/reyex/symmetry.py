@@ -20,14 +20,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .fields import TimeField, canonical_key, is_canonical
+from .fields import canonical_key, is_canonical
 
 __all__ = [
     "GroupElement",
     "SymmetryData",
     "octahedral_matrices",
     "identity_element",
-    "push_forward",
     "find_symmetries",
     "negation_closure",
     "orbit_partition",
@@ -77,23 +76,6 @@ def octahedral_matrices():
 
 def identity_element():
     return GroupElement(_IDENTITY, (0, 0, 0))
-
-
-def push_forward(g, v):
-    """The field with Fourier coefficients e^{-i a.k} S v_{S^T k}.
-
-    The stored canonical coefficient at k0 lands at S k0 (folded back to the
-    canonical half by conjugation when needed); Sobolev norms are preserved
-    exactly.  Not validated again: a phased signed permutation keeps zero
-    mean and incompressibility, and folds no two canonical keys together.
-    """
-    coeffs = {}
-    for k0, vec in v.coeffs.items():
-        k, vec = propagate_coefficient(vec, k0, g, 1, 0)
-        if not is_canonical(k):
-            k, vec = (-k[0], -k[1], -k[2]), (vec[0].conj(), vec[1].conj(), vec[2].conj())
-        coeffs[k] = vec
-    return TimeField(coeffs, validate=False)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ coefficient was parsed, formatted and scaled once: the text the encoder
 writes, and the polys and verdicts of the decoder, must be theirs.
 FractionGaussian is GaussianRational as it was before the integer triple: a
 pair of exact rationals, every operation on the two parts.
+push_forward is the action of a group element on a whole field, and
 find_symmetries_reference is the symmetry search as it was before it
 decided each matrix once: every one of the 48 x 8 (48 x 64 on the quarter
 lattice) candidates pushes the whole field forward and compares it with u
@@ -81,7 +82,7 @@ from reyex.symmetry import (
     SymmetryData,
     _mat_vec,
     octahedral_matrices,
-    push_forward,
+    propagate_coefficient,
 )
 from reyex.timepoly import (
     DEFAULT_EVAL_PRECISION,
@@ -114,6 +115,23 @@ def inverse(g):
     St = _transpose(g.S)
     mSta = _mat_vec(St, tuple(-x for x in g.a))
     return GroupElement(St, tuple(x % 4 for x in mSta))
+
+
+def push_forward(g, v):
+    """The field with Fourier coefficients e^{-i a.k} S v_{S^T k}.
+
+    The stored canonical coefficient at k0 lands at S k0 (folded back to the
+    canonical half by conjugation when needed); Sobolev norms are preserved
+    exactly.  Not validated again: a phased signed permutation keeps zero
+    mean and incompressibility, and folds no two canonical keys together.
+    """
+    coeffs = {}
+    for k0, vec in v.coeffs.items():
+        k, vec = propagate_coefficient(vec, k0, g, 1, 0)
+        if not is_canonical(k):
+            k, vec = (-k[0], -k[1], -k[2]), (vec[0].conj(), vec[1].conj(), vec[2].conj())
+        coeffs[k] = vec
+    return TimeField(coeffs, validate=False)
 
 
 def find_symmetries_reference(u, lattice="half"):

@@ -238,6 +238,34 @@ def test_negative_intermediate_order_is_a_usage_error(runner, rundir, tmp_path, 
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command, variant, n", [
+    ("control", "tautological", 4), ("critical", "tautological", 4),
+    *[(command, variant, n) for command in ("estimate", "control", "critical")
+      for variant, n in (("intermediate:7", 3), ("rough", 4))],
+])
+def test_usage_errors_come_before_any_table_is_sampled(runner, rundir, tmp_path, monkeypatch,
+                                                       command, variant, n):
+    """On the N = 2 cache, with G_4 and K_4 not configured, each run exits 2
+    before it samples a Gram table.  estimate with the tautological variant
+    needs no constant, so it samples and succeeds."""
+    calls = []
+    real = reyex.estimators.sample_real_polys
+    monkeypatch.setattr(reyex.estimators, "sample_real_polys",
+                        lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    args = ["--cache", str(rundir / "cache"), "--n", str(n), "--variant", variant,
+            "--grid-points", "40"]
+    res = runner.invoke(main, [command, *args, *PROBE_ARGS[command], str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert ("exceeds N" if variant.startswith("intermediate") else "not configured") in res.output
+    assert calls == []
+    assert not list(tmp_path.iterdir())
+    if variant == "tautological":
+        res = runner.invoke(main, ["estimate", *args, *PROBE_ARGS["estimate"],
+                                   str(tmp_path / "out.csv")])
+        assert res.exit_code == 0, res.output
+        assert len(calls) == 2  # the coefficient and the tail tables
+
+
 @pytest.mark.parametrize("bad", [
     ["--t-max", "0.4"], ["--grid-points", "3"], ["--grid-points", "40", "--precision", "40"],
 ])

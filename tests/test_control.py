@@ -352,6 +352,24 @@ def test_bisection_below_the_float_spacing_ends_at_adjacent_floats(stub_probe):
     assert len(set(probed)) == len(probed) < 100
 
 
+def test_bisection_near_the_largest_float_probes_inside_its_bracket(monkeypatch):
+    # lo + hi passes the largest float, so 0.5 * (lo + hi) would be inf
+    monkeypatch.setattr(reyex.control, "build_estimator_set", lambda exp, R, *args, **kw: R)
+    monkeypatch.setattr(reyex.control, "solve_control", lambda R, constants: SimpleNamespace(
+        verdict="GlobalDecay" if R < 1.5e308 else "BlowUp", T_c=None))
+    probe_log = []
+    lo, hi = find_critical_R(None, 3, "rough", 1e308, 1.7e308, tol_R=1e305, tables=object(),
+                             probe_log=probe_log)
+    assert hi - lo <= 1e305
+    assert lo < 1.5e308 <= hi
+    bracket = [1e308, 1.7e308]
+    for R, verdict, _ in probe_log[2:]:
+        assert bracket[0] < R < bracket[1]
+        bracket[verdict == "BlowUp"] = R
+    assert tuple(bracket) == (lo, hi)
+    assert len(probe_log) > 2
+
+
 def test_higher_order_zero_error_gives_zero():
     c = ConstantsTable(K={3: 0.323, 4: 0.5}, G={3: 0.438, 4: 0.6},
                        G_pn={(4, 3): 0.7})

@@ -22,7 +22,7 @@ from reyex.expansion import (
 )
 from reyex.fields import TimeField, canonical_key, heat_apply, leray_project, static_field
 from reyex.rationals import GaussianRational, mpq
-from reyex.symmetry import orbit_partition
+from reyex.symmetry import SymmetryData, orbit_partition
 
 
 def random_two_mode_datum(seed):
@@ -201,6 +201,19 @@ def test_orbit_counts_are_the_classes_of_the_routes(datum, golden):
     assert golden is None or counts == golden
 
 
+@pytest.mark.parametrize("field", [lambda: datum_bnw().field, lambda: random_two_mode_datum(7)],
+                         ids=["bnw", "two-mode"])
+def test_unpruned_orbit_counts_are_the_canonical_modes(field):
+    """An unpruned expansion runs under the trivial group, where each
+    canonical mode is its own orbit."""
+    exp = expand(field(), 3, use_symmetry=False)
+    assert exp.symmetry == SymmetryData.trivial()
+    for j in range(4):
+        stats = exp.order_stats(j)
+        assert type(stats["orbits"]) is int
+        assert stats["orbits"] == stats["canonical_modes"] == exp.meta[j]["orbits"]
+
+
 def test_cache_round_trip(tmp_path):
     exp = expand(datum_bnw().field, 2, datum_id="bnw")
     residual_tail(exp)
@@ -234,7 +247,8 @@ def test_cache_load_shares_one_key_per_exponent_pair(tmp_path, datum, tails, pru
     loaded = cache_load(path)
     assert loaded.coeffs == exp.coeffs
     assert loaded.tails == exp.tails
-    assert (loaded.symmetry is None) == (not pruned)
+    assert loaded.symmetry == exp.symmetry
+    assert (loaded.symmetry == SymmetryData.trivial()) == (not pruned)
     for field in loaded.coeffs + (loaded.tails or []):
         keys = [key for vec in field.coeffs.values() for p in vec for key in p.terms]
         assert len({id(key) for key in keys}) == len(set(keys))
@@ -249,7 +263,7 @@ def test_orbit_members_share_their_turned_components(tmp_path):
     exp = expand(datum_km().field, 3, datum_id="km")
     path = str(tmp_path / "cache")
     cache_store(exp, path)
-    keys = list(exp.group.routes)
+    keys = list(exp.symmetry.routes)
     largest = 0
     for field in exp.coeffs[1:] + cache_load(path).coeffs:
         for _, members in orbit_partition(field.coeffs, keys):
@@ -519,8 +533,40 @@ def test_cache_loads_a_manifest_without_symmetry(tmp_path):
     cache_store(exp, path)
     _edit_manifest(path, lambda manifest: manifest.pop("symmetry"))
     loaded = cache_load(path)
-    assert loaded.symmetry is None
+    assert loaded.symmetry == SymmetryData.trivial()
     assert loaded.coeffs == exp.coeffs
+
+
+def test_unpruned_cache_records_the_trivial_group(tmp_path):
+    exp = expand(datum_bnw().field, 2, datum_id="bnw", use_symmetry=False)
+    residual_tail(exp)
+    path = str(tmp_path / "cache")
+    manifest = cache_store(exp, path)
+    assert manifest["symmetry"] == {"plus": [_IDENTITY_ROW], "minus": []}
+    for name, field in zip(manifest["files"], exp.coeffs + exp.tails):
+        assert manifest["files"][name]["orbits"] == len(field.coeffs)
+    loaded = cache_load(path)
+    assert loaded.symmetry == SymmetryData.trivial()
+    assert loaded.coeffs == exp.coeffs
+    assert loaded.tails == exp.tails
+
+
+@pytest.mark.parametrize("fmt", ["reyex-cache/1", "reyex-cache/2"])
+def test_a_null_symmetry_loads_under_the_trivial_group(tmp_path, fmt):
+    """The unpruned caches of older versions record their symmetry as null;
+    an unpruned file lists every canonical mode in either format."""
+    exp = expand(datum_bnw().field, 2, datum_id="bnw", use_symmetry=False)
+    residual_tail(exp)
+    path = str(tmp_path / "cache")
+    cache_store(exp, path)
+    _edit_manifest(path, lambda manifest: manifest.update(format=fmt, symmetry=None))
+    loaded = cache_load(path)
+    assert loaded.symmetry == SymmetryData.trivial()
+    assert loaded.coeffs == exp.coeffs
+    assert loaded.tails == exp.tails
+    for j in range(3):
+        stats = loaded.order_stats(j)
+        assert stats["orbits"] == stats["canonical_modes"]
 
 
 def _tamper(path, name, edit):
