@@ -51,7 +51,6 @@ from .expansion import (
 from .symmetry import find_symmetries
 from .timepoly import DEFAULT_EVAL_PRECISION
 
-EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_NUMERICAL = 4
 
@@ -83,6 +82,11 @@ def _telemetry(tables):
     return {**tables.stats, "peak_rss_mb": peak}
 
 
+def _is_number(x):
+    """True for an int or a float; a bool or a string is not a number."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _read_verdict(path):
     """The record of a verdict file; a usage error unless it is a JSON
     object whose R is a finite number >= 0, verdict a string and T_c null
@@ -92,14 +96,10 @@ def _read_verdict(path):
             rec = json.load(fh)
     except (OSError, ValueError) as exc:
         raise click.UsageError("cannot read verdict file %s: %s" % (path, exc))
-
-    def number(x):
-        return isinstance(x, (int, float)) and not isinstance(x, bool)
-
     R = rec.get("R") if isinstance(rec, dict) else None
-    if not (number(R) and (isinstance(R, int) or math.isfinite(R)) and R >= 0
+    if not (_is_number(R) and (isinstance(R, int) or math.isfinite(R)) and R >= 0
             and isinstance(rec.get("verdict"), str)
-            and (rec.get("T_c") is None or number(rec["T_c"]))):
+            and (rec.get("T_c") is None or _is_number(rec["T_c"]))):
         raise click.UsageError(
             "verdict file %s needs R a finite number >= 0, verdict a string and "
             "T_c null or a number" % path
@@ -110,21 +110,26 @@ def _read_verdict(path):
 def _load_constants(path):
     """The ConstantsTable of a JSON constants file: an object of sections K
     and G (keyed by order) and G_pn (keyed "p,n"), each an object of
-    numbers.  The sections it leaves out keep the table's defaults.
-    ValueError for a file of any other shape."""
+    numbers (a bool or a string is not one).  The sections it leaves out
+    keep the table's defaults.  ValueError for a file of any other shape."""
     if path is None:
         return ConstantsTable()
     with open(path) as fh:
         raw = json.load(fh)
 
+    def number(v):
+        if not _is_number(v):
+            raise TypeError("%r is not a number" % (v,))
+        return float(v)
+
     def intkeys(d):
-        return {int(k): float(v) for k, v in d.items()}
+        return {int(k): number(v) for k, v in d.items()}
 
     def pairkeys(d):
         out = {}
         for k, v in d.items():
             p, n = k.split(",")
-            out[(int(p), int(n))] = float(v)
+            out[(int(p), int(n))] = number(v)
         return out
 
     parsers = {"K": intkeys, "G": intkeys, "G_pn": pairkeys}
@@ -184,8 +189,7 @@ def main(ctx, cache_root):
 @main.command("norms")
 @click.option("--datum", "selector", required=True, help="bnw | tg | km | file:PATH")
 @click.option("--orders", default="1,3", show_default=True, help="Sobolev orders, comma separated")
-@click.option("--precision", default=DEFAULT_EVAL_PRECISION, show_default=True)
-def cmd_norms(selector, orders, precision):
+def cmd_norms(selector, orders):
     """Print datum norms, scales, classical bounds and marked-mode size."""
     datum = _datum(selector)
     try:
@@ -194,15 +198,15 @@ def cmd_norms(selector, orders, precision):
         raise click.UsageError(str(exc))
     click.echo("datum: %s" % datum.name)
     for m in order_list:
-        click.echo("norm_%d = %s" % (m, _fmt(datum.sobolev(m, precision))))
+        click.echo("norm_%d = %s" % (m, _fmt(datum.sobolev(m))))
     k = datum.marked_mode
-    (gamma0,) = mode_amplitude([datum.field], k, 0, [0], precision)
+    (gamma0,) = mode_amplitude([datum.field], k, 0, [0])
     click.echo("marked mode k = %s" % (k,))
     click.echo("gamma(0) = %s" % _fmt(gamma0))
-    click.echo("V_star = %s" % _fmt(datum.V_star(precision)))
-    click.echo("L_star = %s" % _fmt(datum.L_star(precision)))
-    click.echo("rey_factor = %s" % _fmt(datum.rey_factor(precision)))
-    bounds = classical_bounds(datum, precision=precision)
+    click.echo("V_star = %s" % _fmt(datum.V_star()))
+    click.echo("L_star = %s" % _fmt(datum.L_star()))
+    click.echo("rey_factor = %s" % _fmt(datum.rey_factor()))
+    bounds = classical_bounds(datum)
     click.echo("classical R_h1 = %s (Rey %s)" % (_fmt(bounds["R_h1"]), _fmt(bounds["Rey_h1"])))
     click.echo("classical R_h3 = %s (Rey %s)" % (_fmt(bounds["R_h3"]), _fmt(bounds["Rey_h3"])))
 
@@ -263,7 +267,8 @@ def cmd_expand(ctx, selector, N, symmetry, tails, term_ceiling, cache):
 
 
 def _common_estimator_args(f):
-    f = click.option("--precision", default=DEFAULT_EVAL_PRECISION, show_default=True)(f)
+    f = click.option("--precision", default=DEFAULT_EVAL_PRECISION, show_default=True,
+                     help="Sampling precision of the estimator tables, in bits.")(f)
     f = click.option("--t-max", default=DEFAULT_T_MAX, show_default=True)(f)
     f = click.option("--grid-points", default=DEFAULT_GRID_POINTS, show_default=True)(f)
     f = click.option("--variant", default="rough", show_default=True, callback=_variant_option,
@@ -398,8 +403,8 @@ def cmd_critical(ctx, cache, constants_path, n, variant, grid_points, t_max, pre
         "telemetry": _telemetry(tables),
     }
     if datum is not None:
-        record["Rey_lo"] = float(physical_reynolds(datum, r_lo, precision))
-        record["Rey_hi"] = float(physical_reynolds(datum, r_hi, precision))
+        record["Rey_lo"] = float(physical_reynolds(datum, r_lo))
+        record["Rey_hi"] = float(physical_reynolds(datum, r_hi))
     _write_json(output, record, cfg)
     click.echo("bracket: (%s, %s)" % (_fmt(r_lo), _fmt(r_hi)))
     if not record["tol_met"]:
@@ -412,9 +417,8 @@ def cmd_critical(ctx, cache, constants_path, n, variant, grid_points, t_max, pre
 @main.command("report")
 @click.option("--run-dir", required=True, help="Directory with cache/, *.csv, *.verdict.json.")
 @click.option("--datum", "selector", required=True)
-@click.option("--precision", default=DEFAULT_EVAL_PRECISION, show_default=True)
 @click.pass_context
-def cmd_report(ctx, run_dir, selector, precision):
+def cmd_report(ctx, run_dir, selector):
     """Summarize a run directory and emit the plot-panel CSVs."""
     datum = _datum(selector)
     cache_path = os.path.join(run_dir, "cache")
@@ -428,7 +432,7 @@ def cmd_report(ctx, run_dir, selector, precision):
         )
     exp = _load_cache(cache_path)
     verdict = _read_verdict(os.path.join(run_dir, verdicts[0]))
-    cfg = {"command": "report", "run_dir": run_dir, "datum": selector, "precision": precision}
+    cfg = {"command": "report", "run_dir": run_dir, "datum": selector}
 
     R = verdict["R"]
     k = datum.marked_mode
@@ -438,17 +442,17 @@ def cmd_report(ctx, run_dir, selector, precision):
         fh.write("# datum=%s k=%s R=%.17g N=%d hash=%s\n"
                  % (datum.name, k, R, exp.N, _manifest_hash(cfg)))
         fh.write("t,gamma\n")
-        for t, gamma in zip(grid, mode_amplitude(exp.coeffs, k, R, grid, precision)):
+        for t, gamma in zip(grid, mode_amplitude(exp.coeffs, k, R, grid)):
             fh.write("%.17g,%.17g\n" % (t, float(gamma)))
 
-    bounds = classical_bounds(datum, precision=precision)
-    (gamma0,) = mode_amplitude([datum.field], k, 0, [0], precision)
+    bounds = classical_bounds(datum)
+    (gamma0,) = mode_amplitude([datum.field], k, 0, [0])
     summary = os.path.join(run_dir, "summary.txt")
     with open(summary, "w") as fh:
         fh.write("datum %s, expansion order N=%d, manifest %s\n"
                  % (datum.name, exp.N, _manifest_hash(cfg)))
         fh.write("gamma(0) = %s at k = %s\n" % (_fmt(gamma0), (k,)))
-        fh.write("norm_3 = %s\n" % _fmt(datum.sobolev(3, precision)))
+        fh.write("norm_3 = %s\n" % _fmt(datum.sobolev(3)))
         fh.write("classical bounds: R_h3 = %s, R_h1 = %s\n"
                  % (_fmt(bounds["R_h3"]), _fmt(bounds["R_h1"])))
         fh.write("rey_factor = %s\n" % _fmt(bounds["rey_factor"]))

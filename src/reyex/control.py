@@ -470,20 +470,20 @@ def coefficient_bound(traj, k, t):
     return traj.value(t) / ksq ** (traj.n / 2.0)
 
 
-def classical_bounds(datum, constants=None, precision=DEFAULT_EVAL_PRECISION):
+def classical_bounds(datum, constants=None):
     """Closed-form global-existence thresholds for a static datum.
 
     Returns both R-thresholds (enstrophy-type 0.407/||u||_1 and the order-3
     bound 1/(G_3 ||u||_3)) with their physical-Reynolds conversions
-    Re = rey_factor * R.
+    Re = rey_factor * R, at the datum layer's working precision.
     """
     if constants is None:
         constants = ConstantsTable()
     G3 = constants.G_of(3)
-    with mpmath.workprec(precision):
-        n1 = datum.sobolev(1, precision)
-        n3 = datum.sobolev(3, precision)
-        fac = datum.rey_factor(precision)
+    with mpmath.workprec(DEFAULT_EVAL_PRECISION):
+        n1 = datum.sobolev(1)
+        n3 = datum.sobolev(3)
+        fac = datum.rey_factor()
         r_h1 = mpmath.mpf("0.407") / n1
         r_h3 = 1 / (mpmath.mpf(G3) * n3)
         return {

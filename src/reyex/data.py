@@ -5,6 +5,10 @@ Fourier polynomials with exact Gaussian-rational coefficients.  Each comes
 with its characteristic velocity and length scales and the factor converting
 the mathematical Reynolds parameter R = 1/nu into the physical Reynolds
 number Re = V* L* R.
+
+Every scalar and amplitude here is computed at one working precision,
+timepoly.DEFAULT_EVAL_PRECISION (256 bits), far above the 53 bits of the
+floats they are printed as; the scalars are exact rationals rounded once.
 """
 
 from __future__ import annotations
@@ -36,9 +40,6 @@ __all__ = [
 class DatumDescriptor:
     name: str
     field: TimeField
-    # expected symmetry sizes (|H+|, |reduced+|, reduced sets coincide); None
-    # for user data
-    expected_symmetry: tuple | None = None
     # wave vector tracked in reports (gamma panels); defaults to the smallest
     # canonical support key
     marked_mode: tuple | None = None
@@ -57,25 +58,25 @@ class DatumDescriptor:
         if self.marked_mode is None:
             object.__setattr__(self, "marked_mode", min(self.field.coeffs))
 
-    def V_star(self, precision=DEFAULT_EVAL_PRECISION):
+    def V_star(self):
         """Initial mean quadratic velocity sqrt(V*^2)."""
-        with mpmath.workprec(precision):
+        with mpmath.workprec(DEFAULT_EVAL_PRECISION):
             return mpmath.sqrt(_to_mpf(self.v_star_sq))
 
-    def L_star(self, precision=DEFAULT_EVAL_PRECISION):
+    def L_star(self):
         """Quadratic-mean wavelength 2 pi ||u||_{-1} / ||u||_{L^2}."""
-        with mpmath.workprec(precision):
+        with mpmath.workprec(DEFAULT_EVAL_PRECISION):
             return 2 * mpmath.pi * mpmath.sqrt(_to_mpf(self.inv_sq_sum) / _to_mpf(self.v_star_sq))
 
-    def rey_factor(self, precision=DEFAULT_EVAL_PRECISION):
+    def rey_factor(self):
         """Re / R = V* L* = ||u||_{-1} / (2 pi)^{d/2 - 1}."""
-        with mpmath.workprec(precision):
+        with mpmath.workprec(DEFAULT_EVAL_PRECISION):
             return 2 * mpmath.pi * mpmath.sqrt(_to_mpf(self.inv_sq_sum))
 
-    def sobolev(self, order, precision=DEFAULT_EVAL_PRECISION):
+    def sobolev(self, order):
         """||u||_order, from its exact square rounded once."""
         q = _constant_value(norm_sq_poly(self.field, order))
-        with mpmath.workprec(precision):
+        with mpmath.workprec(DEFAULT_EVAL_PRECISION):
             return mpmath.sqrt((2 * mpmath.pi) ** 3 * _to_mpf(q))
 
 
@@ -90,13 +91,13 @@ def _constant_value(poly):
     return mpq(c.a, c.d)
 
 
-def mode_amplitude(fields, k, R, grid, precision=DEFAULT_EVAL_PRECISION):
+def mode_amplitude(fields, k, R, grid):
     """(2 pi)^{3/2} |sum_j R^j v_{j,k}(t)| over the grid, for fields v_0, v_1, ...
 
     R (a float is read as its exact rational value) weights the fields'
     coefficients at k exactly; the real and imaginary parts of the three
-    components are sampled in one batch (timepoly.sample_real_polys), so
-    t = 0 is exact and the loss at t > 0 is measured.
+    components are sampled in one batch (timepoly.sample_real_polys) at the
+    working precision, so t = 0 is exact and the loss at t > 0 is measured.
     """
     R = mpq(R)
     comps = [TP_ZERO] * 3
@@ -106,8 +107,8 @@ def mode_amplitude(fields, k, R, grid, precision=DEFAULT_EVAL_PRECISION):
     for p in comps:
         parts.append(_tp({key: _gaussian(c.a, 0, c.d) for key, c in p.terms.items() if c.a}))
         parts.append(_tp({key: _gaussian(c.b, 0, c.d) for key, c in p.terms.items() if c.b}))
-    values, _ = sample_real_polys(parts, grid, precision)
-    with mpmath.workprec(precision):
+    values, _ = sample_real_polys(parts, grid, DEFAULT_EVAL_PRECISION)
+    with mpmath.workprec(DEFAULT_EVAL_PRECISION):
         scale = (2 * mpmath.pi) ** mpmath.mpf("1.5")
         return [
             scale * mpmath.sqrt(sum(re * re + im * im for re, im in zip(col[::2], col[1::2])))
@@ -129,7 +130,6 @@ def datum_bnw():
     return DatumDescriptor(
         name="bnw",
         field=static_field(modes),
-        expected_symmetry=(12, 6, False),
         marked_mode=(1, 1, 0),
     )
 
@@ -145,7 +145,6 @@ def datum_tg():
     return DatumDescriptor(
         name="tg",
         field=static_field(modes),
-        expected_symmetry=(64, 16, True),
         marked_mode=(1, 1, 1),
     )
 
@@ -172,7 +171,6 @@ def datum_km():
     return DatumDescriptor(
         name="km",
         field=static_field(modes),
-        expected_symmetry=(192, 48, True),
         marked_mode=(3, 1, 1),
     )
 
@@ -208,12 +206,12 @@ def load_user_datum(path):
             if set(p.terms) - {(0, 0)}:
                 raise ValueError("user datum must be constant in time (mode %s)" % (k,))
     name = payload.get("name") or "user"
-    return DatumDescriptor(name=name, field=field, expected_symmetry=None)
+    return DatumDescriptor(name=name, field=field)
 
 
-def physical_reynolds(datum, R, precision=DEFAULT_EVAL_PRECISION):
+def physical_reynolds(datum, R):
     """Physical Reynolds number Re = V* L* R for the given datum."""
     if not 0 <= R < math.inf:
         raise ValueError("R must be a finite number >= 0, got %s" % (R,))
-    with mpmath.workprec(precision):
-        return datum.rey_factor(precision) * mpmath.mpf(R)
+    with mpmath.workprec(DEFAULT_EVAL_PRECISION):
+        return datum.rey_factor() * mpmath.mpf(R)

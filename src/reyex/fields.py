@@ -131,42 +131,17 @@ class TimeField:
     def validate(self):
         """Check zero mean, canonical keys and exact incompressibility: k.v_k
         vanishes at every exponent pair, summed in integer numerators over
-        the lcm of the field's denominators.  This is _dot over the rows of
-        _numerators, done in one pass without the rows: each distinct
-        coefficient object is scaled to the lcm once (a loaded field shares
-        one object between all its equal coefficients) and components with
-        k_i = 0 are skipped."""
+        the lcm of the field's denominators (_dot over the rows of
+        _numerators, which refuses an exponent too large to pack)."""
         for k in self.coeffs:
             if k == (0, 0, 0):
                 raise ValueError("zero-mean violation: coefficient at k = 0")
             if not is_canonical(k):
                 raise ValueError("non-canonical storage key %s" % (k,))
-        term_maps = [p.terms for vec in self.coeffs.values() for p in vec]
-        b = max((b for terms in term_maps for _, b in terms), default=0)
-        if b >= _MAX_EXP:
-            raise ValueError("exponent b = %d is too large to pack" % (b,))
-        distinct = {id(c): c for terms in term_maps for c in terms.values()}
-        _, mult = _multipliers(distinct.values())
-        ints = {}
-        for i, c in distinct.items():
-            m = mult[c.d]
-            ints[i] = (c.a * m, c.b * m)
-        for k, vec in self.coeffs.items():
-            acc = {}
-            for ki, p in zip(k, vec):
-                if not ki:
-                    continue
-                for key, c in p.terms.items():
-                    re, im = ints[id(c)]
-                    prev = acc.get(key)
-                    if prev is None:
-                        acc[key] = [ki * re, ki * im]
-                    else:
-                        prev[0] += ki * re
-                        prev[1] += ki * im
-            for re, im in acc.values():
-                if re or im:
-                    raise ValueError("incompressibility violation at k = %s" % (k,))
+        _, rows = _numerators(self.coeffs.values())
+        for k, row in zip(self.coeffs, rows):
+            if _dot(row, k):
+                raise ValueError("incompressibility violation at k = %s" % (k,))
         return self
 
     # -- basic structure ---------------------------------------------------

@@ -25,10 +25,12 @@ control with DOP853 at rtol 1e-13, restarted at every point where a
 coefficient is not smooth.  sample_real_polys_full is the batch sampler of
 reyex.timepoly as it was before the per-poly window: every value summed at
 the full width of the aligned basis, which the windowed sampler must equal
-to the bit.  to_records_reference, from_records_reference and
-validate_reference are the cache codec as it was before each distinct
-coefficient was parsed, formatted and scaled once: the text the encoder
-writes, and the polys and verdicts of the decoder, must be theirs.
+to the bit.  to_records_reference and from_records_reference are
+the cache codec as it was before each distinct coefficient was parsed and
+formatted once: the text the encoder writes, and the polys of the decoder,
+must be theirs.  validate_reference checks a field's invariants with k.v_k
+as a TimePoly sum, sharing no code with the integer numerators of
+TimeField.validate, whose verdicts must be its own.
 FractionGaussian is GaussianRational as it was before the integer triple: a
 pair of exact rationals, every operation on the two parts.
 push_forward is the action of a group element on a whole field, and
@@ -62,10 +64,9 @@ from reyex.control import (
 )
 from reyex.expansion import residual_tail
 from reyex.fields import (
+    _MAX_EXP,
     TimeField,
-    _dot,
     _neg,
-    _numerators,
     bilinear_P,
     canonical_key,
     duhamel_mode,
@@ -606,9 +607,13 @@ def validate_reference(self):
             raise ValueError("zero-mean violation: coefficient at k = 0")
         if not is_canonical(k):
             raise ValueError("non-canonical storage key %s" % (k,))
-    _, rows = _numerators(self.coeffs.values())
-    for k, row in zip(self.coeffs, rows):
-        if _dot(row, k):
+    for vec in self.coeffs.values():
+        for p in vec:
+            for _, b in p.terms:
+                if b >= _MAX_EXP:
+                    raise ValueError("exponent b = %d is too large to pack" % (b,))
+    for k, vec in self.coeffs.items():
+        if not _dot_poly(vec, k).is_zero():
             raise ValueError("incompressibility violation at k = %s" % (k,))
     return self
 

@@ -1,9 +1,12 @@
+import hashlib
 import inspect
 import json
 import math
 import os
+import re
 import shutil
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -48,6 +51,51 @@ def test_norms_output(runner):
     assert float(lines["rey_factor"]) == pytest.approx(15.39, rel=1e-3)
     assert "marked mode k = (1, 1, 0)" in res.output
     assert "classical R_h3 = 0.0147" in res.output
+
+
+NORMS_STDOUT = {
+    "bnw": """datum: bnw
+norm_1 = 77.157016029765984
+norm_3 = 154.31403205953197
+marked mode k = (1, 1, 0)
+gamma(0) = 22.273311987326831
+V_star = 3.4641016151377544
+L_star = 4.4428829381583661
+rey_factor = 15.390597961942369
+classical R_h1 = 0.0052749577542369665 (Rey 0.081184754061691553)
+classical R_h3 = 0.014795187400393138 (Rey 0.22770678105104605)
+""",
+    "tg": """datum: tg
+norm_1 = 13.63956231269167
+norm_3 = 40.918686938075005
+marked mode k = (1, 1, 1)
+gamma(0) = 2.7841639984158539
+V_star = 0.5
+L_star = 3.6275987284684357
+rey_factor = 1.8137993642342178
+classical R_h1 = 0.029839667187948164 (Rey 0.05412316937446103)
+classical R_h3 = 0.055796145811966694 (Rey 0.10120301380046491)
+""",
+    "km": """datum: km
+norm_1 = 45.237310495870418
+norm_3 = 497.61041545457465
+marked mode k = (3, 1, 1)
+gamma(0) = 2.7841639984158539
+V_star = 0.8660254037844386
+L_star = 1.8944516501989659
+rey_factor = 1.6406432553136556
+classical R_h1 = 0.0089969981755912264 (Rey 0.014760864374853008)
+classical R_h3 = 0.0045881375307335543 (Rey 0.0075274968942494564)
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NORMS_STDOUT))
+def test_norms_prints_the_working_precision_digits(runner, name):
+    # recorded when norms still took --precision, at its 256-bit default
+    res = runner.invoke(main, ["norms", "--datum", name])
+    assert res.exit_code == 0, res.output
+    assert res.output == NORMS_STDOUT[name]
 
 
 def test_norms_rejects_unknown_datum(runner):
@@ -302,9 +350,11 @@ def test_constants_file_without_K_or_G_keeps_the_defaults(runner, rundir, tmp_pa
     ({"k": {"3": 0.5}}, "not an object of sections"),
     ({"G_pn": "4,3"}, "not an object of sections"),
     ({"K": {"3": None}}, "malformed constant"),
+    ({"K": {"3": True}}, "malformed constant"),
+    ({"K": {"3": "0.5"}}, "malformed constant"),
     ({"K_pn": {"4,3": 0.5}}, "not an object of sections"),
 ], ids=["section-list", "number", "list", "unknown-section", "section-string", "null-constant",
-        "K_pn-section"])
+        "bool-constant", "string-constant", "K_pn-section"])
 @pytest.mark.parametrize("command", ["estimate", "control", "critical"])
 def test_malformed_constants_file_is_a_usage_error(runner, rundir, tmp_path, command, raw, message):
     cpath = tmp_path / "constants.json"
@@ -416,6 +466,9 @@ def test_critical_bracket_json(runner, rundir, tmp_path):
     rec = json.loads(out.read_text())
     assert rec["R_hi"] - rec["R_lo"] <= 0.5
     assert rec["Rey_lo"] == pytest.approx(rec["R_lo"] * 15.3906, rel=1e-4)
+    # converted at the datum layer's working precision, whatever --precision
+    assert (rec["R_lo"], rec["R_hi"]) == (0.01, 0.38375)
+    assert (rec["Rey_lo"], rec["Rey_hi"]) == (0.1539059796194237, 5.906141967895384)
     probes = {p["R"]: p["verdict"] for p in rec["probes"]}
     assert probes[rec["R_lo"]] == "GlobalDecay"
     assert probes[rec["R_hi"]] == "BlowUp"
@@ -552,6 +605,47 @@ def test_report_with_a_malformed_verdict_file_is_a_usage_error(runner, rundir, t
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "run.verdict.json"]
 
 
+REPORT_SUMMARY = """\
+gamma(0) = 22.273311987326831 at k = ((1, 1, 0),)
+norm_3 = 154.31403205953197
+classical bounds: R_h3 = 0.014795187400393138, R_h1 = 0.0052749577542369665
+rey_factor = 15.390597961942369
+verdict at R=0.23000000000000001: BlowUp (T_c = 1.5)
+"""
+# sha256 of the lines of gamma.csv below its header, joined by newlines
+REPORT_GAMMA_SHA256 = "61187e332d5d43824d4484ff4d4c1312cedcd1c7594f26be32711a18086e5726"
+
+
+def test_report_prints_the_working_precision_digits(runner, rundir, tmp_path):
+    # bnw N=2 with tails at R = 0.23; recorded when report still took
+    # --precision, at its 256-bit default.  Only the manifest hash may move.
+    shutil.copytree(rundir / "cache", tmp_path / "cache")
+    (tmp_path / "run.verdict.json").write_text(
+        json.dumps({"R": 0.23, "verdict": "BlowUp", "T_c": 1.5}))
+    res = runner.invoke(main, ["report", "--run-dir", str(tmp_path), "--datum", "bnw"])
+    assert res.exit_code == 0, res.output
+    head, body = (tmp_path / "summary.txt").read_text().split("\n", 1)
+    assert head.startswith("datum bnw, expansion order N=2, manifest ")
+    assert body == REPORT_SUMMARY
+    lines = (tmp_path / "gamma.csv").read_text().splitlines()
+    assert lines[0].startswith("# datum=bnw k=(1, 1, 0) R=0.23000000000000001 N=2 hash=")
+    assert len(lines) == 202
+    assert lines[2] == "0,22.273311987326831"
+    assert lines[-1] == "20,9.4068735510203087e-17"
+    assert hashlib.sha256("\n".join(lines[1:]).encode()).hexdigest() == REPORT_GAMMA_SHA256
+
+
+@pytest.mark.parametrize("command", ["norms", "report"])
+def test_datum_commands_take_no_precision(runner, rundir, tmp_path, command):
+    shutil.copytree(rundir / "cache", tmp_path / "cache")
+    (tmp_path / "run.verdict.json").write_text(json.dumps({"R": 0.1, "verdict": "BlowUp"}))
+    args = {"norms": [], "report": ["--run-dir", str(tmp_path)]}[command]
+    res = runner.invoke(main, [command, *args, "--datum", "bnw", "--precision", "256"])
+    assert res.exit_code == 2, res.output
+    assert "No such option '--precision'" in res.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "run.verdict.json"]
+
+
 def test_report_empty_dir(runner, tmp_path):
     res = runner.invoke(main, ["report", "--run-dir", str(tmp_path), "--datum", "bnw"])
     assert res.exit_code == 2
@@ -582,3 +676,52 @@ def test_symmetry_command_quarter_lattice(runner, tmp_path):
         assert res.exit_code == 0, res.output
         sizes[lattice] = int(res.output.split("|H+| = ")[1].split(",")[0])
     assert sizes["quarter"] > sizes[None]
+
+
+def _readme_invocations():
+    """(command, options) of every reyex invocation README.md shows: the
+    lines of its fenced blocks, continuations joined and comments cut, and
+    its inline code spans that start with `reyex`, with a subcommand name
+    and an option, or with an option alone (command None)."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    segments = []
+    for i, part in enumerate(text.split("```")):
+        if i % 2:
+            for line in part.replace("\\\n", " ").splitlines():
+                segments.append(line.split("#", 1)[0])
+        else:
+            segments.extend(re.findall(r"`([^`]+)`", part))
+    out = []
+    for seg in segments:
+        tokens = seg.split()
+        if tokens[:1] == ["reyex"]:
+            tokens = tokens[1:]
+        elif tokens[:1] and tokens[0].startswith("--"):
+            tokens = [None, *tokens]
+        elif not (tokens[:1] and tokens[0] in main.commands and tokens[1:2]
+                  and tokens[1].startswith("--")):
+            continue
+        if tokens:
+            out.append((tokens[0], [t.split("=", 1)[0] for t in tokens[1:]
+                                    if t.startswith("--")]))
+    return out
+
+
+def test_readme_names_only_existing_commands_and_options():
+    # reads click's command objects; runs no command
+    def opts(cmd):
+        return {o for p in cmd.params for o in p.opts + p.secondary_opts}
+
+    group = opts(main)
+    anywhere = group.union(*map(opts, main.commands.values()))
+    seen = set()
+    for command, options in _readme_invocations():
+        if command is None:
+            known = anywhere
+        else:
+            assert command in main.commands, command
+            known = group | opts(main.commands[command])
+            seen.add(command)
+        for option in options:
+            assert option in known, (command, option)
+    assert seen == set(main.commands)
