@@ -48,6 +48,7 @@ from .expansion import (
     expand,
     residual_tail,
 )
+from .fields import heat_apply
 from .symmetry import find_symmetries
 from .timepoly import DEFAULT_EVAL_PRECISION
 
@@ -161,6 +162,19 @@ def _datum(selector):
         return get_datum(selector)
     except (ValueError, OSError) as exc:
         raise click.UsageError(str(exc))
+
+
+def _datum_of(selector, exp):
+    """The datum of selector, a usage error unless the expansion was made from
+    it: its u_0 must be the datum's heat flow, exactly.  Data read from
+    files all carry the name user, so the name cannot tell them apart."""
+    datum = _datum(selector)
+    if heat_apply(datum.field) != exp.coeffs[0]:
+        raise click.UsageError(
+            "datum %s is not the datum of the cache (%s): its heat flow is not u_0"
+            % (selector, exp.datum_id)
+        )
+    return datum
 
 
 def _variant_option(ctx, param, value):
@@ -374,7 +388,7 @@ def cmd_critical(ctx, cache, constants_path, n, variant, grid_points, t_max, pre
     path, exp, constants, tables = _probe_setup(
         ctx, cache, constants_path, n, grid_points, t_max, precision
     )
-    datum = None if selector is None else _datum(selector)
+    datum = None if selector is None else _datum_of(selector, exp)
     cfg = {
         "command": "critical", "cache": path, "n": n, "variant": variant,
         "lo": lo, "hi": hi, "tol_r": tol_r, "grid_points": grid_points,
@@ -420,7 +434,6 @@ def cmd_critical(ctx, cache, constants_path, n, variant, grid_points, t_max, pre
 @click.pass_context
 def cmd_report(ctx, run_dir, selector):
     """Summarize a run directory and emit the plot-panel CSVs."""
-    datum = _datum(selector)
     cache_path = os.path.join(run_dir, "cache")
     verdicts = sorted(
         f for f in (os.listdir(run_dir) if os.path.isdir(run_dir) else [])
@@ -431,6 +444,7 @@ def cmd_report(ctx, run_dir, selector):
             "run directory %s must contain cache/ and at least one *.verdict.json" % run_dir
         )
     exp = _load_cache(cache_path)
+    datum = _datum_of(selector, exp)
     verdict = _read_verdict(os.path.join(run_dir, verdicts[0]))
     cfg = {"command": "report", "run_dir": run_dir, "datum": selector}
 

@@ -15,26 +15,40 @@ depend only on the expansion, so one EstimatorTables instance serves every R
 probed during a bisection.  They are built in two steps:
 
   exact build   each Gram G_ij^m is a real-coefficient TimePoly, summed
-                exactly over one representative per orbit class
-                (fields.gram_poly_orbits).  The classes are those the
-                expansion propagated its fields over (SymmetryData.routes),
-                each weighted by its size, or for a pair of odd order sum by
-                the sum of its members' signs;
-  sampling      all Grams of one table kind are evaluated together
-                (timepoly.sample_real_polys): at each t > 0, e^{-t} and every
-                basis value t^a e^{-bt} are computed once.  Each Gram sums
-                its coefficient mantissas against a window of them, just
-                wide enough for its own value, with a bound on what the
-                window drops.  Ziv's rounding test on that bound certifies
-                that the value, rounded once, is the rounding of the exact
-                full-width sum; where it cannot, the full-width sum is
-                formed.  t = 0 is exact, so Grams of fields that vanish
-                there are exact zeros.  A large enough batch has its points
-                t > 0 split into interleaved shares, one for this process
-                and one for each child forked for the call, up to one
-                process per CPU it may run on; a value depends only on its
-                Gram, its point and the precision, so the tables are bit
-                for bit the same however the points are split.
+                exactly over one representative per orbit class.  The
+                classes are those the expansion propagated its fields over
+                (SymmetryData.routes), each weighted by its size, or for a
+                pair of odd order sum by the sum of its members' signs.
+                Each field's coefficients at the representatives become
+                integer numerators (fields.gram_numerators); the mode
+                products of every pair are summed per shell |k|^2 as
+                integers (fields.gram_shells) and then weighted per Sobolev
+                order (fields.weigh_shells).  Where the products are many
+                enough (GRAM_MIN_PRODUCTS per process), the classes are
+                dealt into shares of about equal products, and each share
+                is summed in its own process, this one or a child forked
+                for the build (timepoly._run_shares), from the numerators
+                of its own representatives.  A child sends back only its
+                shell sums and their denominators, and the shares' sums add
+                up exactly, so every Gram is the serial one;
+  sampling      every Gram a probe reads is evaluated in one batch
+                (timepoly.sample_real_polys): the coefficient Grams, and the
+                tail Grams with them where the expansion holds its tails or
+                the variant reads them.  At each t > 0, e^{-t} and every
+                basis value t^a e^{-bt} of the batch are computed once.
+                Each Gram sums its coefficient mantissas against a window of
+                them, just wide enough for its own value, with a bound on
+                what the window drops.  Ziv's rounding test on that bound
+                certifies that the value, rounded once, is the rounding of
+                the exact full-width sum; where it cannot, the full-width
+                sum is formed.  t = 0 is exact, so Grams of fields that
+                vanish there are exact zeros.  A large enough batch has its
+                points t > 0 split into interleaved shares, one for this
+                process and one for each child forked for the call, up to
+                one process per CPU it may run on; a value depends only on
+                its Gram, its point and the precision, so the tables are bit
+                for bit the same however the points are split and whichever
+                kinds share the batch.
 
 The per-R assembly is exact integer arithmetic.  Every sampled value is a
 dyadic mpf, so the values at one grid point are ints over one common power
@@ -74,10 +88,10 @@ from operator import mul
 
 import mpmath
 
-from .fields import gram_poly_orbits
+from .fields import gram_numerators, gram_shells, weigh_shells
 from .symmetry import orbit_partition
 from .expansion import residual_tail
-from .timepoly import DEFAULT_EVAL_PRECISION, sample_real_polys
+from .timepoly import DEFAULT_EVAL_PRECISION, _run_shares, _workers, sample_real_polys
 
 __all__ = [
     "ConstantsTable",
@@ -89,6 +103,16 @@ __all__ = [
     "build_estimator_set",
     "export_csv",
 ]
+
+# Mode products (_products) that the exact build of a table kind must have
+# for each child forked to share it (EstimatorTables._build).  On a 2-vCPU
+# x86-64 VM (CPython 3.11), in 16 alternating runs of the build alone split
+# in two against one process: slower in every run at 30,000 products (bnw
+# N=6 coefficients, 16.7 against 14.7 ms median) and 36,000 (bnw N=3 tails,
+# 17.6 against 13.8 ms), faster in 15 at 65,000 (tg N=6 coefficients, 30.8
+# against 33.6 ms) and in 13 at 99,000 (km N=4 coefficients, 49 against
+# 61 ms).
+GRAM_MIN_PRODUCTS = 50_000
 
 DEFAULT_K3 = 0.323
 DEFAULT_G3 = 0.438
@@ -189,23 +213,29 @@ class EstimatorTables:
     The grid and the precision given here are the only probe configuration:
     every estimator set built on these tables uses both.
 
-    coeff_tables() and tail_tables() build the exact Gram polynomials of
-    their fields and sample them on the grid at the given precision, once
-    each; they return dict[(i, j, m)] -> list of mpf over the grid.  Values
-    at t = 0 are exact, and values that lose too many bits to cancellation
-    are evaluated again at a higher precision.  Each probed R then costs one
-    integer dot product over columns formed once per instance at each grid
-    point, so bisections reuse one instance.
+    coeff_tables() and tail_tables() return dict[(i, j, m)] -> list of mpf
+    over the grid.  The first call builds the exact Gram polynomials of
+    every kind the expansion holds, the coefficients and, where exp.tails
+    is set or tail_tables() is called, the residual tails, and samples them
+    on the grid at the given precision in one batch.  A probe samples only
+    what its variant reads: a rough or intermediate probe builds no tail
+    Gram, even where the expansion holds its tails.  Values at t = 0 are
+    exact, and values that lose too many bits to cancellation are evaluated
+    again at a higher precision.  Each probed R then costs one integer dot
+    product over columns formed once per instance at each grid point, so
+    bisections reuse one instance.
 
     stats maps each table kind built so far ("coeff", "tail") to its
-    build_s and eval_s (seconds for the exact build and the sampling), terms
-    (Gram terms over all tables), max_bits_lost, reevaluated (values
-    evaluated again), max_precision (the highest precision used),
-    fallbacks (values whose window failed the rounding test and were summed
-    at full width) and workers (the processes that sampled the table).
-    Once R has been probed, stats["assembly"] holds probes (samples() calls),
-    seconds (their assembly time) and columns_s (the part of it spent
-    forming the columns that do not depend on R).
+    build_s (seconds of the exact build), build_workers (the processes that
+    built it), terms (Gram terms over all tables), max_bits_lost,
+    reevaluated (values evaluated again), max_precision (the highest
+    precision used), fallbacks (values whose window failed the rounding
+    test and were summed at full width), and the sampling batch it was part
+    of: eval_s (its seconds), workers (the processes that sampled it) and
+    batch (the kinds it sampled, whose stats share these three).  Once R has
+    been probed, stats["assembly"] holds probes (samples() calls), seconds
+    (their assembly time) and columns_s (the part of it spent forming the
+    columns that do not depend on R).
     """
 
     def __init__(self, exp, n, grid=None, precision=DEFAULT_EVAL_PRECISION):
@@ -221,56 +251,107 @@ class EstimatorTables:
         self.precision = precision
         with mpmath.workprec(precision):
             self._vol = self._dyadic((2 * mpmath.pi) ** 3)
-        self._coeff_tables = None
-        self._tail_tables = None
+        self._tables = {}  # kind -> dict[(i, j, m)] -> list of mpf over the grid
         self._columns = {}
         self.stats = {}
 
     def coeff_tables(self):
-        """Cross Grams <u_i, u_j>_m for m in {n, n+1}."""
-        if self._coeff_tables is None:
-            self._coeff_tables = self._gram_tables(
-                "coeff", self.exp.coeffs, (self.n, self.n + 1)
-            )
-        return self._coeff_tables
+        """Cross Grams <u_i, u_j>_m for m in {n, n+1}; the tail Grams are
+        sampled in the same batch where the expansion holds its tails."""
+        if "coeff" not in self._tables:
+            self._sample(("coeff", "tail") if self.exp.tails is not None else ("coeff",))
+        return self._tables["coeff"]
 
     def tail_tables(self):
-        """Cross Grams <tail_i, tail_j>_n for the residual orders."""
-        if self._tail_tables is None:
-            self._tail_tables = self._gram_tables("tail", residual_tail(self.exp), (self.n,))
-        return self._tail_tables
+        """Cross Grams <tail_i, tail_j>_n for the residual orders, with the
+        coefficient Grams in the same batch if they are not sampled yet."""
+        if "tail" not in self._tables:
+            residual_tail(self.exp)
+            self._sample(("coeff", "tail"))
+        return self._tables["tail"]
 
-    def _gram_tables(self, kind, fields, orders):
-        """Exact Gram polynomials of every pair i <= j at every order, sampled
-        on the grid; dict[(i, j, m)] -> list of mpf.  Records the cost and
-        the precision lost in self.stats[kind]."""
+    def _sample(self, kinds):
+        """Build the Gram polys of the kinds not sampled yet and sample them
+        in one batch, each kind's values and loss kept apart (the parts of
+        sample_real_polys).  The batch's seconds, workers and kinds are
+        recorded in the stats of each kind it sampled."""
+        kinds = [kind for kind in kinds if kind not in self._tables]
+        if not kinds:
+            return
+        built = [self._build(kind) for kind in kinds]
+        start = time.perf_counter()
+        values, reports = sample_real_polys(
+            [poly for _, polys in built for poly in polys], self.grid, self.precision,
+            parts=[len(polys) for _, polys in built],
+        )
+        eval_s = time.perf_counter() - start
+        offset = 0
+        for kind, (keys, _), report in zip(kinds, built, reports):
+            self._tables[kind] = dict(zip(keys, values[offset : offset + len(keys)]))
+            offset += len(keys)
+            self.stats[kind].update(report, eval_s=eval_s, batch=kinds)
+
+    def _build(self, kind):
+        """(keys, polys): the exact Gram polys of every pair i <= j of the
+        kind's fields at every order, keyed (i, j, m).  Records build_s,
+        build_workers (the processes that built them) and terms in
+        self.stats[kind].
+
+        The shell sums of every pair are summed over the orbit classes of
+        the fields' support (fields.gram_shells).  Where the mode products
+        reach GRAM_MIN_PRODUCTS per process, the classes are dealt into
+        shares of about equal products and each share runs in its own
+        process (timepoly._run_shares).  A share forms each field's
+        numerators at its representatives once, and its sums are integers
+        over the product of the two fields' denominators there; scaled to
+        the lcm of the shares' denominators they add up exactly, so every
+        Gram is the serial one."""
+        if kind == "coeff":
+            fields, orders = self.exp.coeffs, (self.n, self.n + 1)
+        else:
+            fields, orders = self.exp.tails, (self.n,)
         start = time.perf_counter()
         support = set().union(*(f.coeffs for f in fields))
         # the classes the fields were propagated over: a member reached with
         # sign sigma holds sigma^(i+j) times its representative's term (tail i
         # is of order N+1+i), so a class weighs its size, or on odd pairs its signs' sum
         routes = self.exp.symmetry.routes
-        classes = orbit_partition(support, list(routes))
-        weights = (  # by the parity of i + j
-            [(rep, len(members)) for rep, members in classes],
-            [(rep, sum(routes[M][1] for M in members.values())) for rep, members in classes],
-        )
-        pairs = [(i, j) for i in range(len(fields)) for j in range(i, len(fields))]
-        keys = [(i, j, m) for i, j in pairs for m in orders]
-        polys = [
-            poly
-            for i, j in pairs
-            for poly in gram_poly_orbits(fields[i], fields[j], orders, weights[(i + j) % 2])
+        classes = [
+            (rep, (len(members), sum(routes[M][1] for M in members.values())))
+            for rep, members in orbit_partition(support, list(routes))
         ]
-        built = time.perf_counter()
-        values, report = sample_real_polys(polys, self.grid, self.precision)
+        pairs = [(i, j) for i in range(len(fields)) for j in range(i, len(fields))]
+
+        def shells(share):
+            """The shell sums of every pair over a share of the classes, and
+            the denominator each pair's sums are over."""
+            reps = [rep for rep, _ in share]
+            numerators = [gram_numerators(f, reps) for f in fields]
+            return [numerators[i][0] * numerators[j][0] for i, j in pairs], [
+                gram_shells(
+                    numerators[i][1], numerators[j][1], [(rep, w[(i + j) % 2]) for rep, w in share]
+                )
+                for i, j in pairs
+            ]
+
+        loads = _products(fields, classes)
+        shares = _deal(classes, loads, _workers(sum(loads), GRAM_MIN_PRODUCTS, len(classes)))
+        results, processes = _run_shares(
+            shells, shares, lambda got, share: len(got[0]) == len(got[1]) == len(pairs)
+        )
+        polys = []
+        for p in range(len(pairs)):
+            den = math.lcm(*(dens[p] for dens, _ in results))
+            total = {}
+            for dens, sums in results:
+                _add_shells(total, sums[p], den // dens[p])
+            polys += weigh_shells(total, den, orders)
         self.stats[kind] = {
-            "build_s": built - start,
-            "eval_s": time.perf_counter() - built,
-            "terms": sum(p.num_terms() for p in polys),
-            **report,
+            "build_s": time.perf_counter() - start,
+            "build_workers": processes,
+            "terms": sum(poly.num_terms() for poly in polys),
         }
-        return dict(zip(keys, values))
+        return [(i, j, m) for i, j in pairs for m in orders], polys
 
     # -- per-R assembly --------------------------------------------------------
     # Integer dot products over columns formed once per instance (see the
@@ -279,16 +360,17 @@ class EstimatorTables:
 
     def samples(self, R, variant, constants):
         """(D_n, D_{n+1}, eps_n) over the grid as floats for one R, counted
-        in stats["assembly"].  Tables not yet sampled are sampled first, off
-        the assembly's clock, once the variant's order M and, for the rough
-        error, K_n are known to be valid."""
+        in stats["assembly"].  The tables the variant reads and that are not
+        yet sampled are sampled first, in one batch, off the assembly's
+        clock, once the variant's order M and, for the rough error, K_n are
+        known to be valid."""
         self._head_order(variant)
         tautological = parse_variant(variant)[0] == "tautological"
-        if not tautological:
-            constants.K_of(self.n)
-        self.coeff_tables()
         if tautological:
             self.tail_tables()
+        else:
+            constants.K_of(self.n)
+            self._sample(("coeff",))
         start = time.perf_counter()
         out = (
             self.growth_samples(R, self.n, variant),
@@ -401,6 +483,43 @@ class EstimatorTables:
                 f = min(g for _, g in roots)
                 column.append((f, [r << (g - f) for r, g in roots]))
         return out
+
+
+def _products(fields, classes):
+    """Per class, the mode products its shell sums take over every pair
+    i <= j of the fields (fields.gram_shells), component by component: with
+    n_i the terms of field i's component at the class's representative and
+    S their sum, sum_{i<j} n_i n_j + sum_i n_i (n_i + 1) / 2 = (S^2 + S) / 2,
+    a field's Gram with itself taking each unordered pair of terms once."""
+    loads = []
+    for rep, _ in classes:
+        vecs = [f.coeffs[rep] for f in fields if rep in f.coeffs]
+        load = 0
+        for c in range(3):
+            s = sum(len(vec[c].terms) for vec in vecs)
+            load += (s * s + s) // 2
+        loads.append(load)
+    return loads
+
+
+def _deal(items, loads, workers):
+    """items dealt into workers shares of about equal load: the largest
+    first, each to the share with the least load so far."""
+    shares = [[] for _ in range(workers)]
+    dealt = [0] * workers
+    for i in sorted(range(len(items)), key=lambda i: -loads[i]):
+        k = dealt.index(min(dealt))
+        shares[k].append(items[i])
+        dealt[k] += loads[i]
+    return shares
+
+
+def _add_shells(total, more, f):
+    """Add f times the shell sums more into total, exactly."""
+    for ksq, shell in more.items():
+        acc = total.setdefault(ksq, {})
+        for key, x in shell.items():
+            acc[key] = acc.get(key, 0) + f * x
 
 
 FLOAT_BITS = 55  # 53 bits, a rounding bit and a sticky bit

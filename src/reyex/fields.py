@@ -34,6 +34,9 @@ __all__ = [
     "duhamel_mode",
     "gram_poly",
     "gram_poly_orbits",
+    "gram_numerators",
+    "gram_shells",
+    "weigh_shells",
     "norm_sq_poly",
 ]
 
@@ -320,22 +323,21 @@ def _numerators(vecs):
     """The 3-vectors of TimePoly in vecs as integer numerators over one
     common denominator: returns (den, rows), den the lcm of every coefficient
     denominator and rows[i] the i-th vector as three tuples of
-    (packed key, re, im)."""
+    (packed key, re, im).  Each distinct poly object is formed once, and
+    every slot holding it shares its tuple."""
     vecs = list(vecs)
-    den, mult = _multipliers(c for vec in vecs for p in vec for c in p.terms.values())
-    rows = []
-    for vec in vecs:
-        row = []
-        for p in vec:
-            comp = []
-            for (a, b), c in p.terms.items():
-                if b >= _MAX_EXP:
-                    raise ValueError("exponent b = %d is too large to pack" % (b,))
-                m = mult[c.d]
-                comp.append((a << _KEY_SHIFT | b, c.a * m, c.b * m))
-            row.append(tuple(comp))
-        rows.append(tuple(row))
-    return den, rows
+    polys = {id(p): p for vec in vecs for p in vec}
+    den, mult = _multipliers(c for p in polys.values() for c in p.terms.values())
+    comps = {}
+    for i, p in polys.items():
+        comp = []
+        for (a, b), c in p.terms.items():
+            if b >= _MAX_EXP:
+                raise ValueError("exponent b = %d is too large to pack" % (b,))
+            m = mult[c.d]
+            comp.append((a << _KEY_SHIFT | b, c.a * m, c.b * m))
+        comps[i] = tuple(comp)
+    return den, [(comps[id(p)], comps[id(q)], comps[id(r)]) for p, q, r in vecs]
 
 
 class IntegerForm:
@@ -551,28 +553,76 @@ def gram_poly_orbits(v, w, orders, orbit_classes):
     the canonical support.  The weight is the caller's sum of the signs of
     the members' terms relative to the representative's: the class size for
     equivariant fields, the sum of sigma^(i+j) for expansion fields u_i, u_j
-    spread with pseudo-symmetries of sign sigma.  The
-    canonical pair {k, -k} contributes twice the real part of conj(v_k).w_k,
-    so only Re(conj(c) d) = Re c Re d + Im c Im d is ever formed, in integer
-    numerators over the product of the two fields' denominators.  The orders
-    differ only in the |k|^{2 order} weight, so the mode products are summed
-    once per shell |k|^2, and each shell sum is weighted per order.
+    spread with pseudo-symmetries of sign sigma.  The Gram is formed in two
+    steps, integer shell sums over the classes (gram_shells) and their
+    weighting per order (weigh_shells).
     """
-    classes = [(rep, wt) for rep, wt in orbit_classes if rep in v.coeffs and rep in w.coeffs]
-    vden, vrows = _numerators(v.coeffs[rep] for rep, _ in classes)
-    wden, wrows = _numerators(w.coeffs[rep] for rep, _ in classes)
+    classes = list(orbit_classes)
+    reps = [rep for rep, _ in classes]
+    vden, vrows = gram_numerators(v, reps)
+    wden, wrows = (vden, vrows) if w is v else gram_numerators(w, reps)
+    return weigh_shells(gram_shells(vrows, wrows, classes), vden * wden, orders)
+
+
+def gram_numerators(field, reps):
+    """(den, rows): the coefficients of field at those of reps it holds as
+    integer numerators over one denominator (_numerators), rows mapping each
+    such rep to its row.  Formed once per field, they serve every Gram the
+    field enters."""
+    held = [rep for rep in reps if rep in field.coeffs]
+    den, rows = _numerators(field.coeffs[rep] for rep in held)
+    return den, dict(zip(held, rows))
+
+
+def gram_shells(vrows, wrows, classes):
+    """The shell sums of a Gram over orbit classes: dict |k|^2 -> dict packed
+    exponent key -> integer, over vden * wden (the denominators of the rows,
+    gram_numerators).
+
+    classes lists (representative, weight) pairs as gram_poly_orbits takes
+    them; a representative missing from either rows contributes nothing.
+    The canonical pair {k, -k} contributes twice the real part of
+    conj(v_k).w_k, so only Re(conj(c) d) = Re c Re d + Im c Im d is formed
+    here, and the factor 2 where the sums are weighed.  The orders differ
+    only in the |k|^{2 order} weight, so the mode products are summed once
+    per shell |k|^2.  Where a representative's two rows are one object, as
+    in a field's Gram with itself, each unordered pair of its terms is
+    multiplied once.  Shell sums over disjoint lists of classes add up to
+    those over their union."""
     shells = {}
-    for (rep, wt), vrow, wrow in zip(classes, vrows, wrows):
+    for rep, wt in classes:
+        vrow = vrows.get(rep)
+        wrow = wrows.get(rep)
+        if vrow is None or wrow is None:
+            continue
         shell = shells.setdefault(wave_norm_sq(rep), {})
+        if not wt:
+            continue
         for vcomp, wcomp in zip(vrow, wrow):
-            for k1, cre, cim in vcomp:
+            for a, (k1, cre, cim) in enumerate(vcomp):
                 cre *= wt
                 cim *= wt
-                for k2, dre, dim in wcomp:
+                if vrow is wrow:
+                    # Re(conj(c_a) c_b) = Re(conj(c_b) c_a), at one key: each
+                    # unordered pair of terms once, twice where a != b
+                    key = k1 + k1
+                    shell[key] = shell.get(key, 0) + cre * wcomp[a][1] + cim * wcomp[a][2]
+                    cre *= 2
+                    cim *= 2
+                    terms = wcomp[a + 1 :]
+                else:
+                    terms = wcomp
+                for k2, dre, dim in terms:
                     x = cre * dre + cim * dim
                     if x:
                         key = k1 + k2
                         shell[key] = shell.get(key, 0) + x
+    return shells
+
+
+def weigh_shells(shells, den, orders):
+    """The Gram poly of shell sums over den (gram_shells) at each order:
+    sum over shells of 2 |k|^{2 order} times the shell's sums."""
     out = []
     for order in orders:
         # |k|^{2 order} = weights[ksq] / scale, in integers for order < 0 too
@@ -587,9 +637,8 @@ def gram_poly_orbits(v, w, orders, orbit_classes):
             weight = weights[ksq]
             for key, x in shell.items():
                 acc[key] = acc.get(key, 0) + weight * x
-        den = vden * wden * scale
         out.append(
-            _tp({_unpack(key): _gaussian(2 * x, 0, den) for key, x in acc.items() if x})
+            _tp({_unpack(key): _gaussian(2 * x, 0, den * scale) for key, x in acc.items() if x})
         )
     return out
 

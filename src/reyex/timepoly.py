@@ -22,6 +22,7 @@ import mpmath
 from mpmath.libmp import (
     MPZ,
     from_float,
+    fzero,
     from_rational,
     mpf_exp,
     mpf_neg,
@@ -552,7 +553,7 @@ def _reevaluate(poly, t, prec, lost, keep):
     return value, prec, lost
 
 
-def sample_real_polys(polys, grid, precision=DEFAULT_EVAL_PRECISION):
+def sample_real_polys(polys, grid, precision=DEFAULT_EVAL_PRECISION, parts=None):
     """Values of real-coefficient polys on a time grid of finite t >= 0.
 
     Returns (values, report): values[i] is the list of mpf values of polys[i]
@@ -567,7 +568,8 @@ def sample_real_polys(polys, grid, precision=DEFAULT_EVAL_PRECISION):
     test on the window's error bound certifies that the rounded value and
     the bits lost equal those of the full-width sum (_window_dot).  Where
     the test fails, or the value is zero, the value is summed again at full
-    width (_dot), so every value is bit for bit the full-width one.
+    width (_dot), so every value is bit for bit the full-width one.  A poly
+    with no terms is zero at every point and is not summed.
 
     The bits each value loses to cancellation are measured in the same pass.
     Where fewer than GUARD_BITS would survive (or the precision, if lower),
@@ -575,15 +577,17 @@ def sample_real_polys(polys, grid, precision=DEFAULT_EVAL_PRECISION):
     max_bits_lost, reevaluated (the number of values re-evaluated),
     max_precision (the highest precision used), fallbacks (the number of
     values whose window failed the test and were summed at full width) and
-    workers (the number of processes that sampled the batch).
+    workers (the number of processes that sampled the batch).  parts, if
+    given, splits polys into consecutive runs of these lengths, and report
+    is then a list of one report per run, each over the values of its own
+    polys, with the workers of the whole batch.
 
     The points t > 0 are split into interleaved shares, one per process
     (_run_shares): the caller's process and one child forked from it for
     each PARALLEL_MIN_WORK of the batch's work (terms x points t > 0), up to
-    one process per CPU the caller may run on.  It stays in one process
-    where os.fork is missing or another thread is running.  A value depends
-    only on its poly, its point and the precision, so every value and every
-    report field but workers is the same however the points are split.
+    one process per CPU the caller may run on.  A value depends only on its
+    poly, its point and the precision, so every value and every report
+    field but workers is the same however the points are split.
     """
     if precision < 53:
         raise ValueError("precision must be at least 53 bits")
@@ -591,6 +595,10 @@ def sample_real_polys(polys, grid, precision=DEFAULT_EVAL_PRECISION):
     if not all(0 <= t < inf for t in grid):
         # the window's error bound needs every basis value B > 0
         raise ValueError("grid points must be finite and nonnegative")
+    lengths = [len(polys)] if parts is None else list(parts)
+    if sum(lengths) != len(polys) or min(lengths, default=0) < 0:
+        raise ValueError("parts must split the %d polys into runs" % len(polys))
+    part = [g for g, n in enumerate(lengths) for _ in range(n)]
     keep = min(GUARD_BITS, precision)
     keys = sorted({key for p in polys for key in p.terms})
     slot = {key: i for i, key in enumerate(keys)}
@@ -603,36 +611,34 @@ def sample_real_polys(polys, grid, precision=DEFAULT_EVAL_PRECISION):
 
     def sample(points):
         """The values at the grid points with these indices, as one row of
-        libmp tuples per point, and the report of their loss."""
-        max_lost = reevaluated = fallbacks = 0
-        max_prec = precision
+        libmp tuples per point, and per run of polys the [max_bits_lost,
+        reevaluated, max_precision, fallbacks] of their values."""
+        losses = [[0, 0, precision, 0] for _ in lengths]
         rows = []
         for i in points:
             t = grid[i]
             basis = _basis(keys, t, precision)
             widths = [m.bit_length() for m in basis[0]]
             row = []
-            for p, c, bound in zip(polys, coeffs, bounds):
+            for p, c, bound, g in zip(polys, coeffs, bounds, part):
+                if not bound[0]:  # a poly with no terms is zero everywhere
+                    row.append(fzero)
+                    continue
+                loss = losses[g]
                 got = _window_dot(c, bound, basis, widths, precision)
                 if got is None:
                     got = _dot(c, basis, precision)
-                    fallbacks += 1
+                    loss[3] += 1
                 value, lost = got
-                max_lost = max(max_lost, lost)
+                loss[0] = max(loss[0], lost)
                 if precision - lost < keep:
                     value, prec, lost = _reevaluate(p, t, precision, lost, keep)
-                    reevaluated += 1
-                    max_lost = max(max_lost, lost)
-                    max_prec = max(max_prec, prec)
+                    loss[0] = max(loss[0], lost)
+                    loss[1] += 1
+                    loss[2] = max(loss[2], prec)
                 row.append(value)
             rows.append(row)
-        report = {
-            "max_bits_lost": max_lost,
-            "reevaluated": reevaluated,
-            "max_precision": max_prec,
-            "fallbacks": fallbacks,
-        }
-        return rows, report
+        return rows, losses
 
     columns = [None] * len(grid)
     points = []
@@ -642,25 +648,28 @@ def sample_real_polys(polys, grid, precision=DEFAULT_EVAL_PRECISION):
         else:
             at_zero = [sum((c for (a, _), c in p.terms.items() if a == 0), GR_ZERO) for p in polys]
             columns[i] = [_round(c.a, c.d, precision) for c in at_zero]
-    workers = 1
-    if hasattr(os, "fork") and threading.active_count() == 1:
-        work = sum(len(p.terms) for p in polys) * len(points)
-        workers = max(1, min(_cpus(), len(points), work // PARALLEL_MIN_WORK + 1))
-    shares, processes = _run_shares(sample, points, workers)
-    reports = [r for _, r in shares]
-    report = {
-        "max_bits_lost": max(r["max_bits_lost"] for r in reports),
-        "reevaluated": sum(r["reevaluated"] for r in reports),
-        "max_precision": max(r["max_precision"] for r in reports),
-        "fallbacks": sum(r["fallbacks"] for r in reports),
-        "workers": processes,
-    }
-    for k, (rows, _) in enumerate(shares):
-        for i, row in zip(points[k::workers], rows):
+    work = sum(len(p.terms) for p in polys) * len(points)
+    workers = _workers(work, PARALLEL_MIN_WORK, len(points))
+    shares = [points[k::workers] for k in range(workers)]
+    results, processes = _run_shares(
+        sample, shares, lambda got, share: len(got[0]) == len(share) and len(got[1]) == len(lengths)
+    )
+    reports = [
+        {
+            "max_bits_lost": max(r[g][0] for _, r in results),
+            "reevaluated": sum(r[g][1] for _, r in results),
+            "max_precision": max(r[g][2] for _, r in results),
+            "fallbacks": sum(r[g][3] for _, r in results),
+            "workers": processes,
+        }
+        for g in range(len(lengths))
+    ]
+    for share, (rows, _) in zip(shares, results):
+        for i, row in zip(share, rows):
             columns[i] = row
     make_mpf = mpmath.mp.make_mpf
     values = [[make_mpf(col[j]) for col in columns] for j in range(len(polys))]
-    return values, report
+    return values, reports[0] if parts is None else reports
 
 
 def _cpus():
@@ -668,24 +677,32 @@ def _cpus():
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _run_shares(run, points, workers):
-    """[run(points[k::workers]) for k in range(workers)], and the number of
-    processes whose results it holds.
+def _workers(work, min_work, items):
+    """The processes a parallel map over items should take: this one, and
+    one child for each min_work of the work, up to one process per CPU this
+    process may run on and one per item."""
+    return max(1, min(_cpus(), items, work // min_work + 1))
+
+
+def _run_shares(run, shares, complete):
+    """[run(share) for share in shares], and the number of processes whose
+    results it holds.
 
     Share 0 runs in this process and every other share in a child forked
     from it, which inherits everything run reads.  Each process is pinned
     to its own CPU of the ones this process may run on for the call: a
     scheduler may leave a new child on its parent's CPU for a long time.
     The child writes its result to a pipe as one pickle and exits at once.
-    Where a child cannot be forked, dies, or sends something short or
-    unreadable, its share runs here, so the result is always complete.  On
-    any exception here, KeyboardInterrupt included, every child still
-    running is killed and every child is reaped before the exception
-    propagates."""
-    shares = [points[k::workers] for k in range(workers)]
-    if workers == 1:
-        return [run(shares[0])], 1
-    # only forked sampling needs these, so import reyex does not load them
+    Where a child cannot be forked, dies, or sends something short, unreadable
+    or not complete(result, share), its share runs here, so the result is
+    always whole.  Every share runs here where os.fork is missing or another
+    thread is running: a fork copies the calling thread only, and a lock
+    another thread held would stay held in the child.  On any exception
+    here, KeyboardInterrupt included, every child still running is killed
+    and every child is reaped before the exception propagates."""
+    if len(shares) == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [run(share) for share in shares], 1
+    # only forked work needs these, so import reyex does not load them
     import pickle
     from signal import SIGKILL
 
@@ -693,7 +710,6 @@ def _run_shares(run, points, workers):
     allowed = os.sched_getaffinity(0)
     cpus = sorted(allowed)
     children = []  # [pid or None once reaped, read end or None once handed over]
-    os.sched_setaffinity(0, {cpus[0]})
     try:
         for k, share in enumerate(shares[1:], 1):
             try:
@@ -717,6 +733,9 @@ def _run_shares(run, points, workers):
                     os._exit(status)
             os.close(w)
             children.append([pid, r])
+        # pinned after the forks, so that a child, which inherits the mask,
+        # can start at once on a free CPU and pin itself there
+        os.sched_setaffinity(0, {cpus[0]})
         results = [run(shares[0])]
         processes = 1
         for share, child in zip(shares[1:], children):
@@ -726,12 +745,12 @@ def _run_shares(run, points, workers):
             status = os.waitpid(child[0], 0)[1]
             child[0] = None
             try:
-                rows, report = pickle.loads(data)
-                complete = status == 0 and len(rows) == len(share)
+                got = pickle.loads(data)
+                whole = status == 0 and complete(got, share)
             except Exception:  # what a failed child left in the pipe
-                complete = False
-            if complete:
-                results.append((rows, report))
+                whole = False
+            if whole:
+                results.append(got)
                 processes += 1
             else:
                 results.append(run(share))

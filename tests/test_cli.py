@@ -311,7 +311,7 @@ def test_usage_errors_come_before_any_table_is_sampled(runner, rundir, tmp_path,
         res = runner.invoke(main, ["estimate", *args, *PROBE_ARGS["estimate"],
                                    str(tmp_path / "out.csv")])
         assert res.exit_code == 0, res.output
-        assert len(calls) == 2  # the coefficient and the tail tables
+        assert len(calls) == 1  # the coefficient and the tail tables, in one batch
 
 
 @pytest.mark.parametrize("bad", [
@@ -421,7 +421,8 @@ def _check_peak_rss(telemetry):
     peak = telemetry["peak_rss_mb"]
     assert set(peak) == {"self", "children"}
     assert peak["self"] > 0
-    forked = any(s.get("workers", 1) > 1 for s in telemetry.values())
+    forked = any(max(s.get("workers", 1), s.get("build_workers", 1)) > 1
+                 for s in telemetry.values())
     assert peak["children"] > 0 if forked else peak["children"] >= 0
 
 
@@ -486,9 +487,11 @@ def test_critical_bracket_json(runner, rundir, tmp_path):
     assert assembly["seconds"] > assembly["columns_s"] > 0
     coeff = telemetry["coeff"]
     assert set(coeff) == {
-        "build_s", "eval_s", "terms", "max_bits_lost", "reevaluated", "max_precision",
-        "fallbacks", "workers",
+        "build_s", "build_workers", "terms", "max_bits_lost", "reevaluated", "max_precision",
+        "fallbacks", "eval_s", "workers", "batch",
     }
+    # the cache holds tails, but the rough variant samples no tail Gram
+    assert coeff["batch"] == ["coeff"]
     assert coeff["terms"] > 0 and coeff["eval_s"] > 0
     # values whose window could not certify their rounding, summed again
     assert isinstance(coeff["fallbacks"], int) and coeff["fallbacks"] >= 0
@@ -566,6 +569,24 @@ def test_critical_bad_datum_is_a_usage_error(runner, rundir, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("selector", ["km", "file"])
+def test_critical_refuses_a_datum_that_is_not_the_caches(runner, rundir, tmp_path, selector):
+    # the cache is bnw's; a datum file carries the name user whatever it holds
+    if selector == "file":
+        path = tmp_path / "datum.json"
+        path.write_text(json.dumps(datum_tg().field.to_payload(name="user")))
+        selector = "file:%s" % path
+    out = tmp_path / "bracket.json"
+    res = runner.invoke(main, [
+        "critical", "--cache", str(rundir / "cache"), "--lo", "0.01", "--hi", "3.0",
+        "--tol-r", "0.5", "--grid-points", "80", "--datum", selector,
+        "--output", str(out),
+    ])
+    assert res.exit_code == 2, res.output
+    assert "is not the datum of the cache (bnw)" in res.output
+    assert not out.exists()
+
+
 def test_critical_bad_bracket(runner, rundir, tmp_path):
     res = runner.invoke(main, [
         "critical", "--cache", str(rundir / "cache"), "--lo", "2.0", "--hi", "3.0",
@@ -602,6 +623,15 @@ def test_report_with_a_malformed_verdict_file_is_a_usage_error(runner, rundir, t
     res = runner.invoke(main, ["report", "--run-dir", str(tmp_path), "--datum", "bnw"])
     assert res.exit_code == 2, res.output
     assert "verdict file" in res.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "run.verdict.json"]
+
+
+def test_report_refuses_a_datum_that_is_not_the_caches(runner, rundir, tmp_path):
+    shutil.copytree(rundir / "cache", tmp_path / "cache")
+    (tmp_path / "run.verdict.json").write_text(json.dumps({"R": 0.1, "verdict": "BlowUp"}))
+    res = runner.invoke(main, ["report", "--run-dir", str(tmp_path), "--datum", "km"])
+    assert res.exit_code == 2, res.output
+    assert "is not the datum of the cache (bnw)" in res.output
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "run.verdict.json"]
 
 

@@ -1,8 +1,11 @@
 import math
 import os
+import pickle
 import random
 import struct
+import threading
 from fractions import Fraction
+from signal import SIGKILL
 
 import mpmath
 import pytest
@@ -278,10 +281,10 @@ def test_sampled_gram_polys_equal_the_full_width_sum(request, monkeypatch, which
     dot = reyex.timepoly._dot
     calls, full_width = [], []
 
-    def recording(polys, grid, precision):
-        values, report = sample(polys, grid, precision)
-        calls.append((polys, grid, precision, values, report))
-        return values, report
+    def recording(polys, grid, precision, parts):
+        values, reports = sample(polys, grid, precision, parts)
+        calls.append((polys, grid, precision, parts, values, reports))
+        return values, reports
 
     def counting(*args):
         full_width.append(None)
@@ -293,23 +296,41 @@ def test_sampled_gram_polys_equal_the_full_width_sum(request, monkeypatch, which
     monkeypatch.setattr(reyex.timepoly, "_cpus", lambda: 1)
     tables = EstimatorTables(exp, 3)
     tables.coeff_tables() if kind == "coeff" else tables.tail_tables()
-    [(polys, grid, precision, values, report)] = calls
-    ref, ref_report = sample_real_polys_full(polys, grid, precision)
+    [(batch, grid, precision, parts, values, reports)] = calls
+    polys, values, report = _kind_of_batch(tables, kind, parts, batch, values, reports)
     mpfs = [[v._mpf_ for v in vs] for vs in values]
+    # the kind sampled alone: the values at large t, where the aligned basis
+    # is widest, are summed over a window, more than a fifth of the values
+    # of its polys with terms at t > 0 here (a poly with none is no sum)
+    full_width.clear()
+    alone, alone_report = sample(polys, grid, precision)
+    assert [[v._mpf_ for v in vs] for vs in alone] == mpfs
+    assert alone_report == report
+    summed = sum(1 for poly in polys if poly.terms)
+    assert summed and len(full_width) < 0.8 * summed * (len(grid) - 1)
+    ref, ref_report = sample_real_polys_full(polys, grid, precision)
     assert mpfs == [[v._mpf_ for v in vs] for vs in ref]
     assert report == dict(ref_report, fallbacks=report["fallbacks"], workers=1)
     assert tables.stats[kind]["fallbacks"] == report["fallbacks"]
-    # the values at large t, where the aligned basis is widest, are summed
-    # over a window: more than a fifth of those at t > 0 here
-    assert len(full_width) < 0.8 * len(polys) * (len(grid) - 1)
     if which == "km3":
         assert report["fallbacks"] == 0
+    # the kind sampled alone, split across two processes
     monkeypatch.setattr(reyex.timepoly, "_cpus", lambda: 2)
     forked, forked_report = sample(polys, grid, precision)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert [[v._mpf_ for v in vs] for vs in forked] == mpfs
     assert forked_report == dict(report, workers=2)
+
+
+def _kind_of_batch(tables, kind, parts, *columns):
+    """The slice of each of columns (the polys of one sampling batch, their
+    values, their per-kind reports) that belongs to kind: the batch holds
+    the kinds of tables.stats[kind]["batch"] in turn, parts[k] polys each."""
+    k = tables.stats[kind]["batch"].index(kind)
+    start = sum(parts[:k])
+    polys, values, reports = columns
+    return polys[start : start + parts[k]], values[start : start + parts[k]], reports[k]
 
 
 # x <-> y: an involution outside +-S+ when S+ holds the identity alone
@@ -382,9 +403,10 @@ def test_signed_class_weights_give_the_full_support_gram(monkeypatch, kind):
     sample = reyex.estimators.sample_real_polys
     built = []
 
-    def recording(polys, grid, precision):
-        built.append(polys)
-        return sample(polys, grid, precision)
+    def recording(polys, grid, precision, parts):
+        values, reports = sample(polys, grid, precision, parts)
+        built.append((polys, parts, values, reports))
+        return values, reports
 
     monkeypatch.setattr(reyex.estimators, "sample_real_polys", recording)
     tables = EstimatorTables(exp, 1, grid=default_grid(8))
@@ -396,7 +418,8 @@ def test_signed_class_weights_give_the_full_support_gram(monkeypatch, kind):
         fields, orders = exp.tails, (1,)
     pairs = [(i, j) for i in range(len(fields)) for j in range(i, len(fields))]
     full = {(i, j): [gram_poly(fields[i], fields[j], m) for m in orders] for i, j in pairs}
-    [polys] = built
+    [(batch, parts, values, reports)] = built
+    polys, _, _ = _kind_of_batch(tables, kind, parts, batch, values, reports)
     assert polys == [poly for pair in pairs for poly in full[pair]]
     # weighing every class by its size gets some odd pair wrong
     support = set().union(*(f.coeffs for f in fields))
@@ -406,6 +429,112 @@ def test_signed_class_weights_give_the_full_support_gram(monkeypatch, kind):
         for i, j in pairs
         if (i + j) % 2
     )
+
+
+# -- the exact build split across processes, the joint sampling batch -----------
+
+
+def _assert_no_children():
+    # every child forked by a build or a sampling call has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _build_on(monkeypatch, exp, kind, cpus):
+    """EstimatorTables._build of kind as if the process could run on cpus
+    CPUs, with no product floor: (keys, polys, build_workers)."""
+    monkeypatch.setattr(reyex.timepoly, "_cpus", lambda: cpus)
+    monkeypatch.setattr(reyex.estimators, "GRAM_MIN_PRODUCTS", 1)
+    tables = EstimatorTables(exp, 1)
+    keys, polys = tables._build(kind)
+    _assert_no_children()
+    return keys, polys, tables.stats[kind]["build_workers"]
+
+
+@pytest.mark.parametrize(
+    "which, kind",
+    [("bnw3", "coeff"), ("bnw3", "tail"), ("tg3", "coeff"), ("km3", "coeff"),
+     ("swap", "coeff"), ("swap", "tail")],
+)
+def test_gram_polys_are_the_same_built_in_one_or_two_processes(request, monkeypatch, which,
+                                                                 kind):
+    # swap_family's odd pairs weigh a class by a signed sum, zero for some
+    exp = swap_family() if which == "swap" else request.getfixturevalue(which)
+    fields, orders = (exp.coeffs, (1, 2)) if kind == "coeff" else (residual_tail(exp), (1,))
+    keys, polys, workers = _build_on(monkeypatch, exp, kind, 1)
+    assert workers == 1
+    assert keys == [(i, j, m) for i in range(len(fields)) for j in range(i, len(fields))
+                    for m in orders]
+    # the Gram over the full support, every mode its own class
+    assert polys == [gram_poly(fields[i], fields[j], m) for i, j, m in keys]
+    assert _build_on(monkeypatch, exp, kind, 2) == (keys, polys, 2)
+
+
+def _child_fails(how, parent, shells):
+    def failing(*args):
+        if os.getpid() != parent:
+            if how == "killed":
+                os.kill(os.getpid(), SIGKILL)
+            raise RuntimeError("injected failure")
+        return shells(*args)
+
+    return failing
+
+
+@pytest.mark.parametrize("failure", ["raises", "killed", "garbage", "short"])
+def test_a_failed_build_child_leaves_the_gram_polys_equal(bnw3, monkeypatch, failure):
+    ref = _build_on(monkeypatch, bnw3, "tail", 1)
+    if failure in ("raises", "killed"):
+        monkeypatch.setattr(reyex.estimators, "gram_shells",
+                            _child_fails(failure, os.getpid(), reyex.estimators.gram_shells))
+    else:
+        dumps = pickle.dumps
+
+        def bad_dump(obj, fh, protocol):
+            # only children pickle: here shell sums over other denominators,
+            # or the first half of the real pickle
+            data = dumps(([1], obj[1]) if failure == "garbage" else obj, protocol)
+            fh.write(data if failure == "garbage" else data[: len(data) // 2])
+
+        monkeypatch.setattr(pickle, "dump", bad_dump)
+    # the share of the failed child was built here
+    assert _build_on(monkeypatch, bnw3, "tail", 2) == ref
+
+
+def test_nothing_forks_while_another_thread_runs(bnw3, monkeypatch):
+    monkeypatch.setattr(reyex.timepoly, "_cpus", lambda: 2)
+    monkeypatch.setattr(reyex.timepoly, "PARALLEL_MIN_WORK", 1)
+    monkeypatch.setattr(reyex.estimators, "GRAM_MIN_PRODUCTS", 1)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        tables = EstimatorTables(bnw3, 3, grid=default_grid(40))
+        tables.tail_tables()
+    finally:
+        done.set()
+        thread.join(10)
+    assert not thread.is_alive()
+    _assert_no_children()
+    for kind in ("coeff", "tail"):
+        assert (tables.stats[kind]["build_workers"], tables.stats[kind]["workers"]) == (1, 1)
+
+
+def test_the_joint_batch_equals_one_batch_per_kind(bnw3):
+    tables = EstimatorTables(bnw3, 3, grid=default_grid(80))
+    built = [tables._build(kind)[1] for kind in ("coeff", "tail")]
+    grid, precision = tables.grid, tables.precision
+    joint, reports = reyex.estimators.sample_real_polys(
+        built[0] + built[1], grid, precision, parts=[len(polys) for polys in built]
+    )
+    alone = [reyex.estimators.sample_real_polys(polys, grid, precision) for polys in built]
+    assert [[v._mpf_ for v in vs] for vs in joint] == [
+        [v._mpf_ for v in vs] for values, _ in alone for vs in values
+    ]
+    for report, (_, ref) in zip(reports, alone):
+        assert dict(report, workers=None) == dict(ref, workers=None)
+    # the tails re-evaluate nothing on this grid, and lose more bits
+    assert reports[1]["max_bits_lost"] > reports[0]["max_bits_lost"]
 
 
 @pytest.fixture(scope="module")
@@ -567,22 +696,50 @@ def test_tail_tables_vanish_exactly_at_time_zero(tables3):
 def test_table_stats(bnw3):
     tables = EstimatorTables(bnw3, 3, grid=default_grid(40))
     assert tables.stats == {}
+    # the expansion holds its tails, so both kinds are sampled in one batch
     tables.coeff_tables()
-    assert set(tables.stats) == {"coeff"}
-    tables.tail_tables()
+    assert set(tables.stats) == {"coeff", "tail"}
     for kind in ("coeff", "tail"):
         st = tables.stats[kind]
         assert set(st) == {
-            "build_s", "eval_s", "terms", "max_bits_lost", "reevaluated", "max_precision",
-            "fallbacks", "workers",
+            "build_s", "build_workers", "terms", "max_bits_lost", "reevaluated",
+            "max_precision", "fallbacks", "eval_s", "workers", "batch",
         }
         assert st["build_s"] >= 0 and st["eval_s"] >= 0
+        assert st["build_workers"] >= 1 and st["workers"] >= 1
         assert st["terms"] > 0
         assert 0 < st["max_bits_lost"] < 256 - 85
         assert st["reevaluated"] == 0
         assert st["max_precision"] == 256
+        assert st["batch"] == ["coeff", "tail"]
+    # one batch: one sampling time and one worker count for both kinds
+    coeff, tail = tables.stats["coeff"], tables.stats["tail"]
+    assert (coeff["eval_s"], coeff["workers"]) == (tail["eval_s"], tail["workers"])
     # the tail Grams cancel more than the coefficient Grams near t = 0
-    assert tables.stats["tail"]["max_bits_lost"] > tables.stats["coeff"]["max_bits_lost"]
+    assert tail["max_bits_lost"] > coeff["max_bits_lost"]
+    tables.tail_tables()
+    assert tables.stats["tail"] is tail
+
+
+def test_a_probe_samples_only_what_its_variant_reads(bnw3, monkeypatch):
+    # the expansion holds its tails, yet a rough or intermediate probe
+    # builds no tail Gram; a tautological probe then samples the tails alone
+    built = []
+    build = EstimatorTables._build
+
+    def recording(self, kind):
+        built.append(kind)
+        return build(self, kind)
+
+    monkeypatch.setattr(EstimatorTables, "_build", recording)
+    tables = EstimatorTables(bnw3, 3, grid=default_grid(40))
+    build_estimator_set(bnw3, 0.1, 3, "rough", tables=tables)
+    build_estimator_set(bnw3, 0.1, 3, "intermediate:2", tables=tables)
+    assert built == ["coeff"] and set(tables.stats) == {"coeff", "assembly"}
+    assert tables.stats["coeff"]["batch"] == ["coeff"]
+    build_estimator_set(bnw3, 0.1, 3, "tautological", tables=tables)
+    assert built == ["coeff", "tail"]
+    assert tables.stats["tail"]["batch"] == ["tail"]
 
 
 def test_estimator_set_invariants(bnw3, tables3):

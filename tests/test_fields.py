@@ -435,3 +435,19 @@ def test_validate_and_payload_match_the_references(field):
     ]
     # decoded, the polys share their coefficient objects
     assert TimeField.from_payload(json.loads(json.dumps(payload))) == field
+
+
+def test_numerators_form_each_shared_poly_once():
+    # a spread orbit shares its turned components: the rows are those of
+    # the same field with every poly copied, and every slot holding one
+    # poly object holds one tuple
+    from reyex.fields import _numerators
+
+    p = tp_basis(1, 2, GaussianRational(mpq(1, 3), mpq(2, 5))) + tp_basis(0, 4, GaussianRational(7))
+    q = tp_basis(0, 1, GaussianRational(mpq(-3, 7)))
+    shared = [(p, q, p), (q, p, TP_ZERO), (p, p, q)]
+    copied = [tuple(TimePoly(dict(r.terms)) for r in vec) for vec in shared]
+    den, rows = _numerators(shared)
+    assert (den, rows) == _numerators(copied)
+    assert rows[0][0] is rows[0][2] is rows[1][1] is rows[2][0]
+    assert rows[0][1] is rows[1][0] is rows[2][2]

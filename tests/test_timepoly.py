@@ -494,6 +494,41 @@ def test_an_exception_in_the_parent_kills_and_reaps_every_child(monkeypatch):
     assert os.sched_getaffinity(0) == allowed
 
 
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_parts_give_each_run_of_polys_its_own_report(cpus):
+    # p cancels 219 bits at t = 1e-3 and is re-evaluated there; the empty
+    # run reports no loss
+    base = TP_ONE - tp_basis(0, 1) - tp_basis(1, 1)
+    p = TP_ONE
+    for _ in range(10):
+        p = p * base
+    runs = [[tp_basis(1, 3) - tp_basis(0, 40)], [], [p, tp_basis(40, 40)]]
+    values, reports = _sample_parts_on(cpus, [q for run in runs for q in run], [1, 0, 2])
+    alone = [_sample_on(cpus, run) for run in runs]
+    assert values == [v for run_values, _ in alone for v in run_values]
+    # the same but for the processes: one batch shares its workers
+    assert [dict(r, workers=None) for r in reports] == [dict(r, workers=None) for _, r in alone]
+    assert {r["workers"] for r in reports} == {cpus}
+    assert reports[1] == dict(max_bits_lost=0, reevaluated=0, max_precision=256, fallbacks=0,
+                              workers=cpus)
+    assert reports[2]["reevaluated"] == 1
+
+
+def _sample_parts_on(cpus, batch, parts):
+    with mock.patch.object(reyex.timepoly, "_cpus", lambda: cpus), \
+            mock.patch.object(reyex.timepoly, "PARALLEL_MIN_WORK", 1):
+        values, reports = sample_real_polys(batch, SHARED_GRID, 256, parts=parts)
+    _assert_no_children()
+    return [[v._mpf_ for v in vs] for vs in values], reports
+
+
+@pytest.mark.parametrize("parts", [[1, 1], [2, 2], [4, -1]])
+def test_parts_must_split_the_batch(parts):
+    with pytest.raises(ValueError, match="parts must split"):
+        sample_real_polys([tp_basis(0, 1), tp_basis(1, 1), tp_basis(2, 1)], [0.0, 1.0], 256,
+                          parts=parts)
+
+
 @pytest.mark.parametrize("t", [-0.5, -1e-300, float("inf"), float("nan")])
 def test_grid_points_must_be_finite_and_nonnegative(t):
     # a negative t would drop the sign of t^a, and the window's error
