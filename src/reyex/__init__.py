@@ -23,10 +23,8 @@ from .estimators import (
 from .control import (
     ControlTrajectory,
     classical_bounds,
-    coefficient_bound,
     find_critical_R,
     solve_control,
-    solve_higher_order,
 )
 from .data import (
     DatumDescriptor,
@@ -63,10 +61,8 @@ __all__ = [
     "default_grid",
     "ControlTrajectory",
     "classical_bounds",
-    "coefficient_bound",
     "find_critical_R",
     "solve_control",
-    "solve_higher_order",
     "DatumDescriptor",
     "datum_bnw",
     "datum_km",

@@ -110,9 +110,9 @@ def _read_verdict(path):
 
 def _load_constants(path):
     """The ConstantsTable of a JSON constants file: an object of sections K
-    and G (keyed by order) and G_pn (keyed "p,n"), each an object of
-    numbers (a bool or a string is not one).  The sections it leaves out
-    keep the table's defaults.  ValueError for a file of any other shape."""
+    and G, each an object of numbers (a bool or a string is not one) keyed
+    by order.  The sections it leaves out keep the table's defaults.
+    ValueError for a file of any other shape."""
     if path is None:
         return ConstantsTable()
     with open(path) as fh:
@@ -126,20 +126,13 @@ def _load_constants(path):
     def intkeys(d):
         return {int(k): number(v) for k, v in d.items()}
 
-    def pairkeys(d):
-        out = {}
-        for k, v in d.items():
-            p, n = k.split(",")
-            out[(int(p), int(n))] = number(v)
-        return out
-
-    parsers = {"K": intkeys, "G": intkeys, "G_pn": pairkeys}
-    if not (isinstance(raw, dict) and raw.keys() <= parsers.keys()
+    sections = ("K", "G")
+    if not (isinstance(raw, dict) and raw.keys() <= set(sections)
             and all(isinstance(section, dict) for section in raw.values())):
         raise ValueError("constants file %s is not an object of sections %s, each an object"
-                         % (path, ", ".join(parsers)))
+                         % (path, ", ".join(sections)))
     try:
-        return ConstantsTable(**{key: parsers[key](section) for key, section in raw.items()})
+        return ConstantsTable(**{key: intkeys(section) for key, section in raw.items()})
     except TypeError as exc:
         raise ValueError("malformed constant in %s: %s" % (path, exc)) from exc
 

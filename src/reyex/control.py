@@ -11,15 +11,14 @@ order-N approximant is controlled mode by mode:
 finite time yields no conclusion beyond that time, and the critical Reynolds
 parameter is bracketed by bisection on the verdict.
 
-This problem, and the linear one of the higher-order control R_p
-(solve_higher_order), are integrated by the Dormand-Prince RK5(4) pair
-with its quartic dense output (Dormand & Prince 1980; Hairer, Norsett &
-Wanner, Solving Ordinary Differential Equations I, II.4-5), in a loop on
-Python floats that takes the steps solve_ivp(method="RK45") takes: the same
-tableau, initial step, step-size control and terminal event at the blow-up
-threshold.  The event time is located by bisecting the step's dense output
-down to adjacent floats, where solve_ivp runs Brent's method, so the two
-agree to within that method's tolerance.
+The problem is integrated by the Dormand-Prince RK5(4) pair (Dormand &
+Prince 1980; Hairer, Norsett & Wanner, Solving Ordinary Differential
+Equations I, II.4-5), in a loop on Python floats that takes the steps
+solve_ivp(method="RK45") takes: the same tableau, initial step, step-size
+control and terminal event at the blow-up threshold.  The event time is
+located by bisecting the quartic dense output of the step that crosses the
+threshold down to adjacent floats, where solve_ivp runs Brent's method, so
+the two agree to within that method's tolerance.
 
 Verdicts are computer indications, not certified proofs: the integration is
 floating point over interpolated estimator tables.
@@ -30,14 +29,11 @@ from __future__ import annotations
 import csv
 import math
 import sys
-from array import array
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dc_field
 
 import mpmath
 
 from .estimators import ConstantsTable, EstimatorTables, build_estimator_set
-from .fields import wave_norm_sq
 from .timepoly import DEFAULT_EVAL_PRECISION
 
 __all__ = [
@@ -45,8 +41,6 @@ __all__ = [
     "BracketError",
     "solve_control",
     "find_critical_R",
-    "solve_higher_order",
-    "coefficient_bound",
     "classical_bounds",
     "export_trajectory_csv",
 ]
@@ -92,39 +86,12 @@ class BracketError(ValueError):
     """The bisection endpoints do not straddle the critical parameter."""
 
 
-class _QuarticDense:
-    """The continuous solution: on each accepted step the quartic
+def _quartic(t_old, h, y_old, k1, k3, k4, k5, k6, k7):
+    """The dense output of the step of size h from (t_old, y_old) with
+    stages k1, k3, ..., k7: the quartic
     y_old + h (Q_0 x + Q_1 x^2 + Q_2 x^3 + Q_3 x^4), x = (t - t_old) / h,
-    with Q = K P formed from the step's stages K.  Step i serves t in
-    (t_i, t_{i+1}], the first step also t_0.
-
-    Each step is one flat record of doubles: t_old in starts[i], and
-    h, y_old, k1, k3, k4, k5, k6, k7 in steps[8 i : 8 i + 8].  The
-    integration extends two lists; they are packed into array('d') once,
-    here, so a step costs 9 doubles and no float or tuple objects.  A
-    step's quartic is formed when the step is first read and kept, so each
-    Q is formed once however often, and in whatever order, its step is read:
-    a solve that reads this one goes back over steps after each step it
-    rejects."""
-
-    def __init__(self, starts, steps):
-        self.starts = array("d", starts)
-        self.steps = array("d", steps)
-        self._quartics = {}
-
-    def __call__(self, t):
-        i = min(max(bisect_left(self.starts, t) - 1, 0), len(self.starts) - 1)
-        quartic = self._quartics.get(i)
-        if quartic is None:
-            quartic = self._quartics[i] = _quartic(self.starts[i], self.steps[8 * i : 8 * i + 8])
-        return quartic(t)
-
-
-def _quartic(t_old, record):
-    """The quartic of the step from t_old whose record is h, y_old and the
-    stages k1, k3, k4, k5, k6, k7 (_QuarticDense), as a function of t, with
-    its Q formed once."""
-    h, y_old, *stages = record
+    with Q = K P, as a function of t."""
+    stages = (k1, k3, k4, k5, k6, k7)
     Q = [sum(k * row[j] for k, row in zip(stages, P)) for j in range(4)]
 
     def value(t):
@@ -157,17 +124,17 @@ def _dormand_prince(rhs, t_bound, threshold, rtol, atol):
     """Integrate y' = rhs(t, y), y(0) = 0, over [0, t_bound] with a
     terminal event where y crosses threshold upwards.
 
-    Returns (times, values, T_c, failed, dense, diagnostics): the accepted
-    step ends (the last one moved to T_c when the event fired), the
-    solution there, the event time or None, whether the step size fell
-    below 10 ulp(t), the dense output, and the counts of rejected
-    steps and right-hand-side evaluations.
+    Returns (times, values, T_c, failed, diagnostics): the accepted step
+    ends (the last one moved to T_c when the event fired), the solution
+    there, the event time or None, whether the step size fell below
+    10 ulp(t), and the counts of rejected steps and right-hand-side
+    evaluations.
     """
     t = y = 0.0
     f = rhs(t, y)
     h_abs = _initial_step(rhs, t, y, f, t_bound, rtol, atol)
     evals, rejected = 2, 0
-    times, values, starts, steps = [t], [y], [], []
+    times, values = [t], [y]
     T_c, failed = None, False
     while t < t_bound:
         min_step = 10 * math.ulp(t)
@@ -205,10 +172,8 @@ def _dormand_prince(rhs, t_bound, threshold, rtol, atol):
             rejected += 1
         if failed:
             break
-        starts.append(t)
-        steps.extend((h, y, k1, k3, k4, k5, k6, k7))
         if y <= threshold <= y_new:
-            quartic = _quartic(t, steps[-8:])
+            quartic = _quartic(t, h, y, k1, k3, k4, k5, k6, k7)
             # bisect down to adjacent floats; T_c is the upper one
             lo, T_c = t, t_new
             while lo < (mid := (lo + T_c) / 2) < T_c:
@@ -222,8 +187,7 @@ def _dormand_prince(rhs, t_bound, threshold, rtol, atol):
         t, y, f = t_new, y_new, k7
         times.append(t)
         values.append(y)
-    dense = _QuarticDense(starts, steps)
-    return times, values, T_c, failed, dense, {"rejected_steps": rejected, "rhs_evals": evals}
+    return times, values, T_c, failed, {"rejected_steps": rejected, "rhs_evals": evals}
 
 
 @dataclass
@@ -236,23 +200,6 @@ class ControlTrajectory:
     verdict: str  # GlobalDecay | BlowUp | Inconclusive
     T_c: float | None = None
     diagnostics: dict = dc_field(default_factory=dict)
-    _dense: object = dc_field(default=None, repr=False, compare=False)
-
-    def value(self, t):
-        """Interpolated R_n(t); only valid on the computed time range."""
-        if t < 0 or t > self.times[-1]:
-            raise ValueError(
-                "t = %s outside the computed range [0, %s]" % (t, self.times[-1])
-            )
-        if self._dense is not None:
-            return max(self._dense(t), 0.0)
-        # linear between the samples, as numpy's interp
-        xs, ys = self.times, self.values
-        i = bisect_right(xs, t) - 1
-        if i >= len(xs) - 1:
-            return max(ys[-1], 0.0)
-        slope = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
-        return max(slope * (t - xs[i]) + ys[i], 0.0)
 
 
 def solve_control(
@@ -286,7 +233,7 @@ def solve_control(
     return _trajectory(est, *run, blowup_threshold=blowup_threshold, rtol=rtol, atol=atol)
 
 
-def _trajectory(est, times, ys, T_c, failed, dense, counts, blowup_threshold, rtol, atol):
+def _trajectory(est, times, ys, T_c, failed, counts, blowup_threshold, rtol, atol):
     """The trajectory and verdict of an integration of est's control
     problem, from what _dormand_prince returns."""
     if failed or not all(math.isfinite(v) for v in ys):
@@ -343,7 +290,6 @@ def _trajectory(est, times, ys, T_c, failed, dense, counts, blowup_threshold, rt
         verdict=verdict,
         T_c=T_c,
         diagnostics=diagnostics,
-        _dense=dense,
     )
 
 
@@ -412,62 +358,6 @@ def _midpoint(lo, hi):
     sum overflows, as 0.5 (lo + hi) is then inf."""
     total = lo + hi
     return 0.5 * total if total < math.inf else lo + 0.5 * (hi - lo)
-
-
-def solve_higher_order(est_p, traj_n, constants, times=None):
-    """Sampled higher-order control R_p(t), the solution of
-
-        dR_p/dt = -R_p + R (G_p D_p + K_p D_{p+1} + G_pn R_n) R_p + eps_p,
-        R_p(0) = 0,
-
-    integrated from 0 by the Dormand-Prince loop of solve_control at its
-    default tolerances, with no event, and read off its dense output at
-    times (by default the grid points up to the end of traj_n).  traj_n
-    supplies R_n; its verdict must not be BlowUp before the last requested
-    time.  Returns (times, values).
-    """
-    p, n = est_p.n, traj_n.n
-    G_p = constants.G_of(p)
-    K_p = constants.K_of(p)
-    G_pn = constants.G_pn_of(p, n)
-    R = est_p.R
-    t_end = traj_n.times[-1]
-    if times is None:
-        times = [t for t in est_p.grid if t <= t_end]
-    times = list(times)
-    if not times:
-        raise ValueError("times is empty")
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError("times must be strictly increasing")
-    if times[0] < 0:
-        raise ValueError("times must be nonnegative, got %s" % (times[0],))
-    if traj_n.verdict == "BlowUp" and traj_n.T_c is not None and times[-1] >= traj_n.T_c:
-        raise ValueError("R_n blows up at %s, before the requested range" % (traj_n.T_c,))
-    if times[-1] > t_end:
-        raise ValueError("time %s is past the end %s of R_n" % (times[-1], t_end))
-    if times[-1] == 0:
-        return times, [0.0] * len(times)
-    rates = est_p.rates
-    R_n = traj_n.value
-
-    def rhs(t, r):
-        dp, dp1, eps = rates(t)
-        return -r + R * (G_p * dp + K_p * dp1 + G_pn * R_n(t)) * r + eps
-
-    run_times, ys, _, failed, dense, _ = _dormand_prince(
-        rhs, times[-1], math.inf, DEFAULT_RTOL, DEFAULT_ATOL
-    )
-    if failed or not all(math.isfinite(v) for v in ys):
-        raise RuntimeError("higher-order control integration failed at t = %s" % (run_times[-1],))
-    return times, [max(dense(t), 0.0) for t in times]
-
-
-def coefficient_bound(traj, k, t):
-    """(2 pi)^{3/2} |u_k(t) - u^N_k(t)| <= R_n(t) / |k|^n."""
-    ksq = wave_norm_sq(k)
-    if ksq == 0:
-        raise ValueError("k must be nonzero")
-    return traj.value(t) / ksq ** (traj.n / 2.0)
 
 
 def classical_bounds(datum, constants=None):

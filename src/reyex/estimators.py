@@ -132,10 +132,9 @@ class ConstantsTable:
 
     K: dict = dc_field(default_factory=lambda: {3: DEFAULT_K3})
     G: dict = dc_field(default_factory=lambda: {3: DEFAULT_G3})
-    G_pn: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        for table in (self.K, self.G, self.G_pn):
+        for table in (self.K, self.G):
             for key, val in table.items():
                 if not 0 < val < math.inf:
                     raise ValueError("constant %s must be finite and positive, got %s" % (key, val))
@@ -151,12 +150,6 @@ class ConstantsTable:
             return self.G[m]
         except KeyError:
             raise MissingConstantError("G_%s not configured; supply it explicitly" % (m,))
-
-    def G_pn_of(self, p, n):
-        try:
-            return self.G_pn[(p, n)]
-        except KeyError:
-            raise MissingConstantError("G_{%s,%s} not configured" % (p, n))
 
 
 GRID_SPLIT = 0.5

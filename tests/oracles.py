@@ -20,10 +20,10 @@ the integer kernels of reyex.fields.  assert_residual_identity checks an
 expansion and its tails against bilinear_P's pair loop, which shares no
 convolution code with the expansion.  solve_control_scipy integrates the
 control problem with scipy's solve_ivp, the reference for the Dormand-Prince
-loop of reyex.control, and solve_higher_order_reference the higher-order
-control with DOP853 at rtol 1e-13, restarted at every point where a
-coefficient is not smooth.  sample_real_polys_full is the batch sampler of
-reyex.timepoly as it was before the per-poly window: every value summed at
+loop of reyex.control, and solve_control_reference its values with DOP853
+at rtol 1e-13, restarted at every grid node.  sample_real_polys_full is the
+batch sampler of reyex.timepoly as it was before the per-poly window: every
+value summed at
 the full width of the aligned basis, which the windowed sampler must equal
 to the bit.  to_records_reference and from_records_reference are
 the cache codec as it was before each distinct coefficient was parsed and
@@ -851,8 +851,9 @@ def solve_control_scipy(
     rtol=DEFAULT_RTOL,
     atol=DEFAULT_ATOL,
 ):
-    """solve_control with the integration done by scipy's RK45, with its
-    terminal event and dense output; the verdict rules are the library's."""
+    """solve_control with the integration done by scipy's RK45 with its
+    terminal event; the verdict rules are the library's.  Returns the
+    trajectory and scipy's dense output sol.sol."""
     G = constants.G_of(est.n)
     K = constants.K_of(est.n)
     R, t_max = est.R, est.t_max
@@ -885,39 +886,39 @@ def solve_control_scipy(
         [float(v) for v in sol.y[0]],
         T_c,
         sol.status == -1,
-        lambda t: float(sol.sol(t)[0]),
         {"rhs_evals": sol.nfev},
         blowup_threshold=blowup_threshold,
         rtol=rtol,
         atol=atol,
-    )
+    ), sol.sol
 
 
-def solve_higher_order_reference(est_p, traj_n, constants, times=None):
-    """solve_higher_order by scipy's DOP853 at rtol 1e-13, run piece by piece
-    between the breakpoints: the grid nodes, where the log-PCHIP estimators
-    are only C1, R_n's step ends, where its dense output changes quartic,
-    and the requested times, where the values are read off."""
-    G_p = constants.G_of(est_p.n)
-    K_p = constants.K_of(est_p.n)
-    G_pn = constants.G_pn_of(est_p.n, traj_n.n)
-    R = est_p.R
-    if times is None:
-        times = [t for t in est_p.grid if t <= traj_n.times[-1]]
-    times = list(times)
-    top = times[-1]
+def solve_control_reference(est, constants, times):
+    """R_n at the increasing times by scipy's DOP853 at rtol 1e-13, run piece
+    by piece between the grid nodes, where the log-PCHIP estimators are only
+    C1 and a step across a node loses accuracy.  The reference for the values
+    of the Dormand-Prince loop, more accurate than solve_control_scipy."""
+    G = constants.G_of(est.n)
+    K = constants.K_of(est.n)
+    R = est.R
 
     def rhs(t, y):
-        dp, dp1, eps = est_p.rates(t)
-        return [-y[0] + R * (G_p * dp + K_p * dp1 + G_pn * traj_n.value(t)) * y[0] + eps]
+        r = y[0]
+        dn, dn1, eps = est.rates(t)
+        return [-r + R * (G * dn + K * dn1) * r + R * G * r * r + eps]
 
-    points = sorted({0.0, *times, *(t for t in (*est_p.grid, *traj_n.times) if t < top)})
-    at = {0.0: 0.0}
+    times = list(times)
+    top = times[-1]
+    points = [0.0, *(t for t in est.grid if 0.0 < t < top), top]
+    values = [0.0 for t in times if t <= 0.0]
     y = 0.0
     for a, b in zip(points, points[1:]):
-        sol = solve_ivp(rhs, (a, b), [y], method="DOP853", rtol=1e-13, atol=1e-20)
+        sol = solve_ivp(rhs, (a, b), [y], method="DOP853", rtol=1e-13, atol=1e-20,
+                        dense_output=True)
         if sol.status != 0:
             raise RuntimeError(sol.message)
+        inside = [t for t in times if a < t <= b]
+        if inside:
+            values += [float(v) for v in sol.sol(inside)[0]]
         y = float(sol.y[0][-1])
-        at[b] = y
-    return times, [max(at[t], 0.0) for t in times]
+    return values

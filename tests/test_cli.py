@@ -328,9 +328,9 @@ def test_bad_grid_or_precision_is_a_usage_error(runner, rundir, tmp_path, comman
 
 
 def test_constants_file_without_K_or_G_keeps_the_defaults(runner, rundir, tmp_path):
-    sections = {"K": {"3": 0.323}, "G": {"3": 0.438}, "G_pn": {"4,3": 0.5}}
+    sections = {"K": {"3": 0.323}, "G": {"3": 0.438}}
     outs = []
-    for name, raw in (("full", sections), ("bare", {"G_pn": sections["G_pn"]})):
+    for name, raw in (("full", sections), ("K-only", {"K": sections["K"]}), ("empty", {})):
         cpath = tmp_path / (name + ".json")
         cpath.write_text(json.dumps(raw))
         prefix = str(tmp_path / name)
@@ -340,7 +340,7 @@ def test_constants_file_without_K_or_G_keeps_the_defaults(runner, rundir, tmp_pa
         ])
         assert res.exit_code == 0, res.output
         outs.append((tmp_path / (name + ".trajectory.csv")).read_bytes())
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] == outs[2]
 
 
 @pytest.mark.parametrize("raw, message", [
@@ -348,13 +348,14 @@ def test_constants_file_without_K_or_G_keeps_the_defaults(runner, rundir, tmp_pa
     (5, "not an object of sections"),
     ([], "not an object of sections"),
     ({"k": {"3": 0.5}}, "not an object of sections"),
-    ({"G_pn": "4,3"}, "not an object of sections"),
+    ({"G": "0.438"}, "not an object of sections"),
     ({"K": {"3": None}}, "malformed constant"),
     ({"K": {"3": True}}, "malformed constant"),
     ({"K": {"3": "0.5"}}, "malformed constant"),
     ({"K_pn": {"4,3": 0.5}}, "not an object of sections"),
+    ({"G_pn": {"4,3": 0.5}}, "not an object of sections"),
 ], ids=["section-list", "number", "list", "unknown-section", "section-string", "null-constant",
-        "bool-constant", "string-constant", "K_pn-section"])
+        "bool-constant", "string-constant", "K_pn-section", "G_pn-section"])
 @pytest.mark.parametrize("command", ["estimate", "control", "critical"])
 def test_malformed_constants_file_is_a_usage_error(runner, rundir, tmp_path, command, raw, message):
     cpath = tmp_path / "constants.json"

@@ -73,8 +73,6 @@ def test_constants_defaults_and_refusal():
     assert c.G_of(3) == pytest.approx(0.438)
     with pytest.raises(MissingConstantError):
         c.K_of(4)
-    with pytest.raises(MissingConstantError):
-        c.G_pn_of(4, 3)
 
 
 def test_constants_must_be_positive():
