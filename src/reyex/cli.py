@@ -20,7 +20,6 @@ from contextlib import contextmanager
 import click
 
 from .control import (
-    DEFAULT_BLOWUP_THRESHOLD,
     DEFAULT_TOL_R,
     classical_bounds,
     export_trajectory_csv,
@@ -50,7 +49,6 @@ from .expansion import (
 )
 from .fields import heat_apply
 from .symmetry import find_symmetries
-from .timepoly import DEFAULT_EVAL_PRECISION
 
 EXIT_RESOURCE = 3
 EXIT_NUMERICAL = 4
@@ -274,8 +272,6 @@ def cmd_expand(ctx, selector, N, symmetry, tails, term_ceiling, cache):
 
 
 def _common_estimator_args(f):
-    f = click.option("--precision", default=DEFAULT_EVAL_PRECISION, show_default=True,
-                     help="Sampling precision of the estimator tables, in bits.")(f)
     f = click.option("--t-max", default=DEFAULT_T_MAX, show_default=True)(f)
     f = click.option("--grid-points", default=DEFAULT_GRID_POINTS, show_default=True)(f)
     f = click.option("--variant", default="rough", show_default=True, callback=_variant_option,
@@ -305,14 +301,14 @@ def _probe_errors():
         sys.exit(EXIT_NUMERICAL)
 
 
-def _probe_setup(ctx, cache, constants_path, n, grid_points, t_max, precision):
+def _probe_setup(ctx, cache, constants_path, n, grid_points, t_max):
     """The cache path, expansion, constants and EstimatorTables of a probing
-    command; the tables hold its grid and precision."""
+    command; the tables hold its grid."""
     path = _cache_dir(cache, ctx.obj["cache_root"])
     exp = _load_cache(path)
     with _probe_errors():
         constants = _load_constants(constants_path)
-        tables = EstimatorTables(exp, n, default_grid(grid_points, t_max), precision)
+        tables = EstimatorTables(exp, n, default_grid(grid_points, t_max))
     return path, exp, constants, tables
 
 
@@ -321,11 +317,9 @@ def _probe_setup(ctx, cache, constants_path, n, grid_points, t_max, precision):
 @click.option("--R", "R", required=True, type=float)
 @click.option("--output", required=True, help="CSV output path.")
 @click.pass_context
-def cmd_estimate(ctx, cache, constants_path, n, variant, grid_points, t_max, precision, R, output):
+def cmd_estimate(ctx, cache, constants_path, n, variant, grid_points, t_max, R, output):
     """Sample the estimators D_n, D_{n+1}, eps_n on the grid and export CSV."""
-    _, exp, constants, tables = _probe_setup(
-        ctx, cache, constants_path, n, grid_points, t_max, precision
-    )
+    _, exp, constants, tables = _probe_setup(ctx, cache, constants_path, n, grid_points, t_max)
     with _probe_errors():
         est = build_estimator_set(exp, R, n, variant, constants=constants, tables=tables)
     export_csv(est, output)
@@ -335,27 +329,22 @@ def cmd_estimate(ctx, cache, constants_path, n, variant, grid_points, t_max, pre
 @main.command("control")
 @_common_estimator_args
 @click.option("--R", "R", required=True, type=float)
-@click.option("--blowup-threshold", default=DEFAULT_BLOWUP_THRESHOLD, show_default=True)
 @click.option("--output-prefix", required=True,
               help="Writes PREFIX.trajectory.csv and PREFIX.verdict.json.")
 @click.pass_context
-def cmd_control(ctx, cache, constants_path, n, variant, grid_points, t_max, precision, R,
-                blowup_threshold, output_prefix):
+def cmd_control(ctx, cache, constants_path, n, variant, grid_points, t_max, R, output_prefix):
     """Integrate the control problem for one Reynolds parameter."""
-    path, exp, constants, tables = _probe_setup(
-        ctx, cache, constants_path, n, grid_points, t_max, precision
-    )
+    path, exp, constants, tables = _probe_setup(ctx, cache, constants_path, n, grid_points, t_max)
     cfg = {
         "command": "control", "cache": path, "R": R, "n": n,
         "variant": variant, "grid_points": grid_points,
-        "t_max": t_max, "precision": precision, "blowup_threshold": blowup_threshold,
-        "constants": constants_path,
+        "t_max": t_max, "constants": constants_path,
     }
     with _probe_errors():
         constants.G_of(n)  # solve_control reads both: a missing one fails before sampling
         constants.K_of(n)
         est = build_estimator_set(exp, R, n, variant, constants=constants, tables=tables)
-        traj = solve_control(est, constants, blowup_threshold=blowup_threshold)
+        traj = solve_control(est, constants)
     export_trajectory_csv(traj, output_prefix + ".trajectory.csv")
     record = {
         "R": traj.R, "n": traj.n, "N": exp.N, "variant": traj.variant,
@@ -375,18 +364,15 @@ def cmd_control(ctx, cache, constants_path, n, variant, grid_points, t_max, prec
               help="Datum selector for the physical-Reynolds conversion.")
 @click.option("--output", required=True, help="Bracket JSON output path.")
 @click.pass_context
-def cmd_critical(ctx, cache, constants_path, n, variant, grid_points, t_max, precision,
+def cmd_critical(ctx, cache, constants_path, n, variant, grid_points, t_max,
                  lo, hi, tol_r, selector, output):
     """Bisect the critical Reynolds parameter between --lo and --hi."""
-    path, exp, constants, tables = _probe_setup(
-        ctx, cache, constants_path, n, grid_points, t_max, precision
-    )
+    path, exp, constants, tables = _probe_setup(ctx, cache, constants_path, n, grid_points, t_max)
     datum = None if selector is None else _datum_of(selector, exp)
     cfg = {
         "command": "critical", "cache": path, "n": n, "variant": variant,
         "lo": lo, "hi": hi, "tol_r": tol_r, "grid_points": grid_points,
-        "t_max": t_max, "precision": precision, "constants": constants_path,
-        "datum": selector,
+        "t_max": t_max, "constants": constants_path, "datum": selector,
     }
     probe_log = []
     with _probe_errors():

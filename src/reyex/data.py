@@ -107,7 +107,7 @@ def mode_amplitude(fields, k, R, grid):
     for p in comps:
         parts.append(_tp({key: _gaussian(c.a, 0, c.d) for key, c in p.terms.items() if c.a}))
         parts.append(_tp({key: _gaussian(c.b, 0, c.d) for key, c in p.terms.items() if c.b}))
-    values, _ = sample_real_polys(parts, grid, DEFAULT_EVAL_PRECISION)
+    values, _ = sample_real_polys(parts, grid)
     with mpmath.workprec(DEFAULT_EVAL_PRECISION):
         scale = (2 * mpmath.pi) ** mpmath.mpf("1.5")
         return [

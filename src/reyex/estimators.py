@@ -46,9 +46,9 @@ probed during a bisection.  They are built in two steps:
                 points t > 0 split into interleaved shares, one for this
                 process and one for each child forked for the call, up to
                 one process per CPU it may run on; a value depends only on
-                its Gram, its point and the precision, so the tables are bit
-                for bit the same however the points are split and whichever
-                kinds share the batch.
+                its Gram and its point, so the tables are bit for bit the
+                same however the points are split and whichever kinds share
+                the batch.
 
 The per-R assembly is exact integer arithmetic.  Every sampled value is a
 dyadic mpf, so the values at one grid point are ints over one common power
@@ -61,21 +61,21 @@ first use:
                 quadratic form in the powers of R has 2M+1 columns instead
                 of (M+1)(M+2)/2;
   norms         ||u_j||_m = sqrt((2 pi)^3 G_jj^m) for m in {n, n+1}, to the
-                tables' precision;
+                working precision;
   rough sums    sum_l ||u_l||_n ||u_{j-l-1}||_{n+1}.
 
-R and K_n are mpfs at the tables' precision, which for a float is exact,
+R and K_n are mpfs at the working precision, which for a float is exact,
 and equal p 2^e.  A probe computes the integer weights of the powers of R
 once, and each sample is one integer dot product over a row of columns,
 rounded to a float once and correctly (a square root through math.isqrt
 with a sticky bit).
 
-Rounding enters in the sampling, in (2 pi)^3 and the norms (at the tables'
-precision), and once per sample when it becomes a float.  The bits each
-sampled value loses to cancellation are measured, and a value that would
-keep fewer than timepoly.GUARD_BITS is evaluated again at a higher
-precision.  EstimatorTables.stats records the loss and the cost of the
-sampling and of the assembly.
+Rounding enters in the sampling, in (2 pi)^3 and the norms (at the working
+precision, timepoly.DEFAULT_EVAL_PRECISION), and once per sample when it
+becomes a float.  The bits each sampled value loses to cancellation are
+measured, and a value that would keep fewer than timepoly.GUARD_BITS is
+evaluated again at a higher precision.  EstimatorTables.stats records the
+loss and the cost of the sampling and of the assembly.
 """
 
 from __future__ import annotations
@@ -203,20 +203,21 @@ def variant_label(variant):
 class EstimatorTables:
     """Sampled Gram tables for one expansion on one grid.
 
-    The grid and the precision given here are the only probe configuration:
-    every estimator set built on these tables uses both.
+    The grid given here is the only probe setting: every estimator set built
+    on these tables uses it.  Sampling and assembly run at the one working
+    precision, timepoly.DEFAULT_EVAL_PRECISION.
 
     coeff_tables() and tail_tables() return dict[(i, j, m)] -> list of mpf
     over the grid.  The first call builds the exact Gram polynomials of
     every kind the expansion holds, the coefficients and, where exp.tails
     is set or tail_tables() is called, the residual tails, and samples them
-    on the grid at the given precision in one batch.  A probe samples only
-    what its variant reads: a rough or intermediate probe builds no tail
-    Gram, even where the expansion holds its tails.  Values at t = 0 are
-    exact, and values that lose too many bits to cancellation are evaluated
-    again at a higher precision.  Each probed R then costs one integer dot
-    product over columns formed once per instance at each grid point, so
-    bisections reuse one instance.
+    on the grid in one batch.  A probe samples only what its variant reads:
+    a rough or intermediate probe builds no tail Gram, even where the
+    expansion holds its tails.  Values at t = 0 are exact, and values that
+    lose too many bits to cancellation are evaluated again at a higher
+    precision.  Each probed R then costs one integer dot product over
+    columns formed once per instance at each grid point, so bisections
+    reuse one instance.
 
     stats maps each table kind built so far ("coeff", "tail") to its
     build_s (seconds of the exact build), build_workers (the processes that
@@ -231,7 +232,7 @@ class EstimatorTables:
     columns that do not depend on R).
     """
 
-    def __init__(self, exp, n, grid=None, precision=DEFAULT_EVAL_PRECISION):
+    def __init__(self, exp, n, grid=None):
         self.exp = exp
         self.n = n
         self.grid = list(grid) if grid is not None else default_grid()
@@ -241,8 +242,7 @@ class EstimatorTables:
             b <= a for a, b in zip(self.grid, self.grid[1:])
         ):
             raise ValueError("grid must be strictly increasing and start at 0")
-        self.precision = precision
-        with mpmath.workprec(precision):
+        with mpmath.workprec(DEFAULT_EVAL_PRECISION):
             self._vol = self._dyadic((2 * mpmath.pi) ** 3)
         self._tables = {}  # kind -> dict[(i, j, m)] -> list of mpf over the grid
         self._columns = {}
@@ -274,7 +274,7 @@ class EstimatorTables:
         built = [self._build(kind) for kind in kinds]
         start = time.perf_counter()
         values, reports = sample_real_polys(
-            [poly for _, polys in built for poly in polys], self.grid, self.precision,
+            [poly for _, polys in built for poly in polys], self.grid,
             parts=[len(polys) for _, polys in built],
         )
         eval_s = time.perf_counter() - start
@@ -386,7 +386,7 @@ class EstimatorTables:
         if M < 0:
             heads = [(0, 0)] * len(self.grid)  # no head: sqrt(0)
         else:
-            heads = self._roots("coeff", m, M, R, 0, self.precision)
+            heads = self._roots("coeff", m, M, R, 0, DEFAULT_EVAL_PRECISION)
         w, s = _weights(*R, M + 1, N)
         out = []
         for (r, g), (f, norms) in zip(heads, self._norms()[m]):
@@ -419,8 +419,8 @@ class EstimatorTables:
         return M
 
     def _dyadic(self, x):
-        """(p, e) with p 2^e = mpf(x) at self.precision."""
-        with mpmath.workprec(self.precision):
+        """(p, e) with p 2^e = mpf(x) at the working precision."""
+        with mpmath.workprec(DEFAULT_EVAL_PRECISION):
             x = mpmath.mpf(x)
         if not mpmath.isfinite(x):  # mpmath holds inf and nan with a zero mantissa
             raise ValueError("%s is not a finite number" % (x,))
@@ -464,7 +464,7 @@ class EstimatorTables:
         return self._cached("rough", _rough_sums, norms[self.n], norms[self.n + 1], self.exp.N)
 
     def _norm_columns(self, tables):
-        """||u_j||_m = sqrt(vol G_jj^m), j = 0..N, to self.precision bits, as
+        """||u_j||_m = sqrt(vol G_jj^m), j = 0..N, to the working precision, as
         ints over one power of two per grid point: dict m -> list over the
         grid of (f, [||u_0||_m 2^-f, ...])."""
         v, ve = self._vol
@@ -472,7 +472,7 @@ class EstimatorTables:
         for m in (self.n, self.n + 1):
             out[m] = column = []
             for e, G in _int_rows([tables[(j, j, m)] for j in range(self.exp.N + 1)]):
-                roots = [_sqrt_fixed(v * x, ve + e, self.precision) for x in G]
+                roots = [_sqrt_fixed(v * x, ve + e, DEFAULT_EVAL_PRECISION) for x in G]
                 f = min(g for _, g in roots)
                 column.append((f, [r << (g - f) for r, g in roots]))
         return out
@@ -669,7 +669,6 @@ class EstimatorSet:
     D_n: list  # float samples
     D_n1: list
     eps_n: list
-    precision: int
     _rows: list = dc_field(default=None, init=False, repr=False, compare=False)
     _memo: tuple = dc_field(default=(None, None), init=False, repr=False, compare=False)
 
@@ -722,8 +721,8 @@ def build_estimator_set(exp, R, n, variant="tautological", constants=None, table
     The rough and intermediate variants use the rough error formula (the
     constant K_n must be configured); the tautological variant needs the
     residual tails.  tables, an EstimatorTables of exp at order n, fixes the
-    grid and the precision and shares the sampling across R values; without
-    it, tables on the default grid and precision are built.
+    grid and shares the sampling across R values; without it, tables on the
+    default grid are built.
     """
     variant = variant_label(variant)
     if constants is None:
@@ -747,7 +746,6 @@ def build_estimator_set(exp, R, n, variant="tautological", constants=None, table
         D_n=D_n,
         D_n1=D_n1,
         eps_n=eps,
-        precision=tables.precision,
     )
     _check_invariants(est, exp)
     return est
@@ -768,10 +766,7 @@ def export_csv(est, path):
     import csv
 
     with open(path, "w", newline="") as fh:
-        fh.write(
-            "# R=%.17g N=%d n=%d variant=%s precision=%d\n"
-            % (est.R, est.N, est.n, est.variant, est.precision)
-        )
+        fh.write("# R=%.17g N=%d n=%d variant=%s\n" % (est.R, est.N, est.n, est.variant))
         writer = csv.writer(fh)
         writer.writerow(["t", "D_%d" % est.n, "D_%d" % (est.n + 1), "eps_%d" % est.n])
         for t, a, b, c in zip(est.grid, est.D_n, est.D_n1, est.eps_n):

@@ -160,10 +160,6 @@ class TimeField:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def support(self):
-        """Canonical wave vectors with a nonzero coefficient."""
-        return set(self.coeffs)
-
     def num_modes(self):
         """Nonzero Fourier coefficients over the full lattice (both signs)."""
         return 2 * len(self.coeffs)

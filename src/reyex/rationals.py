@@ -7,8 +7,8 @@ operation works on the ints and normalizes at most once, with one gcd of
 three arguments; negation, conjugation and the quarter turns only move signs.
 
 mpq is the type of the rationals the API takes and returns (the parts re and
-im, abs_sq, rational_from_string): gmpy2's mpq when it is installed, else
-fractions.Fraction.  The scalar arithmetic runs on Python ints under either.
+im): gmpy2's mpq when it is installed, else fractions.Fraction.  The scalar
+arithmetic runs on Python ints under either.
 """
 
 from __future__ import annotations
@@ -27,12 +27,8 @@ except ImportError:  # gmpy2 is an optional extra ('.[gmpy2]')
 __all__ = [
     "mpq",
     "MPQ_BACKEND",
-    "rational_from_string",
-    "rational_to_string",
     "GaussianRational",
     "GR_ZERO",
-    "GR_ONE",
-    "GR_I",
 ]
 
 
@@ -49,20 +45,8 @@ def _int_pair(s):
     return int(s), 1
 
 
-def rational_from_string(s):
-    """Parse 'num/den' or 'num' into an exact rational; ValueError if s is
-    neither, or den is zero."""
-    return mpq(*_int_pair(s))
-
-
-def rational_to_string(q):
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
-
-
 def _ratio_string(n, d):
-    """rational_to_string of n/d, d > 0, without forming the rational."""
+    """n/d, d > 0, in lowest terms as 'num/den', or 'num' where den is 1."""
     g = gcd(n, d)
     if g == d:
         return str(n // d)
@@ -153,10 +137,6 @@ class GaussianRational:
             return _triple(re, im, 1)
         return _gaussian(re, im, d)
 
-    def scale(self, q):
-        """Multiply by an exact rational (an int or an mpq)."""
-        return self.mul_ratio(int(q.numerator), int(q.denominator))
-
     def mul_ratio(self, n, m):
         """Multiply by n/m for ints n and m, m nonzero."""
         if m < 0:
@@ -173,17 +153,15 @@ class GaussianRational:
     def mul_minus_i(self):
         return _triple(self.b, -self.a, self.d)
 
-    def abs_sq(self):
-        a, b, d = self.a, self.b, self.d
-        return mpq(a * a + b * b, d * d)
-
     def to_strings(self):
-        """The parts as rational_to_string writes them."""
+        """The parts as strings 'num/den', or 'num' where den is 1, in
+        lowest terms."""
         return _ratio_string(self.a, self.d), _ratio_string(self.b, self.d)
 
     @classmethod
     def from_strings(cls, re_s, im_s):
-        """The scalar with the parts rational_from_string reads."""
+        """The scalar with the parts 'num/den' or 'num', den a nonzero int
+        of either sign; ValueError if a part is neither, or den is zero."""
         p, q = _int_pair(re_s)
         r, s = _int_pair(im_s)
         d = q * s
@@ -219,5 +197,3 @@ def _gaussian(a, b, d):
 
 
 GR_ZERO = GaussianRational(0, 0)
-GR_ONE = GaussianRational(1, 0)
-GR_I = GaussianRational(0, 1)

@@ -33,8 +33,13 @@ from mpmath.libmp import (
 
 from .rationals import GR_ZERO, GaussianRational
 
-__all__ = ["TimePoly", "tp_basis", "TP_ZERO", "TP_ONE", "sample_real_polys"]
+__all__ = ["TimePoly", "tp_basis", "TP_ZERO", "sample_real_polys"]
 
+# The one working precision, in bits: every sampled value, datum scalar and
+# estimator assembly is computed at it.  A sampled value that loses bits to
+# cancellation is evaluated again above it until GUARD_BITS survive, so the
+# estimator floats are the same at 512 bits (test_estimators.py,
+# test_the_working_precision_is_enough).
 DEFAULT_EVAL_PRECISION = 256
 
 
@@ -140,14 +145,6 @@ class TimePoly:
                     else:
                         del out[key]
         return _tp(out)
-
-    def scale(self, c):
-        """Multiply by a GaussianRational (or exact rational) scalar."""
-        if not isinstance(c, GaussianRational):
-            c = GaussianRational(c)
-        if not c:
-            return TP_ZERO
-        return _tp({key: x * c for key, x in self.terms.items()})
 
     def scale_rational(self, q):
         """Multiply by an exact rational (an int or an mpq)."""
@@ -539,21 +536,21 @@ def _window_dot(coeffs, bound, basis, widths, prec):
     return value, max(total[2] + total[3] - value[2] - value[3], 0)
 
 
-def _reevaluate(poly, t, prec, lost, keep):
+def _reevaluate(poly, t, prec, lost):
     """Evaluate poly at t again, adding the bits measured as lost to the
-    precision, until keep bits survive or GUARD_ROUNDS run out.  Returns
+    precision, until GUARD_BITS survive or GUARD_ROUNDS run out.  Returns
     (value, precision used, bits lost at that precision)."""
     keys = list(poly.terms)
     for _ in range(GUARD_ROUNDS):
         prec += lost
         coeffs = _coefficients(poly, prec, range(len(keys)))
         value, lost = _dot(coeffs, _basis(keys, t, prec), prec)
-        if prec - lost >= keep:
+        if prec - lost >= GUARD_BITS:
             break
     return value, prec, lost
 
 
-def sample_real_polys(polys, grid, precision=DEFAULT_EVAL_PRECISION, parts=None):
+def sample_real_polys(polys, grid, parts=None):
     """Values of real-coefficient polys on a time grid of finite t >= 0.
 
     Returns (values, report): values[i] is the list of mpf values of polys[i]
@@ -571,26 +568,25 @@ def sample_real_polys(polys, grid, precision=DEFAULT_EVAL_PRECISION, parts=None)
     width (_dot), so every value is bit for bit the full-width one.  A poly
     with no terms is zero at every point and is not summed.
 
-    The bits each value loses to cancellation are measured in the same pass.
-    Where fewer than GUARD_BITS would survive (or the precision, if lower),
-    the value is evaluated again at precision + the bits lost.  report holds
-    max_bits_lost, reevaluated (the number of values re-evaluated),
-    max_precision (the highest precision used), fallbacks (the number of
-    values whose window failed the test and were summed at full width) and
-    workers (the number of processes that sampled the batch).  parts, if
-    given, splits polys into consecutive runs of these lengths, and report
-    is then a list of one report per run, each over the values of its own
-    polys, with the workers of the whole batch.
+    Every value is sampled at DEFAULT_EVAL_PRECISION.  The bits each value
+    loses to cancellation are measured in the same pass.  Where fewer than
+    GUARD_BITS would survive, the value is evaluated again at that precision
+    + the bits lost.  report holds max_bits_lost, reevaluated (the number of
+    values re-evaluated), max_precision (the highest precision used),
+    fallbacks (the number of values whose window failed the test and were
+    summed at full width) and workers (the number of processes that sampled
+    the batch).  parts, if given, splits polys into consecutive runs of
+    these lengths, and report is then a list of one report per run, each
+    over the values of its own polys, with the workers of the whole batch.
 
     The points t > 0 are split into interleaved shares, one per process
     (_run_shares): the caller's process and one child forked from it for
     each PARALLEL_MIN_WORK of the batch's work (terms x points t > 0), up to
     one process per CPU the caller may run on.  A value depends only on its
-    poly, its point and the precision, so every value and every report
-    field but workers is the same however the points are split.
+    poly and its point, so every value and every report field but workers
+    is the same however the points are split.
     """
-    if precision < 53:
-        raise ValueError("precision must be at least 53 bits")
+    precision = DEFAULT_EVAL_PRECISION
     grid = list(grid)
     if not all(0 <= t < inf for t in grid):
         # the window's error bound needs every basis value B > 0
@@ -599,7 +595,6 @@ def sample_real_polys(polys, grid, precision=DEFAULT_EVAL_PRECISION, parts=None)
     if sum(lengths) != len(polys) or min(lengths, default=0) < 0:
         raise ValueError("parts must split the %d polys into runs" % len(polys))
     part = [g for g, n in enumerate(lengths) for _ in range(n)]
-    keep = min(GUARD_BITS, precision)
     keys = sorted({key for p in polys for key in p.terms})
     slot = {key: i for i, key in enumerate(keys)}
     coeffs, bounds = [], []
@@ -631,8 +626,8 @@ def sample_real_polys(polys, grid, precision=DEFAULT_EVAL_PRECISION, parts=None)
                     loss[3] += 1
                 value, lost = got
                 loss[0] = max(loss[0], lost)
-                if precision - lost < keep:
-                    value, prec, lost = _reevaluate(p, t, precision, lost, keep)
+                if precision - lost < GUARD_BITS:
+                    value, prec, lost = _reevaluate(p, t, precision, lost)
                     loss[0] = max(loss[0], lost)
                     loss[1] += 1
                     loss[2] = max(loss[2], prec)
@@ -789,4 +784,3 @@ def tp_basis(a, b, c=None):
 
 
 TP_ZERO = TimePoly()
-TP_ONE = tp_basis(0, 0)

@@ -75,7 +75,7 @@ from reyex.fields import (
     norm_sq_poly,
     wave_norm_sq,
 )
-from reyex.rationals import GaussianRational, mpq, rational_to_string
+from reyex.rationals import GaussianRational, mpq
 from reyex.symmetry import (
     _HALF_LATTICE,
     _QUARTER_LATTICE,
@@ -226,11 +226,11 @@ class FractionGaussian:
     def mul_minus_i(self):
         return FractionGaussian(self.im, -self.re)
 
-    def abs_sq(self):
-        return self.re * self.re + self.im * self.im
-
     def to_strings(self):
-        return rational_to_string(self.re), rational_to_string(self.im)
+        return tuple(
+            str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
+            for q in (self.re, self.im)
+        )
 
     @classmethod
     def from_strings(cls, re_s, im_s):
@@ -238,8 +238,9 @@ class FractionGaussian:
 
 
 def rational_from_string_reference(s):
-    """rational_from_string as it was before it shared its int parser with
-    GaussianRational.from_strings."""
+    """Parse 'num/den' or 'num' into an exact rational; ValueError if s is
+    neither, or den is zero.  The parser the library had before
+    GaussianRational.from_strings read the parts itself."""
     s = s.strip()
     if "/" in s:
         num, den = s.split("/")
@@ -647,7 +648,7 @@ def assembly_growth(tables, R, m, M):
     """||sum_{j<=M} R^j u_j||_m + sum_{j>M} R^j ||u_j||_m over the grid."""
     coeff = tables.coeff_tables()
     N = tables.exp.N
-    with mpmath.workprec(tables.precision):
+    with mpmath.workprec(DEFAULT_EVAL_PRECISION):
         Rf = mpmath.mpf(R)
         vol = (2 * mpmath.pi) ** 3
         Rpow = [Rf**j for j in range(N + 1)]
@@ -669,7 +670,7 @@ def assembly_error_tautological(tables, R):
     """||sum_i R^{N+1+i} tail_i||_n over the grid."""
     tail = tables.tail_tables()
     N = tables.exp.N
-    with mpmath.workprec(tables.precision):
+    with mpmath.workprec(DEFAULT_EVAL_PRECISION):
         Rf = mpmath.mpf(R)
         vol = (2 * mpmath.pi) ** 3
         Rpow = [Rf ** (N + 1 + i) for i in range(N + 1)]
@@ -688,7 +689,7 @@ def assembly_error_rough(tables, R, constants):
     """K_n sum_{j=N+1}^{2N+1} R^j sum_l ||u_l||_n ||u_{j-l-1}||_{n+1} over the grid."""
     coeff = tables.coeff_tables()
     N, n = tables.exp.N, tables.n
-    with mpmath.workprec(tables.precision):
+    with mpmath.workprec(DEFAULT_EVAL_PRECISION):
         Rf = mpmath.mpf(R)
         vol = (2 * mpmath.pi) ** 3
         Kf = mpmath.mpf(constants.K_of(n))

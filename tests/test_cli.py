@@ -314,9 +314,7 @@ def test_usage_errors_come_before_any_table_is_sampled(runner, rundir, tmp_path,
         assert len(calls) == 1  # the coefficient and the tail tables, in one batch
 
 
-@pytest.mark.parametrize("bad", [
-    ["--t-max", "0.4"], ["--grid-points", "3"], ["--grid-points", "40", "--precision", "40"],
-])
+@pytest.mark.parametrize("bad", [["--t-max", "0.4"], ["--grid-points", "3"]])
 @pytest.mark.parametrize("command", ["estimate", "control", "critical"])
 def test_bad_grid_or_precision_is_a_usage_error(runner, rundir, tmp_path, command, bad):
     res = runner.invoke(main, [
@@ -468,7 +466,7 @@ def test_critical_bracket_json(runner, rundir, tmp_path):
     rec = json.loads(out.read_text())
     assert rec["R_hi"] - rec["R_lo"] <= 0.5
     assert rec["Rey_lo"] == pytest.approx(rec["R_lo"] * 15.3906, rel=1e-4)
-    # converted at the datum layer's working precision, whatever --precision
+    # converted at the datum layer's working precision
     assert (rec["R_lo"], rec["R_hi"]) == (0.01, 0.38375)
     assert (rec["Rey_lo"], rec["Rey_hi"]) == (0.1539059796194237, 5.906141967895384)
     probes = {p["R"]: p["verdict"] for p in rec["probes"]}
@@ -666,14 +664,22 @@ def test_report_prints_the_working_precision_digits(runner, rundir, tmp_path):
     assert hashlib.sha256("\n".join(lines[1:]).encode()).hexdigest() == REPORT_GAMMA_SHA256
 
 
-@pytest.mark.parametrize("command", ["norms", "report"])
-def test_datum_commands_take_no_precision(runner, rundir, tmp_path, command):
+@pytest.mark.parametrize("command, option", [
+    ("norms", "--precision"), ("report", "--precision"), ("estimate", "--precision"),
+    ("control", "--precision"), ("critical", "--precision"), ("control", "--blowup-threshold"),
+], ids=["norms", "report", "estimate", "control", "critical", "control-blowup-threshold"])
+def test_datum_commands_take_no_precision(runner, rundir, tmp_path, command, option):
+    # no command sets a precision, and control has no blow-up threshold
     shutil.copytree(rundir / "cache", tmp_path / "cache")
     (tmp_path / "run.verdict.json").write_text(json.dumps({"R": 0.1, "verdict": "BlowUp"}))
-    args = {"norms": [], "report": ["--run-dir", str(tmp_path)]}[command]
-    res = runner.invoke(main, [command, *args, "--datum", "bnw", "--precision", "256"])
+    value = "1e6" if option == "--blowup-threshold" else "256"
+    if command in PROBE_ARGS:
+        args = ["--cache", str(tmp_path / "cache"), *PROBE_ARGS[command], str(tmp_path / "out")]
+    else:
+        args = {"norms": [], "report": ["--run-dir", str(tmp_path)]}[command] + ["--datum", "bnw"]
+    res = runner.invoke(main, [command, *args, option, value])
     assert res.exit_code == 2, res.output
-    assert "No such option '--precision'" in res.output
+    assert "No such option '%s'" % option in res.output
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "run.verdict.json"]
 
 

@@ -40,7 +40,7 @@ def synthetic_estimator(R, n, grid, D_n, D_n1, eps):
     m = len(grid)
     return EstimatorSet(
         R=R, n=n, variant="rough", N=1, grid=list(grid),
-        D_n=[D_n] * m, D_n1=[D_n1] * m, eps_n=[eps] * m, precision=256,
+        D_n=[D_n] * m, D_n1=[D_n1] * m, eps_n=[eps] * m,
     )
 
 
@@ -89,22 +89,18 @@ def test_blowup_detection_with_constant_coefficients():
     assert traj.diagnostics["min_step"] < 1e-3
 
 
-def test_solver_tolerance_convergence():
+def test_solver_tolerance_convergence(monkeypatch):
     est = synthetic_estimator(0.1, 3, GRID, 5.0, 8.0, 0.5)
     c = ConstantsTable()
     # each run at its own step ends against the scipy reference at the finer tolerances
     for rtol, atol in ((1e-10, 1e-14), (5e-11, 5e-15)):
-        traj = solve_control(est, c, rtol=rtol, atol=atol)
+        monkeypatch.setattr(reyex.control, "DEFAULT_RTOL", rtol)
+        monkeypatch.setattr(reyex.control, "DEFAULT_ATOL", atol)
+        traj = solve_control(est, c)
+        assert (traj.diagnostics["rtol"], traj.diagnostics["atol"]) == (rtol, atol)
         refs = _scipy_at(est, c, traj.times, rtol=5e-11, atol=5e-15)
         for v, ref in zip(traj.values, refs):
             assert v == pytest.approx(ref, rel=1e-8, abs=1e-12)
-
-
-def test_tolerances_are_checked():
-    est = synthetic_estimator(0.1, 3, GRID, 5.0, 8.0, 0.5)
-    for rtol, atol in ((1e-10, 0.0), (1e-16, 1e-14), (-1.0, 1e-14)):
-        with pytest.raises(ValueError):
-            solve_control(est, ConstantsTable(), rtol=rtol, atol=atol)
 
 
 @pytest.fixture(scope="module")
@@ -278,7 +274,7 @@ def test_import_loads_neither_scipy_nor_numpy():
         "grid = default_grid(40)\n"
         "m = len(grid)\n"
         "est = EstimatorSet(R=0.1, n=3, variant='rough', N=1, grid=grid, D_n=[2.0] * m,\n"
-        "                   D_n1=[3.0] * m, eps_n=[0.4] * m, precision=256)\n"
+        "                   D_n1=[3.0] * m, eps_n=[0.4] * m)\n"
         "assert solve_control(est, ConstantsTable()).values[-1] > 0\n"
         "print(sorted(m for m in ('scipy', 'numpy') if m in sys.modules))"
     )

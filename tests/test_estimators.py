@@ -279,9 +279,9 @@ def test_sampled_gram_polys_equal_the_full_width_sum(request, monkeypatch, which
     dot = reyex.timepoly._dot
     calls, full_width = [], []
 
-    def recording(polys, grid, precision, parts):
-        values, reports = sample(polys, grid, precision, parts)
-        calls.append((polys, grid, precision, parts, values, reports))
+    def recording(polys, grid, parts):
+        values, reports = sample(polys, grid, parts=parts)
+        calls.append((polys, grid, parts, values, reports))
         return values, reports
 
     def counting(*args):
@@ -294,19 +294,19 @@ def test_sampled_gram_polys_equal_the_full_width_sum(request, monkeypatch, which
     monkeypatch.setattr(reyex.timepoly, "_cpus", lambda: 1)
     tables = EstimatorTables(exp, 3)
     tables.coeff_tables() if kind == "coeff" else tables.tail_tables()
-    [(batch, grid, precision, parts, values, reports)] = calls
+    [(batch, grid, parts, values, reports)] = calls
     polys, values, report = _kind_of_batch(tables, kind, parts, batch, values, reports)
     mpfs = [[v._mpf_ for v in vs] for vs in values]
     # the kind sampled alone: the values at large t, where the aligned basis
     # is widest, are summed over a window, more than a fifth of the values
     # of its polys with terms at t > 0 here (a poly with none is no sum)
     full_width.clear()
-    alone, alone_report = sample(polys, grid, precision)
+    alone, alone_report = sample(polys, grid)
     assert [[v._mpf_ for v in vs] for vs in alone] == mpfs
     assert alone_report == report
     summed = sum(1 for poly in polys if poly.terms)
     assert summed and len(full_width) < 0.8 * summed * (len(grid) - 1)
-    ref, ref_report = sample_real_polys_full(polys, grid, precision)
+    ref, ref_report = sample_real_polys_full(polys, grid)
     assert mpfs == [[v._mpf_ for v in vs] for vs in ref]
     assert report == dict(ref_report, fallbacks=report["fallbacks"], workers=1)
     assert tables.stats[kind]["fallbacks"] == report["fallbacks"]
@@ -314,7 +314,7 @@ def test_sampled_gram_polys_equal_the_full_width_sum(request, monkeypatch, which
         assert report["fallbacks"] == 0
     # the kind sampled alone, split across two processes
     monkeypatch.setattr(reyex.timepoly, "_cpus", lambda: 2)
-    forked, forked_report = sample(polys, grid, precision)
+    forked, forked_report = sample(polys, grid)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert [[v._mpf_ for v in vs] for vs in forked] == mpfs
@@ -401,8 +401,8 @@ def test_signed_class_weights_give_the_full_support_gram(monkeypatch, kind):
     sample = reyex.estimators.sample_real_polys
     built = []
 
-    def recording(polys, grid, precision, parts):
-        values, reports = sample(polys, grid, precision, parts)
+    def recording(polys, grid, parts):
+        values, reports = sample(polys, grid, parts=parts)
         built.append((polys, parts, values, reports))
         return values, reports
 
@@ -521,11 +521,11 @@ def test_nothing_forks_while_another_thread_runs(bnw3, monkeypatch):
 def test_the_joint_batch_equals_one_batch_per_kind(bnw3):
     tables = EstimatorTables(bnw3, 3, grid=default_grid(80))
     built = [tables._build(kind)[1] for kind in ("coeff", "tail")]
-    grid, precision = tables.grid, tables.precision
+    grid = tables.grid
     joint, reports = reyex.estimators.sample_real_polys(
-        built[0] + built[1], grid, precision, parts=[len(polys) for polys in built]
+        built[0] + built[1], grid, parts=[len(polys) for polys in built]
     )
-    alone = [reyex.estimators.sample_real_polys(polys, grid, precision) for polys in built]
+    alone = [reyex.estimators.sample_real_polys(polys, grid) for polys in built]
     assert [[v._mpf_ for v in vs] for vs in joint] == [
         [v._mpf_ for v in vs] for values, _ in alone for vs in values
     ]
@@ -719,6 +719,26 @@ def test_table_stats(bnw3):
     assert tables.stats["tail"] is tail
 
 
+@pytest.mark.parametrize("which, variants", [
+    ("bnw3", ("tautological", "rough", "intermediate:1")),
+    ("km2", ("rough",)),
+], ids=["bnw3", "km2"])
+def test_the_working_precision_is_enough(request, monkeypatch, which, variants):
+    # every sample is the float it is at twice the working precision: the
+    # values that lose bits to cancellation are evaluated again until
+    # GUARD_BITS survive, so the per-R sums do not depend on the precision
+    exp = request.getfixturevalue(which)
+    c = ConstantsTable()
+    probes = [(R, variant) for R in (0.05, 0.25, 1.0) for variant in variants]
+    tables = EstimatorTables(exp, 3)
+    ref = [tables.samples(R, variant, c) for R, variant in probes]
+    for module in (reyex.timepoly, reyex.estimators):
+        monkeypatch.setattr(module, "DEFAULT_EVAL_PRECISION", 512)
+    tables = EstimatorTables(exp, 3)
+    assert [tables.samples(R, variant, c) for R, variant in probes] == ref
+    assert tables.stats["coeff"]["max_precision"] == 512
+
+
 def test_a_probe_samples_only_what_its_variant_reads(bnw3, monkeypatch):
     # the expansion holds its tails, yet a rough or intermediate probe
     # builds no tail Gram; a tautological probe then samples the tails alone
@@ -821,8 +841,7 @@ def test_csv_export(bnw3, tables3, tmp_path):
     out = tmp_path / "est.csv"
     export_csv(est, str(out))
     lines = out.read_text().splitlines()
-    assert lines[0].startswith("# R=0.25")
-    assert "variant=rough" in lines[0]
+    assert lines[0] == "# R=0.25 N=3 n=3 variant=rough"
     assert lines[1] == "t,D_3,D_4,eps_3"
     assert len(lines) == 2 + len(est.grid)
 
@@ -864,7 +883,7 @@ def test_pchip_evaluators_are_bit_identical_to_scipy(steps, first, seed):
     # three different columns on one grid, evaluated together
     columns = (values, values[::-1], values[1:] + values[:1])
     est = EstimatorSet(R=0.1, n=3, variant="rough", N=1, grid=grid, D_n=columns[0],
-                       D_n1=columns[1], eps_n=columns[2], precision=256)
+                       D_n1=columns[1], eps_n=columns[2])
     refs = [_clamped_pchip_reference(grid, col) for col in columns]
     rng = random.Random(seed)
     top = grid[-1]

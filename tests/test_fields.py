@@ -179,7 +179,7 @@ def _per_target(a, b, targets):
 def test_bilinear_targets_agree_with_full_computation():
     v = datum_bnw().field
     full = bilinear_P(v, v)
-    targets = sorted(full.support())[:4]
+    targets = sorted(full.coeffs)[:4]
     partial = _per_target(v, v, targets)
     for k in targets:
         assert partial.coeff(k) == full.coeff(k)
@@ -257,7 +257,7 @@ def test_gram_poly_symmetry_and_orbit_version():
     v = datum_bnw().field
     w = bilinear_P(v, v)
     g1 = gram_poly(w, w, 3)
-    classes = [(k, 1) for k in w.support()]
+    classes = [(k, 1) for k in w.coeffs]
     (g2,) = gram_poly_orbits(w, w, (3,), classes)
     assert g1 == g2
     # norm_sq_poly is the self-Gram
@@ -288,7 +288,7 @@ def test_gram_poly_matches_timepoly_products():
         assert gram_poly(w, v, order) == ref
         refs.append(ref)
     # all orders from one pass over the mode products
-    assert gram_poly_orbits(v, w, orders, [(k, 1) for k in w.support()]) == refs
+    assert gram_poly_orbits(v, w, orders, [(k, 1) for k in w.coeffs]) == refs
 
 
 def test_payload_round_trip_and_tamper_detection(tmp_path):
@@ -370,7 +370,7 @@ def test_integer_kernels_match_timepoly_products(v, w):
         full = bilinear_P(a, b)
         assert full == bilinear_P_products(a, b)
         _assert_canonical_field(full)
-        targets = sorted(full.support())[:3] + [(0, 0, 0), (0, 0, 1), (-1, 1, 0), (-2, 0, 1)]
+        targets = sorted(full.coeffs)[:3] + [(0, 0, 0), (0, 0, 1), (-1, 1, 0), (-2, 0, 1)]
         part = _per_target(a, b, targets)
         assert part == bilinear_P_products(a, b, targets)
         _assert_canonical_field(part)

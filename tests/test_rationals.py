@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from oracles import FractionGaussian, rational_from_string_reference
 
-from reyex.rationals import GR_I, GR_ONE, GR_ZERO, GaussianRational, mpq, rational_from_string
+from reyex.rationals import GR_ZERO, GaussianRational, mpq
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4).map(
     lambda f: mpq(f.numerator, f.denominator)
@@ -17,7 +17,7 @@ def test_constructor_and_equality():
     assert a == GaussianRational(mpq(2, 4), mpq(-3, 1))
     assert GaussianRational(0, 0) == GR_ZERO
     assert not GR_ZERO
-    assert GR_ONE and GR_I
+    assert GaussianRational(1, 0) and GaussianRational(0, 1)
 
 
 def test_arithmetic_basics():
@@ -42,7 +42,7 @@ def test_mul_i_and_conj():
     assert a.mul_i() == GaussianRational(-3, 2)
     assert a.mul_minus_i() == GaussianRational(3, -2)
     assert a.conj() == GaussianRational(2, -3)
-    assert a.abs_sq() == mpq(13)
+    assert a * a.conj() == GaussianRational(13, 0)
 
 
 def test_string_round_trip():
@@ -63,14 +63,14 @@ def test_ring_axioms(a, b, c):
 def test_conjugation_is_multiplicative(a, b):
     assert (a * b).conj() == a.conj() * b.conj()
     assert (a * a.conj()).im == mpq(0)
-    assert (a * a.conj()).re == a.abs_sq()
+    assert (a * a.conj()).re == a.re * a.re + a.im * a.im
 
 
 @given(gaussians)
 def test_i_rotations(a):
     assert a.mul_i().mul_minus_i() == a
     assert a.mul_i().mul_i() == -a
-    assert a.mul_i() == a * GR_I
+    assert a.mul_i() == a * GaussianRational(0, 1)
 
 
 # -- the integer triple against the Fraction-pair reference ------------------
@@ -115,12 +115,11 @@ def test_every_operation_agrees_with_the_fraction_pair(x, y, q):
         (g.conj(), f.conj()),
         (g.mul_i(), f.mul_i()),
         (g.mul_minus_i(), f.mul_minus_i()),
-        (g.scale(q), f.scale(q)),
-        (g.scale(q.numerator), f.scale(q.numerator)),
+        (g.mul_ratio(int(q.numerator), int(q.denominator)), f.scale(q)),
+        (g.mul_ratio(int(q.numerator), 1), f.scale(q.numerator)),
         (g.mul_ratio(-q.numerator, -q.denominator), f.scale(q)),
     ]:
         assert _agrees(got, want)
-    assert type(g.abs_sq()) is mpq and g.abs_sq() == f.abs_sq()
     assert bool(g) is bool(f)
     assert (g == h) is (f == e)
     assert (g != h) is (f != e)
@@ -142,7 +141,7 @@ def test_parts_are_read_only():
 
 
 def test_zero_is_the_triple_0_0_1():
-    for z in (GR_ZERO, GaussianRational(mpq(0, 5), 0), GR_ONE - GR_ONE,
+    for z in (GR_ZERO, GaussianRational(mpq(0, 5), 0), GaussianRational(1, 0) - GaussianRational(1, 0),
               GaussianRational(mpq(1, 3**40), 1) * GR_ZERO, GaussianRational.from_strings("0/7", "-0")):
         assert (z.a, z.b, z.d) == (0, 0, 1)
         assert not z and z == GR_ZERO and hash(z) == hash(GR_ZERO)
@@ -153,8 +152,7 @@ TEXTS = ["2/4", "1/-2", " 3 ", "0/5", "-0", "7", "-6/-4", "+3/ 9"]
 
 @pytest.mark.parametrize("text", TEXTS)
 def test_from_strings_reads_what_rational_from_string_reads(text):
-    q = rational_from_string(text)
-    assert q == rational_from_string_reference(text)
+    q = rational_from_string_reference(text)
     for other in ("0", "-5/3"):
         g = GaussianRational.from_strings(text, other)
         assert _agrees(g, FractionGaussian.from_strings(text, other))
@@ -166,8 +164,6 @@ def test_from_strings_reads_what_rational_from_string_reads(text):
 def test_from_strings_refuses_what_rational_from_string_refuses(text):
     with pytest.raises(ValueError):
         rational_from_string_reference(text)
-    with pytest.raises(ValueError):
-        rational_from_string(text)
     with pytest.raises(ValueError):
         GaussianRational.from_strings(text, "1")
     with pytest.raises(ValueError):

@@ -304,7 +304,7 @@ def test_propagation_phases_equal_products_with_the_phase(sigma):
     k = (1, 2, 0)  # S k has an entry +-1, so a.(S k) takes every n mod 4
     for S in octahedral_matrices():
         moved = tuple(
-            sum((p.scale(GaussianRational(x, 0)) for p, x in zip(coeff, row) if x), TP_ZERO)
+            sum((p.scale_rational(x) for p, x in zip(coeff, row) if x), TP_ZERO)
             for row in S
         )
         seen = set()
@@ -315,6 +315,8 @@ def test_propagation_phases_equal_products_with_the_phase(sigma):
                 ph = phases[n]
                 if sigma == -1 and j % 2 == 0:
                     ph = GaussianRational(-ph.re, -ph.im)
-                assert got == tuple(p.scale(ph) for p in moved), (S, a, j)
+                assert got == tuple(
+                    TimePoly({key: c * ph for key, c in p.terms.items()}) for p in moved
+                ), (S, a, j)
                 seen.add(phases.index(ph))
         assert seen == {0, 1, 2, 3}

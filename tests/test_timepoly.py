@@ -15,7 +15,6 @@ import reyex.timepoly
 from reyex.rationals import GaussianRational, mpq
 from reyex.timepoly import (
     GUARD_BITS,
-    TP_ONE,
     TP_ZERO,
     TimePoly,
     _from_records,
@@ -70,7 +69,7 @@ def test_evaluate_simple():
 
 def test_evaluate_precision_guard():
     with pytest.raises(ValueError):
-        TP_ONE.evaluate(1.0, precision=10)
+        tp_basis(0, 0).evaluate(1.0, precision=10)
 
 
 def test_records_round_trip():
@@ -111,9 +110,8 @@ def test_subtraction_matches_adding_the_negation(p, q, n):
 @given(polys)
 @settings(max_examples=50)
 def test_quarter_turns_equal_products_with_the_phase(p):
-    assert p.mul_i() == p.scale(GaussianRational(0, 1))
-    assert p.mul_minus_i() == p.scale(GaussianRational(0, -1))
-    assert -p == p.scale(GaussianRational(-1, 0))
+    for turned, phase in ((p.mul_i(), (0, 1)), (p.mul_minus_i(), (0, -1)), (-p, (-1, 0))):
+        assert turned == TimePoly({key: c * GaussianRational(*phase) for key, c in p.terms.items()})
 
 
 @given(polys, polys)
@@ -164,7 +162,7 @@ def test_heat_convolution_matches_quadrature(terms, ksq):
 
 def test_heat_convolution_rejects_nonpositive_ksq():
     with pytest.raises(ValueError):
-        TP_ONE.heat_convolve(0)
+        tp_basis(0, 0).heat_convolve(0)
 
 
 def test_convolution_is_linear():
@@ -182,7 +180,7 @@ real_polys = st.dictionaries(
 @given(st.lists(real_polys, min_size=1, max_size=4))
 def test_sample_real_polys_matches_evaluate(batch):
     grid = [0.0, 1e-3, 0.37, 2.0, 11.5]
-    values, report = sample_real_polys(batch, grid, 256)
+    values, report = sample_real_polys(batch, grid)
     for p, vals in zip(batch, values):
         # t = 0 is exact: the rational sum of the a = 0 coefficients, rounded once
         at_zero = sum((c.re for (a, _), c in p.terms.items() if a == 0), mpq(0))
@@ -204,12 +202,12 @@ def test_sample_real_polys_rejects_complex_coefficients():
 def test_precision_guard_reevaluates_cancelling_values():
     # (1 - e^{-t} - t e^{-t})^10 ~ t^20 / 1024 near 0: its 66 terms of size
     # up to ~10^4 cancel to ~1e-63 at t = 1e-3, about 219 bits
-    base = TP_ONE - tp_basis(0, 1) - tp_basis(1, 1)
-    p = TP_ONE
+    base = tp_basis(0, 0) - tp_basis(0, 1) - tp_basis(1, 1)
+    p = tp_basis(0, 0)
     for _ in range(10):
         p = p * base
     grid = [0.0, 1e-3, 0.5, 3.0]
-    values, report = sample_real_polys([p], grid, 256)
+    values, report = sample_real_polys([p], grid)
     assert report["reevaluated"] >= 1
     assert report["max_bits_lost"] > 256 - GUARD_BITS
     assert report["max_precision"] > 256
@@ -236,7 +234,7 @@ def test_wide_rationals_are_rounded_once():
     num, den = 3**260 + 1, 7**150
     assert num.bit_length() > 400 and den.bit_length() > 400
     p = tp_basis(0, 5, GaussianRational(mpq(num, den)))
-    values, _ = sample_real_polys([p], [0.0, 1.0], 256)
+    values, _ = sample_real_polys([p], [0.0, 1.0])
     with mpmath.workprec(256):
         expected = _rounded(num, den, 256)
         # rounding numerator, denominator and quotient apart lands elsewhere
@@ -258,7 +256,7 @@ def test_sample_real_polys_is_accurate_at_large_exponents(batch):
     # product of powers of e^{-t}, so this checks the relative accuracy of
     # the successive-power basis, not just its absolute size
     grid = [0.0, 1e-3, 0.5, 7.0, 20.0]
-    values, report = sample_real_polys(batch, grid, 256)
+    values, report = sample_real_polys(batch, grid)
     bound = mpmath.mpf(2) ** -(256 - report["max_bits_lost"] - 8)
     for p, vals in zip(batch, values):
         for t, v in zip(grid[1:], vals[1:]):
@@ -270,7 +268,7 @@ def test_sample_real_polys_is_accurate_at_large_exponents(batch):
 def _assert_equals_full_width(batch, grid):
     """The windowed sampler gives the full-width sampler's mpfs to the bit and
     its report, plus fallbacks; returns that report."""
-    values, report = sample_real_polys(batch, grid, 256)
+    values, report = sample_real_polys(batch, grid)
     ref, ref_report = sample_real_polys_full(batch, grid, 256)
     assert [[v._mpf_ for v in vs] for vs in values] == [[v._mpf_ for v in vs] for vs in ref]
     assert report == dict(ref_report, fallbacks=report["fallbacks"], workers=report["workers"])
@@ -286,8 +284,8 @@ def test_windowed_sampling_equals_the_full_width_sum(batch):
 
 
 def test_windowed_sampling_equals_the_full_width_sum_when_reevaluating():
-    base = TP_ONE - tp_basis(0, 1) - tp_basis(1, 1)
-    p = TP_ONE
+    base = tp_basis(0, 0) - tp_basis(0, 1) - tp_basis(1, 1)
+    p = tp_basis(0, 0)
     for _ in range(10):
         p = p * base
     # t^40 e^{-40 t} puts the batch's shared power of two far below p's
@@ -304,10 +302,10 @@ def test_exact_zero_in_a_window_falls_back_to_the_full_width_sum():
     # (t - 1)(1 + e^{-330 t}) vanishes at t = 1, where its terms e^{-330 t}
     # sit about 476 bits below its terms 1, so it is summed over a window
     # that shifts nonzero bits out of them, and the window's test fails
-    batch = [(tp_basis(1, 0) - TP_ONE) * (TP_ONE + tp_basis(0, 330)), tp_basis(0, 330)]
+    batch = [(tp_basis(1, 0) - tp_basis(0, 0)) * (tp_basis(0, 0) + tp_basis(0, 330)), tp_basis(0, 330)]
     report = _assert_equals_full_width(batch, [0.0, 1.0])
     assert report["fallbacks"] == 1
-    values, _ = sample_real_polys(batch, [0.0, 1.0], 256)
+    values, _ = sample_real_polys(batch, [0.0, 1.0])
     assert values[0][1] == 0
 
 
@@ -316,10 +314,10 @@ def test_window_that_drops_only_zero_bits_is_exact():
     # two about 476 bits below 1, so t - 1 is summed over a window there.
     # Its two basis integers are equally wide, so the shift drops only zero
     # bits from them: the window's sum is exact and needs no test
-    batch = [tp_basis(1, 0) - TP_ONE, tp_basis(0, 330)]
+    batch = [tp_basis(1, 0) - tp_basis(0, 0), tp_basis(0, 330)]
     report = _assert_equals_full_width(batch, [0.0, 1.0])
     assert report["fallbacks"] == 0
-    values, _ = sample_real_polys(batch, [0.0, 1.0], 256)
+    values, _ = sample_real_polys(batch, [0.0, 1.0])
     assert values[0][1] == 0
 
 
@@ -342,7 +340,7 @@ def _sample_on(cpus, batch, grid=SHARED_GRID):
     allowed = os.sched_getaffinity(0)
     with mock.patch.object(reyex.timepoly, "_cpus", lambda: cpus), \
             mock.patch.object(reyex.timepoly, "PARALLEL_MIN_WORK", 1):
-        out = sample_real_polys(batch, grid, 256)
+        out = sample_real_polys(batch, grid)
     _assert_no_children()
     # the processes were pinned to a CPU each for the call only
     assert os.sched_getaffinity(0) == allowed
@@ -367,8 +365,8 @@ def test_forked_sampling_equals_the_serial_one(batch, cpus):
 def test_forked_sampling_equals_the_serial_one_when_reevaluating():
     # p cancels 219 bits at t = 1e-3 and is re-evaluated in whichever
     # process samples that point
-    base = TP_ONE - tp_basis(0, 1) - tp_basis(1, 1)
-    p = TP_ONE
+    base = tp_basis(0, 0) - tp_basis(0, 1) - tp_basis(1, 1)
+    p = tp_basis(0, 0)
     for _ in range(10):
         p = p * base
     for cpus in (2, 3):
@@ -378,10 +376,10 @@ def test_forked_sampling_equals_the_serial_one_when_reevaluating():
 
 def test_a_batch_below_the_work_floor_is_sampled_in_one_process():
     with mock.patch.object(reyex.timepoly, "_cpus", lambda: 2):
-        small = sample_real_polys([tp_basis(0, 1)], [0.0, 1.0, 2.0], 256)[1]
+        small = sample_real_polys([tp_basis(0, 1)], [0.0, 1.0, 2.0])[1]
         # each process must get PARALLEL_MIN_WORK terms x points
         n = reyex.timepoly.PARALLEL_MIN_WORK
-        large = sample_real_polys([tp_basis(0, 1)], [0.1 * (i + 1) for i in range(n)], 256)[1]
+        large = sample_real_polys([tp_basis(0, 1)], [0.1 * (i + 1) for i in range(n)])[1]
     _assert_no_children()
     assert (small["workers"], large["workers"]) == (1, 2)
 
@@ -451,7 +449,7 @@ def _child_killed(parent, basis):
 
 @pytest.mark.parametrize("failure", ["raises", "killed", "garbage", "short"])
 def test_a_failed_child_share_is_sampled_by_the_parent(monkeypatch, failure):
-    batch = [tp_basis(1, 3) - tp_basis(0, 40), tp_basis(2, 0), TP_ONE - tp_basis(1, 1)]
+    batch = [tp_basis(1, 3) - tp_basis(0, 40), tp_basis(2, 0), tp_basis(0, 0) - tp_basis(1, 1)]
     ref, ref_report = _sample_on(1, batch)
     parent = os.getpid()
     if failure == "raises":
@@ -498,8 +496,8 @@ def test_an_exception_in_the_parent_kills_and_reaps_every_child(monkeypatch):
 def test_parts_give_each_run_of_polys_its_own_report(cpus):
     # p cancels 219 bits at t = 1e-3 and is re-evaluated there; the empty
     # run reports no loss
-    base = TP_ONE - tp_basis(0, 1) - tp_basis(1, 1)
-    p = TP_ONE
+    base = tp_basis(0, 0) - tp_basis(0, 1) - tp_basis(1, 1)
+    p = tp_basis(0, 0)
     for _ in range(10):
         p = p * base
     runs = [[tp_basis(1, 3) - tp_basis(0, 40)], [], [p, tp_basis(40, 40)]]
@@ -517,7 +515,7 @@ def test_parts_give_each_run_of_polys_its_own_report(cpus):
 def _sample_parts_on(cpus, batch, parts):
     with mock.patch.object(reyex.timepoly, "_cpus", lambda: cpus), \
             mock.patch.object(reyex.timepoly, "PARALLEL_MIN_WORK", 1):
-        values, reports = sample_real_polys(batch, SHARED_GRID, 256, parts=parts)
+        values, reports = sample_real_polys(batch, SHARED_GRID, parts=parts)
     _assert_no_children()
     return [[v._mpf_ for v in vs] for vs in values], reports
 
@@ -525,7 +523,7 @@ def _sample_parts_on(cpus, batch, parts):
 @pytest.mark.parametrize("parts", [[1, 1], [2, 2], [4, -1]])
 def test_parts_must_split_the_batch(parts):
     with pytest.raises(ValueError, match="parts must split"):
-        sample_real_polys([tp_basis(0, 1), tp_basis(1, 1), tp_basis(2, 1)], [0.0, 1.0], 256,
+        sample_real_polys([tp_basis(0, 1), tp_basis(1, 1), tp_basis(2, 1)], [0.0, 1.0],
                           parts=parts)
 
 

@@ -1,7 +1,10 @@
 """Before/after record of the Gram tables: EstimatorTables.stats for the
 coefficient tables of bnw, tg and km, and for the tautological table set of
 bnw (coefficient and tail Grams of an expansion that holds its tails), at
-N = 3 and 5, on the default 400-point grid at 256 bits.
+N = 3 and 5, on the default 400-point grid at the working precision,
+timepoly.DEFAULT_EVAL_PRECISION (256 bits).  The tables are built from an
+expansion and an order alone, so a side whose EstimatorTables still takes a
+precision samples at its default, the same 256 bits.
 
     python3 tools/bench_sampling.py --before OLD/src --after src --repeats 5 > BENCH_sampling.json
 
