@@ -458,12 +458,12 @@ def cmd_report(ctx, run_dir, selector):
 
 @main.command("symmetry")
 @click.option("--datum", "selector", required=True)
-@click.option("--lattice", default="half", show_default=True,
-              type=click.Choice(["half", "quarter"]))
-def cmd_symmetry(selector, lattice):
-    """Print the symmetry group sizes of a datum."""
+def cmd_symmetry(selector):
+    """Print the symmetry group sizes of a datum: its symmetries and
+    pseudo-symmetries with half-period translations, the group an
+    expansion prunes with."""
     datum = _datum(selector)
-    sym = find_symmetries(datum.field, lattice=lattice)
+    sym = find_symmetries(datum.field)
     click.echo("|H+| = %d, |H-| = %d" % (len(sym.plus), len(sym.minus)))
     click.echo("reduced: |S+| = %d, |S-| = %d, coincide: %s"
                % (len(sym.reduced_plus), len(sym.reduced_minus),

@@ -285,8 +285,10 @@ class EstimatorTables:
             self.stats[kind].update(report, eval_s=eval_s, batch=kinds)
 
     def _build(self, kind):
-        """(keys, polys): the exact Gram polys of every pair i <= j of the
-        kind's fields at every order, keyed (i, j, m).  Records build_s,
+        """(keys, polys): the exact Gram polys of the pairs i <= j of the
+        kind's fields at every order, keyed (i, j, m), but for those with no
+        terms, such as the odd pairs of a datum whose orbit classes' signs
+        sum to zero: a missing Gram is an exact zero.  Records build_s,
         build_workers (the processes that built them) and terms in
         self.stats[kind].
 
@@ -332,19 +334,22 @@ class EstimatorTables:
         results, processes = _run_shares(
             shells, shares, lambda got, share: len(got[0]) == len(got[1]) == len(pairs)
         )
-        polys = []
-        for p in range(len(pairs)):
+        keys, polys = [], []
+        for p, (i, j) in enumerate(pairs):
             den = math.lcm(*(dens[p] for dens, _ in results))
             total = {}
             for dens, sums in results:
                 _add_shells(total, sums[p], den // dens[p])
-            polys += weigh_shells(total, den, orders)
+            for m, poly in zip(orders, weigh_shells(total, den, orders)):
+                if poly.terms:
+                    keys.append((i, j, m))
+                    polys.append(poly)
         self.stats[kind] = {
             "build_s": time.perf_counter() - start,
             "build_workers": processes,
             "terms": sum(poly.num_terms() for poly in polys),
         }
-        return [(i, j, m) for i, j in pairs for m in orders], polys
+        return keys, polys
 
     # -- per-R assembly --------------------------------------------------------
     # Integer dot products over columns formed once per instance (see the
@@ -454,7 +459,7 @@ class EstimatorTables:
 
     def _forms(self, kind, m, M):
         tables = self.coeff_tables() if kind == "coeff" else self.tail_tables()
-        return self._cached(("forms", kind, m, M), _form_columns, tables, m, M)
+        return self._cached(("forms", kind, m, M), _form_columns, tables, m, M, len(self.grid))
 
     def _norms(self):
         return self._cached("norms", self._norm_columns, self.coeff_tables())
@@ -466,12 +471,15 @@ class EstimatorTables:
     def _norm_columns(self, tables):
         """||u_j||_m = sqrt(vol G_jj^m), j = 0..N, to the working precision, as
         ints over one power of two per grid point: dict m -> list over the
-        grid of (f, [||u_0||_m 2^-f, ...])."""
+        grid of (f, [||u_0||_m 2^-f, ...]).  A missing G_jj^m, that of a
+        vanishing u_j, gives zero norms."""
         v, ve = self._vol
+        zeros = [mpmath.mpf(0)] * len(self.grid)
         out = {}
         for m in (self.n, self.n + 1):
             out[m] = column = []
-            for e, G in _int_rows([tables[(j, j, m)] for j in range(self.exp.N + 1)]):
+            diagonal = [tables.get((j, j, m), zeros) for j in range(self.exp.N + 1)]
+            for e, G in _int_rows(diagonal, len(self.grid)):
                 roots = [_sqrt_fixed(v * x, ve + e, DEFAULT_EVAL_PRECISION) for x in G]
                 f = min(g for _, g in roots)
                 column.append((f, [r << (g - f) for r, g in roots]))
@@ -554,23 +562,24 @@ def _weights(p, e, lo, hi):
     return [p**j << (j - hi) * e for j in range(lo, hi + 1)], hi * e
 
 
-def _int_rows(columns):
-    """Columns of mpf values over the grid as ints over one power of two per
-    grid point: (e, [x 2^-e for each column's value x]) for each point in
-    turn.  Exact, since every mpf is a dyadic."""
-    for values in zip(*columns):
+def _int_rows(columns, points):
+    """Columns of mpf values over the points grid points as ints over one
+    power of two per point: (e, [x 2^-e for each column's value x]) for each
+    point in turn.  Exact, since every mpf is a dyadic."""
+    for values in zip(*columns) if columns else [()] * points:
         raw = [x._mpf_ for x in values]
-        e = min(x[2] for x in raw)  # a zero's exponent is 0
+        e = min((x[2] for x in raw), default=0)  # a zero's exponent is 0
         yield e, [(-man if sign else man) << (exp - e) for sign, man, exp, _ in raw]
 
 
-def _form_columns(tables, m, M):
+def _form_columns(tables, m, M, points):
     """H_s = sum_{i+j=s} (2 - delta_ij) G_ij^m over the pairs within 0..M,
-    s = 0..2M, per grid point from tables (dict[(i, j, m)] -> mpf values
-    over the grid): list of (e, [H_0 2^-e, ..., H_2M 2^-e])."""
-    pairs = [(i, j) for i in range(M + 1) for j in range(i, M + 1)]
+    s = 0..2M, at each of the points grid points from tables
+    (dict[(i, j, m)] -> mpf values over the grid, a missing Gram zero):
+    list of (e, [H_0 2^-e, ..., H_2M 2^-e])."""
+    pairs = [(i, j) for i in range(M + 1) for j in range(i, M + 1) if (i, j, m) in tables]
     out = []
-    for e, G in _int_rows([tables[(i, j, m)] for i, j in pairs]):
+    for e, G in _int_rows([tables[(i, j, m)] for i, j in pairs], points):
         H = [0] * (2 * M + 1)
         for (i, j), g in zip(pairs, G):
             H[i + j] += g if i == j else 2 * g

@@ -131,8 +131,8 @@ def _materialize_orbit(rep, rep_vec, members, routes, j):
     its orbit: one propagation through the group matrix S that carries rep
     to each member, conjugated when the member is reached through -S.  The
     members share each turned component (propagate_coefficient), so an orbit
-    holds at most 24 distinct polys: 3 components, 4 quarter turns, with and
-    without conjugation.  A single member has nothing to share."""
+    holds at most 12 distinct polys: 3 components, 2 signs, with and without
+    conjugation.  A single member has nothing to share."""
     turned = {} if len(members) > 1 else None
     coeffs = {}
     for k, M in members.items():
@@ -285,8 +285,8 @@ def _symmetry_from_payload(payload):
     """The SymmetryData of a manifest's symmetry entry; null, which the
     unpruned caches of older versions hold, is the trivial group.
     CacheError unless plus and minus are lists of [S rows, a] with S a
-    signed permutation matrix and a a triple in 0..3, and plus holds the
-    identity."""
+    signed permutation matrix and a a triple over {0, 2}, a half-period
+    translation in units of pi/2, and plus holds the identity."""
     if payload is None:
         return SymmetryData.trivial()
     signed_permutations = set(octahedral_matrices())
@@ -299,7 +299,7 @@ def _symmetry_from_payload(payload):
             if not (isinstance(row, list) and len(row) == 4 and all(map(_int_triple, row))):
                 return None
             g = GroupElement(tuple(map(tuple, row[:3])), tuple(row[3]))
-            if g.S not in signed_permutations or not all(0 <= x < 4 for x in g.a):
+            if g.S not in signed_permutations or not all(x in (0, 2) for x in g.a):
                 return None
             out.append(g)
         return frozenset(out)

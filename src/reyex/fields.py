@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .rationals import GaussianRational, _gaussian, mpq
+from .rationals import GaussianRational, _gaussian
 from .timepoly import (
     TP_ZERO,
     TimePoly,
@@ -32,8 +32,6 @@ __all__ = [
     "project_mode",
     "heat_apply",
     "duhamel_mode",
-    "gram_poly",
-    "gram_poly_orbits",
     "gram_numerators",
     "gram_shells",
     "weigh_shells",
@@ -67,22 +65,10 @@ _ZERO3 = (TP_ZERO, TP_ZERO, TP_ZERO)
 
 
 def leray_project(k, vec):
-    """Project a coefficient onto the orthogonal complement of k.
-
-    vec may hold GaussianRational or TimePoly components; the projection is
-    vec - (k.vec/|k|^2) k, exact in either case.
-    """
+    """Project a GaussianRational coefficient onto the orthogonal complement
+    of k: vec - (k.vec/|k|^2) k, exact."""
     if k == (0, 0, 0):
         raise ValueError("Leray projection is undefined at the zero mode")
-    if isinstance(vec[0], TimePoly):
-        dot = TP_ZERO
-        for ki, vi in zip(k, vec):
-            if ki:
-                dot = dot + vi.scale_rational(ki)
-        if dot.is_zero():
-            return tuple(vec)
-        ksq = wave_norm_sq(k)
-        return tuple(vi - dot.scale_rational(mpq(ki, ksq)) for ki, vi in zip(k, vec))
     dot = GaussianRational(0)
     for ki, vi in zip(k, vec):
         if ki:
@@ -530,36 +516,6 @@ def duhamel_mode(k, vec):
 # -- Sobolev inner products ----------------------------------------------------------
 
 
-def gram_poly(v, w, order):
-    """sum_k |k|^{2 order} conj(v_k).w_k over the full lattice, symbolic.
-
-    The (2 pi)^3 normalization of the Sobolev inner product is irrational and
-    is applied only where the Gram is rounded to a number.
-    """
-    common = v.coeffs.keys() & w.coeffs.keys()
-    return gram_poly_orbits(v, w, (order,), [(k, 1) for k in common])[0]
-
-
-def gram_poly_orbits(v, w, orders, orbit_classes):
-    """Gram sums at several Sobolev orders exploiting symmetry: evaluate one
-    canonical representative per orbit class and weight it.  Returns one
-    poly per order.
-
-    orbit_classes is an iterable of (representative, weight) pairs covering
-    the canonical support.  The weight is the caller's sum of the signs of
-    the members' terms relative to the representative's: the class size for
-    equivariant fields, the sum of sigma^(i+j) for expansion fields u_i, u_j
-    spread with pseudo-symmetries of sign sigma.  The Gram is formed in two
-    steps, integer shell sums over the classes (gram_shells) and their
-    weighting per order (weigh_shells).
-    """
-    classes = list(orbit_classes)
-    reps = [rep for rep, _ in classes]
-    vden, vrows = gram_numerators(v, reps)
-    wden, wrows = (vden, vrows) if w is v else gram_numerators(w, reps)
-    return weigh_shells(gram_shells(vrows, wrows, classes), vden * wden, orders)
-
-
 def gram_numerators(field, reps):
     """(den, rows): the coefficients of field at those of reps it holds as
     integer numerators over one denominator (_numerators), rows mapping each
@@ -575,8 +531,12 @@ def gram_shells(vrows, wrows, classes):
     exponent key -> integer, over vden * wden (the denominators of the rows,
     gram_numerators).
 
-    classes lists (representative, weight) pairs as gram_poly_orbits takes
-    them; a representative missing from either rows contributes nothing.
+    classes lists (representative, weight) pairs covering the support, one
+    representative per orbit class.  The weight is the caller's sum of the
+    signs of the members' terms relative to the representative's: the class
+    size for equivariant fields, the sum of sigma^(i+j) for expansion fields
+    u_i, u_j spread with pseudo-symmetries of sign sigma.  A representative
+    missing from either rows contributes nothing.
     The canonical pair {k, -k} contributes twice the real part of
     conj(v_k).w_k, so only Re(conj(c) d) = Re c Re d + Im c Im d is formed
     here, and the factor 2 where the sums are weighed.  The orders differ
@@ -640,5 +600,13 @@ def weigh_shells(shells, den, orders):
 
 
 def norm_sq_poly(v, order):
-    """Symbolic |k|-weighted energy: (2 pi)^{-3} ||v(t)||_order^2."""
-    return gram_poly(v, v, order)
+    """Symbolic |k|-weighted energy: (2 pi)^{-3} ||v(t)||_order^2, the Gram
+    of v with itself, every mode its own class.
+
+    The (2 pi)^3 normalization of the Sobolev inner product is irrational and
+    is applied only where the Gram is rounded to a number.
+    """
+    reps = list(v.coeffs)
+    den, rows = gram_numerators(v, reps)
+    (poly,) = weigh_shells(gram_shells(rows, rows, [(k, 1) for k in reps]), den * den, (order,))
+    return poly

@@ -4,7 +4,7 @@ All coefficient arithmetic in this package is exact.  A scalar (a + b i)/d is
 held as three Python ints in normal form: d > 0 and gcd(a, b, d) = 1, so zero
 is (0, 0, 1) and two scalars are equal exactly when their triples are.  Every
 operation works on the ints and normalizes at most once, with one gcd of
-three arguments; negation, conjugation and the quarter turns only move signs.
+three arguments; negation and conjugation only move signs.
 
 mpq is the type of the rationals the API takes and returns (the parts re and
 im): gmpy2's mpq when it is installed, else fractions.Fraction.  The scalar
@@ -145,13 +145,6 @@ class GaussianRational:
 
     def conj(self):
         return _triple(self.a, -self.b, self.d)
-
-    def mul_i(self):
-        """Multiply by the imaginary unit."""
-        return _triple(-self.b, self.a, self.d)
-
-    def mul_minus_i(self):
-        return _triple(self.b, -self.a, self.d)
 
     def to_strings(self):
         """The parts as strings 'num/den', or 'num' where den is 1, in

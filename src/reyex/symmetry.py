@@ -1,14 +1,13 @@
 """Rototranslation symmetries of torus fields.
 
-The group is O(3,Z) x T^3 (semidirect product) acting by push-forward.  Only
-translations on the quarter-period lattice {0, pi/2, pi, 3pi/2}^3 are
-representable, because only those produce Gaussian-rational phases
-e^{-i a.k}; every symmetry listed for the shipped data lives on the
-half-period sublattice {0, pi}^3.  Translations are stored as integer triples
-in units of pi/2.
+The group is O(3,Z) x T^3 (semidirect product) acting by push-forward.  The
+translations searched, and the only ones an expansion propagates with, are
+those of the half-period lattice {0, pi}^3, whose phases e^{-i a.k} are
+signs.  Translations are stored as integer triples in units of pi/2, so
+each entry is 0 or 2.
 
 find_symmetries decides each of the 48 signed permutations S once, by the
-support and the quarter turn that S takes each stored coefficient to; each
+support and the sign that S takes each stored coefficient to; each
 translation is then decided by integer phases, with no field pushed
 forward.
 """
@@ -36,10 +35,10 @@ __all__ = [
 
 
 class GroupElement(NamedTuple):
-    """A signed-permutation matrix with a quarter-period-lattice translation.
+    """A signed-permutation matrix with a half-period-lattice translation.
 
-    S is a 3x3 tuple-of-tuples over {-1,0,1} with S^T S = 1; a is a triple of
-    integers mod 4, each unit worth pi/2.
+    S is a 3x3 tuple-of-tuples over {-1,0,1} with S^T S = 1; a is a triple
+    over {0, 2}, each unit worth pi/2.
     """
 
     S: tuple
@@ -58,7 +57,8 @@ _IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def _phase(a, k):
-    """n mod 4 for the phase e^{-i (pi/2) n} = e^{-i a.k}."""
+    """n mod 4 for the phase e^{-i (pi/2) n} = e^{-i a.k}: 0 or 2, a sign,
+    for a on the half-period lattice."""
     return (a[0] * k[0] + a[1] * k[1] + a[2] * k[2]) % 4
 
 
@@ -113,53 +113,46 @@ class SymmetryData:
 
 
 _HALF_LATTICE = tuple(itertools.product((0, 2), repeat=3))
-_QUARTER_LATTICE = tuple(itertools.product((0, 1, 2, 3), repeat=3))
 
 
-def find_symmetries(u, lattice="half"):
-    """All (S, a) with push-forward equal to +-u, decided matrix by matrix.
+def find_symmetries(u):
+    """All (S, a) on the half-period lattice with push-forward equal to
+    +-u, decided matrix by matrix.
 
-    lattice selects the translation candidates: 'half' is {0, pi}^3 (enough
-    for the shipped data), 'quarter' widens to {0, pi/2, pi, 3pi/2}^3 for
-    user data.  Each of the 48 matrices S is decided once by _matrix_turns;
-    then, with m(k0) its quarter turn at each stored mode k0, (S, a) is in
-    H+ iff a.(S k0) = m(k0) mod 4 for every k0 and in H- iff
+    Each of the 48 matrices S is decided once by _matrix_turns; then, with
+    m(k0) in {0, 2} its sign turn at each stored mode k0, (S, a) is in H+
+    iff a.(S k0) = m(k0) mod 4 for every k0 and in H- iff
     a.(S k0) + 2 = m(k0), so each translation costs integer arithmetic only.
     """
     if u.is_zero():
         raise ValueError("symmetry search needs a nonzero field")
-    if lattice == "half":
-        translations = _HALF_LATTICE
-    elif lattice == "quarter":
-        translations = _QUARTER_LATTICE
-    else:
-        raise ValueError("lattice must be 'half' or 'quarter', got %r" % (lattice,))
     coeffs = u.coeffs
-    turned = {}
+    negated = {}
     conjugated = {}
     plus = []
     minus = []
     for S in octahedral_matrices():
-        turns = _matrix_turns(S, coeffs, turned, conjugated)
+        turns = _matrix_turns(S, coeffs, negated, conjugated)
         if turns is None:
             continue
         (Sk0, m0), rest = turns[0], turns[1:]
-        for a in translations:
+        for a in _HALF_LATTICE:
             d = (m0 - _phase(a, Sk0)) % 4
-            if d in (0, 2) and all((m - _phase(a, Sk)) % 4 == d for Sk, m in rest):
+            if all((m - _phase(a, Sk)) % 4 == d for Sk, m in rest):
                 (plus if d == 0 else minus).append(GroupElement(S, a))
     return SymmetryData(plus=frozenset(plus), minus=frozenset(minus))
 
 
-def _matrix_turns(S, coeffs, turned, conjugated):
+def _matrix_turns(S, coeffs, negated, conjugated):
     """The pairs (S k0, m(k0)) over the stored modes k0 of a field with
-    coefficients coeffs, where m(k0) in 0..3 is the quarter turn with
+    coefficients coeffs, where m(k0) is 0 or 2, the sign turn with
     e^{-i (pi/2) m} S u_{k0} equal to the stored coefficient at S k0, or to
     conj(u_{-S k0}) when S k0 is not canonical.  m is unique, as u_{k0} is
-    nonzero.  None when some S k0 is not stored up to sign or no quarter
-    turn fits.  turned (k0 -> the four quarter turns of each component of
-    u_{k0}) and conjugated (k -> conj(u_k)) are shared by the calls of one
-    search, so each is formed once."""
+    nonzero.  None when some S k0 is not stored up to sign or no sign fits:
+    a half-lattice phase is a sign, so no translation completes such an S.
+    negated (k0 -> each component of u_{k0} and its negation) and
+    conjugated (k -> conj(u_k)) are shared by the calls of one search, so
+    each is formed once."""
     images = []
     for k0 in coeffs:
         Sk = _mat_vec(S, k0)
@@ -167,7 +160,7 @@ def _matrix_turns(S, coeffs, turned, conjugated):
         if key not in coeffs:
             return None
         images.append((k0, Sk, key))
-    # row i of S u_{k0} is u_{k0}[c], negated (two more quarter turns) on -1
+    # row i of S u_{k0} is u_{k0}[c], negated (a turn of 2) on -1
     rows = [(i, c, 0 if row[c] > 0 else 2)
             for i, row in enumerate(S) for c in range(3) if row[c]]
     out = []
@@ -178,20 +171,18 @@ def _matrix_turns(S, coeffs, turned, conjugated):
             target = conjugated.get(key)
             if target is None:
                 target = conjugated[key] = tuple(p.conj() for p in coeffs[key])
-        four = turned.get(k0)
-        if four is None:
-            four = turned[k0] = tuple(
-                tuple(_quarter_turn(p, r) for r in range(4)) for p in coeffs[k0]
-            )
+        signed = negated.get(k0)
+        if signed is None:
+            signed = negated[k0] = tuple((p, -p) for p in coeffs[k0])
         i, c, shift = next(row for row in rows if coeffs[k0][row[1]])
-        for r in range(4):
-            if four[c][r] == target[i]:
-                m = (r - shift) % 4
-                break
+        if signed[c][0] == target[i]:
+            m = shift
+        elif signed[c][1] == target[i]:
+            m = 2 - shift
         else:
             return None
         for j, c, shift in rows:
-            if j != i and four[c][(m + shift) % 4] != target[j]:
+            if j != i and signed[c][(m + shift) % 4 // 2] != target[j]:
                 return None
         out.append((Sk, m))
     return out
@@ -251,44 +242,31 @@ def canonical_images(keys, matrices):
     return images
 
 
-def _quarter_turn(p, n):
-    """e^{-i (pi/2) n} p for n in 0..3: a copy, a rotation or a negation,
-    never a product."""
-    if n == 0:
-        return p
-    if n == 1:
-        return p.mul_minus_i()
-    if n == 2:
-        return -p
-    return p.mul_i()
-
-
 def propagate_coefficient(coeff, k, g, sigma, j, conj=False, turned=None):
     """Exact coefficient of u_j at S k, given the one at k:
     u_{j,Sk} = sigma^{j+1} e^{-i a.(Sk)} S u_{j,k}, conjugated when conj is
     set.
 
     Returns the pair (Sk, coefficient).  Row i of S holds one entry +-1, in
-    column c, so component i is e^{-i (pi/2) n} (+-coeff[c]); a -1 entry adds
-    two quarter turns to n, and each component takes one pass over its
-    terms.  turned, if given, is a dict shared by calls on one coeff: each
-    turned component, keyed by its column c, its quarter turns mod 4 and
-    conj, is formed once and reused."""
+    column c, so component i is +-coeff[c]: the half-lattice phase, the -1
+    entry and the pseudo-symmetry sign each flip the sign or not, and each
+    component is a copy or a negation, formed in one pass over its terms.
+    turned, if given, is a dict shared by calls on one coeff: each turned
+    component, keyed by its column c, its sign and conj, is formed once and
+    reused."""
     S = g.S
     Sk = _mat_vec(S, k)
-    n = _phase(g.a, Sk)
-    if sigma == -1 and j % 2 == 0:
-        n += 2
+    flip = (_phase(g.a, Sk) == 2) != (sigma == -1 and j % 2 == 0)
     out = []
     for row in S:
         c = 0 if row[0] else 1 if row[1] else 2
-        turns = (n if row[c] > 0 else n + 2) % 4
-        p = None if turned is None else turned.get((c, turns, conj))
+        negate = flip != (row[c] < 0)
+        p = None if turned is None else turned.get((c, negate, conj))
         if p is None:
-            p = _quarter_turn(coeff[c], turns)
+            p = -coeff[c] if negate else coeff[c]
             if conj:
                 p = p.conj()
             if turned is not None:
-                turned[c, turns, conj] = p
+                turned[c, negate, conj] = p
         out.append(p)
     return Sk, tuple(out)

@@ -156,12 +156,6 @@ class TimePoly:
     def conj(self):
         return _tp({key: c.conj() for key, c in self.terms.items()})
 
-    def mul_i(self):
-        return _tp({key: c.mul_i() for key, c in self.terms.items()})
-
-    def mul_minus_i(self):
-        return _tp({key: c.mul_minus_i() for key, c in self.terms.items()})
-
     # -- calculus --------------------------------------------------------
 
     def derivative(self):

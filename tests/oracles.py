@@ -35,11 +35,13 @@ FractionGaussian is GaussianRational as it was before the integer triple: a
 pair of exact rationals, every operation on the two parts.
 push_forward is the action of a group element on a whole field, and
 find_symmetries_reference is the symmetry search as it was before it
-decided each matrix once: every one of the 48 x 8 (48 x 64 on the quarter
-lattice) candidates pushes the whole field forward and compares it with u
+decided each matrix once: every one of the 48 x 8 candidates of the
+half-period lattice pushes the whole field forward and compares it with u
 and -u.  compose and inverse (the group law), heat_duhamel (the Duhamel
-integral of a whole field) and full_coeffs (both signs of a field's
-support) serve only the tests.
+integral of a whole field), full_coeffs (both signs of a field's support),
+leray_project_polys (the Leray projection of a TimePoly 3-vector) and
+gram_polys (the library's Gram route, gram_numerators, gram_shells and
+weigh_shells, over given orbit classes) serve only the tests.
 """
 
 import mpmath
@@ -70,15 +72,16 @@ from reyex.fields import (
     bilinear_P,
     canonical_key,
     duhamel_mode,
+    gram_numerators,
+    gram_shells,
     is_canonical,
-    leray_project,
     norm_sq_poly,
     wave_norm_sq,
+    weigh_shells,
 )
 from reyex.rationals import GaussianRational, mpq
 from reyex.symmetry import (
     _HALF_LATTICE,
-    _QUARTER_LATTICE,
     GroupElement,
     SymmetryData,
     _mat_vec,
@@ -135,26 +138,16 @@ def push_forward(g, v):
     return TimeField(coeffs, validate=False)
 
 
-def find_symmetries_reference(u, lattice="half"):
-    """Brute-force search of all (S, a) with push-forward equal to +-u.
-
-    lattice selects the translation candidates: 'half' is the 384-element
-    search over {0, pi}^3 (enough for the shipped data), 'quarter' widens to
-    {0, pi/2, pi, 3pi/2}^3 for user data.
-    """
+def find_symmetries_reference(u):
+    """Brute-force search of all (S, a) with push-forward equal to +-u: the
+    384 candidates of the half-period lattice {0, pi}^3."""
     if u.is_zero():
         raise ValueError("symmetry search needs a nonzero field")
-    if lattice == "half":
-        translations = _HALF_LATTICE
-    elif lattice == "quarter":
-        translations = _QUARTER_LATTICE
-    else:
-        raise ValueError("lattice must be 'half' or 'quarter', got %r" % (lattice,))
     neg_u = -u
     plus = []
     minus = []
     for S in octahedral_matrices():
-        for a in translations:
+        for a in _HALF_LATTICE:
             g = GroupElement(S, a)
             pf = push_forward(g, u)
             if pf == u:
@@ -167,6 +160,29 @@ def find_symmetries_reference(u, lattice="half"):
 def heat_duhamel(v):
     """int_0^t e^{(t-s) Delta} v(s) ds, mode by mode."""
     return v.map_coeffs(duhamel_mode)
+
+
+def leray_project_polys(k, vec):
+    """Project a TimePoly 3-vector onto the orthogonal complement of k:
+    vec - (k.vec/|k|^2) k, exact."""
+    if k == (0, 0, 0):
+        raise ValueError("Leray projection is undefined at the zero mode")
+    dot = _dot_poly(vec, k)
+    if dot.is_zero():
+        return tuple(vec)
+    ksq = wave_norm_sq(k)
+    return tuple(vi - dot.scale_rational(mpq(ki, ksq)) for ki, vi in zip(k, vec))
+
+
+def gram_polys(v, w, orders, orbit_classes):
+    """The Gram polys of v and w at each order over the (representative,
+    weight) pairs orbit_classes, by the library's route: numerators at the
+    representatives, integer shell sums, their weighting per order."""
+    classes = list(orbit_classes)
+    reps = [rep for rep, _ in classes]
+    vden, vrows = gram_numerators(v, reps)
+    wden, wrows = (vden, vrows) if w is v else gram_numerators(w, reps)
+    return weigh_shells(gram_shells(vrows, wrows, classes), vden * wden, orders)
 
 
 def full_coeffs(field):
@@ -218,13 +234,6 @@ class FractionGaussian:
 
     def conj(self):
         return FractionGaussian(self.re, -self.im)
-
-    def mul_i(self):
-        """Multiply by the imaginary unit."""
-        return FractionGaussian(-self.im, self.re)
-
-    def mul_minus_i(self):
-        return FractionGaussian(self.im, -self.re)
 
     def to_strings(self):
         return tuple(
@@ -644,6 +653,13 @@ def _sqrt_clamped(x):
     return mpmath.sqrt(x) if x > 0 else mpmath.mpf(0)
 
 
+def _gram(table, key, ig):
+    """The sampled Gram key at grid point ig, zero where the tables leave
+    out a Gram with no terms."""
+    values = table.get(key)
+    return mpmath.mpf(0) if values is None else values[ig]
+
+
 def assembly_growth(tables, R, m, M):
     """||sum_{j<=M} R^j u_j||_m + sum_{j>M} R^j ||u_j||_m over the grid."""
     coeff = tables.coeff_tables()
@@ -657,11 +673,11 @@ def assembly_growth(tables, R, m, M):
             head = mpmath.mpf(0)
             for i in range(M + 1):
                 for j in range(i, M + 1):
-                    term = Rpow[i] * Rpow[j] * coeff[(i, j, m)][ig]
+                    term = Rpow[i] * Rpow[j] * _gram(coeff, (i, j, m), ig)
                     head += term if i == j else 2 * term
             total = _sqrt_clamped(vol * head)
             for j in range(M + 1, N + 1):
-                total += Rpow[j] * _sqrt_clamped(vol * coeff[(j, j, m)][ig])
+                total += Rpow[j] * _sqrt_clamped(vol * _gram(coeff, (j, j, m), ig))
             out.append(total)
         return out
 
@@ -679,7 +695,7 @@ def assembly_error_tautological(tables, R):
             acc = mpmath.mpf(0)
             for i in range(N + 1):
                 for j in range(i, N + 1):
-                    term = Rpow[i] * Rpow[j] * tail[(i, j, tables.n)][ig]
+                    term = Rpow[i] * Rpow[j] * _gram(tail, (i, j, tables.n), ig)
                     acc += term if i == j else 2 * term
             out.append(_sqrt_clamped(vol * acc))
         return out
@@ -695,8 +711,9 @@ def assembly_error_rough(tables, R, constants):
         Kf = mpmath.mpf(constants.K_of(n))
         out = []
         for ig in range(len(tables.grid)):
-            norms_n = [_sqrt_clamped(vol * coeff[(j, j, n)][ig]) for j in range(N + 1)]
-            norms_n1 = [_sqrt_clamped(vol * coeff[(j, j, n + 1)][ig]) for j in range(N + 1)]
+            norms_n = [_sqrt_clamped(vol * _gram(coeff, (j, j, n), ig)) for j in range(N + 1)]
+            norms_n1 = [_sqrt_clamped(vol * _gram(coeff, (j, j, n + 1), ig))
+                        for j in range(N + 1)]
             total = mpmath.mpf(0)
             for j in range(N + 1, 2 * N + 2):
                 inner = mpmath.mpf(0)
@@ -724,7 +741,11 @@ def _nonzero(vec):
 
 def project_products(k, acc):
     """-i and the Leray projection of a TimePoly 3-vector."""
-    return leray_project(k, tuple(p.mul_minus_i() for p in acc))
+    # -i (re + i im) = im - i re
+    turned = tuple(
+        TimePoly({key: GaussianRational(c.im, -c.re) for key, c in p.terms.items()}) for p in acc
+    )
+    return leray_project_polys(k, turned)
 
 
 def convolution_products(fv, fw, k):
@@ -824,8 +845,8 @@ def _add_mode_gram(acc, vvec, wvec, weight):
 
 
 def gram_poly_orbits_products(v, w, orders, orbit_classes):
-    """The Gram polys of fields.gram_poly_orbits by rational products: mode
-    products summed per shell |k|^2, each shell weighted per order."""
+    """The Gram polys of gram_polys by rational products: mode products
+    summed per shell |k|^2, each shell weighted per order."""
     shells = {}
     for rep, size in orbit_classes:
         vvec = v.coeffs.get(rep)

@@ -171,9 +171,7 @@ def _random_two_mode_datum(seed):
                                  mpq(rng.randint(-4, 4), rng.randint(1, 3)))
                 for _ in range(3)
             )
-            polys = tuple(TimePoly({(0, 0): c}) for c in vec)
-            proj = leray_project(k, polys)
-            const = tuple(p.terms.get((0, 0), GaussianRational(0)) for p in proj)
+            const = leray_project(k, vec)
             if any(const):
                 modes[k] = const
         if len(modes) == 2:

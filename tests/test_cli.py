@@ -19,8 +19,6 @@ from reyex.control import DEFAULT_TOL_R, find_critical_R
 from reyex.data import datum_tg
 from reyex.estimators import DEFAULT_GRID_POINTS, DEFAULT_T_MAX, default_grid
 from reyex.expansion import residual_tail
-from reyex.fields import static_field
-from reyex.rationals import GaussianRational
 
 
 @pytest.fixture(scope="module")
@@ -667,16 +665,20 @@ def test_report_prints_the_working_precision_digits(runner, rundir, tmp_path):
 @pytest.mark.parametrize("command, option", [
     ("norms", "--precision"), ("report", "--precision"), ("estimate", "--precision"),
     ("control", "--precision"), ("critical", "--precision"), ("control", "--blowup-threshold"),
-], ids=["norms", "report", "estimate", "control", "critical", "control-blowup-threshold"])
+    ("symmetry", "--lattice"),
+], ids=["norms", "report", "estimate", "control", "critical", "control-blowup-threshold",
+        "symmetry-lattice"])
 def test_datum_commands_take_no_precision(runner, rundir, tmp_path, command, option):
-    # no command sets a precision, and control has no blow-up threshold
+    # no command sets a precision, control has no blow-up threshold, and
+    # symmetry searches the one half-period lattice
     shutil.copytree(rundir / "cache", tmp_path / "cache")
     (tmp_path / "run.verdict.json").write_text(json.dumps({"R": 0.1, "verdict": "BlowUp"}))
-    value = "1e6" if option == "--blowup-threshold" else "256"
+    value = {"--blowup-threshold": "1e6", "--lattice": "quarter"}.get(option, "256")
     if command in PROBE_ARGS:
         args = ["--cache", str(tmp_path / "cache"), *PROBE_ARGS[command], str(tmp_path / "out")]
     else:
-        args = {"norms": [], "report": ["--run-dir", str(tmp_path)]}[command] + ["--datum", "bnw"]
+        args = {"norms": [], "report": ["--run-dir", str(tmp_path)], "symmetry": []}[command]
+        args += ["--datum", "bnw"]
     res = runner.invoke(main, [command, *args, option, value])
     assert res.exit_code == 2, res.output
     assert "No such option '%s'" % option in res.output
@@ -699,20 +701,6 @@ def test_symmetry_command(runner):
         assert res.exit_code == 0, res.output
         assert h in res.output
         assert s in res.output
-
-
-def test_symmetry_command_quarter_lattice(runner, tmp_path):
-    # a single mode with a quarter-period symmetry that the half grid misses
-    v = static_field({(1, 0, 0): (GaussianRational(0), GaussianRational(1), GaussianRational(0, 1))})
-    path = tmp_path / "quarter.json"
-    path.write_text(json.dumps(v.to_payload(name="quarter")))
-    sizes = {}
-    for lattice in (None, "quarter"):
-        extra = [] if lattice is None else ["--lattice", lattice]
-        res = runner.invoke(main, ["symmetry", "--datum", "file:%s" % path, *extra])
-        assert res.exit_code == 0, res.output
-        sizes[lattice] = int(res.output.split("|H+| = ")[1].split(",")[0])
-    assert sizes["quarter"] > sizes[None]
 
 
 def _readme_invocations():

@@ -28,7 +28,7 @@ from reyex.estimators import (
     parse_variant,
     pchip_coefficients,
 )
-from reyex.fields import TimeField, gram_poly, gram_poly_orbits, is_canonical
+from reyex.fields import TimeField, is_canonical, static_field
 from reyex.rationals import GaussianRational
 from reyex.symmetry import (
     GroupElement,
@@ -47,6 +47,7 @@ from oracles import (
     error_tame,
     error_tautological,
     gram_at_zero,
+    gram_polys,
     growth_intermediate,
     growth_rough,
     sample_gram_tables,
@@ -248,7 +249,9 @@ def test_exact_gram_tables_match_per_mode_oracle(request, which, kind):
     else:
         got, fields, orders = tables.tail_tables(), exp.tails, (3,)
     ref = sample_gram_tables(fields, orders, grid, 512)
-    assert got.keys() == ref.keys()
+    # the tables leave out the Grams with no terms, whose values are zeros
+    assert got.keys() <= ref.keys()
+    assert all(not any(ref[key]) for key in ref.keys() - got.keys())
     for (i, j, m), vals in got.items():
         at_zero = gram_at_zero(fields[i], fields[j], m)
         with mpmath.workprec(256):
@@ -391,6 +394,12 @@ def swap_family():
     return Expansion(datum_id="swap", N=2, coeffs=[u0, u1, u2], symmetry=sym)
 
 
+def _full_support_grams(v, w, orders):
+    """The Grams of v and w at each order over their full support, every
+    mode its own class."""
+    return gram_polys(v, w, orders, [(k, 1) for k in v.coeffs.keys() | w.coeffs.keys()])
+
+
 @pytest.mark.parametrize("kind", ["coeff", "tail"])
 def test_signed_class_weights_give_the_full_support_gram(monkeypatch, kind):
     # a pseudo-symmetry outside +-S+: the members of a class carry the
@@ -415,15 +424,15 @@ def test_signed_class_weights_give_the_full_support_gram(monkeypatch, kind):
         tables.tail_tables()
         fields, orders = exp.tails, (1,)
     pairs = [(i, j) for i in range(len(fields)) for j in range(i, len(fields))]
-    full = {(i, j): [gram_poly(fields[i], fields[j], m) for m in orders] for i, j in pairs}
+    full = {(i, j): _full_support_grams(fields[i], fields[j], orders) for i, j in pairs}
     [(batch, parts, values, reports)] = built
     polys, _, _ = _kind_of_batch(tables, kind, parts, batch, values, reports)
-    assert polys == [poly for pair in pairs for poly in full[pair]]
+    assert polys == [poly for pair in pairs for poly in full[pair] if poly.terms]
     # weighing every class by its size gets some odd pair wrong
     support = set().union(*(f.coeffs for f in fields))
     sizes = [(rep, len(members)) for rep, members in orbit_partition(support, list(routes))]
     assert any(
-        gram_poly_orbits(fields[i], fields[j], orders, sizes) != full[(i, j)]
+        gram_polys(fields[i], fields[j], orders, sizes) != full[(i, j)]
         for i, j in pairs
         if (i + j) % 2
     )
@@ -461,10 +470,15 @@ def test_gram_polys_are_the_same_built_in_one_or_two_processes(request, monkeypa
     fields, orders = (exp.coeffs, (1, 2)) if kind == "coeff" else (residual_tail(exp), (1,))
     keys, polys, workers = _build_on(monkeypatch, exp, kind, 1)
     assert workers == 1
-    assert keys == [(i, j, m) for i in range(len(fields)) for j in range(i, len(fields))
-                    for m in orders]
-    # the Gram over the full support, every mode its own class
-    assert polys == [gram_poly(fields[i], fields[j], m) for i, j, m in keys]
+    # the Grams over the full support, every mode its own class, but for
+    # those with no terms
+    full = {
+        (i, j, m): poly
+        for i in range(len(fields)) for j in range(i, len(fields))
+        for m, poly in zip(orders, _full_support_grams(fields[i], fields[j], orders))
+    }
+    assert keys == [key for key, poly in full.items() if poly.terms]
+    assert polys == [full[key] for key in keys]
     assert _build_on(monkeypatch, exp, kind, 2) == (keys, polys, 2)
 
 
@@ -566,6 +580,33 @@ def test_assembly_matches_mpf_reference_to_the_bit(assembly_tables, R):
         assert got == floats(assembly_error_rough(tables, R, c)), N
 
 
+def test_probes_on_a_datum_whose_u1_vanishes():
+    # a single mode has no nonlinear term: u_1, u_2 and every residual tail
+    # vanish, so only G_00 has terms.  The tables leave out the rest, and a
+    # missing Gram, on the diagonal or every tail Gram, assembles as a zero
+    g = GaussianRational
+    exp = expand(static_field({(1, 0, 0): (g(0), g(1), g(0, 1))}), 2, datum_id="shear")
+    residual_tail(exp)
+    assert all(f.is_zero() for f in exp.coeffs[1:] + exp.tails)
+    tables = EstimatorTables(exp, 3, grid=default_grid(40))
+    c, R = ConstantsTable(), 0.5
+
+    def floats(values):
+        return [float(v) for v in values]
+
+    for variant, M in (("rough", -1), ("tautological", 2)):
+        est = build_estimator_set(exp, R, 3, variant, c, tables)
+        assert est.D_n == floats(assembly_growth(tables, R, 3, M)), variant
+        assert est.D_n1 == floats(assembly_growth(tables, R, 4, M)), variant
+        assert est.eps_n == [0.0] * 40
+        assert min(est.D_n) > 0
+    assert est.eps_n == floats(assembly_error_tautological(tables, R))
+    assert tables.error_samples(R, "rough", c) == floats(assembly_error_rough(tables, R, c))
+    assert sorted(tables.coeff_tables()) == [(0, 0, 3), (0, 0, 4)]
+    assert tables.tail_tables() == {}
+    assert tables.stats["tail"]["terms"] == 0
+
+
 def _round_to_float(compare, start):
     """The float nearest an exact value v, ties to the even mantissa, by
     exact comparisons: compare(q) is the sign of q - v for a Fraction q, and
@@ -659,9 +700,9 @@ def test_second_rough_probe_takes_no_square_root(bnw3, monkeypatch):
     build = reyex.estimators._int_rows
     norms = EstimatorTables._norm_columns
 
-    def counting_build(columns):
+    def counting_build(columns, points):
         calls.append(columns)
-        return build(columns)
+        return build(columns, points)
 
     def counting_norms(self, tables):
         roots.append(tables)

@@ -9,7 +9,9 @@ from oracles import (
     bilinear_P_products,
     full_coeffs,
     gram_poly_orbits_products,
+    gram_polys,
     heat_duhamel,
+    leray_project_polys,
     pruned_sum_products,
     sobolev_norm,
     to_records_reference,
@@ -22,8 +24,6 @@ from reyex.fields import (
     bilinear_P,
     canonical_key,
     convolution_coefficient,
-    gram_poly,
-    gram_poly_orbits,
     heat_apply,
     is_canonical,
     leray_project,
@@ -53,21 +53,17 @@ def test_canonical_key_convention():
 
 def test_leray_projection_hand_values():
     # k = (1, 0, 0): kills the first component only
-    vec = tuple(tp_basis(0, 0, gr(c)) for c in (5, 7, -2))
+    vec = (gr(5), gr(7), gr(-2))
     out = leray_project((1, 0, 0), vec)
-    assert out[0].is_zero()
-    assert out[1] == vec[1] and out[2] == vec[2]
+    assert out == (gr(0), vec[1], vec[2])
     # k = (1, 1, 0), v = (1, 0, 0): v - (1/2)(1,1,0) = (1/2, -1/2, 0)
-    vec = (tp_basis(0, 0), TP_ZERO, TP_ZERO)
-    out = leray_project((1, 1, 0), vec)
-    assert out[0] == tp_basis(0, 0, gr(mpq(1, 2)))
-    assert out[1] == tp_basis(0, 0, gr(mpq(-1, 2)))
-    assert out[2].is_zero()
+    out = leray_project((1, 1, 0), (gr(1), gr(0), gr(0)))
+    assert out == (gr(mpq(1, 2)), gr(mpq(-1, 2)), gr(0))
 
 
 def test_leray_rejects_zero_mode():
     with pytest.raises(ValueError):
-        leray_project((0, 0, 0), (TP_ZERO, TP_ZERO, TP_ZERO))
+        leray_project((0, 0, 0), (gr(0), gr(0), gr(0)))
 
 
 def test_reality_folding_and_coeff_access():
@@ -256,10 +252,9 @@ def test_negative_order_norm():
 def test_gram_poly_symmetry_and_orbit_version():
     v = datum_bnw().field
     w = bilinear_P(v, v)
-    g1 = gram_poly(w, w, 3)
     classes = [(k, 1) for k in w.coeffs]
-    (g2,) = gram_poly_orbits(w, w, (3,), classes)
-    assert g1 == g2
+    (g1,) = gram_polys(w, w, (3,), classes)
+    assert [g1] == gram_poly_orbits_products(w, w, (3,), classes)
     # norm_sq_poly is the self-Gram
     assert norm_sq_poly(w, 3) == g1
 
@@ -274,6 +269,7 @@ def test_gram_poly_matches_timepoly_products():
     v = heat_apply(static_field(modes))
     w = v + heat_duhamel(bilinear_P(v, v))
     orders = (-1, 0, 3)
+    classes = [(k, 1) for k in v.coeffs.keys() | w.coeffs.keys()]
     refs = []
     for order in orders:
         ref = TP_ZERO
@@ -284,11 +280,11 @@ def test_gram_poly_matches_timepoly_products():
             ksq = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
             weight = mpq(ksq**order) if order >= 0 else mpq(1, ksq)
             ref = ref + (p + p.conj()).scale_rational(weight)
-        assert gram_poly(v, w, order) == ref
-        assert gram_poly(w, v, order) == ref
+        assert gram_polys(v, w, (order,), classes) == [ref]
+        assert gram_polys(w, v, (order,), classes) == [ref]
         refs.append(ref)
     # all orders from one pass over the mode products
-    assert gram_poly_orbits(v, w, orders, [(k, 1) for k in w.coeffs]) == refs
+    assert gram_polys(v, w, orders, classes) == refs
 
 
 def test_payload_round_trip_and_tamper_detection(tmp_path):
@@ -341,7 +337,7 @@ _keys = st.tuples(*[st.integers(-2, 2)] * 3).filter(lambda k: is_canonical(k))
 
 
 def _projected(modes):
-    coeffs = {k: leray_project(k, vec) for k, vec in modes.items()}
+    coeffs = {k: leray_project_polys(k, vec) for k, vec in modes.items()}
     return TimeField(coeffs)
 
 
@@ -389,7 +385,7 @@ def test_integer_kernels_match_timepoly_products(v, w):
         assert _pruned_sum(fulls, pairs[:2], k) is None
     classes = [(k, 1 + i % 3) for i, k in enumerate(sorted(v.coeffs.keys() | w.coeffs.keys()))]
     orders = (-1, 0, 3)
-    grams = gram_poly_orbits(v, w, orders, classes)
+    grams = gram_polys(v, w, orders, classes)
     assert grams == gram_poly_orbits_products(v, w, orders, classes)
     for p in grams:
         assert all(c for c in p.terms.values())
@@ -407,7 +403,7 @@ def _unchecked_fields(draw):
     keys = _keys if draw(st.integers(0, 3)) else st.tuples(*[st.integers(-2, 2)] * 3)
     modes = draw(st.dictionaries(keys, st.tuples(_terms, _terms, _terms), max_size=4))
     if draw(st.integers(0, 3)):
-        modes = {k: leray_project(k, vec) for k, vec in modes.items() if k != (0, 0, 0)}
+        modes = {k: leray_project_polys(k, vec) for k, vec in modes.items() if k != (0, 0, 0)}
     for extra in (_terms, st.just(tp_basis(0, 2**31))):
         if modes and not draw(st.integers(0, 2)):
             k = draw(st.sampled_from(sorted(modes)))

@@ -107,13 +107,6 @@ def test_subtraction_matches_adding_the_negation(p, q, n):
     assert (p - p).terms == {}
 
 
-@given(polys)
-@settings(max_examples=50)
-def test_quarter_turns_equal_products_with_the_phase(p):
-    for turned, phase in ((p.mul_i(), (0, 1)), (p.mul_minus_i(), (0, -1)), (-p, (-1, 0))):
-        assert turned == TimePoly({key: c * GaussianRational(*phase) for key, c in p.terms.items()})
-
-
 @given(polys, polys)
 @settings(max_examples=50)
 def test_derivative_is_a_derivation(p, q):

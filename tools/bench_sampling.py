@@ -18,7 +18,8 @@ build_s (wall seconds) with every repeat's eval_s, the precision stats
 (workers: the processes that sampled the table; build_workers, where the
 side records it: the processes that built it), and a sha256 of every
 sampled value's exact mpf tuple, so equal digests mean bit-identical
-tables.  "tautological" keeps, per bnw case and side, the median seconds of
+tables.  The digest skips a Gram whose values are all zero, so a side that
+keeps such Grams and one that leaves them out compare alike.  "tautological" keeps, per bnw case and side, the median seconds of
 the exact builds of both kinds (build_s), of their sampling (eval_s, each
 sampling batch counted once: a side that samples both kinds in one batch
 records the batch's seconds in the stats of each) and of the whole set
@@ -48,7 +49,9 @@ def digest(*tables):
     out = hashlib.sha256()
     for sampled in tables:
         for key in sorted(sampled):
-            out.update(repr((key, [v._mpf_ for v in sampled[key]])).encode())
+            # a Gram that is zero everywhere is one that a side may leave out
+            if any(sampled[key]):
+                out.update(repr((key, [v._mpf_ for v in sampled[key]])).encode())
     return out.hexdigest()
 
 
